@@ -6,7 +6,6 @@ from .geometry import (
     Polygon,
     SampleGrid,
     SectorDomain,
-    boundary_samples,
     interior_angles,
     polygon_from_file,
     polygon_to_file,
@@ -32,6 +31,7 @@ from .kernels import (
 from .approx import (
     ApproxConfig,
     RationalApprox,
+    TailFit,
     build_approximation,
     clustered_poles,
     deserialize,

@@ -21,15 +21,16 @@ from .approx import (
     ApproxConfig,
     RationalApprox,
     _chebyshev_radii,
-    _fit_tail_full,
     build_approximation,
     clustered_poles,
+    fit_tail,
     optimal_sigma,
 )
 from .geometry import SampleGrid, SectorDomain
 from .kernels import (
     KernelConfig,
     PoleCollisionError,
+    pole_collisions,
     trapezoid_rational,
     trapezoid_rational_log,
     truncated_integral,
@@ -121,12 +122,7 @@ def sup_error(approx: RationalApprox, target, domain: SectorDomain,
     if isinstance(target, str):
         target = make_target(target, approx.alpha)
     zs = np.asarray(grid.points, complex)
-    keep = np.ones(zs.shape, bool)
-    poles = approx.poles
-    if poles.size:
-        gap = np.abs(zs[:, None] - poles)
-        thr = 1e-14 * np.maximum(np.abs(poles), np.maximum(np.abs(zs)[:, None], 1e-300))
-        keep = ~(gap < thr).any(axis=1)
+    keep = ~pole_collisions(zs, approx.poles)
     n_skip = int(np.sum(~keep))
     if n_skip:
         warnings.warn(f"skipped {n_skip} grid points colliding with poles")
@@ -219,7 +215,7 @@ def _auto_tail_config(alpha, beta, sigma, n1, C, target, g, domain):
         n2 = math.ceil(k * math.sqrt(n1))
         cfg = ApproxConfig(alpha=alpha, beta=beta, sigma=sigma, n1=n1, n2=n2,
                            C=C, target=target, g=g)
-        tail = _fit_tail_full(cfg, domain)
+        tail = fit_tail(cfg, domain)
         tried.append((cfg, tail.validation_sup))
         if tail.validation_sup <= goal:
             return cfg

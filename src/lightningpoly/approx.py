@@ -16,7 +16,13 @@ from typing import Callable
 import numpy as np
 
 from .geometry import SectorDomain
-from .kernels import PoleCollisionError, log_weight_constant
+from .kernels import (
+    PoleCollisionError,
+    log_weights,
+    pole_collisions,
+    quadrature_nodes,
+    tapered,
+)
 
 __all__ = [
     "ApproxConfig",
@@ -123,20 +129,13 @@ class ApproxConfig:
 def clustered_poles(cfg: ApproxConfig) -> np.ndarray:
     """The n1 tapered poles -C*exp(-sigma*(sqrt(n1)-sqrt(j))); the last one
     is exactly -C."""
-    j = np.arange(1, cfg.n1 + 1)
-    return -cfg.C * np.exp(-cfg.sigma * (math.sqrt(cfg.n1) - np.sqrt(j)))
+    return -tapered(cfg.n1, cfg.sigma, cfg.C)
 
 
 def clustered_poles_quadrature_form(cfg: ApproxConfig) -> np.ndarray:
     """Same poles written through the quadrature nodes,
     -C*exp((sqrt(j*h)-T)/alpha); agrees with clustered_poles to rounding."""
-    j = np.arange(1, cfg.n1 + 1)
-    return -cfg.C * np.exp((np.sqrt(j * cfg.h) - cfg.T) / cfg.alpha)
-
-
-def _far_poles(cfg: ApproxConfig) -> np.ndarray:
-    j = np.arange(cfg.n1 + 1, cfg.n_quad + 1)
-    return -cfg.C * np.exp((np.sqrt(j * cfg.h) - cfg.T) / cfg.alpha)
+    return quadrature_nodes(cfg, np.arange(1, cfg.n1 + 1))[1]
 
 
 def residues_power(cfg: ApproxConfig) -> np.ndarray:
@@ -149,21 +148,12 @@ def residues_power(cfg: ApproxConfig) -> np.ndarray:
         / (2.0 * np.sqrt(j) * a * math.pi)
 
 
-def _log_weights(cfg: ApproxConfig):
-    a = cfg.alpha
-    sin_a = math.sin(a * math.pi)
-    chi = log_weight_constant(a, cfg.C)
-    w1 = cfg.h * sin_a / (2.0 * a**2 * math.pi)
-    w2 = 0.5 * (chi / cfg.C**a - cfg.T * sin_a / (a**2 * math.pi))
-    return w1, w2
-
-
 def residues_power_log(cfg: ApproxConfig) -> np.ndarray:
     """Residues of the log-target scheme: the plain h-weighted part plus the
     sqrt(h/j)-weighted correction carrying chi and T."""
     p = clustered_poles(cfg)
     j = np.arange(1, cfg.n1 + 1)
-    w1, w2 = _log_weights(cfg)
+    w1, w2 = log_weights(cfg.alpha, cfg.C, cfg.h, cfg.T)
     return (w1 + w2 * np.sqrt(cfg.h / j)) * p * np.abs(p)**cfg.alpha
 
 
@@ -173,14 +163,14 @@ def _remainder_values(cfg: ApproxConfig, zs: np.ndarray) -> np.ndarray:
     far term is ~ |p|^(alpha-1)*z."""
     a = cfg.alpha
     zs = np.asarray(zs, complex)
-    far = _far_poles(cfg)
     j_far = np.arange(cfg.n1 + 1, cfg.n_quad + 1)
+    _, far = quadrature_nodes(cfg, j_far)
     j_near = np.arange(1, cfg.n1 + 1)
     p_near_mag = np.abs(clustered_poles(cfg))**a
     far_mag = np.abs(far)**a
     ratio = zs[:, None] / (zs[:, None] - far)  # |.| <= |z|/|p| for p < 0
     if cfg.log_like:
-        w1, w2 = _log_weights(cfg)
+        w1, w2 = log_weights(cfg.alpha, cfg.C, cfg.h, cfg.T)
         c_near = w1 * p_near_mag.sum() + w2 * np.sum(np.sqrt(cfg.h / j_near) * p_near_mag)
         fw = w1 + w2 * np.sqrt(cfg.h / j_far)
     else:
@@ -239,14 +229,18 @@ def _poly_eval(coeffs, zs, scale):
 
 @dataclass(frozen=True)
 class TailFit:
+    """Polynomial tail (coefficients in the z/scale basis) with its misfit on
+    the fit points and on the finer validation points."""
+
     coeffs: np.ndarray
     scale: float
     fit_rms: float
     validation_sup: float
 
 
-def _fit_tail_full(cfg: ApproxConfig, domain: SectorDomain,
-                   values_fn=None) -> TailFit:
+def fit_tail(cfg: ApproxConfig, domain: SectorDomain, values_fn=None) -> TailFit:
+    """Degree-n2 least-squares polynomial fit to ``values_fn`` (default: the
+    analytic remainder) over clustered samples of the domain."""
     values_fn = values_fn or (lambda zs: _remainder_values(cfg, zs))
     zs = _fit_points(cfg, domain, fine=False)
     y = values_fn(zs)
@@ -256,12 +250,6 @@ def _fit_tail_full(cfg: ApproxConfig, domain: SectorDomain,
     zv = _fit_points(cfg, domain, fine=True)
     sup = float(np.max(np.abs(_poly_eval(coeffs, zv, domain.radius) - values_fn(zv))))
     return TailFit(coeffs=coeffs, scale=domain.radius, fit_rms=rms, validation_sup=sup)
-
-
-def fit_tail(cfg: ApproxConfig, domain: SectorDomain) -> np.ndarray:
-    """Degree-n2 polynomial coefficients (in the z/radius basis) fit to the
-    analytic remainder over clustered boundary samples of the domain."""
-    return _fit_tail_full(cfg, domain).coeffs
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,27 +293,19 @@ class RationalApprox:
         return int(self.tail_coeffs.size) - 1
 
     def eval(self, z):
-        """Evaluate at a complex point or array (partial fractions in
-        ascending pole order for scalars, then the Horner tail)."""
-        scalar = np.isscalar(z) or np.asarray(z).ndim == 0
-        if scalar:
-            z = complex(z)
-            gap = np.abs(z - self.poles)
-            if np.any(gap < 1e-14 * np.maximum(np.abs(self.poles), max(abs(z), 1e-300))):
-                raise PoleCollisionError("pole collision")
-            pf = sum((a / (z - p) for a, p in zip(self.residues.tolist(), self.poles.tolist())), 0j)
-            return pf + complex(_poly_eval(self.tail_coeffs, z, self.basis_scale))
+        """Evaluate at a complex point (returns a complex) or an array of
+        points (partial fractions in blocks of 1024 points, then the Horner
+        tail)."""
         zs = np.asarray(z, complex)
         flat = zs.ravel()
         out = np.empty(flat.shape, complex)
         for k in range(0, flat.size, 1024):
-            blk = flat[k:k + 1024, None]
-            gap = np.abs(blk - self.poles)
-            thr = 1e-14 * np.maximum(np.abs(self.poles), np.maximum(np.abs(blk), 1e-300))
-            if np.any(gap < thr):
+            blk = flat[k:k + 1024]
+            if pole_collisions(blk, self.poles).any():
                 raise PoleCollisionError("pole collision")
-            out[k:k + 1024] = np.sum(self.residues / (blk - self.poles), axis=1)
-        return (out + _poly_eval(self.tail_coeffs, flat, self.basis_scale)).reshape(zs.shape)
+            out[k:k + 1024] = _partial_fractions(blk, self.poles, self.residues)
+        out += _poly_eval(self.tail_coeffs, flat, self.basis_scale)
+        return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
     __call__ = eval
 
@@ -340,7 +320,7 @@ def build_approximation(cfg: ApproxConfig, domain: SectorDomain | None = None) -
     base_res = residues_power_log(cfg) if cfg.log_like else residues_power(cfg)
     if cfg.target in ("power", "power_log"):
         residues = base_res
-        tail = _fit_tail_full(cfg, domain)
+        tail = fit_tail(cfg, domain)
     else:
         gp = np.array([cfg.g(complex(p)) for p in poles.tolist()], complex)
         residues = gp * base_res
@@ -352,7 +332,7 @@ def build_approximation(cfg: ApproxConfig, domain: SectorDomain | None = None) -
             folded = _partial_fractions(zs, poles, residues)
             return gz * (near + _remainder_values(cfg, zs)) - folded
 
-        tail = _fit_tail_full(cfg, domain, values_fn=corrected)
+        tail = fit_tail(cfg, domain, values_fn=corrected)
     return RationalApprox(
         poles=poles,
         residues=residues,

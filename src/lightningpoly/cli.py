@@ -322,10 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--config", help="file of 'key = value' overrides")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized grid jitter (all stock "
-                             "grids are deterministic; accepted for "
-                             "reproducibility bookkeeping)")
         sp.add_argument("--csv", help="CSV output path")
         sp.add_argument("--json", help="JSON summary path (stdout if omitted)")
 

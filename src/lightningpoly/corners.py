@@ -17,7 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .geometry import Polygon, interior_angles, resolve_corner_exponents
-from .kernels import adaptive_gauss_legendre
+from .approx import _fmt, _fmt_coeff
+from .kernels import adaptive_gauss_legendre, tapered
 
 __all__ = [
     "CornerBasis",
@@ -118,9 +119,7 @@ def plan_basis(polygon: Polygon, N: int, sigma_mode="global_opt",
     edge_len = [e.length() for e in polygon.edges]
     poles = []
     for k in range(m):
-        L_k = 0.5 * min(edge_len[k - 1], edge_len[k])
-        j = np.arange(1, counts[k] + 1)
-        d = L_k * np.exp(-sigmas[k] * (np.sqrt(counts[k]) - np.sqrt(j)))
+        d = tapered(counts[k], sigmas[k], 0.5 * min(edge_len[k - 1], edge_len[k]))
         pk = np.asarray(polygon.vertices[k] + d * dirs[k])
         pk.flags.writeable = False
         poles.append(pk)
@@ -166,63 +165,53 @@ class HarmonicSolution:
 
     def eval(self, z):
         zs = np.asarray(z, complex)
-        flat = zs.ravel()
-        out = np.zeros(flat.shape, float)
-        i = 0
-        c = self.coeffs
-        for pk in self.basis.poles:
-            for p in pk.tolist():
-                f = 1.0 / (flat - p)
-                out += c[i] * f.real + c[i + 1] * f.imag
-                i += 2
-        w = (flat - self.basis.center) / self.basis.scale
-        pw = np.ones_like(flat)
-        for mdeg in range(self.basis.degree + 1):
-            out += c[i] * pw.real
-            i += 1
-            if mdeg > 0:
-                out += c[i] * pw.imag
-                i += 1
-            pw = pw * w
+        out = _design_matrix(zs.ravel(), self.basis) @ self.coeffs
         return out.reshape(zs.shape) if zs.shape else float(out[0])
 
     __call__ = eval
 
 
 def _design_matrix(zs: np.ndarray, basis: CornerBasis) -> np.ndarray:
-    cols = []
-    for pk in basis.poles:
+    """Columns Re and Im of 1/(z - p) for each pole in corner order, then
+    Re w^0 and Re, Im of w^k for k = 1..degree, w = (z - center)/scale."""
+    A = np.empty((zs.size, basis.n_columns))
+    col = 0
+    for pk in basis.poles:  # one corner at a time keeps the temporaries small
         f = 1.0 / (zs[:, None] - pk)
-        for j in range(pk.size):
-            cols.append(f[:, j].real)
-            cols.append(f[:, j].imag)
+        A[:, col:col + 2 * pk.size:2] = f.real
+        A[:, col + 1:col + 2 * pk.size:2] = f.imag
+        col += 2 * pk.size
+    A[:, col] = 1.0
     w = (zs - basis.center) / basis.scale
     pw = np.ones_like(zs)
-    for mdeg in range(basis.degree + 1):
-        cols.append(pw.real)
-        if mdeg > 0:
-            cols.append(pw.imag)
+    for k in range(col + 1, basis.n_columns, 2):
         pw = pw * w
-    return np.column_stack(cols)
+        A[:, k] = pw.real
+        A[:, k + 1] = pw.imag
+    return A
+
+
+def _edge_samples(polygon: Polygon, basis: CornerBasis, factor: int, n_fill: int):
+    """Per edge, yield (length, arclengths, points): ``factor`` times the
+    corner's pole count of tapered distances from each end (half the edge
+    length at most), plus ``n_fill`` uniformly spaced interior samples."""
+    m = len(polygon.vertices)
+    for e_idx, e in enumerate(polygon.edges):
+        length = e.length()
+        ss = [np.linspace(0.0, length, n_fill + 2)[1:-1]]
+        for corner, from_end in ((e_idx, False), ((e_idx + 1) % m, True)):
+            d = tapered(factor * basis.counts[corner], basis.sigmas[corner], 0.5 * length)
+            ss.append(length - d if from_end else d)
+        s = np.unique(np.concatenate(ss))
+        yield length, s, e.point_at_arclength(s)
 
 
 def _collocation(polygon: Polygon, basis: CornerBasis, oversample: int):
     """Boundary samples clustered toward each corner like its poles, plus a
     uniform fill; returns (points, sqrt-spacing weights)."""
-    m = len(polygon.vertices)
     pts, wts = [], []
-    for e_idx, e in enumerate(polygon.edges):
-        length = e.length()
-        k0 = e_idx                  # corner at edge start
-        k1 = (e_idx + 1) % m        # corner at edge end
-        ss = [np.linspace(0.0, length, 4 * oversample + 2)[1:-1]]
-        for corner, from_end in ((k0, False), (k1, True)):
-            n = oversample * basis.counts[corner]
-            j = np.arange(1, n + 1)
-            d = 0.5 * length * np.exp(-basis.sigmas[corner] * (np.sqrt(n) - np.sqrt(j)))
-            ss.append(length - d if from_end else d)
-        s = np.unique(np.concatenate(ss))
-        pts.append(e.point_at_arclength(s))
+    for length, s, zs in _edge_samples(polygon, basis, oversample, 4 * oversample):
+        pts.append(zs)
         gaps_lo = np.diff(s, prepend=0.0)
         gaps_hi = np.diff(s, append=length)
         wts.append(np.sqrt(0.5 * (gaps_lo + gaps_hi)))
@@ -262,19 +251,8 @@ def boundary_error(sol: HarmonicSolution, polygon: Polygon, boundary_data,
     if fine_factor < 4:
         raise ValueError("fine_factor must be >= 4")
     data = builtin_boundary_data(boundary_data) if isinstance(boundary_data, str) else boundary_data
-    basis = sol.basis
-    m = len(polygon.vertices)
     sup = 0.0
-    for e_idx, e in enumerate(polygon.edges):
-        length = e.length()
-        ss = [np.linspace(0.0, length, 16 * fine_factor + 2)[1:-1]]
-        for corner, from_end in ((e_idx, False), ((e_idx + 1) % m, True)):
-            n = fine_factor * basis.counts[corner]
-            j = np.arange(1, n + 1)
-            d = 0.5 * length * np.exp(-basis.sigmas[corner] * (np.sqrt(n) - np.sqrt(j)))
-            ss.append(length - d if from_end else d)
-        s = np.unique(np.concatenate(ss))
-        zs = e.point_at_arclength(s)
+    for _, _, zs in _edge_samples(polygon, sol.basis, fine_factor, 16 * fine_factor):
         g = np.asarray([data(complex(z)) for z in zs.tolist()], float)
         sup = max(sup, float(np.max(np.abs(sol.eval(zs) - g))))
     return sup
@@ -473,27 +451,16 @@ def export_solution(sol: HarmonicSolution) -> str:
     coefficients (c_re - i*c_im) of each pole pair."""
     lines = []
     i = 0
-    c = sol.coeffs
+    c = sol.coeffs.tolist()
     for k, pk in enumerate(sol.basis.poles):
         lines.append(f"corner {k}")
-        for p in pk.tolist():
-            lines.append(f"pole {p.real:.17g} {p.imag:.17g}")
-        for p in pk.tolist():
-            gamma = complex(c[i], -c[i + 1])
-            i += 2
-            lines.append(f"residue {gamma.real:.17g} {gamma.imag:.17g}")
-    taus = []
-    for mdeg in range(sol.basis.degree + 1):
-        re = c[i]
-        i += 1
-        im = 0.0
-        if mdeg > 0:
-            im = -c[i]
-            i += 1
-        taus.append(complex(re, im))
-    def tok(v: complex) -> str:
-        return f"{v.real:.17g}" if v.imag == 0.0 else f"({v.real:.17g}{v.imag:+.17g}j)"
-    lines.append("center " + f"{sol.basis.center.real:.17g} {sol.basis.center.imag:.17g}")
-    lines.append("tail " + " ".join(tok(t) for t in taus))
-    lines.append(f"scale {sol.basis.scale:.17g}")
+        lines += [f"pole {_fmt(p.real)} {_fmt(p.imag)}" for p in pk.tolist()]
+        lines += [f"residue {_fmt(c[i + 2 * j])} {_fmt(-c[i + 2 * j + 1])}"
+                  for j in range(pk.size)]
+        i += 2 * pk.size
+    taus = [complex(c[i])] + [complex(re, -im) for re, im in zip(c[i + 1::2], c[i + 2::2])]
+    center = sol.basis.center
+    lines.append(f"center {_fmt(center.real)} {_fmt(center.imag)}")
+    lines.append("tail " + " ".join(_fmt_coeff(t) for t in taus))
+    lines.append(f"scale {_fmt(sol.basis.scale)}")
     return "\n".join(lines) + "\n"

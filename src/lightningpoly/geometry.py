@@ -25,7 +25,6 @@ __all__ = [
     "resolve_corner_exponents",
     "sample_sector",
     "sample_v_boundary",
-    "boundary_samples",
     "polygon_from_file",
     "polygon_to_file",
 ]
@@ -218,7 +217,6 @@ class SampleGrid:
     points: np.ndarray
     weights_role: str  # "sup_norm" or "least_squares"
     cluster_ratio: float | None = None
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
         if self.weights_role not in ("sup_norm", "least_squares"):
@@ -227,11 +225,6 @@ class SampleGrid:
         object.__setattr__(self, "points", pts)
         if pts.size == 0:
             raise ValueError("empty sample grid")
-        if self.weights is not None:
-            w = _readonly(np.asarray(self.weights, float).ravel())
-            if w.size != pts.size:
-                raise ValueError("weights length mismatch")
-            object.__setattr__(self, "weights", w)
 
     def __len__(self):
         return self.points.size
@@ -315,39 +308,6 @@ def sample_v_boundary(domain: SectorDomain, n_ray: int,
     pts = radii[:, None] * np.exp(1j * (thetas[None, :] + domain.axis_rotation))
     pts = np.concatenate([pts.ravel(), [0.0]]) + domain.apex
     return SampleGrid(points=pts, weights_role="sup_norm", cluster_ratio=cluster_ratio)
-
-
-def _tapered_distances(n: int, sigma: float, half_length: float) -> np.ndarray:
-    j = np.arange(1, n + 1)
-    return half_length * np.exp(-sigma * (np.sqrt(n) - np.sqrt(j)))
-
-
-def boundary_samples(polygon: Polygon, per_corner: int,
-                     cluster_sigma: float) -> SampleGrid:
-    """Collocation points on the polygon boundary, clustered toward corners.
-
-    Along each edge, ``per_corner`` points approach each endpoint with
-    arclength distances ``(L/2) * exp(-cluster_sigma*(sqrt(n)-sqrt(j)))``,
-    matching the tapered pole clustering scale.  Weights are sqrt(local
-    spacing), the usual stabilization for clustered least squares.
-    """
-    if per_corner < 4:
-        raise ValueError("per_corner must be >= 4")
-    pts, wts = [], []
-    for e in polygon.edges:
-        length = e.length()
-        d = _tapered_distances(per_corner, cluster_sigma, length / 2)
-        s = np.concatenate([d, length - d[::-1]])
-        s.sort()
-        pts.append(e.point_at_arclength(s))
-        gaps_lo = np.diff(s, prepend=0.0)
-        gaps_hi = np.diff(s, append=length)
-        wts.append(np.sqrt(0.5 * (gaps_lo + gaps_hi)))
-    return SampleGrid(
-        points=np.concatenate(pts),
-        weights_role="least_squares",
-        weights=np.concatenate(wts),
-    )
 
 
 def polygon_from_file(path) -> Polygon:

@@ -32,9 +32,11 @@ __all__ = [
     "truncated_integral_log",
     "trapezoid_rational",
     "trapezoid_rational_log",
-    "trapezoid_rational_grid",
-    "trapezoid_rational_log_grid",
+    "tapered",
+    "quadrature_nodes",
     "quadrature_poles",
+    "log_weights",
+    "pole_collisions",
 ]
 
 
@@ -111,8 +113,7 @@ def ref_power(z: complex, alpha: float) -> complex:
     z = complex(z)
     if z == 0:
         return 0j
-    if z.imag == 0.0 and z.real < 0.0:
-        raise BranchCutError("branch cut")
+    _check_off_cut(z)
     return cmath.exp(alpha * cmath.log(z))
 
 
@@ -224,6 +225,34 @@ def _tail_cutoff(alpha: float, C: float, z: complex, tol: float,
     return max(t_inf, t_min, 2.0)
 
 
+def _integrand(alpha: float, C: float, z: complex, log_weighted: bool):
+    """Integrand in t of the power representation, or of the log one with
+    its chi term normalized so the target is z^alpha*log z for every C."""
+    core = _power_core(alpha, C, z)
+    if not log_weighted:
+        factor = math.sin(alpha * math.pi) / (alpha * math.pi)
+        return lambda t: factor * core(t)
+    w_t = math.sin(alpha * math.pi) / (alpha**2 * math.pi)
+    w_0 = log_weight_constant(alpha, C) / C**alpha
+    return lambda t: (w_t * t + w_0) * core(t)
+
+
+def _identity_residual(z, alpha: float, tol: float, log_weighted: bool) -> float:
+    if not 1e-14 < tol < 1e-4:
+        raise ValueError("tol must lie in (1e-14, 1e-4)")
+    z = complex(z)
+    if z == 0:
+        return 0.0
+    _check_off_cut(z)
+    kappa = alpha / (1.0 - alpha)
+    t_inf = _tail_cutoff(alpha, 1.0, z, tol, log_weighted)
+    value, _, _ = adaptive_gauss_legendre(
+        _integrand(alpha, 1.0, z, log_weighted), -t_inf, kappa * t_inf, tol=tol / 2
+    )
+    target = ref_power(z, alpha) * cmath.log(z) if log_weighted else ref_power(z, alpha)
+    return abs(value - target)
+
+
 def identity_residual(z: complex, alpha: float, tol: float) -> float:
     """|adaptive integral of the power representation - z^alpha|.
 
@@ -231,40 +260,26 @@ def identity_residual(z: complex, alpha: float, tol: float) -> float:
     evaluated after the exponential substitution (C = 1) on a truncation
     interval wide enough that both tails are below tol/10.
     """
-    if not 1e-14 < tol < 1e-4:
-        raise ValueError("tol must lie in (1e-14, 1e-4)")
-    z = complex(z)
-    if z == 0:
-        return 0.0
-    _check_off_cut(z)
-    kappa = alpha / (1.0 - alpha)
-    t_inf = _tail_cutoff(alpha, 1.0, z, tol, log_weighted=False)
-    core = _power_core(alpha, 1.0, z)
-    factor = math.sin(alpha * math.pi) / (alpha * math.pi)
-    value, _, _ = adaptive_gauss_legendre(
-        lambda t: factor * core(t), -t_inf, kappa * t_inf, tol=tol / 2
-    )
-    return abs(value - ref_power(z, alpha))
+    return _identity_residual(z, alpha, tol, log_weighted=False)
 
 
 def identity_residual_log(z: complex, alpha: float, tol: float) -> float:
     """|adaptive integral of the log representation - z^alpha*log z| (C=1)."""
-    if not 1e-14 < tol < 1e-4:
-        raise ValueError("tol must lie in (1e-14, 1e-4)")
+    return _identity_residual(z, alpha, tol, log_weighted=True)
+
+
+def _truncated(z, cfg: KernelConfig, log_weighted: bool) -> QuadratureResult:
     z = complex(z)
     if z == 0:
-        return 0.0
+        return QuadratureResult(0j, 0.0, 1)
     _check_off_cut(z)
-    kappa = alpha / (1.0 - alpha)
-    t_inf = _tail_cutoff(alpha, 1.0, z, tol, log_weighted=True)
-    core = _power_core(alpha, 1.0, z)
-    w_t = math.sin(alpha * math.pi) / (alpha**2 * math.pi)
-    w_0 = log_weight_constant(alpha, 1.0)
-    value, _, _ = adaptive_gauss_legendre(
-        lambda t: (w_t * t + w_0) * core(t), -t_inf, kappa * t_inf, tol=tol / 2
+    tol = 1e-14 * max(1.0, cfg.C**cfg.alpha) * max(1.0, abs(z))
+    if log_weighted:
+        tol *= 1.0 + cfg.T
+    value, est, evals = adaptive_gauss_legendre(
+        _integrand(cfg.alpha, cfg.C, z, log_weighted), -cfg.T, cfg.kappa * cfg.T, tol=tol
     )
-    target = ref_power(z, alpha) * cmath.log(z)
-    return abs(value - target)
+    return QuadratureResult(value, est, evals)
 
 
 def truncated_integral(z: complex, cfg: KernelConfig) -> QuadratureResult:
@@ -273,17 +288,7 @@ def truncated_integral(z: complex, cfg: KernelConfig) -> QuadratureResult:
     Computed in the t variable over [-T, kappa*T], where the integrand is
     smooth; satisfies I(z) = z^alpha + O(e^{-T}).
     """
-    z = complex(z)
-    if z == 0:
-        return QuadratureResult(0j, 0.0, 1)
-    _check_off_cut(z)
-    core = _power_core(cfg.alpha, cfg.C, z)
-    factor = math.sin(cfg.alpha * math.pi) / (cfg.alpha * math.pi)
-    tol = 1e-14 * max(1.0, cfg.C**cfg.alpha) * max(1.0, abs(z))
-    value, est, evals = adaptive_gauss_legendre(
-        lambda t: factor * core(t), -cfg.T, cfg.kappa * cfg.T, tol=tol
-    )
-    return QuadratureResult(value, est, evals)
+    return _truncated(z, cfg, log_weighted=False)
 
 
 def truncated_integral_log(z: complex, cfg: KernelConfig) -> QuadratureResult:
@@ -293,122 +298,86 @@ def truncated_integral_log(z: complex, cfg: KernelConfig) -> QuadratureResult:
     every C (the trapezoid sum below is exactly its discretization);
     truncation error is O(T*e^{-T}).
     """
-    z = complex(z)
-    if z == 0:
-        return QuadratureResult(0j, 0.0, 1)
-    _check_off_cut(z)
-    core = _power_core(cfg.alpha, cfg.C, z)
-    a = cfg.alpha
-    w_t = math.sin(a * math.pi) / (a**2 * math.pi)
-    w_0 = log_weight_constant(a, cfg.C) / cfg.C**a
-    tol = 1e-14 * max(1.0, cfg.C**a) * max(1.0, abs(z)) * (1.0 + cfg.T)
-    value, est, evals = adaptive_gauss_legendre(
-        lambda t: (w_t * t + w_0) * core(t), -cfg.T, cfg.kappa * cfg.T, tol=tol
-    )
-    return QuadratureResult(value, est, evals)
+    return _truncated(z, cfg, log_weighted=True)
+
+
+def tapered(n: int, sigma: float, L: float) -> np.ndarray:
+    """The tapered ladder L*exp(-sigma*(sqrt(n)-sqrt(j))), j = 1..n, shared by
+    the clustered poles, the corner poles and the boundary samples; the last
+    entry is exactly L."""
+    j = np.arange(1, n + 1)
+    return L * np.exp(-sigma * (np.sqrt(n) - np.sqrt(j)))
+
+
+def quadrature_nodes(cfg, j):
+    """Trapezoid exponents s_j = sqrt(j*h) - T at the indices j and their
+    poles -C*e^{s_j/alpha}; cfg is a KernelConfig or an ApproxConfig."""
+    s = np.sqrt(j * cfg.h) - cfg.T
+    return s, -cfg.C * np.exp(s / cfg.alpha)
 
 
 def quadrature_poles(cfg: KernelConfig) -> np.ndarray:
     """All n_quad trapezoid nodes as poles -C*e^{(sqrt(jh)-T)/alpha}."""
-    j = np.arange(1, cfg.n_quad + 1)
-    return -cfg.C * np.exp((np.sqrt(j * cfg.h) - cfg.T) / cfg.alpha)
+    return quadrature_nodes(cfg, np.arange(1, cfg.n_quad + 1))[1]
 
 
-def _collision_check(z, poles):
+def log_weights(alpha: float, C: float, h: float, T: float):
+    """(w1, w2) of the log-target trapezoid weight w1 + w2*sqrt(h/j), which
+    multiplies C^alpha*e^{s_j} at node j."""
+    sin_a = math.sin(alpha * math.pi)
+    w1 = h * sin_a / (2.0 * alpha**2 * math.pi)
+    w2 = 0.5 * (log_weight_constant(alpha, C) / C**alpha
+                - T * sin_a / (alpha**2 * math.pi))
+    return w1, w2
+
+
+def pole_collisions(z, poles) -> np.ndarray:
+    """Mask of the points z closer than 1e-14*max(|z|, |p|, 1e-286) to some
+    pole p; scale-relative, so stable evaluations at tiny |z| and |p| are
+    not flagged."""
     z = np.asarray(z, complex)
     gap = np.abs(z[..., None] - poles)
-    thresh = 1e-14 * np.maximum.outer(np.maximum(np.abs(z), 1e-300), np.abs(poles))
-    # scale-relative variant of the 1e-14*max(1,|p|) rule: for tiny |z| and
-    # tiny |p| an absolute 1e-14 window would flag stable evaluations
-    thresh = np.maximum(thresh, 1e-300)
+    thresh = np.maximum.outer(1e-14 * np.maximum(np.abs(z), 1e-286),
+                              1e-14 * np.abs(poles))
     return (gap < thresh).any(axis=-1)
 
 
-def _power_terms(z, cfg: KernelConfig):
-    """Per-node terms of the trapezoid sum for z^alpha, ascending j."""
-    a = cfg.alpha
-    j = np.arange(1, cfg.n_quad + 1)
-    s = np.sqrt(j * cfg.h) - cfg.T
-    poles = -cfg.C * np.exp(s / a)
-    pref = math.sin(a * math.pi) / (2.0 * a * math.pi)
-    weights = pref * np.sqrt(cfg.h / j) * cfg.C**a * np.exp(s)
-    return weights, poles
+def _trapezoid_sum(z, poles, num, scale=None):
+    """Sum over j of scale_j * (num_j*z/(z - p_j)) at a point or an array of
+    points, added in ascending j (smallest magnitudes first; cumsum is
+    sequential); z = 0 gives 0 since every term carries a factor z."""
+    zs = np.asarray(z, complex)
+    flat = zs.ravel()
+    if pole_collisions(flat, poles).any():
+        raise PoleCollisionError("pole collision")
+    col = flat[:, None]
+    terms = num * col / (col - poles)
+    if scale is not None:
+        terms = scale * terms
+    out = np.cumsum(terms, axis=1)[:, -1]
+    return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
-def trapezoid_rational(z: complex, cfg: KernelConfig) -> complex:
-    """Exact trapezoid sum r_{n_quad}(z) approximating z^alpha.
+def trapezoid_rational(z, cfg: KernelConfig):
+    """Exact trapezoid sum r_{n_quad}(z) approximating z^alpha at a point
+    (returns a complex) or an array of points (returns an array).
 
     Terms are added in ascending j (smallest magnitudes first).  z = 0
     returns 0 exactly since every term carries a factor z.
     """
-    z = complex(z)
-    if z == 0:
-        return 0j
-    weights, poles = _power_terms(z, cfg)
-    if _collision_check(z, poles):
-        raise PoleCollisionError("pole collision")
-    terms = weights * z / (z - poles)
-    return complex(sum(terms.tolist()))
-
-
-def trapezoid_rational_log(z: complex, cfg: KernelConfig) -> complex:
-    """Exact trapezoid sum approximating z^alpha*log z (ascending j)."""
-    z = complex(z)
-    if z == 0:
-        return 0j
     a = cfg.alpha
     j = np.arange(1, cfg.n_quad + 1)
-    s = np.sqrt(j * cfg.h) - cfg.T
-    poles = -cfg.C * np.exp(s / a)
-    if _collision_check(z, poles):
-        raise PoleCollisionError("pole collision")
-    chi = log_weight_constant(a, cfg.C)
-    sin_a = math.sin(a * math.pi)
-    w1 = cfg.h * sin_a / (2.0 * a**2 * math.pi)
-    w2 = 0.5 * (chi - cfg.T * sin_a * cfg.C**a / (a**2 * math.pi))
-    Ca = cfg.C**a
-    kernel = Ca * np.exp(s) * z / (z - poles)
-    terms = (w1 + w2 * np.sqrt(cfg.h / j) / Ca) * kernel
-    return complex(sum(terms.tolist()))
+    s, poles = quadrature_nodes(cfg, j)
+    pref = math.sin(a * math.pi) / (2.0 * a * math.pi)
+    weights = pref * np.sqrt(cfg.h / j) * cfg.C**a * np.exp(s)
+    return _trapezoid_sum(z, poles, weights)
 
 
-def _grid_eval(zs, weights, poles, chunk=1024):
-    zs = np.asarray(zs, complex).ravel()
-    out = np.empty(zs.shape, complex)
-    for k in range(0, zs.size, chunk):
-        blk = zs[k:k + chunk, None]
-        out[k:k + chunk] = np.sum(weights * blk / (blk - poles), axis=1)
-    return out
-
-
-def trapezoid_rational_grid(zs, cfg: KernelConfig) -> np.ndarray:
-    """Vectorized trapezoid_rational over an array of points (pairwise
-    summation; z = 0 entries return 0)."""
-    zs = np.asarray(zs, complex).ravel()
-    weights, poles = _power_terms(0j, cfg)
-    out = np.zeros(zs.shape, complex)
-    nz = zs != 0
-    if _collision_check(zs[nz], poles).any():
-        raise PoleCollisionError("pole collision")
-    out[nz] = _grid_eval(zs[nz], weights, poles)
-    return out
-
-
-def trapezoid_rational_log_grid(zs, cfg: KernelConfig) -> np.ndarray:
-    zs = np.asarray(zs, complex).ravel()
-    a = cfg.alpha
+def trapezoid_rational_log(z, cfg: KernelConfig):
+    """Exact trapezoid sum approximating z^alpha*log z, at a point or an
+    array of points like trapezoid_rational."""
     j = np.arange(1, cfg.n_quad + 1)
-    s = np.sqrt(j * cfg.h) - cfg.T
-    poles = -cfg.C * np.exp(s / a)
-    chi = log_weight_constant(a, cfg.C)
-    sin_a = math.sin(a * math.pi)
-    w1 = cfg.h * sin_a / (2.0 * a**2 * math.pi)
-    w2 = 0.5 * (chi - cfg.T * sin_a * cfg.C**a / (a**2 * math.pi))
-    Ca = cfg.C**a
-    weights = (w1 + w2 * np.sqrt(cfg.h / j) / Ca) * Ca * np.exp(s)
-    out = np.zeros(zs.shape, complex)
-    nz = zs != 0
-    if _collision_check(zs[nz], poles).any():
-        raise PoleCollisionError("pole collision")
-    out[nz] = _grid_eval(zs[nz], weights, poles)
-    return out
+    s, poles = quadrature_nodes(cfg, j)
+    w1, w2 = log_weights(cfg.alpha, cfg.C, cfg.h, cfg.T)
+    kernel = cfg.C**cfg.alpha * np.exp(s)
+    return _trapezoid_sum(z, poles, kernel, w1 + w2 * np.sqrt(cfg.h / j))

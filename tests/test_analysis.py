@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from lightningpoly.analysis import (
 )
 from lightningpoly.approx import (
     ApproxConfig,
+    RationalApprox,
     build_approximation,
     clustered_poles,
     deserialize,
@@ -32,7 +34,13 @@ from lightningpoly.approx import (
     serialize,
 )
 from lightningpoly.geometry import SampleGrid, SectorDomain, sample_sector, sample_v_boundary
-from lightningpoly.kernels import KernelConfig
+from lightningpoly.kernels import (
+    KernelConfig,
+    PoleCollisionError,
+    quadrature_poles,
+    trapezoid_rational,
+    trapezoid_rational_log,
+)
 
 
 def _record(n1, n2, err, sigma=1.0):
@@ -300,6 +308,34 @@ class TestDiagnosticsAndSkips:
         with pytest.warns(UserWarning):
             with pytest.raises(Exception, match="1%"):
                 sup_error(approx, lambda zs: np.zeros_like(zs), dom, tiny)
+
+    def test_collision_rule_shared_by_sums_eval_and_sup_error(self):
+        # alpha = 0.1 and T ~ 68 put the innermost node near 1e-291, where
+        # the absolute 1e-300 floor of the collision window decides
+        cfg = KernelConfig(alpha=0.1, C=1.0, h=1.0, n_quad=5700)
+        poles = quadrature_poles(cfg)
+        approx = RationalApprox(poles=poles, residues=np.ones(poles.size),
+                                tail_coeffs=np.zeros(1), basis_scale=1.0)
+        dom = SectorDomain(beta=1.0)
+        safe = np.full(100, 0.5 + 0.1j)
+        assert 1e-292 < abs(poles[0]) < 1e-289
+        for p in (poles[0], poles[np.argmin(np.abs(np.log(np.abs(poles))))]):
+            window = max(1e-14 * abs(p), 1e-300)
+            for factor, collides in ((0.5, True), (2.0, False)):
+                z = complex(p, factor * window)
+                grid = SampleGrid(points=np.concatenate([[z], safe]), weights_role="sup_norm")
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    sup_error(approx, lambda zs: np.zeros_like(zs), dom, grid)
+                assert any("skipped 1" in str(w.message) for w in caught) == collides
+                for fn in (lambda: trapezoid_rational(z, cfg),
+                           lambda: trapezoid_rational_log(z, cfg),
+                           lambda: approx.eval(z)):
+                    if collides:
+                        with pytest.raises(PoleCollisionError):
+                            fn()
+                    else:
+                        assert np.isfinite(abs(fn()))
 
     def test_threaded_sweep_matches_sequential(self):
         from concurrent.futures import ThreadPoolExecutor

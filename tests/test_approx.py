@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from lightningpoly.approx import (
     ApproxConfig,
     RationalApprox,
-    _fit_tail_full,
     build_approximation,
     clustered_poles,
     clustered_poles_quadrature_form,
@@ -25,7 +24,7 @@ from lightningpoly.kernels import (
     KernelConfig,
     PoleCollisionError,
     log_weight_constant,
-    trapezoid_rational_grid,
+    trapezoid_rational,
 )
 
 
@@ -130,7 +129,7 @@ class TestFitTail:
         def values(zs):
             return np.full(np.shape(zs), const, complex)
 
-        tail = _fit_tail_full(cfg, SectorDomain(beta=0.0), values_fn=values)
+        tail = fit_tail(cfg, SectorDomain(beta=0.0), values_fn=values)
         assert tail.coeffs.size == 1
         assert tail.coeffs[0] == pytest.approx(const, rel=1e-12)
 
@@ -140,7 +139,7 @@ class TestFitTail:
         for n2 in (2, 6, 10, 16, 24):
             cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=optimal_sigma(0.5, 1.0),
                                n1=20, n2=n2)
-            sups.append(_fit_tail_full(cfg, dom).validation_sup)
+            sups.append(fit_tail(cfg, dom).validation_sup)
         for lo, hi in zip(sups[1:], sups[:-1]):
             assert lo <= 10 * hi
         assert sups[-1] < sups[0] * 1e-3
@@ -148,7 +147,7 @@ class TestFitTail:
     def test_spec_point_reaches_1e10(self):
         cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=optimal_sigma(0.5, 1.0), n1=36)
         assert cfg.n2 == 47
-        tail = _fit_tail_full(cfg, SectorDomain(beta=1.0))
+        tail = fit_tail(cfg, SectorDomain(beta=1.0))
         assert tail.validation_sup <= 1e-10
         assert tail.validation_sup <= 50 * max(tail.fit_rms, 1e-16)
 
@@ -181,7 +180,7 @@ class TestBuildAndEval:
         kcfg = KernelConfig(alpha=0.5, C=1.0, h=cfg.h, n_quad=cfg.n_quad)
         assert abs(kcfg.T - cfg.T) < 1e-12
         zs = 0.97 * np.exp(1j * np.linspace(-math.pi / 2, math.pi / 2, 41))
-        gap = np.max(np.abs(ap.eval(zs) - trapezoid_rational_grid(zs, kcfg)))
+        gap = np.max(np.abs(ap.eval(zs) - trapezoid_rational(zs, kcfg)))
         assert gap <= 100 * math.exp(-cfg.T)
 
     def test_prefactor_one_reduces_to_power(self):
@@ -243,6 +242,16 @@ class TestBuildAndEval:
         ap = build_approximation(cfg)
         z = 0.4 + 0.3j
         assert abs(ap.eval(z.conjugate()) - ap.eval(z).conjugate()) < 1e-13
+
+    def test_array_eval_matches_point_calls(self):
+        # more points than one 1024-point evaluation block
+        cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=optimal_sigma(0.5, 1.0), n1=36)
+        ap = build_approximation(cfg)
+        th = np.linspace(-math.pi / 2, math.pi / 2, 25)
+        zs = (np.geomspace(1e-8, 1.0, 50)[:, None] * np.exp(1j * th)).reshape(2, -1)
+        vals = ap.eval(zs)
+        assert vals.shape == zs.shape
+        assert vals.tolist() == [[ap.eval(z) for z in row] for row in zs.tolist()]
 
     def test_eval_pole_collision(self):
         ap = RationalApprox(poles=np.array([-1.0 + 0j]), residues=np.array([1.0 + 0j]),

@@ -42,6 +42,14 @@ class TestArgumentHandling:
         assert code == 0
         assert json.loads(out.read_text())["W"] == 3.0
 
+    def test_seed_flag_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["decomp", "--alpha", "0.5", "--seed", "3"])
+        assert exc.value.code == 2
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("seed = 3\n")
+        assert main(["decomp", "--alpha", "0.5", "--config", str(cfgfile)]) == 2
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text("frob = 1\n")

@@ -6,6 +6,7 @@ import pytest
 
 from lightningpoly.corners import (
     SlitIntegralSpec,
+    _collocation,
     boundary_error,
     builtin_boundary_data,
     cauchy_slit_integral,
@@ -102,6 +103,64 @@ class TestPlanBasis:
         poly = Polygon.from_vertices([0, 1, 1 + 1j, 1j])  # 1/beta = 2 everywhere
         basis = plan_basis(poly, 24, "per_corner")
         assert basis.log_corners == (0, 1, 2, 3)
+
+
+class TestCollocation:
+    """Solver boundary samples: a tapered ladder from each corner, as for
+    its poles, plus a uniform fill, with sqrt-spacing weights."""
+
+    def test_square_counts(self):
+        poly = Polygon.from_vertices([0, 1, 1 + 1j, 1j])
+        basis = plan_basis(poly, 24, 2.0)
+        zs, _ = _collocation(poly, basis, oversample=4)
+        # 16 fill points and two ladders of 4*6 that share the midpoint
+        per_edge = 16 + 2 * 4 * 6 - 1
+        assert zs.size == 4 * per_edge
+        for row, e in zip(zs.reshape(4, per_edge), poly.edges):
+            t = (row - e.start) / e.chord
+            assert np.all(np.abs(t.imag) < 1e-12)
+            assert np.all((t.real > 0) & (t.real < 1))
+
+    def test_tapered_distance_law(self):
+        sigma = 2.0
+        poly = Polygon.from_vertices([0, 1, 1 + 1j, 1j])
+        basis = plan_basis(poly, 24, sigma)
+        zs, _ = _collocation(poly, basis, oversample=4)
+        n = 4 * basis.counts[0]
+        j = np.arange(1, n + 1)
+        d = np.abs(zs - poly.vertices[0])
+        # both edges adjacent to the corner carry the same ladder
+        for x in (0.5 * np.exp(-sigma * (np.sqrt(n) - np.sqrt(j)))).tolist():
+            assert np.sum(np.isclose(d, x, rtol=1e-9, atol=0.0)) == 2
+
+    def test_concave_quad_closest_distance(self):
+        sigma = 4.0
+        poly = concave_quadrilateral()
+        basis = plan_basis(poly, 40, sigma)
+        zs, _ = _collocation(poly, basis, oversample=4)
+        w3 = poly.vertices[2]
+        shortest_half = min(abs(poly.vertices[2] - poly.vertices[1]),
+                            abs(poly.vertices[3] - poly.vertices[2])) / 2
+        n = 4 * basis.counts[2]
+        closest = np.min(np.abs(zs - w3))
+        assert closest == pytest.approx(
+            shortest_half * math.exp(-sigma * (math.sqrt(n) - 1)), rel=1e-5)
+
+    def test_weights_are_sqrt_spacing(self):
+        poly = Polygon.from_vertices([0, 1, 1 + 1j, 1j])
+        zs, w = _collocation(poly, plan_basis(poly, 24, 3.0), oversample=4)
+        assert w.shape == zs.shape
+        assert np.all(w > 0)
+        # the squared weights are local spacings, so they add up to the perimeter
+        assert np.sum(w**2) == pytest.approx(4.0, rel=1e-4)
+
+    def test_curved_edge_samples_on_curve(self):
+        poly = curvy_l_domain()
+        zs, _ = _collocation(poly, plan_basis(poly, 40, 3.0), oversample=4)
+        t = np.linspace(0, 1, 600)
+        curve = np.concatenate([e.point(t) for e in poly.edges])
+        dist = np.min(np.abs(zs[:, None] - curve[None, :]), axis=1)
+        assert np.max(dist) < 5e-3
 
 
 class TestSolveDirichlet:

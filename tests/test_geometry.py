@@ -9,7 +9,6 @@ from lightningpoly.geometry import (
     Polygon,
     SampleGrid,
     SectorDomain,
-    boundary_samples,
     interior_angles,
     polygon_from_file,
     polygon_to_file,
@@ -158,56 +157,6 @@ class TestSampleSector:
             sample_sector(SectorDomain(beta=0.5), 5, 1, 1.5)
         with pytest.raises(ValueError):
             SectorDomain(beta=2.0)
-
-
-class TestBoundarySamples:
-    def test_square_counts(self):
-        grid = boundary_samples(square(), per_corner=4, cluster_sigma=2.0)
-        assert len(grid) == 32
-        for e in square().edges:
-            mid = (e.start + e.end) / 2
-            on_edge = np.abs(grid.points - mid) <= abs(e.chord) / 2 + 1e-12
-            assert np.sum(on_edge) == 8
-
-    def test_tapered_distance_law(self):
-        sigma, n = 2.0, 6
-        grid = boundary_samples(square(), per_corner=n, cluster_sigma=sigma)
-        # both edges adjacent to the corner contribute the same ladder
-        d = np.unique(np.round(np.abs(grid.points - 0), 14))
-        j = np.arange(1, n + 1)
-        expected = np.sort(0.5 * np.exp(-sigma * (np.sqrt(n) - np.sqrt(j))))
-        np.testing.assert_allclose(d[:n], expected, rtol=1e-10)
-
-    def test_concave_quad_closest_distance(self):
-        sigma, n = 4.0, 30
-        poly = concave_quad()
-        grid = boundary_samples(poly, per_corner=n, cluster_sigma=sigma)
-        w3 = poly.vertices[2]
-        shortest_half = min(abs(poly.vertices[2] - poly.vertices[1]),
-                            abs(poly.vertices[3] - poly.vertices[2])) / 2
-        closest = np.min(np.abs(grid.points - w3))
-        assert np.isclose(closest, shortest_half * math.exp(-sigma * (math.sqrt(n) - 1)),
-                          rtol=1e-10)
-
-    def test_weights_are_sqrt_spacing(self):
-        grid = boundary_samples(square(), per_corner=5, cluster_sigma=3.0)
-        assert grid.weights is not None
-        assert grid.weights_role == "least_squares"
-        assert np.all(grid.weights > 0)
-
-    def test_curved_edge_samples_on_curve(self):
-        poly = Polygon.from_vertices([0, 2, 2 + 1j, 1 + 2j, 2j],
-                                     bulges=[0, -0.06, 0.12, -0.06, 0])
-        grid = boundary_samples(poly, per_corner=5, cluster_sigma=3.0)
-        assert len(grid) == 2 * 5 * 5
-        t = np.linspace(0, 1, 600)
-        curve = np.concatenate([e.point(t) for e in poly.edges])
-        dist = np.min(np.abs(grid.points[:, None] - curve[None, :]), axis=1)
-        assert np.max(dist) < 5e-3
-
-    def test_per_corner_minimum(self):
-        with pytest.raises(ValueError):
-            boundary_samples(square(), per_corner=3, cluster_sigma=2.0)
 
 
 class TestPolygonFile:

@@ -19,9 +19,7 @@ from lightningpoly.kernels import (
     quadrature_poles,
     ref_power,
     trapezoid_rational,
-    trapezoid_rational_grid,
     trapezoid_rational_log,
-    trapezoid_rational_log_grid,
     truncated_integral,
     truncated_integral_log,
 )
@@ -214,14 +212,29 @@ class TestTrapezoidSums:
             trapezoid_rational_log(z, cfg)
 
     def test_grid_matches_scalar(self):
-        cfg = KernelConfig(alpha=0.5, C=1.0, h=math.pi**2, n_quad=16)
-        zs = np.array([0.0, 1.0, 0.3 + 0.2j, 0.9j])
-        grid = trapezoid_rational_grid(zs, cfg)
-        for z, v in zip(zs.tolist(), grid.tolist()):
-            assert abs(v - trapezoid_rational(z, cfg)) < 1e-14
-        grid_log = trapezoid_rational_log_grid(zs, cfg)
-        for z, v in zip(zs.tolist(), grid_log.tolist()):
-            assert abs(v - trapezoid_rational_log(z, cfg)) < 5e-13
+        # an array call is bit-for-bit the per-point calls, shape kept
+        zs = np.array([[0.0, 1.0, 0.3 + 0.2j], [0.9j, 1e-9 - 3e-9j, 0.02 + 0.6j]])
+        for C in (1.0, 1.7):
+            cfg = KernelConfig(alpha=0.5, C=C, h=math.pi**2, n_quad=150)
+            for fn in (trapezoid_rational, trapezoid_rational_log):
+                grid = fn(zs, cfg)
+                assert grid.shape == zs.shape
+                assert grid.tolist() == [[fn(z, cfg) for z in row] for row in zs.tolist()]
+
+    def test_sum_is_sequential_in_ascending_j(self):
+        # at C = 1 every factor C**alpha is exactly 1, so these are the
+        # library's terms and only the order of summation is under test
+        cfg = KernelConfig(alpha=0.6, C=1.0, h=2.0, n_quad=200)
+        a = cfg.alpha
+        j = np.arange(1, cfg.n_quad + 1)
+        s = np.sqrt(j * cfg.h) - cfg.T
+        poles = -np.exp(s / a)
+        weights = math.sin(a * math.pi) / (2.0 * a * math.pi) * np.sqrt(cfg.h / j) * np.exp(s)
+        for z in (0.7 + 0.2j, 1.0, 0.01j, 0.3 - 0.9j):
+            total = 0j
+            for term in (weights * z / (z - poles)).tolist():
+                total += term
+            assert trapezoid_rational(z, cfg) == total
 
 
 class TestRepresentationIdentities:
