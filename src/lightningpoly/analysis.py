@@ -207,7 +207,13 @@ def checked_sup_error(approx: RationalApprox, target, domain: SectorDomain,
 def _auto_tail_config(alpha, beta, sigma, n1, C, target, g, domain):
     """Tail degree for rate sweeps: smallest rung of an O(sqrt(n1)) ladder
     whose fit misfit is below the truncation error (or the float floor);
-    keeps N = n1 + n2 close to n1 so fitted slopes stay comparable."""
+    keeps N = n1 + n2 close to n1 so fitted slopes stay comparable.
+
+    Returns ``(cfg, tail)``: the chosen config and the ``fit_tail(cfg,
+    domain)`` result of its rung, which ``build_approximation`` can reuse for
+    the plain targets.  The rungs fit the plain remainder for every target,
+    so for a prefactor target the tail only ranks the rungs.
+    """
     T = sigma * alpha * math.sqrt(n1)
     goal = max(math.exp(-T) / 5.0, 1e-13)
     tried = []
@@ -216,11 +222,11 @@ def _auto_tail_config(alpha, beta, sigma, n1, C, target, g, domain):
         cfg = ApproxConfig(alpha=alpha, beta=beta, sigma=sigma, n1=n1, n2=n2,
                            C=C, target=target, g=g)
         tail = fit_tail(cfg, domain)
-        tried.append((cfg, tail.validation_sup))
+        tried.append((cfg, tail))
         if tail.validation_sup <= goal:
-            return cfg
-    best = min(v for _, v in tried)
-    return next(c for c, v in tried if v <= 2.0 * best)
+            return cfg, tail
+    best = min(t.validation_sup for _, t in tried)
+    return next((c, t) for c, t in tried if t.validation_sup <= 2.0 * best)
 
 
 def run_sweep(alpha: float, beta: float, sigma: float, n1_list: Iterable[int],
@@ -240,15 +246,18 @@ def run_sweep(alpha: float, beta: float, sigma: float, n1_list: Iterable[int],
 
     def cell(n1: int) -> ConvergenceRecord:
         t0 = time.perf_counter()
+        tail = None
         if n2_mode == "auto":
-            cfg = _auto_tail_config(alpha, beta, sigma, n1, C, target, g, domain)
+            cfg, tail = _auto_tail_config(alpha, beta, sigma, n1, C, target, g, domain)
+            if g is not None:  # prefactor targets fit a g-corrected tail
+                tail = None
         elif n2_mode == "proportional":
             cfg = ApproxConfig(alpha=alpha, beta=beta, sigma=sigma, n1=n1, C=C,
                                target=target, g=g)
         else:
             cfg = ApproxConfig(alpha=alpha, beta=beta, sigma=sigma, n1=n1,
                                n2=int(n2_mode), C=C, target=target, g=g)
-        approx = build_approximation(cfg, domain)
+        approx = build_approximation(cfg, domain, tail=tail)
         err = checked_sup_error(approx, make_target(target, alpha, g), domain, cfg)
         n = cfg.n1 + cfg.n2
         pred = pref * math.log(n) - rate * math.sqrt(n)

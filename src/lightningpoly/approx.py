@@ -157,10 +157,23 @@ def residues_power_log(cfg: ApproxConfig) -> np.ndarray:
     return (w1 + w2 * np.sqrt(cfg.h / j)) * p * np.abs(p)**cfg.alpha
 
 
+# complex entries in one row block of the (points x far poles) matrix: 2 MB
+_REMAINDER_BLOCK = 2**17
+
+
 def _remainder_values(cfg: ApproxConfig, zs: np.ndarray) -> np.ndarray:
     """The analytic remainder (far poles folded with their constants, plus
     the near-pole constant sum), in the cancellation-free form where each
-    far term is ~ |p|^(alpha-1)*z."""
+    far term is ~ |p|^(alpha-1)*z.
+
+    The far-pole sum is taken over balanced blocks of about _REMAINDER_BLOCK
+    entries, reusing one buffer, instead of one (points x far poles) matrix.
+    No block has a single row unless ``zs`` has a single point: a one-row
+    product goes down BLAS's dot path, which rounds differently from the
+    matrix-vector path every other block takes, so the values would depend
+    on the block sizes.  With blocks of two rows or more the result is bit
+    for bit the one-shot ``zs[:, None] / (zs[:, None] - far) @ weights``.
+    """
     a = cfg.alpha
     zs = np.asarray(zs, complex)
     j_far = np.arange(cfg.n1 + 1, cfg.n_quad + 1)
@@ -168,7 +181,6 @@ def _remainder_values(cfg: ApproxConfig, zs: np.ndarray) -> np.ndarray:
     j_near = np.arange(1, cfg.n1 + 1)
     p_near_mag = np.abs(clustered_poles(cfg))**a
     far_mag = np.abs(far)**a
-    ratio = zs[:, None] / (zs[:, None] - far)  # |.| <= |z|/|p| for p < 0
     if cfg.log_like:
         w1, w2 = log_weights(cfg.alpha, cfg.C, cfg.h, cfg.T)
         c_near = w1 * p_near_mag.sum() + w2 * np.sum(np.sqrt(cfg.h / j_near) * p_near_mag)
@@ -177,7 +189,19 @@ def _remainder_values(cfg: ApproxConfig, zs: np.ndarray) -> np.ndarray:
         pref = math.sin(a * math.pi) / (2.0 * a * math.pi)
         c_near = pref * np.sum(np.sqrt(cfg.h / j_near) * p_near_mag)
         fw = pref * np.sqrt(cfg.h / j_far)
-    return ratio @ (fw * far_mag) + c_near
+    weights = fw * far_mag
+    n = zs.size
+    rows = max(1, _REMAINDER_BLOCK // max(far.size, 1))
+    n_blocks = max(1, min(-(-n // rows), n // 2))
+    edges = [k * n // n_blocks for k in range(n_blocks + 1)]
+    buf = np.empty((-(-n // n_blocks), far.size), complex)
+    out = np.empty(n, complex)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        ratio = buf[:hi - lo]
+        np.subtract(zs[lo:hi, None], far, out=ratio)
+        np.divide(zs[lo:hi, None], ratio, out=ratio)  # |.| <= |z|/|p| for p < 0
+        out[lo:hi] = ratio @ weights
+    return out + c_near
 
 
 def _chebyshev_radii(n: int, radius: float) -> np.ndarray:
@@ -310,17 +334,30 @@ class RationalApprox:
     __call__ = eval
 
 
-def build_approximation(cfg: ApproxConfig, domain: SectorDomain | None = None) -> RationalApprox:
-    """Build the full approximant for cfg.target on the given sector."""
+def build_approximation(cfg: ApproxConfig, domain: SectorDomain | None = None, *,
+                        tail: TailFit | None = None) -> RationalApprox:
+    """Build the full approximant for cfg.target on the given sector.
+
+    ``tail`` is a ``fit_tail(cfg, domain)`` result the caller already holds
+    (a rate sweep fits it while choosing n2); it is used as is instead of
+    being fit again.  Only the ``power`` and ``power_log`` targets take one:
+    the prefactor targets fit their own g-corrected tail.
+    """
     if domain is None:
         domain = SectorDomain(beta=cfg.beta)
     if abs(domain.beta - cfg.beta) > 1e-12:
         raise ValueError("config and domain disagree on beta")
+    if tail is not None:
+        if cfg.target not in ("power", "power_log"):
+            raise ValueError("prefactor targets fit their own g-corrected tail")
+        if tail.coeffs.size != cfg.n2 + 1 or tail.scale != domain.radius:
+            raise ValueError("tail does not match the config and domain")
     poles = clustered_poles(cfg)
     base_res = residues_power_log(cfg) if cfg.log_like else residues_power(cfg)
     if cfg.target in ("power", "power_log"):
         residues = base_res
-        tail = fit_tail(cfg, domain)
+        if tail is None:
+            tail = fit_tail(cfg, domain)
     else:
         gp = np.array([cfg.g(complex(p)) for p in poles.tolist()], complex)
         residues = gp * base_res

@@ -1,3 +1,4 @@
+import cmath
 import math
 import warnings
 
@@ -10,6 +11,7 @@ from lightningpoly.analysis import (
     CSV_HEADER,
     BoundContext,
     ConvergenceRecord,
+    _auto_tail_config,
     arc_grid,
     checked_sup_error,
     fit_rate,
@@ -271,6 +273,21 @@ class TestSweepAndCsv:
     def test_sweep_fixed_mode(self):
         records = run_sweep(0.5, 1.0, optimal_sigma(0.5, 1.0), [9], n2_mode=7)
         assert records[0].n2 == 7
+
+    @pytest.mark.parametrize("target, g", [("power", None), ("power_log", None),
+                                           ("prefactor_power", cmath.exp)])
+    def test_auto_sweep_equals_fresh_build(self, target, g):
+        # the sweep reuses the ladder's tail for plain targets; a fresh build
+        # from the chosen config must give the same record
+        alpha, beta, n1 = 0.8, 1.5, 16
+        sigma = optimal_sigma(alpha, beta)
+        dom = SectorDomain(beta=beta)
+        (rec,) = run_sweep(alpha, beta, sigma, [n1], target=target, g=g)
+        cfg, tail = _auto_tail_config(alpha, beta, sigma, n1, 1.0, target, g, dom)
+        assert tail.coeffs.size == cfg.n2 + 1
+        approx = build_approximation(cfg, dom)
+        err = checked_sup_error(approx, make_target(target, alpha, g), dom, cfg)
+        assert (rec.n1, rec.n2, rec.sup_err) == (cfg.n1, cfg.n2, err)
 
     def test_rate_grid_reaches_below_innermost_pole(self):
         cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=optimal_sigma(0.5, 1.0), n1=25)

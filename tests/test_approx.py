@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lightningpoly import approx
 from lightningpoly.approx import (
     ApproxConfig,
     RationalApprox,
@@ -24,7 +25,10 @@ from lightningpoly.kernels import (
     KernelConfig,
     PoleCollisionError,
     log_weight_constant,
+    log_weights,
+    quadrature_nodes,
     trapezoid_rational,
+    trapezoid_rational_log,
 )
 
 
@@ -158,6 +162,81 @@ class TestFitTail:
             _poly_lstsq(zs, zs**0.5, degree=5, scale=1.0)
 
 
+def _remainder_one_shot(cfg, zs):
+    """The far-pole remainder as one (points x far poles) matrix product."""
+    a = cfg.alpha
+    j_far = np.arange(cfg.n1 + 1, cfg.n_quad + 1)
+    _, far = quadrature_nodes(cfg, j_far)
+    j_near = np.arange(1, cfg.n1 + 1)
+    p_near_mag = np.abs(clustered_poles(cfg)) ** a
+    if cfg.log_like:
+        w1, w2 = log_weights(a, cfg.C, cfg.h, cfg.T)
+        c_near = w1 * p_near_mag.sum() + w2 * np.sum(np.sqrt(cfg.h / j_near) * p_near_mag)
+        fw = w1 + w2 * np.sqrt(cfg.h / j_far)
+    else:
+        pref = math.sin(a * math.pi) / (2.0 * a * math.pi)
+        c_near = pref * np.sum(np.sqrt(cfg.h / j_near) * p_near_mag)
+        fw = pref * np.sqrt(cfg.h / j_far)
+    return zs[:, None] / (zs[:, None] - far) @ (fw * np.abs(far) ** a) + c_near
+
+
+def _sector_points(beta, n):
+    half = beta * math.pi / 2
+    radii = np.geomspace(1e-9, 1.0, max(1, n // 7 + 1))
+    pts = (radii[:, None] * np.exp(1j * np.linspace(-half, half, 7))).ravel()
+    return pts[:n]
+
+
+class TestRemainderValues:
+    @pytest.mark.parametrize("target", ["power", "power_log"])
+    @pytest.mark.parametrize("C", [1.0, 1.7])
+    @pytest.mark.parametrize("alpha", [0.5, 0.8])
+    def test_near_fractions_plus_remainder_is_trapezoid_sum(self, target, C, alpha):
+        cfg = ApproxConfig(alpha=alpha, beta=1.5, sigma=optimal_sigma(alpha, 1.5),
+                           n1=16, C=C, target=target)
+        kcfg = KernelConfig(alpha=alpha, C=C, h=cfg.h, n_quad=cfg.n_quad)
+        assert abs(kcfg.T - cfg.T) < 1e-12
+        zs = _sector_points(1.5, 140)
+        res = residues_power_log(cfg) if cfg.log_like else residues_power(cfg)
+        got = approx._partial_fractions(zs, clustered_poles(cfg), res) \
+            + approx._remainder_values(cfg, zs)
+        trap = trapezoid_rational_log if cfg.log_like else trapezoid_rational
+        ref = trap(zs, kcfg)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("target", ["power", "power_log"])
+    def test_row_blocks_equal_one_shot_product(self, target):
+        cfg = ApproxConfig(alpha=0.8, beta=1.5, sigma=optimal_sigma(0.8, 1.5),
+                           n1=16, target=target)
+        rows = approx._REMAINDER_BLOCK // (cfg.n_quad - cfg.n1)
+        # one block, three blocks, three blocks plus the point that would
+        # make a one-row block, a single point
+        for n in (rows, 3 * rows, 3 * rows + 1, 1):
+            zs = _sector_points(1.5, n)
+            assert zs.size == n
+            np.testing.assert_array_equal(approx._remainder_values(cfg, zs),
+                                          _remainder_one_shot(cfg, zs))
+
+    def test_no_one_row_blocks_when_rows_are_scarce(self, monkeypatch):
+        # a block budget of one row per block must still give blocks of >= 2 rows
+        cfg = ApproxConfig(alpha=0.8, beta=1.5, sigma=optimal_sigma(0.8, 1.5), n1=16)
+        monkeypatch.setattr(approx, "_REMAINDER_BLOCK", cfg.n_quad - cfg.n1)
+        for n in range(1, 12):
+            zs = _sector_points(1.5, n)
+            np.testing.assert_array_equal(approx._remainder_values(cfg, zs),
+                                          _remainder_one_shot(cfg, zs))
+
+    def test_no_far_poles_gives_near_constant(self):
+        cfg = ApproxConfig(alpha=0.1, beta=1.0, sigma=20.0, n1=3, n2=0)
+        assert cfg.n_quad == cfg.n1
+        pref = math.sin(0.1 * math.pi) / (2 * 0.1 * math.pi)
+        j = np.arange(1, 4)
+        const = pref * np.sum(np.sqrt(cfg.h / j) * np.abs(clustered_poles(cfg)) ** 0.1)
+        zs = _sector_points(1.0, 30)
+        np.testing.assert_array_equal(approx._remainder_values(cfg, zs),
+                                      np.full(zs.shape, const, complex))
+
+
 class TestBuildAndEval:
     def test_smallest_instance(self):
         cfg = ApproxConfig(alpha=0.5, beta=0.0, sigma=2.0, n1=1, n2=0)
@@ -221,6 +300,32 @@ class TestBuildAndEval:
                 errs.append(np.max(np.abs(ap.eval(zs) - zs**0.5)))
             slope = np.polyfit(np.sqrt([4, 9, 16, 25]), np.log(errs), 1)[0]
             assert slope < 0
+
+    @pytest.mark.parametrize("target", ["power", "power_log"])
+    def test_given_tail_gives_the_same_approximant(self, target):
+        dom = SectorDomain(beta=1.5)
+        cfg = ApproxConfig(alpha=0.8, beta=1.5, sigma=optimal_sigma(0.8, 1.5), n1=16,
+                           n2=9, target=target)
+        reused = build_approximation(cfg, dom, tail=fit_tail(cfg, dom))
+        fresh = build_approximation(cfg, dom)
+        for field in ("poles", "residues", "tail_coeffs"):
+            np.testing.assert_array_equal(getattr(reused, field), getattr(fresh, field))
+        assert reused.basis_scale == fresh.basis_scale
+
+    def test_tail_rejected_for_prefactor_target(self):
+        dom = SectorDomain(beta=1.0)
+        plain = ApproxConfig(alpha=0.5, beta=1.0, sigma=5.0, n1=9, n2=6)
+        pre = ApproxConfig(alpha=0.5, beta=1.0, sigma=5.0, n1=9, n2=6,
+                           target="prefactor_power", g=cmath.exp)
+        with pytest.raises(ValueError, match="prefactor"):
+            build_approximation(pre, dom, tail=fit_tail(plain, dom))
+
+    def test_tail_of_another_degree_rejected(self):
+        dom = SectorDomain(beta=1.0)
+        cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=5.0, n1=9, n2=6)
+        other = ApproxConfig(alpha=0.5, beta=1.0, sigma=5.0, n1=9, n2=7)
+        with pytest.raises(ValueError, match="tail"):
+            build_approximation(cfg, dom, tail=fit_tail(other, dom))
 
     def test_domain_mismatch(self):
         cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=4.0, n1=4)
