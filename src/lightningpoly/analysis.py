@@ -170,48 +170,47 @@ def fit_rate(records: Sequence[ConvergenceRecord], floor: float = RATE_FIT_FLOOR
 
 # ------------------------------------------------------------- sweeps
 
-def rate_grid(cfg: ApproxConfig, domain: SectorDomain, refine: int = 0) -> SampleGrid:
-    """Sup-norm grid: geometric radii reaching below the innermost pole,
-    plus Chebyshev radii that resolve the outer region where the error
-    peaks, on a fan of rays."""
+def rate_grid(cfg: ApproxConfig, refine: int = 0) -> SampleGrid:
+    """Sup-norm grid on the unit sector: geometric radii reaching below the
+    innermost pole, plus Chebyshev radii that resolve the outer region where
+    the error peaks, on a fan of rays."""
     p1 = abs(clustered_poles(cfg)[0])
     depth = int(math.log(max(p1, 1e-280)) / math.log(0.5)) + 4
     depth = min(max(depth, 40), 1400) * (refine + 1)
     ratio = 0.5 ** (1.0 / (refine + 1))
     radii = np.unique(np.concatenate([
-        domain.radius * ratio ** np.arange(depth + 1),
-        _chebyshev_radii(192 * (refine + 1), domain.radius),
+        ratio ** np.arange(depth + 1),
+        _chebyshev_radii(192 * (refine + 1)),
     ]))
     half = cfg.beta * math.pi / 2
     n_th = 13 * (refine + 1)
     thetas = np.linspace(-half, half, n_th) if cfg.beta > 0 else np.array([0.0])
-    pts = (radii[:, None] * np.exp(1j * (thetas + domain.axis_rotation))).ravel()
-    pts = np.concatenate([pts, [0.0]]) + domain.apex
-    return SampleGrid(points=pts, weights_role="sup_norm", cluster_ratio=ratio)
+    pts = (radii[:, None] * np.exp(1j * thetas)).ravel()
+    return SampleGrid(points=np.concatenate([pts, [0.0]]))
 
 
 def checked_sup_error(approx: RationalApprox, target, domain: SectorDomain,
                       cfg: ApproxConfig) -> float:
     """Sup error with one grid refinement; accepted when the refinement
     moves the value by < 5%, otherwise refined once more."""
-    coarse = sup_error(approx, target, domain, rate_grid(cfg, domain, refine=0))
-    fine = sup_error(approx, target, domain, rate_grid(cfg, domain, refine=1))
+    coarse = sup_error(approx, target, domain, rate_grid(cfg, refine=0))
+    fine = sup_error(approx, target, domain, rate_grid(cfg, refine=1))
     if abs(fine - coarse) > 0.05 * max(fine, 1e-300):
-        finer = sup_error(approx, target, domain, rate_grid(cfg, domain, refine=2))
+        finer = sup_error(approx, target, domain, rate_grid(cfg, refine=2))
         if abs(finer - fine) > 0.05 * max(finer, 1e-300):
             warnings.warn("sup-norm estimate still drifting after two refinements")
         return finer
     return fine
 
 
-def _auto_tail_config(alpha, beta, sigma, n1, C, target, g, domain):
+def _auto_tail_config(alpha, beta, sigma, n1, C, target, g):
     """Tail degree for rate sweeps: smallest rung of an O(sqrt(n1)) ladder
     whose fit misfit is below the truncation error (or the float floor);
     keeps N = n1 + n2 close to n1 so fitted slopes stay comparable.
 
-    Returns ``(cfg, tail)``: the chosen config and the ``fit_tail(cfg,
-    domain)`` result of its rung, which ``build_approximation`` can reuse for
-    the plain targets.  The rungs fit the plain remainder for every target,
+    Returns ``(cfg, tail)``: the chosen config and the ``fit_tail(cfg)``
+    result of its rung, which ``build_approximation`` can reuse for the plain
+    targets.  The rungs fit the plain remainder for every target,
     so for a prefactor target the tail only ranks the rungs.
     """
     T = sigma * alpha * math.sqrt(n1)
@@ -221,7 +220,7 @@ def _auto_tail_config(alpha, beta, sigma, n1, C, target, g, domain):
         n2 = math.ceil(k * math.sqrt(n1))
         cfg = ApproxConfig(alpha=alpha, beta=beta, sigma=sigma, n1=n1, n2=n2,
                            C=C, target=target, g=g)
-        tail = fit_tail(cfg, domain)
+        tail = fit_tail(cfg)
         tried.append((cfg, tail))
         if tail.validation_sup <= goal:
             return cfg, tail
@@ -231,8 +230,7 @@ def _auto_tail_config(alpha, beta, sigma, n1, C, target, g, domain):
 
 def run_sweep(alpha: float, beta: float, sigma: float, n1_list: Iterable[int],
               C: float = 1.0, target: str = "power", g: Callable | None = None,
-              n2_mode="auto", domain: SectorDomain | None = None,
-              map_fn=map) -> list[ConvergenceRecord]:
+              n2_mode="auto", map_fn=map) -> list[ConvergenceRecord]:
     """Build approximations across n1_list and record sup errors.
 
     n2_mode: "auto" (default, O(sqrt(n1)) tail for clean rate fits),
@@ -240,7 +238,7 @@ def run_sweep(alpha: float, beta: float, sigma: float, n1_list: Iterable[int],
     int fixing n2.  ``map_fn`` may be an executor map for concurrent cells;
     records come back sorted by n1 regardless.
     """
-    domain = domain or SectorDomain(beta=beta)
+    domain = SectorDomain(beta=beta)
     rate, pref = predicted_log_rate(sigma, alpha, beta, target)
     n1_list = list(n1_list)
 
@@ -248,7 +246,7 @@ def run_sweep(alpha: float, beta: float, sigma: float, n1_list: Iterable[int],
         t0 = time.perf_counter()
         tail = None
         if n2_mode == "auto":
-            cfg, tail = _auto_tail_config(alpha, beta, sigma, n1, C, target, g, domain)
+            cfg, tail = _auto_tail_config(alpha, beta, sigma, n1, C, target, g)
             if g is not None:  # prefactor targets fit a g-corrected tail
                 tail = None
         elif n2_mode == "proportional":
@@ -257,7 +255,7 @@ def run_sweep(alpha: float, beta: float, sigma: float, n1_list: Iterable[int],
         else:
             cfg = ApproxConfig(alpha=alpha, beta=beta, sigma=sigma, n1=n1,
                                n2=int(n2_mode), C=C, target=target, g=g)
-        approx = build_approximation(cfg, domain, tail=tail)
+        approx = build_approximation(cfg, tail=tail)
         err = checked_sup_error(approx, make_target(target, alpha, g), domain, cfg)
         n = cfg.n1 + cfg.n2
         pred = pref * math.log(n) - rate * math.sqrt(n)
@@ -393,11 +391,11 @@ def fit_slope_vs_t(rows, floor: float = RATE_FIT_FLOOR, ceiling: float = 1e-1):
     return float(slope)
 
 
-def arc_grid(beta: float, n: int = 31, radius: float = 1.0) -> SampleGrid:
-    """Points on the outer arc x = radius of the sector."""
+def arc_grid(beta: float, n: int = 31) -> SampleGrid:
+    """Points on the outer arc |z| = 1 of the unit sector."""
     half = beta * math.pi / 2
     th = np.linspace(-half, half, n) if beta > 0 else np.array([0.0])
-    return SampleGrid(points=radius * np.exp(1j * th), weights_role="sup_norm")
+    return SampleGrid(points=np.exp(1j * th))
 
 
 def near_origin_check(cfg: KernelConfig, beta: float,
@@ -407,7 +405,7 @@ def near_origin_check(cfg: KernelConfig, beta: float,
 
     x_star exceeds 1 whenever c0 > T (unavoidable for small T since c0 is
     bounded below by the lattice constants), so the scan clips at the
-    domain radius.
+    unit radius of the sector.
     """
     ctx = BoundContext.from_quadrature(cfg, beta)
     xm = min(ctx.x_star, 1.0)

@@ -15,7 +15,6 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import SectorDomain
 from .kernels import (
     PoleCollisionError,
     log_weights,
@@ -204,37 +203,35 @@ def _remainder_values(cfg: ApproxConfig, zs: np.ndarray) -> np.ndarray:
     return out + c_near
 
 
-def _chebyshev_radii(n: int, radius: float) -> np.ndarray:
+def _chebyshev_radii(n: int) -> np.ndarray:
     k = np.arange(n)
-    return radius * 0.5 * (1.0 - np.cos(math.pi * (k + 0.5) / n))
+    return 0.5 * (1.0 - np.cos(math.pi * (k + 0.5) / n))
 
 
-def _fit_points(cfg: ApproxConfig, domain: SectorDomain, fine: bool) -> np.ndarray:
-    """Deterministic sample set: a few points per pole scale near the apex,
-    Chebyshev-distributed radii toward the outer edge (which keeps the
-    polynomial fit well posed at high degree), a fan of rays, and the arc."""
-    radius = domain.radius
+def _fit_points(cfg: ApproxConfig, fine: bool) -> np.ndarray:
+    """Deterministic unit-sector sample set: a few points per pole scale near
+    the apex, Chebyshev radii toward |z| = 1 (which keeps the polynomial fit
+    well posed at high degree), a fan of rays, and the arc."""
     mags = np.abs(clustered_poles(cfg))
     mults = (0.6, 0.9, 1.1, 1.4) if fine else (0.75, 1.0, 1.25)
     radii = np.outer(mags, mults).ravel()
-    lo = max(mags.min() * 0.5, radius * 1e-17)
+    lo = max(mags.min() * 0.5, 1e-17)
     n_cheb = (6 if fine else 4) * (cfg.n2 + 1)
     radii = np.concatenate([
         radii,
-        np.geomspace(lo, radius, 65 if fine else 33),
-        _chebyshev_radii(max(n_cheb, 48), radius),
+        np.geomspace(lo, 1.0, 65 if fine else 33),
+        _chebyshev_radii(max(n_cheb, 48)),
     ])
-    radii = np.unique(np.clip(radii, lo, radius))
+    radii = np.unique(np.clip(radii, lo, 1.0))
     half = cfg.beta * math.pi / 2
     n_ray = 9 if fine else 5
     thetas = np.linspace(-half, half, n_ray) if cfg.beta > 0 else np.array([0.0])
     pts = (radii[:, None] * np.exp(1j * thetas)).ravel()
     n_arc = (4 if fine else 2) * (cfg.n2 + 1)
     if cfg.beta > 0:
-        arc = radius * np.exp(1j * np.linspace(-half, half, max(n_arc, 64)))
+        arc = np.exp(1j * np.linspace(-half, half, max(n_arc, 64)))
         pts = np.concatenate([pts, arc])
-    pts = np.concatenate([pts, [0.0]])
-    return (pts * np.exp(1j * domain.axis_rotation)) + domain.apex
+    return np.concatenate([pts, [0.0]])
 
 
 def _poly_lstsq(zs, values, degree, scale):
@@ -253,36 +250,35 @@ def _poly_eval(coeffs, zs, scale):
 
 @dataclass(frozen=True)
 class TailFit:
-    """Polynomial tail (coefficients in the z/scale basis) with its misfit on
-    the fit points and on the finer validation points."""
+    """Polynomial tail (monomial coefficients in z) with its misfit on the
+    fit points and on the finer validation points."""
 
     coeffs: np.ndarray
-    scale: float
     fit_rms: float
     validation_sup: float
 
 
-def fit_tail(cfg: ApproxConfig, domain: SectorDomain, values_fn=None) -> TailFit:
+def fit_tail(cfg: ApproxConfig, values_fn=None) -> TailFit:
     """Degree-n2 least-squares polynomial fit to ``values_fn`` (default: the
-    analytic remainder) over clustered samples of the domain."""
+    analytic remainder) over clustered samples of the unit sector."""
     values_fn = values_fn or (lambda zs: _remainder_values(cfg, zs))
-    zs = _fit_points(cfg, domain, fine=False)
+    zs = _fit_points(cfg, fine=False)
     y = values_fn(zs)
-    coeffs = _poly_lstsq(zs, y, cfg.n2, domain.radius)
-    resid = _poly_eval(coeffs, zs, domain.radius) - y
+    coeffs = _poly_lstsq(zs, y, cfg.n2, 1.0)
+    resid = _poly_eval(coeffs, zs, 1.0) - y
     rms = float(np.sqrt(np.mean(np.abs(resid) ** 2)))
-    zv = _fit_points(cfg, domain, fine=True)
-    sup = float(np.max(np.abs(_poly_eval(coeffs, zv, domain.radius) - values_fn(zv))))
-    return TailFit(coeffs=coeffs, scale=domain.radius, fit_rms=rms, validation_sup=sup)
+    zv = _fit_points(cfg, fine=True)
+    sup = float(np.max(np.abs(_poly_eval(coeffs, zv, 1.0) - values_fn(zv))))
+    return TailFit(coeffs=coeffs, fit_rms=rms, validation_sup=sup)
 
 
 @dataclass(frozen=True, eq=False)
 class RationalApprox:
     """Evaluable partial fractions plus polynomial tail.
 
-    Immutable; evaluation is safe from concurrent callers.  ``alpha`` and
-    ``target`` are carried for convenience when the object came from a
-    build; they are not part of the serialized form.
+    Immutable; evaluation is safe from concurrent callers.  ``alpha`` is
+    carried when the object came from a build, so a target can be named by
+    kind (see analysis.sup_error); it is not part of the serialized form.
     """
 
     poles: np.ndarray
@@ -290,7 +286,6 @@ class RationalApprox:
     tail_coeffs: np.ndarray
     basis_scale: float
     alpha: float | None = None
-    target: str | None = None
 
     def __post_init__(self):
         p = np.asarray(self.poles, complex).ravel()
@@ -334,30 +329,25 @@ class RationalApprox:
     __call__ = eval
 
 
-def build_approximation(cfg: ApproxConfig, domain: SectorDomain | None = None, *,
-                        tail: TailFit | None = None) -> RationalApprox:
-    """Build the full approximant for cfg.target on the given sector.
+def build_approximation(cfg: ApproxConfig, *, tail: TailFit | None = None) -> RationalApprox:
+    """Build the full approximant for cfg.target on the unit sector.
 
-    ``tail`` is a ``fit_tail(cfg, domain)`` result the caller already holds
-    (a rate sweep fits it while choosing n2); it is used as is instead of
-    being fit again.  Only the ``power`` and ``power_log`` targets take one:
-    the prefactor targets fit their own g-corrected tail.
+    ``tail`` is a ``fit_tail(cfg)`` result the caller already holds (a rate
+    sweep fits it while choosing n2); it is used as is instead of being fit
+    again.  Only the ``power`` and ``power_log`` targets take one: the
+    prefactor targets fit their own g-corrected tail.
     """
-    if domain is None:
-        domain = SectorDomain(beta=cfg.beta)
-    if abs(domain.beta - cfg.beta) > 1e-12:
-        raise ValueError("config and domain disagree on beta")
     if tail is not None:
         if cfg.target not in ("power", "power_log"):
             raise ValueError("prefactor targets fit their own g-corrected tail")
-        if tail.coeffs.size != cfg.n2 + 1 or tail.scale != domain.radius:
-            raise ValueError("tail does not match the config and domain")
+        if tail.coeffs.size != cfg.n2 + 1:
+            raise ValueError("tail does not match the config")
     poles = clustered_poles(cfg)
     base_res = residues_power_log(cfg) if cfg.log_like else residues_power(cfg)
     if cfg.target in ("power", "power_log"):
         residues = base_res
         if tail is None:
-            tail = fit_tail(cfg, domain)
+            tail = fit_tail(cfg)
     else:
         gp = np.array([cfg.g(complex(p)) for p in poles.tolist()], complex)
         residues = gp * base_res
@@ -369,14 +359,13 @@ def build_approximation(cfg: ApproxConfig, domain: SectorDomain | None = None, *
             folded = _partial_fractions(zs, poles, residues)
             return gz * (near + _remainder_values(cfg, zs)) - folded
 
-        tail = fit_tail(cfg, domain, values_fn=corrected)
+        tail = fit_tail(cfg, values_fn=corrected)
     return RationalApprox(
         poles=poles,
         residues=residues,
         tail_coeffs=tail.coeffs,
-        basis_scale=tail.scale,
+        basis_scale=1.0,
         alpha=cfg.alpha,
-        target=cfg.target,
     )
 
 

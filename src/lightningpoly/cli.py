@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analysis, corners
 from .approx import ApproxConfig, build_approximation, optimal_sigma, serialize
-from .geometry import polygon_from_file
+from .geometry import SectorDomain, polygon_from_file
 from .kernels import KernelConfig
 
 __all__ = ["ExperimentConfig", "run", "main"]
@@ -100,9 +100,7 @@ def _cmd_approx(p: dict) -> int:
                        n2=int(p.get("n2", -1)), C=float(p.get("C", 1.0)),
                        target=p.get("target", "power"))
     approx = build_approximation(cfg)
-    from .geometry import SectorDomain
-    dom = SectorDomain(beta=beta)
-    err = analysis.checked_sup_error(approx, cfg.target, dom, cfg)
+    err = analysis.checked_sup_error(approx, cfg.target, SectorDomain(beta=beta), cfg)
     _write(p.get("out"), serialize(approx))
     rate, _ = analysis.predicted_log_rate(sigma, alpha, beta, cfg.target)
     _emit_json(p.get("json"), {
@@ -237,6 +235,8 @@ def _cmd_laplace(p: dict) -> int:
     else:
         sigma_mode = float(sig_tok)
     n_list = _parse_int_list(p.get("N", "40,80,160"))
+    if not n_list:
+        raise ValueError("N lists no pole budgets")
     n2 = p.get("n2")
     weights = _parse_float_list(p["weights"]) if p.get("weights") else None
     lines = ["N,columns,residual_rms,boundary_sup_err"]
@@ -403,8 +403,9 @@ def _coerce(text: str):
     return t
 
 
-def _apply_config_file(args: argparse.Namespace, parser_defaults: dict):
-    """'key = value' lines override defaults but never explicit flags."""
+def _apply_config_file(args: argparse.Namespace, explicit: set):
+    """'key = value' lines set every option not given on the command line;
+    an explicit flag always wins, even when it repeats the default."""
     if not getattr(args, "config", None):
         return
     for raw in Path(args.config).read_text().splitlines():
@@ -415,17 +416,18 @@ def _apply_config_file(args: argparse.Namespace, parser_defaults: dict):
         key = key.strip().replace("-", "_")
         if not hasattr(args, key):
             raise ValueError(f"unknown config key {key!r}")
-        if getattr(args, key) == parser_defaults.get(key):
+        if key not in explicit:
             setattr(args, key, _coerce(value))
 
 
 def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
-    defaults = {a.dest: a.default for g in ap._subparsers._group_actions
-                for a in g.choices[args.command]._actions}
+    # a second parse with every default suppressed sets only the flags given
+    for action in ap._subparsers._group_actions[0].choices[args.command]._actions:
+        action.default = argparse.SUPPRESS
     try:
-        _apply_config_file(args, defaults)
+        _apply_config_file(args, set(vars(ap.parse_args(argv))))
     except (OSError, ValueError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2

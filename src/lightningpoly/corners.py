@@ -67,7 +67,8 @@ class CornerBasis:
 
 
 def _corner_rays(polygon: Polygon):
-    """(interior bisector is not needed; returns exterior unit directions)."""
+    """Interior angles beta_k (units of pi) and the unit direction of the
+    exterior bisector at each corner, along which its poles are placed."""
     m = len(polygon.vertices)
     if polygon.orientation() != 1:
         raise ValueError("plan_basis requires counterclockwise vertices")
@@ -115,6 +116,8 @@ def plan_basis(polygon: Polygon, N: int, sigma_mode="global_opt",
             raise ValueError("sigma must be positive")
         sigmas = [sigma] * m
     weights = list(corner_weights) if corner_weights is not None else [1.0] * m
+    if len(weights) != m:
+        raise ValueError(f"corner_weights has {len(weights)} entries for {m} corners")
     counts = [max(4, int(round(N / m * w))) for w in weights]
     edge_len = [e.length() for e in polygon.edges]
     poles = []
@@ -292,7 +295,6 @@ class SlitIntegralSpec:
     k: int
     alpha: float
     W: float = 1.0
-    branch: str = "principal"
 
     def __post_init__(self):
         if self.k < 0:
@@ -301,8 +303,6 @@ class SlitIntegralSpec:
             raise ValueError("alpha must lie in (0, 1)")
         if self.W <= 0.0:
             raise ValueError("W must be positive")
-        if self.branch not in ("principal", "slit_positive_axis"):
-            raise ValueError(f"unknown branch {self.branch!r}")
         if abs((self.k + self.alpha) - round(self.k + self.alpha)) < 1e-12:
             raise ValueError("k + alpha must be non-integer")
 

@@ -1,7 +1,7 @@
 """Domains on which approximations are built and errors are measured.
 
-Three kinds of geometry live here: filled circular sectors (with their
-V-shaped boundary subsets), polygons whose edges may be straight or gently
+Three kinds of geometry live here: the filled unit sector (with its
+V-shaped boundary subset), polygons whose edges may be straight or gently
 curved, and the sample grids drawn on either.  Everything is immutable after
 construction and all sampling is deterministic, so grids can be shared freely
 between threads.
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,28 +40,23 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SectorDomain:
-    """Filled sector of half-opening ``beta * pi/2`` per side.
+    """The unit sector |arg z| <= beta*pi/2, |z| <= 1 (scale enters an
+    approximation only through its pole scale C).
 
-    ``beta = 0`` degenerates to the segment ``[apex, apex + radius*e^{i rot}]``;
-    ``beta -> 2`` approaches the full slit disk (excluded).
+    ``beta = 0`` gives the segment [0, 1]; ``beta -> 2`` the full slit disk (excluded).
     """
 
     beta: float
-    radius: float = 1.0
-    apex: complex = 0.0 + 0.0j
-    axis_rotation: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.beta < 2.0:
             raise ValueError(f"beta must lie in [0, 2), got {self.beta}")
-        if self.radius <= 0.0:
-            raise ValueError("radius must be positive")
 
     def contains(self, z: complex, tol: float = 1e-12) -> bool:
-        w = (complex(z) - self.apex) * np.exp(-1j * self.axis_rotation)
+        w = complex(z)
         if abs(w) <= tol:
             return True
-        return abs(w) <= self.radius * (1 + tol) and abs(np.angle(w)) <= self.beta * math.pi / 2 + tol
+        return abs(w) <= 1 + tol and abs(np.angle(w)) <= self.beta * math.pi / 2 + tol
 
 
 @dataclass(frozen=True)
@@ -71,14 +66,12 @@ class Edge:
     ``bulge`` adds a smooth sideways displacement ``bulge * L * sin^2(pi t)``
     (L = chord length, positive = left of travel, i.e. into a
     counterclockwise domain).  The sin^2 profile keeps the endpoint tangents
-    chord-aligned, so corner angles are unchanged by bulging.  A ``curve``
-    callable on [0, 1] overrides the analytic form entirely.
+    chord-aligned, so corner angles are unchanged by bulging.
     """
 
     start: complex
     end: complex
     bulge: float = 0.0
-    curve: Callable[[float], complex] | None = None
 
     @property
     def chord(self) -> complex:
@@ -86,27 +79,21 @@ class Edge:
 
     def point(self, t):
         t = np.asarray(t, float)
-        if self.curve is not None:
-            return np.vectorize(self.curve, otypes=[complex])(t)
         c = self.chord
         return self.start + t * c + self.bulge * 1j * c * np.sin(math.pi * t) ** 2
 
     def tangent(self, t):
         t = np.asarray(t, float)
-        if self.curve is not None:
-            dt = 1e-6
-            lo, hi = np.clip(t - dt, 0.0, 1.0), np.clip(t + dt, 0.0, 1.0)
-            return (self.point(hi) - self.point(lo)) / (hi - lo)
         c = self.chord
         return c + self.bulge * 1j * c * math.pi * np.sin(2 * math.pi * t)
 
-    def arclength_table(self, n_panels: int = 32):
-        """Cumulative arclength at panel ends, via Gauss-Legendre per panel."""
+    def arclength_table(self):
+        """Cumulative arclength at the ends of 32 panels, via Gauss-Legendre."""
         nodes, weights = np.polynomial.legendre.leggauss(7)
-        t_ends = np.linspace(0.0, 1.0, n_panels + 1)
+        t_ends = np.linspace(0.0, 1.0, 33)
         lo, hi = t_ends[:-1], t_ends[1:]
         tt = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * nodes
-        speed = np.abs(self.tangent(tt.ravel())).reshape(n_panels, -1)
+        speed = np.abs(self.tangent(tt.ravel())).reshape(tt.shape)
         panel_len = 0.5 * (hi - lo) * (speed @ weights)
         cum = np.concatenate([[0.0], np.cumsum(panel_len)])
         return t_ends, cum
@@ -153,18 +140,13 @@ class Polygon:
     alphas: tuple = ()
 
     @classmethod
-    def from_vertices(cls, vertices, bulges=None, betas=None, alphas=None,
-                      curves=None) -> "Polygon":
+    def from_vertices(cls, vertices, bulges=None, betas=None, alphas=None) -> "Polygon":
         vs = tuple(complex(v) for v in vertices)
         m = len(vs)
         if m < 3:
             raise ValueError("need at least 3 vertices")
         bulges = list(bulges) if bulges is not None else [0.0] * m
-        curves = list(curves) if curves is not None else [None] * m
-        edges = tuple(
-            Edge(vs[k], vs[(k + 1) % m], bulge=bulges[k], curve=curves[k])
-            for k in range(m)
-        )
+        edges = tuple(Edge(vs[k], vs[(k + 1) % m], bulge=bulges[k]) for k in range(m))
         betas_t = tuple(betas) if betas is not None else (None,) * m
         alphas_t = tuple(alphas) if alphas is not None else ("auto",) * m
         poly = cls(vertices=vs, edges=edges, betas=betas_t, alphas=alphas_t)
@@ -199,9 +181,9 @@ class Polygon:
     def orientation(self) -> int:
         return 1 if _shoelace(self.vertices) >= 0 else -1
 
-    def contains(self, z: complex, n_densify: int = 128) -> bool:
-        """Winding-number containment on a densified boundary polyline."""
-        t = np.linspace(0.0, 1.0, n_densify, endpoint=False)
+    def contains(self, z: complex) -> bool:
+        """Winding-number containment on a 128-point-per-edge boundary polyline."""
+        t = np.linspace(0.0, 1.0, 128, endpoint=False)
         pts = np.concatenate([e.point(t) for e in self.edges])
         rel = pts - complex(z)
         if np.min(np.abs(rel)) < 1e-12:
@@ -212,15 +194,11 @@ class Polygon:
 
 @dataclass(frozen=True, eq=False)
 class SampleGrid:
-    """Points drawn on a domain, tagged with how they are meant to be used."""
+    """Read-only points drawn on a domain for sup-norm measurement."""
 
     points: np.ndarray
-    weights_role: str  # "sup_norm" or "least_squares"
-    cluster_ratio: float | None = None
 
     def __post_init__(self):
-        if self.weights_role not in ("sup_norm", "least_squares"):
-            raise ValueError(f"unknown weights_role {self.weights_role!r}")
         pts = _readonly(np.asarray(self.points, complex).ravel())
         object.__setattr__(self, "points", pts)
         if pts.size == 0:
@@ -276,9 +254,9 @@ def sample_sector(domain: SectorDomain, n_ray: int, n_arc: int,
                   cluster_ratio: float) -> SampleGrid:
     """Sup-norm grid on a sector: geometric radii times a fan of rays.
 
-    Radii run from ``radius`` down to ``radius * cluster_ratio**n_ray`` and the
-    apex itself is appended.  Rays always include both boundary rays and the
-    axis, so the outer arc and the V-shaped boundary are covered.
+    Radii run from 1 down to ``cluster_ratio**n_ray`` and the apex 0 itself
+    is appended.  Rays always include both boundary rays and the axis, so
+    the outer arc and the V-shaped boundary are covered.
     """
     if n_ray < 2:
         raise ValueError("n_ray must be >= 2")
@@ -286,12 +264,11 @@ def sample_sector(domain: SectorDomain, n_ray: int, n_arc: int,
         raise ValueError("n_arc must be >= 1")
     if not 0.0 < cluster_ratio < 1.0:
         raise ValueError("cluster_ratio must lie in (0, 1)")
-    radii = domain.radius * cluster_ratio ** np.arange(n_ray + 1)
+    radii = cluster_ratio ** np.arange(n_ray + 1)
     half = domain.beta * math.pi / 2
     thetas = np.linspace(-half, half, 2 * n_arc + 1) if domain.beta > 0 else np.array([0.0])
-    pts = radii[:, None] * np.exp(1j * (thetas[None, :] + domain.axis_rotation))
-    pts = np.concatenate([pts.ravel(), [0.0]]) + domain.apex
-    return SampleGrid(points=pts, weights_role="sup_norm", cluster_ratio=cluster_ratio)
+    pts = radii[:, None] * np.exp(1j * thetas[None, :])
+    return SampleGrid(points=np.concatenate([pts.ravel(), [0.0]]))
 
 
 def sample_v_boundary(domain: SectorDomain, n_ray: int,
@@ -302,12 +279,11 @@ def sample_v_boundary(domain: SectorDomain, n_ray: int,
         raise ValueError("n_ray must be >= 2")
     if not 0.0 < cluster_ratio < 1.0:
         raise ValueError("cluster_ratio must lie in (0, 1)")
-    radii = domain.radius * cluster_ratio ** np.arange(n_ray + 1)
+    radii = cluster_ratio ** np.arange(n_ray + 1)
     half = domain.beta * math.pi / 2
     thetas = np.array([-half, half]) if domain.beta > 0 else np.array([0.0])
-    pts = radii[:, None] * np.exp(1j * (thetas[None, :] + domain.axis_rotation))
-    pts = np.concatenate([pts.ravel(), [0.0]]) + domain.apex
-    return SampleGrid(points=pts, weights_role="sup_norm", cluster_ratio=cluster_ratio)
+    pts = radii[:, None] * np.exp(1j * thetas[None, :])
+    return SampleGrid(points=np.concatenate([pts.ravel(), [0.0]]))
 
 
 def polygon_from_file(path) -> Polygon:

@@ -139,7 +139,7 @@ def _panel_values(f, lo, hi):
 
 
 def adaptive_gauss_legendre(f, a: float, b: float, tol: float,
-                            max_panels: int = 32768, max_rounds: int = 60):
+                            max_panels: int = 32768):
     """Adaptive composite 15-point Gauss-Legendre on [a, b].
 
     ``f`` must accept a flat numpy array of points.  Panels whose bisection
@@ -156,7 +156,7 @@ def adaptive_gauss_legendre(f, a: float, b: float, tol: float,
     total = 0j
     err = 0.0
     span = abs(b - a)
-    for _ in range(max_rounds):
+    for _ in range(60):  # rounds of bisection before giving up
         mid = 0.5 * (lo + hi)
         left = _panel_values(f, lo, mid)
         right = _panel_values(f, mid, hi)

@@ -28,6 +28,7 @@ from lightningpoly.analysis import (
 )
 from lightningpoly.approx import (
     ApproxConfig,
+    _fit_points,
     RationalApprox,
     build_approximation,
     clustered_poles,
@@ -54,7 +55,7 @@ class TestSupError:
     def setup_method(self):
         self.cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=optimal_sigma(0.5, 1.0), n1=9)
         self.dom = SectorDomain(beta=1.0)
-        self.approx = build_approximation(self.cfg, self.dom)
+        self.approx = build_approximation(self.cfg)
         self.grid = sample_sector(self.dom, 30, 6, 0.5)
 
     def test_self_comparison_after_round_trip(self):
@@ -72,7 +73,7 @@ class TestSupError:
 
     def test_sector_rate_spec_point(self):
         cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=optimal_sigma(0.5, 1.0), n1=36)
-        approx = build_approximation(cfg, self.dom)
+        approx = build_approximation(cfg)
         err = checked_sup_error(approx, "power", self.dom, cfg)
         predicted = math.exp(-6 * math.pi)
         assert predicted / 100 <= err <= predicted * 100
@@ -283,20 +284,31 @@ class TestSweepAndCsv:
         sigma = optimal_sigma(alpha, beta)
         dom = SectorDomain(beta=beta)
         (rec,) = run_sweep(alpha, beta, sigma, [n1], target=target, g=g)
-        cfg, tail = _auto_tail_config(alpha, beta, sigma, n1, 1.0, target, g, dom)
+        cfg, tail = _auto_tail_config(alpha, beta, sigma, n1, 1.0, target, g)
         assert tail.coeffs.size == cfg.n2 + 1
-        approx = build_approximation(cfg, dom)
+        approx = build_approximation(cfg)
         err = checked_sup_error(approx, make_target(target, alpha, g), dom, cfg)
         assert (rec.n1, rec.n2, rec.sup_err) == (cfg.n1, cfg.n2, err)
 
     def test_rate_grid_reaches_below_innermost_pole(self):
         cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=optimal_sigma(0.5, 1.0), n1=25)
-        grid = rate_grid(cfg, SectorDomain(beta=1.0))
+        grid = rate_grid(cfg)
         p1 = abs(clustered_poles(cfg)[0])
         nz = np.abs(grid.points[grid.points != 0])
         assert nz.min() < p1
         assert np.isclose(nz.max(), 1.0)
         assert 0.0 in grid.points
+
+    @given(st.floats(0.1, 0.9), st.floats(0.0, 1.95), st.floats(0.5, 12.0),
+           st.integers(1, 25), st.integers(0, 30))
+    @settings(max_examples=20, deadline=None)
+    def test_sample_points_stay_in_unit_sector(self, alpha, beta, sigma, n1, n2):
+        cfg = ApproxConfig(alpha=alpha, beta=beta, sigma=sigma, n1=n1, n2=n2)
+        sector = SectorDomain(beta=beta)
+        point_sets = [_fit_points(cfg, fine) for fine in (False, True)]
+        point_sets += [rate_grid(cfg, refine).points for refine in (0, 1, 2)]
+        for zs in point_sets:
+            assert all(sector.contains(z) for z in zs.tolist())
 
 
 class TestDiagnosticsAndSkips:
@@ -316,12 +328,10 @@ class TestDiagnosticsAndSkips:
         dom = SectorDomain(beta=1.0)
         near_pole = -1.0 + 1e-16j
         ok_points = (0.5 + 0.1j) * np.ones(300)
-        grid = SampleGrid(points=np.concatenate([[near_pole], ok_points]),
-                          weights_role="sup_norm")
+        grid = SampleGrid(points=np.concatenate([[near_pole], ok_points]))
         with pytest.warns(UserWarning, match="skipped 1"):
             sup_error(approx, lambda zs: np.zeros_like(zs), dom, grid)
-        tiny = SampleGrid(points=np.array([near_pole, 0.5 + 0j]),
-                          weights_role="sup_norm")
+        tiny = SampleGrid(points=np.array([near_pole, 0.5 + 0j]))
         with pytest.warns(UserWarning):
             with pytest.raises(Exception, match="1%"):
                 sup_error(approx, lambda zs: np.zeros_like(zs), dom, tiny)
@@ -340,7 +350,7 @@ class TestDiagnosticsAndSkips:
             window = max(1e-14 * abs(p), 1e-300)
             for factor, collides in ((0.5, True), (2.0, False)):
                 z = complex(p, factor * window)
-                grid = SampleGrid(points=np.concatenate([[z], safe]), weights_role="sup_norm")
+                grid = SampleGrid(points=np.concatenate([[z], safe]))
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
                     sup_error(approx, lambda zs: np.zeros_like(zs), dom, grid)

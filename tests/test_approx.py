@@ -20,7 +20,6 @@ from lightningpoly.approx import (
     residues_power_log,
     serialize,
 )
-from lightningpoly.geometry import SectorDomain
 from lightningpoly.kernels import (
     KernelConfig,
     PoleCollisionError,
@@ -133,17 +132,16 @@ class TestFitTail:
         def values(zs):
             return np.full(np.shape(zs), const, complex)
 
-        tail = fit_tail(cfg, SectorDomain(beta=0.0), values_fn=values)
+        tail = fit_tail(cfg, values_fn=values)
         assert tail.coeffs.size == 1
         assert tail.coeffs[0] == pytest.approx(const, rel=1e-12)
 
     def test_misfit_decreases_with_degree(self):
-        dom = SectorDomain(beta=1.0)
         sups = []
         for n2 in (2, 6, 10, 16, 24):
             cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=optimal_sigma(0.5, 1.0),
                                n1=20, n2=n2)
-            sups.append(fit_tail(cfg, dom).validation_sup)
+            sups.append(fit_tail(cfg).validation_sup)
         for lo, hi in zip(sups[1:], sups[:-1]):
             assert lo <= 10 * hi
         assert sups[-1] < sups[0] * 1e-3
@@ -151,7 +149,7 @@ class TestFitTail:
     def test_spec_point_reaches_1e10(self):
         cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=optimal_sigma(0.5, 1.0), n1=36)
         assert cfg.n2 == 47
-        tail = fit_tail(cfg, SectorDomain(beta=1.0))
+        tail = fit_tail(cfg)
         assert tail.validation_sup <= 1e-10
         assert tail.validation_sup <= 50 * max(tail.fit_rms, 1e-16)
 
@@ -276,12 +274,11 @@ class TestBuildAndEval:
 
     def test_prefactor_exponential(self):
         beta = 1.0
-        dom = SectorDomain(beta=beta)
         cfgp = ApproxConfig(alpha=0.5, beta=beta, sigma=optimal_sigma(0.5, beta), n1=16)
         cfgg = ApproxConfig(alpha=0.5, beta=beta, sigma=optimal_sigma(0.5, beta), n1=16,
                             target="prefactor_power", g=cmath.exp)
-        ap = build_approximation(cfgp, dom)
-        ag = build_approximation(cfgg, dom)
+        ap = build_approximation(cfgp)
+        ag = build_approximation(cfgg)
         th = np.linspace(-math.pi / 2, math.pi / 2, 31)
         zs = np.concatenate([r * np.exp(1j * th) for r in (1.0, 0.6, 0.2, 1e-3)])
         err_p = np.max(np.abs(ap.eval(zs) - zs**0.5))
@@ -303,34 +300,26 @@ class TestBuildAndEval:
 
     @pytest.mark.parametrize("target", ["power", "power_log"])
     def test_given_tail_gives_the_same_approximant(self, target):
-        dom = SectorDomain(beta=1.5)
         cfg = ApproxConfig(alpha=0.8, beta=1.5, sigma=optimal_sigma(0.8, 1.5), n1=16,
                            n2=9, target=target)
-        reused = build_approximation(cfg, dom, tail=fit_tail(cfg, dom))
-        fresh = build_approximation(cfg, dom)
+        reused = build_approximation(cfg, tail=fit_tail(cfg))
+        fresh = build_approximation(cfg)
         for field in ("poles", "residues", "tail_coeffs"):
             np.testing.assert_array_equal(getattr(reused, field), getattr(fresh, field))
         assert reused.basis_scale == fresh.basis_scale
 
     def test_tail_rejected_for_prefactor_target(self):
-        dom = SectorDomain(beta=1.0)
         plain = ApproxConfig(alpha=0.5, beta=1.0, sigma=5.0, n1=9, n2=6)
         pre = ApproxConfig(alpha=0.5, beta=1.0, sigma=5.0, n1=9, n2=6,
                            target="prefactor_power", g=cmath.exp)
         with pytest.raises(ValueError, match="prefactor"):
-            build_approximation(pre, dom, tail=fit_tail(plain, dom))
+            build_approximation(pre, tail=fit_tail(plain))
 
     def test_tail_of_another_degree_rejected(self):
-        dom = SectorDomain(beta=1.0)
         cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=5.0, n1=9, n2=6)
         other = ApproxConfig(alpha=0.5, beta=1.0, sigma=5.0, n1=9, n2=7)
         with pytest.raises(ValueError, match="tail"):
-            build_approximation(cfg, dom, tail=fit_tail(other, dom))
-
-    def test_domain_mismatch(self):
-        cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=4.0, n1=4)
-        with pytest.raises(ValueError, match="beta"):
-            build_approximation(cfg, SectorDomain(beta=0.5))
+            build_approximation(cfg, tail=fit_tail(other))
 
     def test_eval_single_pole(self):
         ap = RationalApprox(poles=np.array([-1.0 + 0j]), residues=np.array([1.0 + 0j]),

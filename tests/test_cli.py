@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from lightningpoly.approx import deserialize
+from lightningpoly.approx import deserialize, optimal_sigma
 from lightningpoly.cli import ExperimentConfig, main, run
 from lightningpoly.corners import concave_quadrilateral
 from lightningpoly.geometry import polygon_to_file
@@ -41,6 +41,16 @@ class TestArgumentHandling:
                      "--config", str(cfgfile), "--json", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["W"] == 3.0
+
+    def test_explicit_default_valued_flag_beats_config_file(self, tmp_path):
+        # --sigma opt repeats the parser default and must still win
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("sigma = 4\n")
+        out = tmp_path / "out.json"
+        code = main(["approx", "--alpha", "0.5", "--beta", "1", "--N1", "9",
+                     "--sigma", "opt", "--config", str(cfgfile), "--json", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["sigma"] == optimal_sigma(0.5, 1.0)
 
     def test_seed_flag_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -157,3 +167,14 @@ class TestLaplace:
                      "--json", str(tmp_path / "f.json")])
         assert code == 1
         assert "final err" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, reason", [
+        ("--N", "", "no pole budgets"),
+        ("--weights", "1,1,1", "3 entries for 4 corners"),
+        ("--weights", "1,1,1,1,7", "5 entries for 4 corners"),
+    ])
+    def test_bad_lists_exit_2(self, flag, value, reason, capsys):
+        code = main(["laplace", "--polygon", "builtin:concave-quad", flag, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and reason in err

@@ -84,6 +84,11 @@ class TestPlanBasis:
         b3 = plan_basis(poly, 80, "global_opt", corner_weights=[1, 0.5, 1, 0.5])
         assert b3.counts[1] == 10 and b3.counts[0] == 20
 
+    @pytest.mark.parametrize("weights", [[1, 1, 1], [1, 1, 1, 1, 7]])
+    def test_weights_must_match_corner_count(self, weights):
+        with pytest.raises(ValueError, match=f"{len(weights)} entries for 4 corners"):
+            plan_basis(concave_quadrilateral(), 40, "global_opt", corner_weights=weights)
+
     def test_min_budget(self):
         with pytest.raises(ValueError, match="4 poles per corner"):
             plan_basis(concave_quadrilateral(), 8, "global_opt")

@@ -128,14 +128,6 @@ class TestSampleSector:
         nz = np.abs(grid.points[grid.points != 0])
         assert np.isclose(nz.min(), 0.3**40, rtol=1e-12)
 
-    @given(st.floats(-3, 3), st.floats(-3, 3))
-    @settings(max_examples=25, deadline=None)
-    def test_translation_invariance(self, re, im):
-        apex = complex(re, im)
-        base = sample_sector(SectorDomain(beta=1.0), 10, 3, 0.5).points
-        moved = sample_sector(SectorDomain(beta=1.0, apex=apex), 10, 3, 0.5).points
-        assert np.max(np.abs((moved - apex) - base)) < 1e-14
-
     def test_deterministic(self):
         a = sample_sector(SectorDomain(beta=0.7), 15, 4, 0.45).points
         b = sample_sector(SectorDomain(beta=0.7), 15, 4, 0.45).points
@@ -222,6 +214,4 @@ class TestEdgesAndContainment:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            SampleGrid(points=np.array([]), weights_role="sup_norm")
-        with pytest.raises(ValueError):
-            SampleGrid(points=np.array([1.0 + 0j]), weights_role="other")
+            SampleGrid(points=np.array([]))
