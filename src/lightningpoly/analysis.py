@@ -21,6 +21,7 @@ from .approx import (
     ApproxConfig,
     RationalApprox,
     _chebyshev_radii,
+    _remainder_memo,
     build_approximation,
     clustered_poles,
     fit_tail,
@@ -115,21 +116,27 @@ def sup_error(approx: RationalApprox, target, domain: SectorDomain,
               grid: SampleGrid) -> float:
     """Max of |approx - target| over the grid.
 
-    Grid points colliding with a pole are skipped with a warning; more than
-    1% skipped is an error.  ``target`` is a vectorized callable (see
-    make_target) or a target-kind string resolved with approx.alpha.
+    The grid is evaluated in one ``approx.eval`` call, which tests for pole
+    collisions as it goes.  Only if it finds one is the grid's collision
+    mask formed: colliding points are skipped with a warning, more than 1%
+    skipped is an error, and the rest are evaluated.  ``target`` is a
+    vectorized callable (see make_target) or a target-kind string resolved
+    with approx.alpha.
     """
     if isinstance(target, str):
         target = make_target(target, approx.alpha)
     zs = np.asarray(grid.points, complex)
-    keep = ~pole_collisions(zs, approx.poles)
-    n_skip = int(np.sum(~keep))
-    if n_skip:
+    try:
+        values = approx.eval(zs)
+    except PoleCollisionError:
+        keep = ~pole_collisions(zs, approx.poles)
+        n_skip = int(np.sum(~keep))
         warnings.warn(f"skipped {n_skip} grid points colliding with poles")
         if n_skip > 0.01 * zs.size:
             raise PoleCollisionError("more than 1% of grid points collide with poles")
-    zs = zs[keep]
-    return float(np.max(np.abs(approx.eval(zs) - target(zs))))
+        zs = zs[keep]
+        values = approx.eval(zs)
+    return float(np.max(np.abs(values - target(zs))))
 
 
 def predicted_log_rate(sigma: float, alpha: float, beta: float, target: str):
@@ -211,16 +218,20 @@ def _auto_tail_config(alpha, beta, sigma, n1, C, target, g):
     Returns ``(cfg, tail)``: the chosen config and the ``fit_tail(cfg)``
     result of its rung, which ``build_approximation`` can reuse for the plain
     targets.  The rungs fit the plain remainder for every target,
-    so for a prefactor target the tail only ranks the rungs.
+    so for a prefactor target the tail only ranks the rungs.  The remainder
+    is the same on every rung, so it is evaluated once per distinct fit
+    point (see approx._remainder_memo).
     """
     T = sigma * alpha * math.sqrt(n1)
     goal = max(math.exp(-T) / 5.0, 1e-13)
     tried = []
+    remainder = None
     for k in (2.0, 3.0, 4.0, 6.0):
         n2 = math.ceil(k * math.sqrt(n1))
         cfg = ApproxConfig(alpha=alpha, beta=beta, sigma=sigma, n1=n1, n2=n2,
                            C=C, target=target, g=g)
-        tail = fit_tail(cfg)
+        remainder = remainder or _remainder_memo(cfg)  # n2 only moves the fit points
+        tail = fit_tail(cfg, values_fn=remainder)
         tried.append((cfg, tail))
         if tail.validation_sup <= goal:
             return cfg, tail

@@ -17,8 +17,8 @@ import numpy as np
 
 from .kernels import (
     PoleCollisionError,
+    _near_poles,
     log_weights,
-    pole_collisions,
     quadrature_nodes,
     tapered,
 )
@@ -203,6 +203,45 @@ def _remainder_values(cfg: ApproxConfig, zs: np.ndarray) -> np.ndarray:
     return out + c_near
 
 
+def _remainder_memo(cfg: ApproxConfig):
+    """``values_fn`` for ``fit_tail`` that evaluates ``_remainder_values``
+    once per distinct point over all its calls.
+
+    The remainder does not depend on n2, so the rungs of one tail-degree
+    ladder can share one memo.  The first call evaluates every point and
+    sorts the results into one store; later calls look points up by exact
+    complex value and evaluate only the ones not seen, each once.  A lone
+    new point is evaluated as two rows, never one, because a one-row call
+    rounds differently (see ``_remainder_values``); the values are then bit
+    for bit those of ``_remainder_values(cfg, zs)``.  Local to the caller,
+    so concurrent ladders never share it.
+    """
+    keys = vals = None
+
+    def values(zs):
+        nonlocal keys, vals
+        zs = np.asarray(zs, complex)
+        if keys is None:
+            out = _remainder_values(cfg, zs)
+            order = np.argsort(zs)
+            keys, vals = zs[order], out[order]
+            return out
+        pos = np.searchsorted(keys, zs)
+        hit = np.minimum(pos, keys.size - 1)
+        out = vals[hit]
+        miss = np.flatnonzero(keys[hit] != zs)
+        if miss.size:
+            new, first, inverse = np.unique(zs[miss], return_index=True,
+                                            return_inverse=True)
+            new_vals = _remainder_values(cfg, np.resize(new, max(new.size, 2)))[:new.size]
+            out[miss] = new_vals[inverse]
+            at = pos[miss[first]]  # where each new point goes in the store
+            keys, vals = np.insert(keys, at, new), np.insert(vals, at, new_vals)
+        return out
+
+    return values
+
+
 def _chebyshev_radii(n: int) -> np.ndarray:
     k = np.arange(n)
     return 0.5 * (1.0 - np.cos(math.pi * (k + 0.5) / n))
@@ -314,15 +353,18 @@ class RationalApprox:
     def eval(self, z):
         """Evaluate at a complex point (returns a complex) or an array of
         points (partial fractions in blocks of 1024 points, then the Horner
-        tail)."""
+        tail).  Each block forms its point-pole differences once and takes
+        both the collision test and the partial fractions from them; any
+        collision raises PoleCollisionError."""
         zs = np.asarray(z, complex)
         flat = zs.ravel()
         out = np.empty(flat.shape, complex)
         for k in range(0, flat.size, 1024):
             blk = flat[k:k + 1024]
-            if pole_collisions(blk, self.poles).any():
+            diff = blk[:, None] - self.poles
+            if _near_poles(blk, self.poles, diff).any():
                 raise PoleCollisionError("pole collision")
-            out[k:k + 1024] = _partial_fractions(blk, self.poles, self.residues)
+            out[k:k + 1024] = np.sum(np.divide(self.residues, diff, out=diff), axis=1)
         out += _poly_eval(self.tail_coeffs, flat, self.basis_scale)
         return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 

@@ -58,16 +58,16 @@ def _parse_sigma(token: str, alpha: float, beta: float) -> float:
     return float(t)
 
 
-def _parse_int_list(token) -> list[int]:
+def _parse_list(token, cast, option: str, what: str) -> list:
+    """Comma list (or a list given to ``run``) of cast values; an empty list
+    is an error naming the option."""
     if isinstance(token, (list, tuple)):
-        return [int(v) for v in token]
-    return [int(v) for v in str(token).split(",") if v.strip()]
-
-
-def _parse_float_list(token) -> list[float]:
-    if isinstance(token, (list, tuple)):
-        return [float(v) for v in token]
-    return [float(v) for v in str(token).split(",") if v.strip()]
+        values = [cast(v) for v in token]
+    else:
+        values = [cast(v) for v in str(token).split(",") if v.strip()]
+    if not values:
+        raise ValueError(f"{option} lists no {what}")
+    return values
 
 
 def _write(path, text: str):
@@ -117,7 +117,7 @@ def _cmd_approx(p: dict) -> int:
 def _cmd_sweep(p: dict) -> int:
     alpha, beta = float(p["alpha"]), float(p["beta"])
     sigma = _parse_sigma(p.get("sigma", "opt"), alpha, beta)
-    n1_list = _parse_int_list(p["n1"])
+    n1_list = _parse_list(p["n1"], int, "--N1", "pole counts")
     n2_mode = p.get("n2_mode", "auto")
     if n2_mode not in ("auto", "proportional"):
         n2_mode = int(n2_mode)
@@ -151,7 +151,7 @@ def _cmd_sweep(p: dict) -> int:
 def _cmd_quaderr(p: dict) -> int:
     alpha, beta = float(p["alpha"]), float(p["beta"])
     sigma_tokens = str(p.get("sigma", "opt")).split(",")
-    t_list = _parse_float_list(p.get("T", "4,6,8,10,12,14,16"))
+    t_list = _parse_list(p.get("T", "4,6,8,10,12,14,16"), float, "--T", "truncations")
     target = p.get("target", "power")
     grid = analysis.arc_grid(beta, n=int(p.get("arc_points", 31)))
     lines = ["sigma,T,sup_err"]
@@ -188,7 +188,7 @@ def _cmd_nearorigin(p: dict) -> int:
     alpha, beta = float(p["alpha"]), float(p["beta"])
     h_tok = str(p.get("h", "opt")).strip().lower()
     h = 2.0 * (2.0 - beta) * math.pi**2 * alpha if h_tok == "opt" else float(h_tok)
-    t_list = _parse_float_list(p.get("T", "5,10,15"))
+    t_list = _parse_list(p.get("T", "5,10,15"), float, "--T", "truncations")
     kap1 = 1.0 / (1.0 - alpha)
     lines = ["T,ratio_power,ratio_log"]
     ratios = []
@@ -234,11 +234,10 @@ def _cmd_laplace(p: dict) -> int:
         sigma_mode = "per_corner"
     else:
         sigma_mode = float(sig_tok)
-    n_list = _parse_int_list(p.get("N", "40,80,160"))
-    if not n_list:
-        raise ValueError("N lists no pole budgets")
+    n_list = _parse_list(p.get("N", "40,80,160"), int, "--N", "pole budgets")
     n2 = p.get("n2")
-    weights = _parse_float_list(p["weights"]) if p.get("weights") else None
+    weights = (_parse_list(p["weights"], float, "--weights", "corner weights")
+               if p.get("weights") else None)
     lines = ["N,columns,residual_rms,boundary_sup_err"]
     errs = []
     sol = None

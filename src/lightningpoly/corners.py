@@ -139,6 +139,8 @@ def plan_basis(polygon: Polygon, N: int, sigma_mode="global_opt",
     scale = max(abs(v - center) for v in polygon.vertices)
     if n2 is None:
         n2 = max(8, math.ceil(3.0 * math.sqrt(N)))
+    if n2 < 0:
+        raise ValueError("n2 must be >= 0")
     return CornerBasis(
         vertices=tuple(polygon.vertices),
         directions=tuple(dirs),

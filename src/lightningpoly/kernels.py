@@ -331,15 +331,22 @@ def log_weights(alpha: float, C: float, h: float, T: float):
     return w1, w2
 
 
+def _near_poles(z, poles, diff) -> np.ndarray:
+    """Boolean (points x poles) matrix: |z - p| < 1e-14*max(|z|, |p|, 1e-286),
+    given the differences ``diff = z[..., None] - poles``.  The one
+    definition of a pole collision; scale-relative, so stable evaluations at
+    tiny |z| and |p| are not flagged.  Callers that divide by ``diff``
+    anyway pass it in rather than forming it twice."""
+    gap = np.abs(diff)
+    near = gap < 1e-14 * np.abs(poles)
+    near |= gap < 1e-14 * np.maximum(np.abs(z), 1e-286)[..., None]
+    return near
+
+
 def pole_collisions(z, poles) -> np.ndarray:
-    """Mask of the points z closer than 1e-14*max(|z|, |p|, 1e-286) to some
-    pole p; scale-relative, so stable evaluations at tiny |z| and |p| are
-    not flagged."""
+    """Mask of the points z that collide with some pole (see _near_poles)."""
     z = np.asarray(z, complex)
-    gap = np.abs(z[..., None] - poles)
-    thresh = np.maximum.outer(1e-14 * np.maximum(np.abs(z), 1e-286),
-                              1e-14 * np.abs(poles))
-    return (gap < thresh).any(axis=-1)
+    return _near_poles(z, poles, z[..., None] - poles).any(axis=-1)
 
 
 def _trapezoid_sum(z, poles, num, scale=None):

@@ -224,6 +224,30 @@ class TestRemainderValues:
             np.testing.assert_array_equal(approx._remainder_values(cfg, zs),
                                           _remainder_one_shot(cfg, zs))
 
+    @pytest.mark.parametrize("target", ["power", "power_log"])
+    def test_memo_evaluates_each_point_once_and_equals_remainder(self, monkeypatch,
+                                                                 target):
+        cfg = ApproxConfig(alpha=0.8, beta=1.5, sigma=optimal_sigma(0.8, 1.5),
+                           n1=16, target=target)
+        zs = np.concatenate([[0.0], _sector_points(1.5, 60)])
+        evaluated = []
+        direct = approx._remainder_values
+        monkeypatch.setattr(approx, "_remainder_values",
+                            lambda cfg, pts: (evaluated.append(np.asarray(pts).size),
+                                              direct(cfg, pts))[1])
+        memo = approx._remainder_memo(cfg)
+        calls = [
+            zs[:40],                        # first call, 0 included
+            zs[[5, 5, 0, 39, 5]],           # repeated points, all seen
+            zs[[3, 40, 7]],                 # exactly one new point, zs[40]
+            np.concatenate([zs[::-1], zs[41:50]]),  # the rest, some twice
+            zs,                             # nothing new
+        ]
+        for pts in calls:
+            np.testing.assert_array_equal(memo(pts), direct(cfg, pts))
+        # every point once; the lone new point is evaluated as two rows
+        assert evaluated == [40, 2, 20]
+
     def test_no_far_poles_gives_near_constant(self):
         cfg = ApproxConfig(alpha=0.1, beta=1.0, sigma=20.0, n1=3, n2=0)
         assert cfg.n_quad == cfg.n1
@@ -346,6 +370,18 @@ class TestBuildAndEval:
         vals = ap.eval(zs)
         assert vals.shape == zs.shape
         assert vals.tolist() == [[ap.eval(z) for z in row] for row in zs.tolist()]
+
+    @pytest.mark.parametrize("target", ["power", "power_log"])
+    def test_eval_equals_partial_fractions_plus_tail(self, target):
+        # three 1024-point blocks, the last one partial
+        cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=optimal_sigma(0.5, 1.0), n1=36,
+                           target=target)
+        ap = build_approximation(cfg)
+        zs = _sector_points(1.0, 2500)
+        assert zs.size > 2048
+        ref = approx._partial_fractions(zs, ap.poles, ap.residues) \
+            + approx._poly_eval(ap.tail_coeffs, zs, ap.basis_scale)
+        np.testing.assert_array_equal(ap.eval(zs), ref)
 
     def test_eval_pole_collision(self):
         ap = RationalApprox(poles=np.array([-1.0 + 0j]), residues=np.array([1.0 + 0j]),

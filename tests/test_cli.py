@@ -60,6 +60,19 @@ class TestArgumentHandling:
         cfgfile.write_text("seed = 3\n")
         assert main(["decomp", "--alpha", "0.5", "--config", str(cfgfile)]) == 2
 
+    @pytest.mark.parametrize("argv, reason", [
+        (["sweep", "--alpha", "0.5", "--beta", "1", "--N1", ","], "--N1 lists no pole counts"),
+        (["quaderr", "--alpha", "0.5", "--beta", "1", "--T", ","], "--T lists no truncations"),
+        (["nearorigin", "--alpha", "0.5", "--beta", "1", "--T", ","],
+         "--T lists no truncations"),
+        (["laplace", "--polygon", "builtin:concave-quad", "--N", ","],
+         "--N lists no pole budgets"),
+    ])
+    def test_empty_list_exits_2(self, argv, reason, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and reason in err
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text("frob = 1\n")
@@ -167,6 +180,13 @@ class TestLaplace:
                      "--json", str(tmp_path / "f.json")])
         assert code == 1
         assert "final err" in capsys.readouterr().err
+
+    def test_negative_n2_exits_2(self, capsys):
+        code = main(["laplace", "--polygon", "builtin:concave-quad", "--N", "40",
+                     "--n2", "-1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration: n2 must be >= 0" in err
 
     @pytest.mark.parametrize("flag, value, reason", [
         ("--N", "", "no pole budgets"),

@@ -89,6 +89,10 @@ class TestPlanBasis:
         with pytest.raises(ValueError, match=f"{len(weights)} entries for 4 corners"):
             plan_basis(concave_quadrilateral(), 40, "global_opt", corner_weights=weights)
 
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError, match="n2 must be >= 0"):
+            plan_basis(concave_quadrilateral(), 40, "global_opt", n2=-1)
+
     def test_min_budget(self):
         with pytest.raises(ValueError, match="4 poles per corner"):
             plan_basis(concave_quadrilateral(), 8, "global_opt")
