@@ -18,16 +18,18 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .approx import (
+    TARGETS,
     ApproxConfig,
     RationalApprox,
     _chebyshev_radii,
+    _fmt,
     _remainder_memo,
     build_approximation,
     clustered_poles,
     fit_tail,
     optimal_sigma,
 )
-from .geometry import SampleGrid, SectorDomain
+from .geometry import SampleGrid, SectorDomain, ray_fan
 from .kernels import (
     KernelConfig,
     PoleCollisionError,
@@ -79,37 +81,27 @@ class ConvergenceRecord:
 
 
 def make_target(kind: str, alpha: float, g: Callable | None = None):
-    """Vectorized target function for a named approximation target."""
-    def power(zs):
-        zs = np.asarray(zs, complex)
-        out = np.zeros(zs.shape, complex)
-        nz = zs != 0
-        out[nz] = np.exp(alpha * np.log(zs[nz]))
-        return out
-
-    def power_log(zs):
-        zs = np.asarray(zs, complex)
-        out = np.zeros(zs.shape, complex)
-        nz = zs != 0
-        out[nz] = np.exp(alpha * np.log(zs[nz])) * np.log(zs[nz])
-        return out
-
-    if kind == "power":
-        base = power
-    elif kind == "power_log":
-        base = power_log
-    elif kind in ("prefactor_power", "prefactor_power_log"):
-        if g is None:
-            raise ValueError("prefactor targets need g")
-        inner = power if kind == "prefactor_power" else power_log
-
-        def base(zs):
-            zs = np.asarray(zs, complex)
-            gz = np.array([g(complex(w)) for w in zs.tolist()], complex)
-            return gz * inner(zs)
-    else:
+    """Vectorized target function for a named approximation target:
+    z^alpha or z^alpha*log z (0 at z = 0), times g(z) for a prefactor
+    target."""
+    if kind not in TARGETS:
         raise ValueError(f"unknown target {kind!r}")
-    return base
+    prefactor = kind.startswith("prefactor")
+    if prefactor and g is None:
+        raise ValueError("prefactor targets need g")
+    log_like = kind.endswith("power_log")
+
+    def target(zs):
+        zs = np.asarray(zs, complex)
+        out = np.zeros(zs.shape, complex)
+        nz = zs != 0
+        logs = np.log(zs[nz])
+        out[nz] = np.exp(alpha * logs) * logs if log_like else np.exp(alpha * logs)
+        if prefactor:
+            out = np.array([g(complex(w)) for w in zs.tolist()], complex) * out
+        return out
+
+    return target
 
 
 def sup_error(approx: RationalApprox, target, domain: SectorDomain,
@@ -158,21 +150,29 @@ def predicted_log_rate(sigma: float, alpha: float, beta: float, target: str):
     return rate, pref
 
 
+def _band_fit(points, floor: float, ceiling: float, min_points: int, message: str):
+    """Least-squares slope of -log(err) against x over the (x, err) points
+    with floor < err < ceiling, with its r^2; fewer than ``min_points`` in
+    the band raises ValueError(message)."""
+    band = [(x, e) for x, e in points if floor < e < ceiling]
+    if len(band) < min_points:
+        raise ValueError(message)
+    x = np.array([x for x, _ in band], float)
+    y = -np.log([e for _, e in band])
+    A = np.vstack([x, np.ones_like(x)]).T
+    coef = np.linalg.lstsq(A, y, rcond=None)[0]
+    resid = y - A @ coef
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot
+    return float(coef[0]), float(r2)
+
+
 def fit_rate(records: Sequence[ConvergenceRecord], floor: float = RATE_FIT_FLOOR,
              ceiling: float = RATE_FIT_CEILING):
     """Least-squares slope rho of -log(sup_err) against sqrt(N) within the
     (floor, ceiling) error band, with its r^2."""
-    band = [r for r in records if floor < r.sup_err < ceiling]
-    if len(band) < 4:
-        raise ValueError("insufficient span: need >= 4 records inside the error band")
-    x = np.sqrt([r.n for r in band])
-    y = -np.log([r.sup_err for r in band])
-    A = np.vstack([x, np.ones_like(x)]).T
-    rho, intercept = np.linalg.lstsq(A, y, rcond=None)[0]
-    resid = y - A @ np.array([rho, intercept])
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return float(rho), float(r2)
+    return _band_fit([(math.sqrt(r.n), r.sup_err) for r in records], floor, ceiling, 4,
+                     "insufficient span: need >= 4 records inside the error band")
 
 
 # ------------------------------------------------------------- sweeps
@@ -189,10 +189,7 @@ def rate_grid(cfg: ApproxConfig, refine: int = 0) -> SampleGrid:
         ratio ** np.arange(depth + 1),
         _chebyshev_radii(192 * (refine + 1)),
     ]))
-    half = cfg.beta * math.pi / 2
-    n_th = 13 * (refine + 1)
-    thetas = np.linspace(-half, half, n_th) if cfg.beta > 0 else np.array([0.0])
-    pts = (radii[:, None] * np.exp(1j * thetas)).ravel()
+    pts = ray_fan(cfg.beta, radii, 13 * (refine + 1))
     return SampleGrid(points=np.concatenate([pts, [0.0]]))
 
 
@@ -283,10 +280,8 @@ def records_to_csv(records: Sequence[ConvergenceRecord]) -> str:
     """CSV rows (decimal-17 floats, newline endings) sorted by (sigma, n1)."""
     rows = [CSV_HEADER]
     for r in sorted(records, key=lambda r: (r.sigma, r.n1)):
-        rows.append(
-            f"{r.sigma:.17g},{r.n1},{r.n2},{r.n},{r.sup_err:.17g},"
-            f"{r.predicted_log_err:.17g},{r.runtime_ms:.17g}"
-        )
+        rows.append(f"{_fmt(r.sigma)},{r.n1},{r.n2},{r.n},{_fmt(r.sup_err)},"
+                    f"{_fmt(r.predicted_log_err)},{_fmt(r.runtime_ms)}")
     return "\n".join(rows) + "\n"
 
 
@@ -343,13 +338,6 @@ class BoundContext:
     def a0beta(self, x: float) -> float:
         return (2.0 - self.beta) * self.alpha * math.pi * (self.T + self.alpha * math.log(x / self.C))
 
-    def lattice_poles(self, x: float, theta: float, k_values=range(-2, 3)) -> np.ndarray:
-        """Diagnostic: the complex-plane poles of the substituted integrand
-        at z = x*e^{i*theta*pi/2}."""
-        base = self.T + self.alpha * math.log(x / self.C)
-        ks = np.asarray(list(k_values))
-        return (base + 1j * self.alpha * math.pi * (2 * ks - 1 + theta / 2.0)) ** 2
-
 
 def quadrature_error_envelope(x: float, ctx: BoundContext):
     """(Q, lower, upper) for Q(x) = x^alpha / (e^{(2pi/h) a0beta(x)} - 1) on
@@ -392,21 +380,12 @@ def quadrature_error_curve(cfg_list: Sequence[KernelConfig], target: str,
 
 def fit_slope_vs_t(rows, floor: float = RATE_FIT_FLOOR, ceiling: float = 1e-1):
     """Slope of -log(err) against T within the usable error band."""
-    band = [(t, e) for t, e in rows if floor < e < ceiling]
-    if len(band) < 3:
-        raise ValueError("insufficient span for slope fit")
-    x = np.array([t for t, _ in band])
-    y = -np.log([e for _, e in band])
-    A = np.vstack([x, np.ones_like(x)]).T
-    slope, _ = np.linalg.lstsq(A, y, rcond=None)[0]
-    return float(slope)
+    return _band_fit(rows, floor, ceiling, 3, "insufficient span for slope fit")[0]
 
 
 def arc_grid(beta: float, n: int = 31) -> SampleGrid:
     """Points on the outer arc |z| = 1 of the unit sector."""
-    half = beta * math.pi / 2
-    th = np.linspace(-half, half, n) if beta > 0 else np.array([0.0])
-    return SampleGrid(points=np.exp(1j * th))
+    return SampleGrid(points=ray_fan(beta, [1.0], n))
 
 
 def near_origin_check(cfg: KernelConfig, beta: float,

@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from .geometry import ray_fan
 from .kernels import (
     PoleCollisionError,
     _near_poles,
@@ -41,6 +42,13 @@ __all__ = [
 TARGETS = ("power", "power_log", "prefactor_power", "prefactor_power_log")
 
 
+def _sigma_opt(alpha: float, beta: float) -> float:
+    """sqrt(2*(2-beta))*pi/sqrt(alpha), the one definition of the optimal
+    clustering parameter: for the sector, and for each corner of a polygon,
+    whose exponent alpha_k = 1/beta_k may exceed 1 (corners.plan_basis)."""
+    return math.sqrt(2.0 * (2.0 - beta)) * math.pi / math.sqrt(alpha)
+
+
 def optimal_sigma(alpha: float, beta: float) -> float:
     """Clustering parameter sqrt(2*(2-beta))*pi/sqrt(alpha), the fastest
     choice on a sector of half-opening beta*pi/2."""
@@ -48,7 +56,7 @@ def optimal_sigma(alpha: float, beta: float) -> float:
         raise ValueError("alpha must lie in (0, 1)")
     if not 0.0 <= beta < 2.0:
         raise ValueError("beta must lie in [0, 2)")
-    return math.sqrt(2.0 * (2.0 - beta)) * math.pi / math.sqrt(alpha)
+    return _sigma_opt(alpha, beta)
 
 
 @dataclass(frozen=True)
@@ -262,14 +270,10 @@ def _fit_points(cfg: ApproxConfig, fine: bool) -> np.ndarray:
         _chebyshev_radii(max(n_cheb, 48)),
     ])
     radii = np.unique(np.clip(radii, lo, 1.0))
-    half = cfg.beta * math.pi / 2
-    n_ray = 9 if fine else 5
-    thetas = np.linspace(-half, half, n_ray) if cfg.beta > 0 else np.array([0.0])
-    pts = (radii[:, None] * np.exp(1j * thetas)).ravel()
+    pts = ray_fan(cfg.beta, radii, 9 if fine else 5)
     n_arc = (4 if fine else 2) * (cfg.n2 + 1)
     if cfg.beta > 0:
-        arc = np.exp(1j * np.linspace(-half, half, max(n_arc, 64)))
-        pts = np.concatenate([pts, arc])
+        pts = np.concatenate([pts, ray_fan(cfg.beta, [1.0], max(n_arc, 64))])
     return np.concatenate([pts, [0.0]])
 
 

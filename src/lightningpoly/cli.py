@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, corners
-from .approx import ApproxConfig, build_approximation, optimal_sigma, serialize
+from .approx import ApproxConfig, _fmt, build_approximation, optimal_sigma, serialize
 from .geometry import SectorDomain, polygon_from_file
 from .kernels import KernelConfig
 
@@ -37,10 +37,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _parse_sigma(token: str, alpha: float, beta: float) -> float:
@@ -68,6 +64,19 @@ def _parse_list(token, cast, option: str, what: str) -> list:
     if not values:
         raise ValueError(f"{option} lists no {what}")
     return values
+
+
+def _kernel_configs(alpha: float, C: float, h: float, t_list) -> list:
+    """One trapezoid config per truncation T in ``t_list``: the fewest points
+    n_quad (at least 2) with sqrt(n_quad*h)/(kappa+1) >= T.  alpha and h are
+    checked before they divide."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    if h <= 0.0:
+        raise ValueError("h must be positive")
+    kap1 = 1.0 / (1.0 - alpha)
+    return [KernelConfig(alpha=alpha, C=C, h=h, n_quad=max(2, math.ceil((t * kap1) ** 2 / h)))
+            for t in t_list]
 
 
 def _write(path, text: str):
@@ -150,19 +159,15 @@ def _cmd_sweep(p: dict) -> int:
 
 def _cmd_quaderr(p: dict) -> int:
     alpha, beta = float(p["alpha"]), float(p["beta"])
-    sigma_tokens = str(p.get("sigma", "opt")).split(",")
     t_list = _parse_list(p.get("T", "4,6,8,10,12,14,16"), float, "--T", "truncations")
     target = p.get("target", "power")
     grid = analysis.arc_grid(beta, n=int(p.get("arc_points", 31)))
+    sigmas = _parse_list(p.get("sigma", "opt"), lambda t: _parse_sigma(t, alpha, beta),
+                         "--sigma", "clustering parameters")
     lines = ["sigma,T,sup_err"]
     results = []
-    for tok in sigma_tokens:
-        sigma = _parse_sigma(tok, alpha, beta)
-        h = sigma**2 * alpha**2
-        kap1 = 1.0 / (1.0 - alpha)
-        cfgs = [KernelConfig(alpha=alpha, C=float(p.get("C", 1.0)), h=h,
-                             n_quad=max(2, math.ceil((t * kap1) ** 2 / h)))
-                for t in t_list]
+    for sigma in sigmas:
+        cfgs = _kernel_configs(alpha, float(p.get("C", 1.0)), sigma**2 * alpha**2, t_list)
         rows = analysis.quadrature_error_curve(cfgs, target, grid)
         for t, e in rows:
             lines.append(f"{_fmt(sigma)},{_fmt(t)},{_fmt(e)}")
@@ -189,12 +194,9 @@ def _cmd_nearorigin(p: dict) -> int:
     h_tok = str(p.get("h", "opt")).strip().lower()
     h = 2.0 * (2.0 - beta) * math.pi**2 * alpha if h_tok == "opt" else float(h_tok)
     t_list = _parse_list(p.get("T", "5,10,15"), float, "--T", "truncations")
-    kap1 = 1.0 / (1.0 - alpha)
     lines = ["T,ratio_power,ratio_log"]
     ratios = []
-    for t in t_list:
-        cfg = KernelConfig(alpha=alpha, C=float(p.get("C", 1.0)), h=h,
-                           n_quad=max(2, math.ceil((t * kap1) ** 2 / h)))
+    for cfg in _kernel_configs(alpha, float(p.get("C", 1.0)), h, t_list):
         rp, rl = analysis.near_origin_check(cfg, beta)
         ratios.append((cfg.T, rp, rl))
         lines.append(f"{_fmt(cfg.T)},{_fmt(rp)},{_fmt(rl)}")
@@ -327,64 +329,64 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("approx", help="build one approximant")
     sp.add_argument("--alpha", required=True)
     sp.add_argument("--beta", required=True)
-    sp.add_argument("--sigma", default="opt")
+    sp.add_argument("--sigma")
     sp.add_argument("--N1", dest="n1", required=True)
-    sp.add_argument("--N2", dest="n2", default=-1)
-    sp.add_argument("--C", default=1.0)
-    sp.add_argument("--target", default="power")
+    sp.add_argument("--N2", dest="n2")
+    sp.add_argument("--C")
+    sp.add_argument("--target")
     sp.add_argument("--out", help="serialized approximant path")
     common(sp)
 
     sp = sub.add_parser("sweep", help="convergence-rate sweep over N1")
     sp.add_argument("--alpha", required=True)
     sp.add_argument("--beta", required=True)
-    sp.add_argument("--sigma", default="opt")
+    sp.add_argument("--sigma")
     sp.add_argument("--N1", dest="n1", required=True, help="comma list")
-    sp.add_argument("--target", default="power")
-    sp.add_argument("--n2-mode", dest="n2_mode", default="auto")
-    sp.add_argument("--C", default=1.0)
-    sp.add_argument("--rate-tol", dest="rate_tol", default=0.15)
-    sp.add_argument("--r2-min", dest="r2_min", default=0.9)
-    sp.add_argument("--timings", action="store_true",
+    sp.add_argument("--target")
+    sp.add_argument("--n2-mode", dest="n2_mode")
+    sp.add_argument("--C")
+    sp.add_argument("--rate-tol", dest="rate_tol")
+    sp.add_argument("--r2-min", dest="r2_min")
+    sp.add_argument("--timings", action="store_true", default=None,
                     help="write real runtimes (breaks byte-reproducibility)")
     common(sp)
 
     sp = sub.add_parser("quaderr", help="trapezoid-vs-integral error curves")
     sp.add_argument("--alpha", required=True)
     sp.add_argument("--beta", required=True)
-    sp.add_argument("--sigma", default="opt", help="comma list; opt, opt*X, opt/X")
-    sp.add_argument("--T", default="4,6,8,10,12,14,16", help="comma list")
-    sp.add_argument("--target", default="power")
-    sp.add_argument("--C", default=1.0)
-    sp.add_argument("--arc-points", dest="arc_points", default=31)
+    sp.add_argument("--sigma", help="comma list; opt, opt*X, opt/X")
+    sp.add_argument("--T", help="comma list")
+    sp.add_argument("--target")
+    sp.add_argument("--C")
+    sp.add_argument("--arc-points", dest="arc_points")
     common(sp)
 
     sp = sub.add_parser("nearorigin", help="near-origin uniformity ratios")
     sp.add_argument("--alpha", required=True)
     sp.add_argument("--beta", required=True)
-    sp.add_argument("--h", default="opt")
-    sp.add_argument("--T", default="5,10,15")
-    sp.add_argument("--C", default=1.0)
+    sp.add_argument("--h")
+    sp.add_argument("--T")
+    sp.add_argument("--C")
     common(sp)
 
     sp = sub.add_parser("laplace", help="lightning Laplace solve")
     sp.add_argument("--polygon", required=True,
                     help="path, builtin:concave-quad, or builtin:curvy-l")
-    sp.add_argument("--data", default="re2")
-    sp.add_argument("--sigma", default="opt", help="opt, per-corner, or number")
-    sp.add_argument("--N", dest="N", default="40,80,160", help="comma list")
-    sp.add_argument("--n2", default=None)
-    sp.add_argument("--weights", default=None, help="per-corner multipliers")
-    sp.add_argument("--oversample", default=4)
-    sp.add_argument("--fine-factor", dest="fine_factor", default=4)
-    sp.add_argument("--final-err", dest="final_err", default=1e-6)
+    sp.add_argument("--data")
+    sp.add_argument("--sigma", help="opt, per-corner, or number")
+    sp.add_argument("--N", help="comma list")
+    sp.add_argument("--n2")
+    sp.add_argument("--weights", help="per-corner multipliers")
+    sp.add_argument("--oversample")
+    sp.add_argument("--fine-factor", dest="fine_factor")
+    sp.add_argument("--final-err", dest="final_err")
     sp.add_argument("--export", help="write final solution coefficients")
     common(sp)
 
     sp = sub.add_parser("decomp", help="slit-integral singular coefficients")
-    sp.add_argument("--k", default=0)
+    sp.add_argument("--k")
     sp.add_argument("--alpha", required=True)
-    sp.add_argument("--W", default=1.0)
+    sp.add_argument("--W")
     common(sp)
 
     return ap
@@ -402,37 +404,37 @@ def _coerce(text: str):
     return t
 
 
-def _apply_config_file(args: argparse.Namespace, explicit: set):
-    """'key = value' lines set every option not given on the command line;
-    an explicit flag always wins, even when it repeats the default."""
-    if not getattr(args, "config", None):
-        return
-    for raw in Path(args.config).read_text().splitlines():
+def _read_config_file(path, keys) -> dict:
+    """The 'key = value' lines of a config file; each key must be one of
+    ``keys``."""
+    out = {}
+    for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if not hasattr(args, key):
+        if key not in keys:
             raise ValueError(f"unknown config key {key!r}")
-        if key not in explicit:
-            setattr(args, key, _coerce(value))
+        out[key] = _coerce(value)
+    return out
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
-    # a second parse with every default suppressed sets only the flags given
-    for action in ap._subparsers._group_actions[0].choices[args.command]._actions:
-        action.default = argparse.SUPPRESS
-    try:
-        _apply_config_file(args, set(vars(ap.parse_args(argv))))
-    except (OSError, ValueError) as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
-    params = {k: v for k, v in vars(args).items()
-              if k not in ("command", "config") and v is not None}
-    return run(ExperimentConfig(command=args.command, parameters=params))
+    args = vars(_build_parser().parse_args(argv))
+    # no option has a parser default (the runners hold them), so the flags
+    # given are the non-None values; each wins over the config file, even
+    # when it repeats the default
+    params = {k: v for k, v in args.items() if v is not None}
+    if args["config"]:
+        try:
+            params = {**_read_config_file(args["config"], args), **params}
+        except (OSError, ValueError) as exc:
+            print(f"invalid configuration: {exc}", file=sys.stderr)
+            return 2
+    command = params.pop("command")
+    params.pop("config", None)
+    return run(ExperimentConfig(command=command, parameters=params))
 
 
 if __name__ == "__main__":

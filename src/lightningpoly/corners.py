@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import Polygon, interior_angles, resolve_corner_exponents
-from .approx import _fmt, _fmt_coeff
+from .approx import _fmt, _fmt_coeff, _sigma_opt
 from .kernels import adaptive_gauss_legendre, tapered
 
 __all__ = [
@@ -49,14 +49,12 @@ class CornerBasis:
     """
 
     vertices: tuple
-    directions: tuple      # unit exterior-bisector direction per corner
     sigmas: tuple
     counts: tuple
     poles: tuple           # tuple of complex arrays
     degree: int
     center: complex
     scale: float
-    log_corners: tuple = ()
 
     @property
     def n_columns(self) -> int:
@@ -99,17 +97,11 @@ def plan_basis(polygon: Polygon, N: int, sigma_mode="global_opt",
     betas, dirs = _corner_rays(polygon)
     if np.max(betas) >= 2.0 - 1e-9:
         raise ValueError("unsupported angle (slit corner with beta -> 2)")
-    exps = resolve_corner_exponents(polygon)
-    alphas = np.array([a for a, _ in exps])
-    log_corners = tuple(k for k, (_, needs_log) in enumerate(exps) if needs_log)
+    alphas = [a for a, _ in resolve_corner_exponents(polygon)]
     if sigma_mode == "global_opt":
-        a_min = float(np.min(alphas))
-        b_max = float(np.max(betas))
-        sigma = math.sqrt(2.0 * (2.0 - b_max)) * math.pi / math.sqrt(a_min)
-        sigmas = [sigma] * m
+        sigmas = [_sigma_opt(min(alphas), float(np.max(betas)))] * m
     elif sigma_mode == "per_corner":
-        sigmas = [math.sqrt(2.0 * (2.0 - betas[k])) * math.pi / math.sqrt(alphas[k])
-                  for k in range(m)]
+        sigmas = [_sigma_opt(a, b) for a, b in zip(alphas, betas)]
     else:
         sigma = float(sigma_mode)
         if sigma <= 0:
@@ -143,14 +135,12 @@ def plan_basis(polygon: Polygon, N: int, sigma_mode="global_opt",
         raise ValueError("n2 must be >= 0")
     return CornerBasis(
         vertices=tuple(polygon.vertices),
-        directions=tuple(dirs),
         sigmas=tuple(sigmas),
         counts=tuple(counts),
         poles=tuple(poles),
         degree=n2,
         center=center,
         scale=scale,
-        log_corners=log_corners,
     )
 
 
@@ -324,43 +314,27 @@ def _slit_quad(func, z: complex, W: float, tol: float):
     return value
 
 
-def cauchy_slit_integral(spec: SlitIntegralSpec, z: complex) -> complex:
-    """Adaptive-quadrature value of the slit integral, accuracy ~1e-11.
+def _slit_integral(spec: SlitIntegralSpec, z: complex, log_weighted: bool) -> complex:
+    """Adaptive-quadrature value of the slit integral with density
+    zeta^(k+alpha), times log(zeta) if ``log_weighted``; accuracy ~1e-11.
 
     Near the slit the integrable singularity is subtracted and integrated in
     closed form, which keeps the quadrature uniformly easy; z = 0 is the
-    removable limit W^(k+alpha)/(k+alpha).
+    removable limit.
     """
     z = complex(z)
     s = spec.k + spec.alpha
     W = spec.W
     if z == 0:
-        return complex(W**s / s)
+        return complex(W**s * (math.log(W) * s - 1.0) / s**2 if log_weighted else W**s / s)
     dist = _dist_to_slit(z, W)
     if dist < 1e-10 * W:
         raise ValueError("too close to slit")
-    scale = W**s * W
-    if dist >= 0.05 * W:
-        return _slit_quad(lambda zeta: zeta**s, z, W, tol=1e-13 * scale / dist)
-    xc = min(max(z.real, 1e-3 * W), W)
-    head = _slit_quad(lambda zeta: zeta**s - xc**s, z, W, tol=1e-13 * scale)
-    closed = xc**s * (cmath.log(W - z) - cmath.log(-z))
-    return head + closed
-
-
-def cauchy_slit_integral_log(spec: SlitIntegralSpec, z: complex) -> complex:
-    """Same slit integral with an extra log(zeta) weight in the density."""
-    z = complex(z)
-    s = spec.k + spec.alpha
-    W = spec.W
-    if z == 0:
-        return complex(W**s * (math.log(W) * s - 1.0) / s**2)
-    dist = _dist_to_slit(z, W)
-    if dist < 1e-10 * W:
-        raise ValueError("too close to slit")
-    scale = W**s * W * (1.0 + abs(math.log(W)))
+    scale = W**s * W * (1.0 + abs(math.log(W)) if log_weighted else 1.0)
 
     def density(zeta):
+        if not log_weighted:
+            return zeta**s
         out = np.zeros(np.shape(zeta), complex)
         nz = zeta != 0
         zt = np.asarray(zeta)[nz]
@@ -370,10 +344,20 @@ def cauchy_slit_integral_log(spec: SlitIntegralSpec, z: complex) -> complex:
     if dist >= 0.05 * W:
         return _slit_quad(density, z, W, tol=1e-13 * scale / dist)
     xc = min(max(z.real, 1e-3 * W), W)
-    gx = xc**s * math.log(xc)
+    gx = xc**s * math.log(xc) if log_weighted else xc**s
     head = _slit_quad(lambda zeta: density(zeta) - gx, z, W, tol=1e-13 * scale)
-    closed = gx * (cmath.log(W - z) - cmath.log(-z))
-    return head + closed
+    return head + gx * (cmath.log(W - z) - cmath.log(-z))
+
+
+def cauchy_slit_integral(spec: SlitIntegralSpec, z: complex) -> complex:
+    """Adaptive-quadrature value of the slit integral, accuracy ~1e-11; z = 0
+    is the removable limit W^(k+alpha)/(k+alpha)."""
+    return _slit_integral(spec, z, log_weighted=False)
+
+
+def cauchy_slit_integral_log(spec: SlitIntegralSpec, z: complex) -> complex:
+    """Same slit integral with an extra log(zeta) weight in the density."""
+    return _slit_integral(spec, z, log_weighted=True)
 
 
 def _p0_constant(alpha: float) -> complex:

@@ -23,6 +23,7 @@ __all__ = [
     "SampleGrid",
     "interior_angles",
     "resolve_corner_exponents",
+    "ray_fan",
     "sample_sector",
     "sample_v_boundary",
     "polygon_from_file",
@@ -250,6 +251,16 @@ def resolve_corner_exponents(polygon: Polygon):
     return out
 
 
+def ray_fan(beta: float, radii, n_rays: int) -> np.ndarray:
+    """The points radii x rays of the unit sector, radius-major: ``n_rays``
+    rays evenly spaced over |arg z| <= beta*pi/2, or the axis alone at
+    beta = 0.  The one definition of the sector's fan, shared by its sample
+    grids, tail-fit points and rate grids."""
+    half = beta * math.pi / 2
+    thetas = np.linspace(-half, half, n_rays) if beta > 0 else np.array([0.0])
+    return (np.asarray(radii, float)[:, None] * np.exp(1j * thetas)).ravel()
+
+
 def sample_sector(domain: SectorDomain, n_ray: int, n_arc: int,
                   cluster_ratio: float) -> SampleGrid:
     """Sup-norm grid on a sector: geometric radii times a fan of rays.
@@ -264,11 +275,8 @@ def sample_sector(domain: SectorDomain, n_ray: int, n_arc: int,
         raise ValueError("n_arc must be >= 1")
     if not 0.0 < cluster_ratio < 1.0:
         raise ValueError("cluster_ratio must lie in (0, 1)")
-    radii = cluster_ratio ** np.arange(n_ray + 1)
-    half = domain.beta * math.pi / 2
-    thetas = np.linspace(-half, half, 2 * n_arc + 1) if domain.beta > 0 else np.array([0.0])
-    pts = radii[:, None] * np.exp(1j * thetas[None, :])
-    return SampleGrid(points=np.concatenate([pts.ravel(), [0.0]]))
+    pts = ray_fan(domain.beta, cluster_ratio ** np.arange(n_ray + 1), 2 * n_arc + 1)
+    return SampleGrid(points=np.concatenate([pts, [0.0]]))
 
 
 def sample_v_boundary(domain: SectorDomain, n_ray: int,
@@ -279,11 +287,8 @@ def sample_v_boundary(domain: SectorDomain, n_ray: int,
         raise ValueError("n_ray must be >= 2")
     if not 0.0 < cluster_ratio < 1.0:
         raise ValueError("cluster_ratio must lie in (0, 1)")
-    radii = cluster_ratio ** np.arange(n_ray + 1)
-    half = domain.beta * math.pi / 2
-    thetas = np.array([-half, half]) if domain.beta > 0 else np.array([0.0])
-    pts = radii[:, None] * np.exp(1j * thetas[None, :])
-    return SampleGrid(points=np.concatenate([pts.ravel(), [0.0]]))
+    pts = ray_fan(domain.beta, cluster_ratio ** np.arange(n_ray + 1), 2)
+    return SampleGrid(points=np.concatenate([pts, [0.0]]))
 
 
 def polygon_from_file(path) -> Polygon:
@@ -300,10 +305,16 @@ def polygon_from_file(path) -> Polygon:
         if not line:
             continue
         tok = line.split()
+        if len(tok) < 2:
+            raise ValueError(f"polygon line {line!r} needs at least two fields")
         if tok[0] == "curve":
-            idx = int(tok[1])
-            spec = dict(t.split("=", 1) for t in tok[2:])
-            curve_decls[idx] = float(spec.get("bulge", 0.0))
+            idx, bulge = int(tok[1]), 0.0
+            for t in tok[2:]:
+                key, val = t.split("=", 1)
+                if key != "bulge":
+                    raise ValueError(f"unknown curve attribute {key!r}")
+                bulge = float(val)
+            curve_decls[idx] = bulge
             continue
         re_s, im_s = tok[0], tok[1]
         beta = alpha = None
@@ -318,7 +329,11 @@ def polygon_from_file(path) -> Polygon:
         vertices.append(complex(float(re_s), float(im_s)))
         betas.append(beta)
         alphas.append("auto" if alpha is None else alpha)
-    bulges = [curve_decls.get(k, 0.0) for k in range(len(vertices))]
+    m = len(vertices)
+    for idx in curve_decls:
+        if not 0 <= idx < m:
+            raise ValueError(f"curve {idx} names no edge of a {m}-edge polygon")
+    bulges = [curve_decls.get(k, 0.0) for k in range(m)]
     return Polygon.from_vertices(vertices, bulges=bulges, betas=betas, alphas=alphas)
 
 

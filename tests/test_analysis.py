@@ -338,17 +338,6 @@ class TestSweepAndCsv:
 
 
 class TestDiagnosticsAndSkips:
-    def test_lattice_poles_are_integrand_poles(self):
-        # each lattice point u_k satisfies C*e^{(sqrt(u)-T)/alpha} = -z
-        cfg = KernelConfig(alpha=0.5, h=math.pi**2, n_quad=64)
-        ctx = BoundContext.from_quadrature(cfg, 1.0)
-        x, theta = 0.8, 0.6
-        z = x * np.exp(1j * theta * math.pi / 2)
-        for u in ctx.lattice_poles(x, theta, k_values=range(0, 3)).tolist():
-            root = np.sqrt(u)
-            val = ctx.C * np.exp((root - ctx.T) / ctx.alpha) + z
-            assert abs(val) < 1e-9
-
     def test_sup_error_skips_and_errors(self):
         approx = deserialize("pole -1 0\nresidue 1 0\ntail 0\nscale 1\n")
         dom = SectorDomain(beta=1.0)

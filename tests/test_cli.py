@@ -43,7 +43,7 @@ class TestArgumentHandling:
         assert json.loads(out.read_text())["W"] == 3.0
 
     def test_explicit_default_valued_flag_beats_config_file(self, tmp_path):
-        # --sigma opt repeats the parser default and must still win
+        # --sigma opt repeats the default and must still win
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text("sigma = 4\n")
         out = tmp_path / "out.json"
@@ -67,11 +67,23 @@ class TestArgumentHandling:
          "--T lists no truncations"),
         (["laplace", "--polygon", "builtin:concave-quad", "--N", ","],
          "--N lists no pole budgets"),
+        (["quaderr", "--alpha", "0.5", "--beta", "1", "--sigma", ","],
+         "--sigma lists no clustering parameters"),
     ])
     def test_empty_list_exits_2(self, argv, reason, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "invalid configuration" in err and reason in err
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["quaderr", "--alpha", "1", "--beta", "1", "--sigma", "3"], "alpha must lie in (0, 1)"),
+        (["nearorigin", "--alpha", "1", "--beta", "1"], "alpha must lie in (0, 1)"),
+        (["quaderr", "--alpha", "0.5", "--beta", "1", "--sigma", "0"], "h must be positive"),
+        (["nearorigin", "--alpha", "0.5", "--beta", "1", "--h", "0"], "h must be positive"),
+    ])
+    def test_trapezoid_config_checked_before_dividing(self, argv, reason, capsys):
+        assert main(argv) == 2
+        assert f"invalid configuration: {reason}" in capsys.readouterr().err
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "exp.cfg"
@@ -180,6 +192,13 @@ class TestLaplace:
                      "--json", str(tmp_path / "f.json")])
         assert code == 1
         assert "final err" in capsys.readouterr().err
+
+    def test_bad_curve_line_exits_2(self, tmp_path, capsys):
+        poly_path = tmp_path / "square.poly"
+        poly_path.write_text("0 0\n1 0\n1 1\n0 1\ncurve 7 bulge=0.1\n")
+        assert main(["laplace", "--polygon", str(poly_path)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration: curve 7 names no edge" in err
 
     def test_negative_n2_exits_2(self, capsys):
         code = main(["laplace", "--polygon", "builtin:concave-quad", "--N", "40",

@@ -108,11 +108,6 @@ class TestPlanBasis:
         with pytest.raises(ValueError, match="unsupported angle"):
             plan_basis(poly, 40, "global_opt")
 
-    def test_log_corner_flagged(self):
-        poly = Polygon.from_vertices([0, 1, 1 + 1j, 1j])  # 1/beta = 2 everywhere
-        basis = plan_basis(poly, 24, "per_corner")
-        assert basis.log_corners == (0, 1, 2, 3)
-
 
 class TestCollocation:
     """Solver boundary samples: a tapered ladder from each corner, as for

@@ -186,6 +186,19 @@ class TestPolygonFile:
         with pytest.raises(ValueError, match="unknown vertex attribute"):
             polygon_from_file(path)
 
+    @pytest.mark.parametrize("line, reason", [
+        ("curve 7 bulge=0.1", "curve 7 names no edge of a 4-edge polygon"),
+        ("curve -1 bulge=0.1", "curve -1 names no edge of a 4-edge polygon"),
+        ("curve 1 bulg=0.2", "unknown curve attribute 'bulg'"),
+        ("curve", "polygon line 'curve' needs at least two fields"),
+        ("0.5", "polygon line '0.5' needs at least two fields"),
+    ])
+    def test_malformed_line_rejected(self, tmp_path, line, reason):
+        path = tmp_path / "bad.poly"
+        path.write_text(f"0 0\n1 0\n1 1\n0 1\n{line}\n")
+        with pytest.raises(ValueError, match=reason):
+            polygon_from_file(path)
+
 
 class TestEdgesAndContainment:
     def test_bulge_preserves_tangent_angles(self):
