@@ -23,7 +23,6 @@ from .approx import (
     RationalApprox,
     _chebyshev_radii,
     _fmt,
-    _remainder_memo,
     build_approximation,
     clustered_poles,
     fit_tail,
@@ -215,20 +214,16 @@ def _auto_tail_config(alpha, beta, sigma, n1, C, target, g):
     Returns ``(cfg, tail)``: the chosen config and the ``fit_tail(cfg)``
     result of its rung, which ``build_approximation`` can reuse for the plain
     targets.  The rungs fit the plain remainder for every target,
-    so for a prefactor target the tail only ranks the rungs.  The remainder
-    is the same on every rung, so it is evaluated once per distinct fit
-    point (see approx._remainder_memo).
+    so for a prefactor target the tail only ranks the rungs.
     """
     T = sigma * alpha * math.sqrt(n1)
     goal = max(math.exp(-T) / 5.0, 1e-13)
     tried = []
-    remainder = None
     for k in (2.0, 3.0, 4.0, 6.0):
         n2 = math.ceil(k * math.sqrt(n1))
         cfg = ApproxConfig(alpha=alpha, beta=beta, sigma=sigma, n1=n1, n2=n2,
                            C=C, target=target, g=g)
-        remainder = remainder or _remainder_memo(cfg)  # n2 only moves the fit points
-        tail = fit_tail(cfg, values_fn=remainder)
+        tail = fit_tail(cfg)
         tried.append((cfg, tail))
         if tail.validation_sup <= goal:
             return cfg, tail

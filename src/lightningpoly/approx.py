@@ -75,7 +75,7 @@ class ApproxConfig:
     sigma: float
     n1: int
     C: float = 1.0
-    n2: int = -1  # -1 means the ceil(1.3*n1) default
+    n2: int | None = None  # None means the ceil(1.3*n1) default
     target: str = "power"
     g: Callable | None = None
 
@@ -90,7 +90,7 @@ class ApproxConfig:
             raise ValueError("C must be positive")
         if self.n1 < 1:
             raise ValueError("n1 must be >= 1")
-        if self.n2 == -1:
+        if self.n2 is None:
             object.__setattr__(self, "n2", math.ceil(1.3 * self.n1))
         if self.n2 < 0:
             raise ValueError("n2 must be >= 0")
@@ -164,22 +164,23 @@ def residues_power_log(cfg: ApproxConfig) -> np.ndarray:
     return (w1 + w2 * np.sqrt(cfg.h / j)) * p * np.abs(p)**cfg.alpha
 
 
-# complex entries in one row block of the (points x far poles) matrix: 2 MB
-_REMAINDER_BLOCK = 2**17
+# the near/far split of _remainder_values: far poles within
+# _NEAR_RADIUS*max(1, max|z|) are summed directly, the rest as _MOMENTS moments
+_NEAR_RADIUS = 16.0
+_MOMENTS = 15
 
 
 def _remainder_values(cfg: ApproxConfig, zs: np.ndarray) -> np.ndarray:
     """The analytic remainder (far poles folded with their constants, plus
     the near-pole constant sum), in the cancellation-free form where each
-    far term is ~ |p|^(alpha-1)*z.
+    far term w_j*z/(z - p_j) is ~ |p_j|^(alpha-1)*z.
 
-    The far-pole sum is taken over balanced blocks of about _REMAINDER_BLOCK
-    entries, reusing one buffer, instead of one (points x far poles) matrix.
-    No block has a single row unless ``zs`` has a single point: a one-row
-    product goes down BLAS's dot path, which rounds differently from the
-    matrix-vector path every other block takes, so the values would depend
-    on the block sizes.  With blocks of two rows or more the result is bit
-    for bit the one-shot ``zs[:, None] / (zs[:, None] - far) @ weights``.
+    Far poles closer than 16*max(1, max|z|) are summed directly.  The rest
+    have |z/p| <= 1/16, so z/(z - p) = -sum_k (z/p)^k and their part is the
+    polynomial -z*sum_k m_k z^(k-1) in the moments m_k = sum_j w_j p_j^-k,
+    k = 1..15.  Cut after 15 terms, the series is off by under 1e-18 of
+    each term, far below rounding (the far-field expansion of Greengard and
+    Rokhlin, and the Runge step by which the paper bounds the tail).
     """
     a = cfg.alpha
     zs = np.asarray(zs, complex)
@@ -197,57 +198,11 @@ def _remainder_values(cfg: ApproxConfig, zs: np.ndarray) -> np.ndarray:
         c_near = pref * np.sum(np.sqrt(cfg.h / j_near) * p_near_mag)
         fw = pref * np.sqrt(cfg.h / j_far)
     weights = fw * far_mag
-    n = zs.size
-    rows = max(1, _REMAINDER_BLOCK // max(far.size, 1))
-    n_blocks = max(1, min(-(-n // rows), n // 2))
-    edges = [k * n // n_blocks for k in range(n_blocks + 1)]
-    buf = np.empty((-(-n // n_blocks), far.size), complex)
-    out = np.empty(n, complex)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        ratio = buf[:hi - lo]
-        np.subtract(zs[lo:hi, None], far, out=ratio)
-        np.divide(zs[lo:hi, None], ratio, out=ratio)  # |.| <= |z|/|p| for p < 0
-        out[lo:hi] = ratio @ weights
-    return out + c_near
-
-
-def _remainder_memo(cfg: ApproxConfig):
-    """``values_fn`` for ``fit_tail`` that evaluates ``_remainder_values``
-    once per distinct point over all its calls.
-
-    The remainder does not depend on n2, so the rungs of one tail-degree
-    ladder can share one memo.  The first call evaluates every point and
-    sorts the results into one store; later calls look points up by exact
-    complex value and evaluate only the ones not seen, each once.  A lone
-    new point is evaluated as two rows, never one, because a one-row call
-    rounds differently (see ``_remainder_values``); the values are then bit
-    for bit those of ``_remainder_values(cfg, zs)``.  Local to the caller,
-    so concurrent ladders never share it.
-    """
-    keys = vals = None
-
-    def values(zs):
-        nonlocal keys, vals
-        zs = np.asarray(zs, complex)
-        if keys is None:
-            out = _remainder_values(cfg, zs)
-            order = np.argsort(zs)
-            keys, vals = zs[order], out[order]
-            return out
-        pos = np.searchsorted(keys, zs)
-        hit = np.minimum(pos, keys.size - 1)
-        out = vals[hit]
-        miss = np.flatnonzero(keys[hit] != zs)
-        if miss.size:
-            new, first, inverse = np.unique(zs[miss], return_index=True,
-                                            return_inverse=True)
-            new_vals = _remainder_values(cfg, np.resize(new, max(new.size, 2)))[:new.size]
-            out[miss] = new_vals[inverse]
-            at = pos[miss[first]]  # where each new point goes in the store
-            keys, vals = np.insert(keys, at, new), np.insert(vals, at, new_vals)
-        return out
-
-    return values
+    close = np.abs(far) < _NEAR_RADIUS * np.max(np.abs(zs), initial=1.0)
+    direct = zs[:, None] / (zs[:, None] - far[close]) @ weights[close]
+    inv = 1.0 / far[~close]
+    moments = (weights[~close] * inv) @ np.vander(inv, _MOMENTS, increasing=True)
+    return direct - zs * _poly_eval(moments, zs, 1.0) + c_near
 
 
 def _chebyshev_radii(n: int) -> np.ndarray:

@@ -105,8 +105,9 @@ def _map_fn():
 def _cmd_approx(p: dict) -> int:
     alpha, beta = float(p["alpha"]), float(p["beta"])
     sigma = _parse_sigma(p.get("sigma", "opt"), alpha, beta)
+    n2 = p.get("n2")
     cfg = ApproxConfig(alpha=alpha, beta=beta, sigma=sigma, n1=int(p["n1"]),
-                       n2=int(p.get("n2", -1)), C=float(p.get("C", 1.0)),
+                       n2=int(n2) if n2 is not None else None, C=float(p.get("C", 1.0)),
                        target=p.get("target", "power"))
     approx = build_approximation(cfg)
     err = analysis.checked_sup_error(approx, cfg.target, SectorDomain(beta=beta), cfg)
@@ -127,6 +128,8 @@ def _cmd_sweep(p: dict) -> int:
     alpha, beta = float(p["alpha"]), float(p["beta"])
     sigma = _parse_sigma(p.get("sigma", "opt"), alpha, beta)
     n1_list = _parse_list(p["n1"], int, "--N1", "pole counts")
+    if len(n1_list) < 4:
+        raise ValueError(f"--N1 lists {len(n1_list)} pole counts; the rate fit needs >= 4")
     n2_mode = p.get("n2_mode", "auto")
     if n2_mode not in ("auto", "proportional"):
         n2_mode = int(n2_mode)
@@ -141,10 +144,17 @@ def _cmd_sweep(p: dict) -> int:
         ) for r in records]
     _write(p.get("csv"), analysis.records_to_csv(records))
     predicted, _ = analysis.predicted_log_rate(sigma, alpha, beta, target)
-    fitted, r2 = analysis.fit_rate(records)
+    try:
+        fitted, r2 = analysis.fit_rate(records)
+    except ValueError as exc:  # too few errors inside the band: a failed check
+        fitted = r2 = None
+        failure = f"sweep: {exc}"
+    else:
+        failure = f"sweep: fitted_rate {fitted:.4f} vs predicted {predicted:.4f} (r2={r2:.4f})"
     rate_tol = float(p.get("rate_tol", 0.15))
     r2_min = float(p.get("r2_min", 0.9))
-    ok = abs(fitted - predicted) <= rate_tol * predicted and r2 >= r2_min
+    ok = fitted is not None and abs(fitted - predicted) <= rate_tol * predicted \
+        and r2 >= r2_min
     _emit_json(p.get("json"), {
         "fitted_rate": fitted,
         "predicted_rate": predicted,
@@ -152,14 +162,15 @@ def _cmd_sweep(p: dict) -> int:
         "pass": bool(ok),
     })
     if not ok:
-        print(f"sweep: fitted_rate {fitted:.4f} vs predicted {predicted:.4f} "
-              f"(r2={r2:.4f})", file=sys.stderr)
+        print(failure, file=sys.stderr)
     return 0 if ok else 1
 
 
 def _cmd_quaderr(p: dict) -> int:
     alpha, beta = float(p["alpha"]), float(p["beta"])
     t_list = _parse_list(p.get("T", "4,6,8,10,12,14,16"), float, "--T", "truncations")
+    if len(t_list) < 3:
+        raise ValueError(f"--T lists {len(t_list)} truncations; the slope fit needs >= 3")
     target = p.get("target", "power")
     grid = analysis.arc_grid(beta, n=int(p.get("arc_points", 31)))
     sigmas = _parse_list(p.get("sigma", "opt"), lambda t: _parse_sigma(t, alpha, beta),
@@ -171,20 +182,24 @@ def _cmd_quaderr(p: dict) -> int:
         rows = analysis.quadrature_error_curve(cfgs, target, grid)
         for t, e in rows:
             lines.append(f"{_fmt(sigma)},{_fmt(t)},{_fmt(e)}")
-        slope = analysis.fit_slope_vs_t(rows)
         eta = optimal_sigma(alpha, beta) / sigma
         predicted = min(1.0, eta**2)
+        try:
+            slope = analysis.fit_slope_vs_t(rows)
+        except ValueError as exc:  # too few errors inside the band: a failed check
+            print(f"quaderr: sigma {_fmt(sigma)}: {exc}", file=sys.stderr)
+            slope = None
         results.append({
             "sigma": sigma,
             "slope": slope,
             "predicted": predicted,
-            "pass": bool(abs(slope - predicted) <= 0.2 * predicted),
+            "pass": slope is not None and abs(slope - predicted) <= 0.2 * predicted,
         })
     _write(p.get("csv"), "\n".join(lines) + "\n")
     ok = all(r["pass"] for r in results)
     _emit_json(p.get("json"), {"curves": results, "pass": bool(ok)})
-    if not ok:
-        bad = [r for r in results if not r["pass"]]
+    bad = [r for r in results if r["slope"] is not None and not r["pass"]]
+    if bad:
         print(f"quaderr: slope off prediction: {bad}", file=sys.stderr)
     return 0 if ok else 1
 

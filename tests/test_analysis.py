@@ -298,23 +298,16 @@ class TestSweepAndCsv:
         (0.25, 0.5, "power_log", 1.0, 36, 1),
         (0.25, 1.5, "power", 2.0, 49, 3),
     ])
-    def test_shared_remainder_gives_the_fresh_ladder(self, monkeypatch, alpha, beta,
-                                                     target, sigma_factor, n1, rungs):
-        # the ladder shares one remainder memo across its rungs; with the memo
-        # replaced by None every rung calls fit_tail(cfg) afresh
+    def test_ladder_climbs_the_expected_rungs(self, monkeypatch, alpha, beta, target,
+                                              sigma_factor, n1, rungs):
         sigma = sigma_factor * optimal_sigma(alpha, beta)
         n2s = []
         fit = analysis.fit_tail
         monkeypatch.setattr(analysis, "fit_tail",
                             lambda cfg, values_fn=None: (n2s.append(cfg.n2),
                                                          fit(cfg, values_fn))[1])
-        cfg, tail = _auto_tail_config(alpha, beta, sigma, n1, 1.0, target, None)
+        _auto_tail_config(alpha, beta, sigma, n1, 1.0, target, None)
         assert len(n2s) == rungs
-        monkeypatch.setattr(analysis, "_remainder_memo", lambda cfg: None)
-        fresh_cfg, fresh = _auto_tail_config(alpha, beta, sigma, n1, 1.0, target, None)
-        assert cfg == fresh_cfg
-        np.testing.assert_array_equal(tail.coeffs, fresh.coeffs)
-        assert (tail.fit_rms, tail.validation_sup) == (fresh.fit_rms, fresh.validation_sup)
 
     def test_rate_grid_reaches_below_innermost_pole(self):
         cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=optimal_sigma(0.5, 1.0), n1=25)

@@ -202,51 +202,41 @@ class TestRemainderValues:
         ref = trap(zs, kcfg)
         assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
-    @pytest.mark.parametrize("target", ["power", "power_log"])
-    def test_row_blocks_equal_one_shot_product(self, target):
-        cfg = ApproxConfig(alpha=0.8, beta=1.5, sigma=optimal_sigma(0.8, 1.5),
-                           n1=16, target=target)
-        rows = approx._REMAINDER_BLOCK // (cfg.n_quad - cfg.n1)
-        # one block, three blocks, three blocks plus the point that would
-        # make a one-row block, a single point
-        for n in (rows, 3 * rows, 3 * rows + 1, 1):
-            zs = _sector_points(1.5, n)
-            assert zs.size == n
-            np.testing.assert_array_equal(approx._remainder_values(cfg, zs),
-                                          _remainder_one_shot(cfg, zs))
+    @pytest.mark.parametrize("alpha, target, C, sigma, n1, all_close", [
+        *[(alpha, target, C, None, 16, None) for alpha in (0.25, 0.5, 0.8)
+          for target in ("power", "power_log") for C in (1.0, 1.7)],
+        pytest.param(0.25, "power", 1.0, 2.0, 9, True, id="every-far-pole-close"),
+        pytest.param(0.8, "power_log", 20.0, None, 16, False, id="no-far-pole-close"),
+    ])
+    def test_close_sum_plus_moments_equals_one_shot_product(self, alpha, target, C,
+                                                           sigma, n1, all_close):
+        cfg = ApproxConfig(alpha=alpha, beta=1.5, sigma=sigma or optimal_sigma(alpha, 1.5),
+                           n1=n1, C=C, target=target)
+        if all_close is not None:  # the split on the unit sector
+            _, far = quadrature_nodes(cfg, np.arange(cfg.n1 + 1, cfg.n_quad + 1))
+            close = np.abs(far) < approx._NEAR_RADIUS
+            assert far.size and (close.all() if all_close else not close.any())
+        for radius in (1.0, 5.0):  # the unit sector, and points out to |z| = 5
+            zs = radius * _sector_points(1.5, 140)
+            ref = _remainder_one_shot(cfg, zs)
+            got = approx._remainder_values(cfg, zs)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
-    def test_no_one_row_blocks_when_rows_are_scarce(self, monkeypatch):
-        # a block budget of one row per block must still give blocks of >= 2 rows
-        cfg = ApproxConfig(alpha=0.8, beta=1.5, sigma=optimal_sigma(0.8, 1.5), n1=16)
-        monkeypatch.setattr(approx, "_REMAINDER_BLOCK", cfg.n_quad - cfg.n1)
-        for n in range(1, 12):
-            zs = _sector_points(1.5, n)
-            np.testing.assert_array_equal(approx._remainder_values(cfg, zs),
-                                          _remainder_one_shot(cfg, zs))
-
-    @pytest.mark.parametrize("target", ["power", "power_log"])
-    def test_memo_evaluates_each_point_once_and_equals_remainder(self, monkeypatch,
-                                                                 target):
-        cfg = ApproxConfig(alpha=0.8, beta=1.5, sigma=optimal_sigma(0.8, 1.5),
-                           n1=16, target=target)
-        zs = np.concatenate([[0.0], _sector_points(1.5, 60)])
-        evaluated = []
-        direct = approx._remainder_values
-        monkeypatch.setattr(approx, "_remainder_values",
-                            lambda cfg, pts: (evaluated.append(np.asarray(pts).size),
-                                              direct(cfg, pts))[1])
-        memo = approx._remainder_memo(cfg)
-        calls = [
-            zs[:40],                        # first call, 0 included
-            zs[[5, 5, 0, 39, 5]],           # repeated points, all seen
-            zs[[3, 40, 7]],                 # exactly one new point, zs[40]
-            np.concatenate([zs[::-1], zs[41:50]]),  # the rest, some twice
-            zs,                             # nothing new
-        ]
-        for pts in calls:
-            np.testing.assert_array_equal(memo(pts), direct(cfg, pts))
-        # every point once; the lone new point is evaluated as two rows
-        assert evaluated == [40, 2, 20]
+    @settings(max_examples=40, deadline=None)
+    @given(alpha=st.floats(0.1, 0.85), beta=st.floats(0.0, 1.9),
+           sigma_factor=st.floats(0.3, 2.5), n1=st.integers(1, 30),
+           C=st.floats(0.2, 30.0), radius=st.floats(0.01, 5.0),
+           target=st.sampled_from(["power", "power_log"]))
+    def test_remainder_matches_one_shot_product(self, alpha, beta, sigma_factor, n1, C,
+                                                radius, target):
+        # T/(1 - alpha) stays below ApproxConfig's 600 over these ranges
+        cfg = ApproxConfig(alpha=alpha, beta=beta,
+                           sigma=sigma_factor * optimal_sigma(alpha, beta),
+                           n1=n1, C=C, target=target)
+        zs = radius * _sector_points(beta, 50)
+        ref = _remainder_one_shot(cfg, zs)
+        got = approx._remainder_values(cfg, zs)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
     def test_no_far_poles_gives_near_constant(self):
         cfg = ApproxConfig(alpha=0.1, beta=1.0, sigma=20.0, n1=3, n2=0)

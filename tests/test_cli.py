@@ -76,6 +76,36 @@ class TestArgumentHandling:
         assert "invalid configuration" in err and reason in err
 
     @pytest.mark.parametrize("argv, reason", [
+        (["sweep", "--alpha", "0.5", "--beta", "1", "--N1", "9,16,25"],
+         "--N1 lists 3 pole counts; the rate fit needs >= 4"),
+        (["quaderr", "--alpha", "0.5", "--beta", "1", "--T", "4,6"],
+         "--T lists 2 truncations; the slope fit needs >= 3"),
+    ])
+    def test_too_few_fit_points_exits_2_before_measuring(self, argv, reason, tmp_path,
+                                                         capsys):
+        csv = tmp_path / "out.csv"
+        assert main(argv + ["--csv", str(csv)]) == 2
+        assert f"invalid configuration: {reason}" in capsys.readouterr().err
+        assert not csv.exists()
+
+    @pytest.mark.parametrize("argv, fit_key, cause", [
+        (["sweep", "--alpha", "0.5", "--beta", "1", "--N1", "1,2,3,4"], "fitted_rate",
+         "sweep: insufficient span: need >= 4 records inside the error band"),
+        (["quaderr", "--alpha", "0.5", "--beta", "1", "--T", "1,1.5,2,2.5"], "slope",
+         "insufficient span for slope fit"),
+    ])
+    def test_errors_outside_the_band_fail_the_check(self, argv, fit_key, cause, tmp_path,
+                                                    capsys):
+        j = tmp_path / "out.json"
+        assert main(argv + ["--json", str(j)]) == 1
+        err = capsys.readouterr().err
+        assert cause in err and "invalid configuration" not in err
+        payload = json.loads(j.read_text())
+        assert payload["pass"] is False
+        fits = [c[fit_key] for c in payload.get("curves", [payload])]
+        assert fits == [None]
+
+    @pytest.mark.parametrize("argv, reason", [
         (["quaderr", "--alpha", "1", "--beta", "1", "--sigma", "3"], "alpha must lie in (0, 1)"),
         (["nearorigin", "--alpha", "1", "--beta", "1"], "alpha must lie in (0, 1)"),
         (["quaderr", "--alpha", "0.5", "--beta", "1", "--sigma", "0"], "h must be positive"),
@@ -84,6 +114,17 @@ class TestArgumentHandling:
     def test_trapezoid_config_checked_before_dividing(self, argv, reason, capsys):
         assert main(argv) == 2
         assert f"invalid configuration: {reason}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["laplace", "--polygon", "builtin:concave-quad", "--N", "40", "--n2", "-1"],
+        ["approx", "--alpha", "0.5", "--beta", "1", "--N1", "9", "--N2", "-1"],
+        ["sweep", "--alpha", "0.5", "--beta", "1", "--N1", "9,16,25,36", "--n2-mode", "-1"],
+    ])
+    def test_negative_n2_exits_2(self, argv, capsys):
+        code = main(argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration: n2 must be >= 0" in err
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "exp.cfg"
@@ -199,13 +240,6 @@ class TestLaplace:
         assert main(["laplace", "--polygon", str(poly_path)]) == 2
         err = capsys.readouterr().err
         assert "invalid configuration: curve 7 names no edge" in err
-
-    def test_negative_n2_exits_2(self, capsys):
-        code = main(["laplace", "--polygon", "builtin:concave-quad", "--N", "40",
-                     "--n2", "-1"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "invalid configuration: n2 must be >= 0" in err
 
     @pytest.mark.parametrize("flag, value, reason", [
         ("--N", "", "no pole budgets"),
