@@ -33,6 +33,7 @@ from .kernels import (
     KernelConfig,
     PoleCollisionError,
     pole_collisions,
+    power_values,
     trapezoid_rational,
     trapezoid_rational_log,
     truncated_integral,
@@ -92,10 +93,7 @@ def make_target(kind: str, alpha: float, g: Callable | None = None):
 
     def target(zs):
         zs = np.asarray(zs, complex)
-        out = np.zeros(zs.shape, complex)
-        nz = zs != 0
-        logs = np.log(zs[nz])
-        out[nz] = np.exp(alpha * logs) * logs if log_like else np.exp(alpha * logs)
+        out = power_values(zs, alpha, log_like)
         if prefactor:
             out = np.array([g(complex(w)) for w in zs.tolist()], complex) * out
         return out
@@ -322,7 +320,15 @@ class BoundContext:
             m0 += 1
         delta0 = 0.0
         base = m0 * h + 0.25 * (2.0 - beta) ** 2 * alpha**2 * math.pi**2
-        while any(abs(base + delta0 - j * h) < 1e-9 for j in range(1, n_quad + 1)):
+
+        def on_lattice(c2):
+            # only the j within 1e-9/h + 1 of c2/h can come within 1e-9
+            reach = 1e-9 / h + 1.0
+            js = range(max(1, math.ceil(c2 / h - reach)),
+                       min(n_quad, math.floor(c2 / h + reach)) + 1)
+            return any(abs(c2 - j * h) < 1e-9 for j in js)
+
+        while on_lattice(base + delta0):
             delta0 += h * 1e-3
         c0 = math.sqrt(base + delta0)
         x_star = C * math.exp((c0 - T) / alpha)
@@ -354,21 +360,30 @@ def quadrature_error_envelope(x: float, ctx: BoundContext):
 
 # ------------------------------------------------ quadrature error curves
 
+class EvaluatedPair(tuple):
+    """The pair a quadrature check returns, which callers unpack as before,
+    carrying in ``evaluations`` the integrand evaluations of its reference
+    integrals."""
+
+    def __new__(cls, first: float, second: float, evaluations: int):
+        pair = super().__new__(cls, (first, second))
+        pair.evaluations = evaluations
+        return pair
+
+
 def quadrature_error_curve(cfg_list: Sequence[KernelConfig], target: str,
                            grid: SampleGrid):
-    """Rows (T, sup |I - trapezoid|) over the grid, ordered by T."""
+    """Rows (T, sup |I - trapezoid|) over the grid, ordered by T, as
+    EvaluatedPairs; each config integrates the whole grid in one batched
+    reference call."""
+    log = target == "power_log"
+    reference = truncated_integral_log if log else truncated_integral
+    trapezoid = trapezoid_rational_log if log else trapezoid_rational
     rows = []
     for cfg in cfg_list:
-        errs = []
-        for z in grid.points.tolist():
-            if target == "power_log":
-                ref = truncated_integral_log(z, cfg).value
-                disc = trapezoid_rational_log(z, cfg)
-            else:
-                ref = truncated_integral(z, cfg).value
-                disc = trapezoid_rational(z, cfg)
-            errs.append(abs(ref - disc))
-        rows.append((cfg.T, max(errs)))
+        ref = reference(grid.points, cfg)
+        err = float(np.max(np.abs(ref.value - trapezoid(grid.points, cfg))))
+        rows.append(EvaluatedPair(cfg.T, err, int(ref.evaluations.sum())))
     rows.sort(key=lambda r: r[0])
     return rows
 
@@ -386,7 +401,8 @@ def arc_grid(beta: float, n: int = 31) -> SampleGrid:
 def near_origin_check(cfg: KernelConfig, beta: float,
                       n_x: int = 14, n_theta: int = 5):
     """Max over [0, min(x_star, 1)] x [0, beta] (both half-planes) of
-    |I - r|/e^{-T} and |I_log - r_log|/(T e^{-T}).
+    |I - r|/e^{-T} and |I_log - r_log|/(T e^{-T}), as an EvaluatedPair;
+    each target integrates all the points in one batched reference call.
 
     x_star exceeds 1 whenever c0 > T (unavoidable for small T since c0 is
     bounded below by the lattice constants), so the scan clips at the
@@ -396,18 +412,13 @@ def near_origin_check(cfg: KernelConfig, beta: float,
     xm = min(ctx.x_star, 1.0)
     xs = np.geomspace(xm * 1e-8, xm, n_x)
     thetas = np.linspace(0.0, beta, n_theta) if beta > 0 else np.array([0.0])
-    scale_pow = math.exp(-cfg.T)
-    scale_log = cfg.T * math.exp(-cfg.T)
-    worst_pow = worst_log = 0.0
-    for x in xs.tolist():
-        for th in thetas.tolist():
-            for sign in (1.0, -1.0):
-                z = x * np.exp(1j * sign * th * math.pi / 2)
-                z = complex(z)
-                err_p = abs(truncated_integral(z, cfg).value - trapezoid_rational(z, cfg))
-                err_l = abs(truncated_integral_log(z, cfg).value - trapezoid_rational_log(z, cfg))
-                worst_pow = max(worst_pow, err_p / scale_pow)
-                worst_log = max(worst_log, err_l / scale_log)
-                if th == 0.0:
-                    break
-    return worst_pow, worst_log
+    zs = np.array([x * np.exp(1j * sign * th * math.pi / 2)
+                   for x in xs.tolist() for th in thetas.tolist()
+                   for sign in ((1.0,) if th == 0.0 else (1.0, -1.0))])
+    ref_pow = truncated_integral(zs, cfg)
+    ref_log = truncated_integral_log(zs, cfg)
+    err_pow = np.abs(ref_pow.value - trapezoid_rational(zs, cfg))
+    err_log = np.abs(ref_log.value - trapezoid_rational_log(zs, cfg))
+    return EvaluatedPair(float(np.max(err_pow / math.exp(-cfg.T))),
+                         float(np.max(err_log / (cfg.T * math.exp(-cfg.T)))),
+                         int(ref_pow.evaluations.sum() + ref_log.evaluations.sum()))

@@ -194,6 +194,7 @@ def _cmd_quaderr(p: dict) -> int:
             "slope": slope,
             "predicted": predicted,
             "pass": slope is not None and abs(slope - predicted) <= 0.2 * predicted,
+            "quadrature_evaluations": sum(r.evaluations for r in rows),
         })
     _write(p.get("csv"), "\n".join(lines) + "\n")
     ok = all(r["pass"] for r in results)
@@ -212,8 +213,9 @@ def _cmd_nearorigin(p: dict) -> int:
     lines = ["T,ratio_power,ratio_log"]
     ratios = []
     for cfg in _kernel_configs(alpha, float(p.get("C", 1.0)), h, t_list):
-        rp, rl = analysis.near_origin_check(cfg, beta)
-        ratios.append((cfg.T, rp, rl))
+        check = analysis.near_origin_check(cfg, beta)
+        rp, rl = check
+        ratios.append((cfg.T, rp, rl, check.evaluations))
         lines.append(f"{_fmt(cfg.T)},{_fmt(rp)},{_fmt(rl)}")
     _write(p.get("csv"), "\n".join(lines) + "\n")
     rps = [r[1] for r in ratios]
@@ -222,7 +224,8 @@ def _cmd_nearorigin(p: dict) -> int:
     spread_l = max(rls) / max(min(rls), 1e-300)
     ok = spread_p < 10.0 and spread_l < 10.0
     _emit_json(p.get("json"), {
-        "rows": [{"T": t, "ratio_power": rp, "ratio_log": rl} for t, rp, rl in ratios],
+        "rows": [{"T": t, "ratio_power": rp, "ratio_log": rl, "quadrature_evaluations": n}
+                 for t, rp, rl, n in ratios],
         "spread_power": spread_p,
         "spread_log": spread_l,
         "pass": bool(ok),

@@ -3,10 +3,13 @@ reference integrals, and their trapezoidal discretizations.
 
 The reference path substitutes y = C^alpha * e^t, after which the integrand
 is smooth and decays exponentially in both directions; it is then integrated
-with adaptive composite 15-point Gauss-Legendre panels.  The discrete path
-evaluates the finite trapezoid sums whose nodes are exactly the clustered
-poles of the rational scheme.  All arithmetic is binary64; the practical
-accuracy floor is ~1e-13 relative.
+with adaptive composite 15-point Gauss-Legendre panels.  The quadrature is
+batched: one call integrates a whole grid of points, each with its own
+interval, tolerance, panels and budget, in one shared loop of numpy passes,
+so a point gets the panels and evaluation count it would get alone.  The
+discrete path evaluates the finite trapezoid sums whose nodes are exactly
+the clustered poles of the rational scheme.  All arithmetic is binary64;
+the practical accuracy floor is ~1e-13 relative.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ __all__ = [
     "KernelConfig",
     "QuadratureResult",
     "ref_power",
+    "power_values",
     "log_weight_constant",
     "adaptive_gauss_legendre",
     "identity_residual",
@@ -49,7 +53,8 @@ class PoleCollisionError(ValueError):
 
 
 class QuadratureNonConvergence(RuntimeError):
-    """Adaptive quadrature ran out of budget; carries the partial estimate."""
+    """Adaptive quadrature ran out of budget; carries the partial estimates
+    and error estimates of every point in the batch."""
 
     def __init__(self, message, partial=None, est_error=None):
         super().__init__(message)
@@ -97,14 +102,17 @@ class KernelConfig:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    value: complex
-    est_error: float
-    evaluations: int
+    """Value, error estimate and integrand evaluations of a reference
+    integral: scalars for one point, arrays of its shape for an array."""
+
+    value: complex | np.ndarray
+    est_error: float | np.ndarray
+    evaluations: int | np.ndarray
 
     def __post_init__(self):
-        if not math.isfinite(self.est_error):
+        if not np.all(np.isfinite(self.est_error)):
             raise ValueError("est_error must be finite")
-        if self.evaluations <= 0:
+        if np.any(np.asarray(self.evaluations) <= 0):
             raise ValueError("evaluations must be positive")
 
 
@@ -132,78 +140,109 @@ def log_weight_constant(alpha: float, C: float) -> float:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 
-def _panel_values(f, lo, hi):
+def _panel_values(f, lo, hi, owner):
     nodes = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _GL_NODES
-    vals = np.asarray(f(nodes.ravel()), complex).reshape(lo.size, _GL_NODES.size)
+    vals = f(nodes.ravel(), np.repeat(owner, _GL_NODES.size))
+    vals = np.asarray(vals, complex).reshape(lo.size, _GL_NODES.size)
     return 0.5 * (hi - lo) * (vals @ _GL_WEIGHTS)
 
 
-def adaptive_gauss_legendre(f, a: float, b: float, tol: float,
-                            max_panels: int = 32768):
-    """Adaptive composite 15-point Gauss-Legendre on [a, b].
+def adaptive_gauss_legendre(f, a, b, tol, max_panels: int = 32768):
+    """Adaptive composite 15-point Gauss-Legendre on a batch of intervals.
 
-    ``f`` must accept a flat numpy array of points.  Panels whose bisection
-    changes the estimate by more than their proportional share of ``tol``
-    are split; the returned error estimate is the sum of accepted panel
-    discrepancies.  Returns (value, est_error, evaluations).
+    ``a``, ``b`` and ``tol`` are scalars or arrays (broadcast together), one
+    entry per point k; ``f(t, k)`` takes flat arrays of nodes and of their
+    owners' indices.  Each point keeps its own panels: a panel whose
+    bisection changes its estimate by more than its proportional share of
+    that point's ``tol`` is split, each point may hold at most
+    ``max_panels`` panels, and splitting stops after 60 rounds.  Only the
+    loop is shared, so every point gets the panels and evaluation count it
+    would get alone, and its value up to rounding.  Intervals with a == b
+    give 0 for one nominal evaluation.
+
+    Returns (values, est_errors, evaluations, point_evaluations): per-point
+    arrays, except ``evaluations``, the total as an int.  If some point
+    runs out of budget, QuadratureNonConvergence carries per-point partial
+    sums and error estimates.
     """
-    if a == b:
-        return 0j, 0.0, 1
-    lo = np.array([a], float)
-    hi = np.array([b], float)
-    coarse = _panel_values(f, lo, hi)
-    evals = 15
-    total = 0j
-    err = 0.0
-    span = abs(b - a)
+    a, b, tol = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(x, float)) for x in (a, b, tol)))
+    n = a.size
+    span = np.abs(b - a)
+    value = np.zeros(n, complex)
+    err = np.zeros(n)
+    evals = np.ones(n, np.int64)
+    failed = np.zeros(n, bool)
+    owner = np.flatnonzero(a != b)
+    lo, hi = a[owner], b[owner]
+    coarse = _panel_values(f, lo, hi, owner)
+    evals[owner] = 15
     for _ in range(60):  # rounds of bisection before giving up
+        if owner.size == 0:
+            break
         mid = 0.5 * (lo + hi)
-        left = _panel_values(f, lo, mid)
-        right = _panel_values(f, mid, hi)
-        evals += 30 * lo.size
+        left = _panel_values(f, lo, mid, owner)
+        right = _panel_values(f, mid, hi, owner)
+        evals += 30 * np.bincount(owner, minlength=n)
         fine = left + right
         perr = np.abs(fine - coarse)
         # proportional budget with a small absolute floor so that panels
         # much shorter than the rounding-limited scale can still be accepted
-        ok = perr <= tol * ((hi - lo) / span + 1.0 / 1024.0)
-        total += fine[ok].sum()
-        err += float(perr[ok].sum())
-        if ok.all():
-            return total, err, evals
+        ok = perr <= tol[owner] * ((hi - lo) / span[owner] + 1.0 / 1024.0)
+        _add_at(value, err, owner[ok], fine[ok], perr[ok])
         keep = ~ok
+        owner = np.concatenate([owner[keep], owner[keep]])
         lo = np.concatenate([lo[keep], mid[keep]])
         hi = np.concatenate([mid[keep], hi[keep]])
         coarse = np.concatenate([left[keep], right[keep]])
-        if lo.size > max_panels:
-            break
-    partial = total + coarse.sum()
-    raise QuadratureNonConvergence(
-        "adaptive quadrature did not reach tolerance",
-        partial=partial,
-        est_error=err + float(np.abs(coarse).sum()),
-    )
+        # a point over its panel budget stops here with its partial sum
+        failed |= np.bincount(owner, minlength=n) > max_panels
+        out = failed[owner]
+        _add_at(value, err, owner[out], coarse[out], np.abs(coarse[out]))
+        owner, lo, hi, coarse = owner[~out], lo[~out], hi[~out], coarse[~out]
+    failed[owner] = True  # still splitting after the last round
+    _add_at(value, err, owner, coarse, np.abs(coarse))
+    if failed.any():
+        raise QuadratureNonConvergence(
+            f"adaptive quadrature did not reach tolerance at {int(failed.sum())} "
+            f"of {n} points",
+            partial=value,
+            est_error=err,
+        )
+    return value, err, int(evals.sum()), evals
 
 
-def _power_core(alpha: float, C: float, z: complex):
-    """Stable z*C^a*e^t / (C*e^{t/a} + z) as a vectorized function of t."""
+def _add_at(value, err, owner, v, e):
+    """value[owner] += v and err[owner] += e, summed per owner in panel
+    order."""
+    n = value.size
+    value += np.bincount(owner, v.real, n) + 1j * np.bincount(owner, v.imag, n)
+    err += np.bincount(owner, e, n)
+
+
+def _power_core(alpha: float, C: float, z: np.ndarray):
+    """Stable z_k*C^a*e^t / (C*e^{t/a} + z_k) as a vectorized function of
+    the nodes t and their owners k, the indices into the points z."""
     kappa = alpha / (1.0 - alpha)
     Ca = C**alpha
 
-    def core(t):
-        t = np.asarray(t, float)
+    def core(t, k):
+        zk = z[k]
         out = np.empty(t.shape, complex)
         neg = t <= 0.0
-        tn = t[neg]
-        out[neg] = z * Ca * np.exp(tn) / (C * np.exp(tn / alpha) + z)
-        tp = t[~neg]
-        out[~neg] = z * Ca * np.exp(-tp / kappa) / (C + z * np.exp(-tp / alpha))
+        tn, zn = t[neg], zk[neg]
+        out[neg] = zn * Ca * np.exp(tn) / (C * np.exp(tn / alpha) + zn)
+        tp, zp = t[~neg], zk[~neg]
+        out[~neg] = zp * Ca * np.exp(-tp / kappa) / (C + zp * np.exp(-tp / alpha))
         return out
 
     return core
 
 
-def _check_off_cut(z: complex):
-    if z.imag == 0.0 and z.real < 0.0:
+def _check_off_cut(z):
+    """Raise BranchCutError if z, or any entry of an array z, lies on the
+    open negative real axis."""
+    if np.any((np.imag(z) == 0.0) & (np.real(z) < 0.0)):
         raise BranchCutError("branch cut")
 
 
@@ -225,74 +264,97 @@ def _tail_cutoff(alpha: float, C: float, z: complex, tol: float,
     return max(t_inf, t_min, 2.0)
 
 
-def _integrand(alpha: float, C: float, z: complex, log_weighted: bool):
-    """Integrand in t of the power representation, or of the log one with
-    its chi term normalized so the target is z^alpha*log z for every C."""
+def _integrand(alpha: float, C: float, z: np.ndarray, log_weighted: bool):
+    """Integrand f(t, k) of the power representation at the point z[k], or
+    of the log one with its chi term normalized so the target is
+    z^alpha*log z for every C."""
     core = _power_core(alpha, C, z)
     if not log_weighted:
         factor = math.sin(alpha * math.pi) / (alpha * math.pi)
-        return lambda t: factor * core(t)
+        return lambda t, k: factor * core(t, k)
     w_t = math.sin(alpha * math.pi) / (alpha**2 * math.pi)
     w_0 = log_weight_constant(alpha, C) / C**alpha
-    return lambda t: (w_t * t + w_0) * core(t)
+    return lambda t, k: (w_t * t + w_0) * core(t, k)
 
 
-def _identity_residual(z, alpha: float, tol: float, log_weighted: bool) -> float:
+def power_values(z, alpha: float, log_weighted: bool = False) -> np.ndarray:
+    """Principal z^alpha, or z^alpha*log z if ``log_weighted``, at an array
+    of points; 0 at z = 0."""
+    z = np.asarray(z, complex)
+    out = np.zeros(z.shape, complex)
+    nz = z != 0
+    logs = np.log(z[nz])
+    out[nz] = np.exp(alpha * logs) * logs if log_weighted else np.exp(alpha * logs)
+    return out
+
+
+def _identity_residual(z, alpha: float, tol: float, log_weighted: bool):
     if not 1e-14 < tol < 1e-4:
         raise ValueError("tol must lie in (1e-14, 1e-4)")
-    z = complex(z)
-    if z == 0:
-        return 0.0
-    _check_off_cut(z)
+    zs = np.asarray(z, complex)
+    flat = zs.ravel()
+    _check_off_cut(flat)
     kappa = alpha / (1.0 - alpha)
-    t_inf = _tail_cutoff(alpha, 1.0, z, tol, log_weighted)
-    value, _, _ = adaptive_gauss_legendre(
-        _integrand(alpha, 1.0, z, log_weighted), -t_inf, kappa * t_inf, tol=tol / 2
-    )
-    target = ref_power(z, alpha) * cmath.log(z) if log_weighted else ref_power(z, alpha)
-    return abs(value - target)
+    t_inf = np.array([_tail_cutoff(alpha, 1.0, w, tol, log_weighted) for w in flat.tolist()])
+    t_inf[flat == 0] = 0.0  # the empty interval integrates to exactly 0 = 0^alpha
+    value = adaptive_gauss_legendre(
+        _integrand(alpha, 1.0, flat, log_weighted), -t_inf, kappa * t_inf, tol / 2
+    )[0]
+    out = np.abs(value - power_values(flat, alpha, log_weighted))
+    return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
-def identity_residual(z: complex, alpha: float, tol: float) -> float:
-    """|adaptive integral of the power representation - z^alpha|.
+def identity_residual(z, alpha: float, tol: float):
+    """|adaptive integral of the power representation - z^alpha| at a point
+    (returns a float) or an array of points (returns an array).
 
     The representation sin(a*pi)/(a*pi) * int_0^inf z/(y^{1/a}+z) dy is
-    evaluated after the exponential substitution (C = 1) on a truncation
-    interval wide enough that both tails are below tol/10.
+    evaluated after the exponential substitution (C = 1), each point on its
+    own truncation interval, wide enough that both tails are below tol/10;
+    all points share one batched quadrature.
     """
     return _identity_residual(z, alpha, tol, log_weighted=False)
 
 
-def identity_residual_log(z: complex, alpha: float, tol: float) -> float:
-    """|adaptive integral of the log representation - z^alpha*log z| (C=1)."""
+def identity_residual_log(z, alpha: float, tol: float):
+    """|adaptive integral of the log representation - z^alpha*log z| (C=1),
+    at a point or an array of points like identity_residual."""
     return _identity_residual(z, alpha, tol, log_weighted=True)
 
 
 def _truncated(z, cfg: KernelConfig, log_weighted: bool) -> QuadratureResult:
-    z = complex(z)
-    if z == 0:
-        return QuadratureResult(0j, 0.0, 1)
-    _check_off_cut(z)
-    tol = 1e-14 * max(1.0, cfg.C**cfg.alpha) * max(1.0, abs(z))
+    zs = np.asarray(z, complex)
+    flat = zs.ravel()
+    _check_off_cut(flat)
+    tol = 1e-14 * max(1.0, cfg.C**cfg.alpha) * np.maximum(1.0, np.abs(flat))
     if log_weighted:
         tol *= 1.0 + cfg.T
-    value, est, evals = adaptive_gauss_legendre(
-        _integrand(cfg.alpha, cfg.C, z, log_weighted), -cfg.T, cfg.kappa * cfg.T, tol=tol
+    live = flat != 0  # z = 0 gets the empty interval, which gives exactly 0
+    value, est, _, evals = adaptive_gauss_legendre(
+        _integrand(cfg.alpha, cfg.C, flat, log_weighted),
+        np.where(live, -cfg.T, 0.0), np.where(live, cfg.kappa * cfg.T, 0.0), tol
     )
-    return QuadratureResult(value, est, evals)
+    if zs.ndim == 0:
+        return QuadratureResult(complex(value[0]), float(est[0]), int(evals[0]))
+    return QuadratureResult(value.reshape(zs.shape), est.reshape(zs.shape),
+                            evals.reshape(zs.shape))
 
 
-def truncated_integral(z: complex, cfg: KernelConfig) -> QuadratureResult:
-    """High-accuracy value of the truncated power integral I(z).
+def truncated_integral(z, cfg: KernelConfig) -> QuadratureResult:
+    """High-accuracy value of the truncated power integral I(z) at a point,
+    or at an array of points in one batched quadrature (the result then
+    holds arrays).
 
     Computed in the t variable over [-T, kappa*T], where the integrand is
-    smooth; satisfies I(z) = z^alpha + O(e^{-T}).
+    smooth, to the tolerance 1e-14*max(1, C^alpha)*max(1, |z|) of each
+    point; satisfies I(z) = z^alpha + O(e^{-T}).
     """
     return _truncated(z, cfg, log_weighted=False)
 
 
-def truncated_integral_log(z: complex, cfg: KernelConfig) -> QuadratureResult:
-    """Truncated reference integral for z^alpha*log z.
+def truncated_integral_log(z, cfg: KernelConfig) -> QuadratureResult:
+    """Truncated reference integral for z^alpha*log z, at a point or an
+    array of points like truncated_integral.
 
     The chi-weighted term is normalized so the target is z^alpha*log z for
     every C (the trapezoid sum below is exactly its discretization);

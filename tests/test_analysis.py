@@ -204,6 +204,63 @@ class TestEnvelope:
         assert min(gaps) >= 1e-9
 
 
+def _full_scan_constants(alpha, beta, h, T, C=1.0, n_quad=10_000):
+    """(M0, delta0, c0, x_star) with delta0 found by testing every lattice
+    index j = 1..n_quad, vectorized: the reference the windowed test in
+    BoundContext.from_parameters must reproduce bit for bit."""
+    rhs = max(h, math.sqrt(2.0) * alpha * math.pi,
+              2.0 * math.sqrt(6.0) * alpha**2 * math.pi**2,
+              alpha * math.pi * (math.sqrt((4.0 + beta) * alpha * math.pi / 2.0)
+                                 + (4.0 * h) ** 0.25) ** 2)
+    m0 = max(1, math.ceil((rhs / (alpha * math.pi)) ** 2 / h - 1e-12))
+    while alpha * math.pi * math.sqrt(m0 * h) < rhs - 1e-12:
+        m0 += 1
+    base = m0 * h + 0.25 * (2.0 - beta) ** 2 * alpha**2 * math.pi**2
+    lattice = np.arange(1, n_quad + 1) * h
+    delta0 = 0.0
+    while np.any(np.abs(base + delta0 - lattice) < 1e-9):
+        delta0 += h * 1e-3
+    c0 = math.sqrt(base + delta0)
+    return m0, delta0, c0, C * math.exp((c0 - T) / alpha)
+
+
+def _constants(ctx):
+    return ctx.M0, ctx.delta0, ctx.c0, ctx.x_star
+
+
+class TestLatticeOffset:
+    def test_equals_full_scan_on_criterion_8_triples(self):
+        rng = np.random.RandomState(20240811)  # the draws of acceptance criterion 8
+        for _ in range(1000):
+            alpha = rng.uniform(0.15, 0.85)
+            beta = rng.uniform(0.0, 1.9)
+            eta = rng.uniform(0.4, 2.5)
+            h = (optimal_sigma(alpha, beta) / eta) ** 2 * alpha**2
+            ctx0 = BoundContext.from_parameters(alpha, beta, h, T=1.0)
+            assert _constants(ctx0) == _full_scan_constants(alpha, beta, h, 1.0)
+            t_want = ctx0.c0 * (1.0 + rng.uniform(0.05, 2.0))
+            kappa = alpha / (1 - alpha)
+            cfg = KernelConfig(alpha=alpha, h=h,
+                               n_quad=math.ceil((t_want * (kappa + 1)) ** 2 / h))
+            ctx = BoundContext.from_quadrature(cfg, beta)
+            assert _constants(ctx) == _full_scan_constants(alpha, beta, h, cfg.T,
+                                                           n_quad=cfg.n_quad)
+            rng.uniform(0.001, 0.999)  # criterion 8's sample point
+
+    @pytest.mark.parametrize("alpha,h,offset", [
+        (0.5, 1.0, 0.0), (0.5, 0.3, 4e-10), (0.5, 2.0, -7e-10), (0.3, 0.2, 9e-10),
+        (0.7, 1.5, -2e-10), (0.5, 1.0, 2e-9), (0.3, 0.2, -3e-9),
+    ])
+    def test_equals_full_scan_near_a_lattice_point(self, alpha, h, offset):
+        # a quarter term (2-beta)^2*alpha^2*pi^2/4 of h + offset puts
+        # M0*h + quarter at `offset` from the lattice point (M0+1)*h
+        beta = 2.0 - 2.0 * math.sqrt(h + offset) / (alpha * math.pi)
+        assert 0.0 <= beta < 2.0
+        want = _full_scan_constants(alpha, beta, h, 2.0)
+        assert _constants(BoundContext.from_parameters(alpha, beta, h, T=2.0)) == want
+        assert (want[1] > 0.0) == (abs(offset) < 1e-9)
+
+
 class TestQuadratureCurves:
     def test_slopes_at_and_above_optimum(self):
         alpha, beta = 0.5, 1.0

@@ -1,12 +1,16 @@
+import cmath
 import json
 import math
 
+import numpy as np
 import pytest
 
+from lightningpoly.analysis import BoundContext, arc_grid
 from lightningpoly.approx import deserialize, optimal_sigma
 from lightningpoly.cli import ExperimentConfig, main, run
 from lightningpoly.corners import concave_quadrilateral
 from lightningpoly.geometry import polygon_to_file
+from lightningpoly.kernels import KernelConfig, truncated_integral, truncated_integral_log
 
 
 class TestArgumentHandling:
@@ -194,6 +198,23 @@ class TestQuaderr:
         assert preds == [1.0, pytest.approx(0.5)]
 
 
+    def test_json_counts_reference_evaluations(self, tmp_path):
+        j = tmp_path / "q.json"
+        csv = tmp_path / "q.csv"
+        main(["quaderr", "--alpha", "0.5", "--beta", "1", "--sigma", "opt,opt*sqrt2",
+              "--T", "4,6,8", "--arc-points", "7", "--target", "power_log",
+              "--csv", str(csv), "--json", str(j)])
+        curves = json.loads(j.read_text())["curves"]
+        grid = arc_grid(1.0, n=7).points.tolist()
+        for curve in curves:
+            h = curve["sigma"] ** 2 * 0.25
+            cfgs = [KernelConfig(alpha=0.5, h=h, n_quad=max(2, math.ceil((2 * t) ** 2 / h)))
+                    for t in (4, 6, 8)]
+            want = sum(truncated_integral_log(z, cfg).evaluations for cfg in cfgs for z in grid)
+            assert curve["quadrature_evaluations"] == want
+        assert csv.read_text().splitlines()[0] == "sigma,T,sup_err"
+
+
 class TestNearOrigin:
     def test_ratio_stability(self, tmp_path):
         j = tmp_path / "n.json"
@@ -202,6 +223,25 @@ class TestNearOrigin:
         assert code == 0
         payload = json.loads(j.read_text())
         assert payload["spread_power"] < 10 and payload["spread_log"] < 10
+
+    def test_json_counts_reference_evaluations(self, tmp_path):
+        j = tmp_path / "n.json"
+        alpha, beta = 0.25, 1.5
+        main(["nearorigin", "--alpha", str(alpha), "--beta", str(beta), "--T", "5,10",
+              "--json", str(j)])
+        rows = json.loads(j.read_text())["rows"]
+        h = 2.0 * (2.0 - beta) * math.pi**2 * alpha
+        for row, t in zip(rows, (5, 10)):
+            cfg = KernelConfig(alpha=alpha, h=h, n_quad=max(2, math.ceil((t / 0.75) ** 2 / h)))
+            xm = min(BoundContext.from_quadrature(cfg, beta).x_star, 1.0)
+            # the scan: 14 radii, 5 angles, both half-planes off the real axis
+            zs = [x * cmath.exp(1j * sign * th * math.pi / 2)
+                  for x in np.geomspace(xm * 1e-8, xm, 14).tolist()
+                  for th in np.linspace(0.0, beta, 5).tolist()
+                  for sign in ((1.0,) if th == 0.0 else (1.0, -1.0))]
+            want = sum(fn(z, cfg).evaluations for z in zs
+                       for fn in (truncated_integral, truncated_integral_log))
+            assert row["T"] == cfg.T and row["quadrature_evaluations"] == want
 
 
 class TestLaplace:

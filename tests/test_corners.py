@@ -321,6 +321,22 @@ class TestSlitIntegrals:
         with pytest.raises(ValueError, match="too close"):
             cauchy_slit_integral(spec, 0.5 + 1e-12j)
 
+    def test_array_matches_points(self):
+        # the removable limit, points near the slit (closed-form part) and far
+        # from it (direct quadrature) in one batch, shape kept
+        zs = np.array([[0.0, 0.5 + 1e-4j, 0.3 - 0.02j], [-0.4 + 0.35j, 2.5, 0.9 + 0.5j]])
+        for W in (1.0, 2.0):
+            spec = SlitIntegralSpec(k=1, alpha=0.3, W=W)
+            for fn in (cauchy_slit_integral, cauchy_slit_integral_log):
+                got = fn(spec, zs)
+                assert got.shape == zs.shape
+                assert got.tolist() == [[fn(spec, z) for z in row] for row in zs.tolist()]
+
+    def test_too_close_point_in_array(self):
+        spec = SlitIntegralSpec(k=0, alpha=0.5, W=1.0)
+        with pytest.raises(ValueError, match="too close"):
+            cauchy_slit_integral_log(spec, np.array([0.2 + 0.1j, 0.5 + 1e-12j, 0.0]))
+
     def test_integer_exponent_rejected(self):
         with pytest.raises(ValueError, match="non-integer"):
             SlitIntegralSpec(k=1, alpha=1.0 - 1e-15, W=1.0)
