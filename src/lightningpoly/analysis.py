@@ -109,11 +109,8 @@ def sup_error(approx: RationalApprox, target, domain: SectorDomain,
     collisions as it goes.  Only if it finds one is the grid's collision
     mask formed: colliding points are skipped with a warning, more than 1%
     skipped is an error, and the rest are evaluated.  ``target`` is a
-    vectorized callable (see make_target) or a target-kind string resolved
-    with approx.alpha.
+    vectorized callable, such as make_target returns.
     """
-    if isinstance(target, str):
-        target = make_target(target, approx.alpha)
     zs = np.asarray(grid.points, complex)
     try:
         values = approx.eval(zs)
@@ -401,8 +398,9 @@ def arc_grid(beta: float, n: int = 31) -> SampleGrid:
 def near_origin_check(cfg: KernelConfig, beta: float,
                       n_x: int = 14, n_theta: int = 5):
     """Max over [0, min(x_star, 1)] x [0, beta] (both half-planes) of
-    |I - r|/e^{-T} and |I_log - r_log|/(T e^{-T}), as an EvaluatedPair;
-    each target integrates all the points in one batched reference call.
+    |I - r|/e^{-T} and |I_log - r_log|/(T e^{-T}), as an EvaluatedPair:
+    n_x geometric radii on the sector's fan of 2*n_theta - 1 rays.  Each
+    target integrates all the points in one batched reference call.
 
     x_star exceeds 1 whenever c0 > T (unavoidable for small T since c0 is
     bounded below by the lattice constants), so the scan clips at the
@@ -410,11 +408,7 @@ def near_origin_check(cfg: KernelConfig, beta: float,
     """
     ctx = BoundContext.from_quadrature(cfg, beta)
     xm = min(ctx.x_star, 1.0)
-    xs = np.geomspace(xm * 1e-8, xm, n_x)
-    thetas = np.linspace(0.0, beta, n_theta) if beta > 0 else np.array([0.0])
-    zs = np.array([x * np.exp(1j * sign * th * math.pi / 2)
-                   for x in xs.tolist() for th in thetas.tolist()
-                   for sign in ((1.0,) if th == 0.0 else (1.0, -1.0))])
+    zs = ray_fan(beta, np.geomspace(xm * 1e-8, xm, n_x), 2 * n_theta - 1)
     ref_pow = truncated_integral(zs, cfg)
     ref_log = truncated_integral_log(zs, cfg)
     err_pow = np.abs(ref_pow.value - trapezoid_rational(zs, cfg))

@@ -16,13 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import ray_fan
-from .kernels import (
-    PoleCollisionError,
-    _near_poles,
-    log_weights,
-    quadrature_nodes,
-    tapered,
-)
+from .kernels import log_weights, pole_sum, quadrature_nodes, tapered
 
 __all__ = [
     "ApproxConfig",
@@ -274,16 +268,13 @@ def fit_tail(cfg: ApproxConfig, values_fn=None) -> TailFit:
 class RationalApprox:
     """Evaluable partial fractions plus polynomial tail.
 
-    Immutable; evaluation is safe from concurrent callers.  ``alpha`` is
-    carried when the object came from a build, so a target can be named by
-    kind (see analysis.sup_error); it is not part of the serialized form.
+    Immutable; evaluation is safe from concurrent callers.
     """
 
     poles: np.ndarray
     residues: np.ndarray
     tail_coeffs: np.ndarray
     basis_scale: float
-    alpha: float | None = None
 
     def __post_init__(self):
         p = np.asarray(self.poles, complex).ravel()
@@ -311,19 +302,11 @@ class RationalApprox:
 
     def eval(self, z):
         """Evaluate at a complex point (returns a complex) or an array of
-        points (partial fractions in blocks of 1024 points, then the Horner
-        tail).  Each block forms its point-pole differences once and takes
-        both the collision test and the partial fractions from them; any
-        collision raises PoleCollisionError."""
+        points: the partial fractions by kernels.pole_sum, which raises
+        PoleCollisionError on any collision, then the Horner tail."""
         zs = np.asarray(z, complex)
         flat = zs.ravel()
-        out = np.empty(flat.shape, complex)
-        for k in range(0, flat.size, 1024):
-            blk = flat[k:k + 1024]
-            diff = blk[:, None] - self.poles
-            if _near_poles(blk, self.poles, diff).any():
-                raise PoleCollisionError("pole collision")
-            out[k:k + 1024] = np.sum(np.divide(self.residues, diff, out=diff), axis=1)
+        out = pole_sum(flat, self.poles, self.residues)
         out += _poly_eval(self.tail_coeffs, flat, self.basis_scale)
         return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
@@ -356,8 +339,8 @@ def build_approximation(cfg: ApproxConfig, *, tail: TailFit | None = None) -> Ra
         def corrected(zs):
             zs = np.asarray(zs, complex)
             gz = np.array([cfg.g(complex(w)) for w in zs.tolist()], complex)
-            near = _partial_fractions(zs, poles, base_res)
-            folded = _partial_fractions(zs, poles, residues)
+            near = pole_sum(zs, poles, base_res)
+            folded = pole_sum(zs, poles, residues)
             return gz * (near + _remainder_values(cfg, zs)) - folded
 
         tail = fit_tail(cfg, values_fn=corrected)
@@ -366,13 +349,7 @@ def build_approximation(cfg: ApproxConfig, *, tail: TailFit | None = None) -> Ra
         residues=residues,
         tail_coeffs=tail.coeffs,
         basis_scale=1.0,
-        alpha=cfg.alpha,
     )
-
-
-def _partial_fractions(zs, poles, residues):
-    zs = np.asarray(zs, complex)
-    return np.sum(residues / (zs[:, None] - poles), axis=1)
 
 
 def _fmt(x: float) -> str:

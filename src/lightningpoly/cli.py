@@ -110,7 +110,8 @@ def _cmd_approx(p: dict) -> int:
                        n2=int(n2) if n2 is not None else None, C=float(p.get("C", 1.0)),
                        target=p.get("target", "power"))
     approx = build_approximation(cfg)
-    err = analysis.checked_sup_error(approx, cfg.target, SectorDomain(beta=beta), cfg)
+    err = analysis.checked_sup_error(approx, analysis.make_target(cfg.target, alpha),
+                                     SectorDomain(beta=beta), cfg)
     _write(p.get("out"), serialize(approx))
     rate, _ = analysis.predicted_log_rate(sigma, alpha, beta, cfg.target)
     _emit_json(p.get("json"), {

@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_GL7_NODES, _GL7_WEIGHTS = np.polynomial.legendre.leggauss(7)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -53,11 +54,14 @@ class SectorDomain:
         if not 0.0 <= self.beta < 2.0:
             raise ValueError(f"beta must lie in [0, 2), got {self.beta}")
 
-    def contains(self, z: complex, tol: float = 1e-12) -> bool:
-        w = complex(z)
-        if abs(w) <= tol:
-            return True
-        return abs(w) <= 1 + tol and abs(np.angle(w)) <= self.beta * math.pi / 2 + tol
+    def contains(self, z, tol: float = 1e-12):
+        """Whether z lies in the sector up to tol: a bool for a point, a
+        boolean array of z's shape for an array."""
+        w = np.asarray(z, complex)
+        r = np.abs(w)
+        inside = (r <= tol) | ((r <= 1 + tol)
+                               & (np.abs(np.angle(w)) <= self.beta * math.pi / 2 + tol))
+        return bool(inside) if w.ndim == 0 else inside
 
 
 @dataclass(frozen=True)
@@ -90,12 +94,11 @@ class Edge:
 
     def arclength_table(self):
         """Cumulative arclength at the ends of 32 panels, via Gauss-Legendre."""
-        nodes, weights = np.polynomial.legendre.leggauss(7)
         t_ends = np.linspace(0.0, 1.0, 33)
         lo, hi = t_ends[:-1], t_ends[1:]
-        tt = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * nodes
+        tt = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _GL7_NODES
         speed = np.abs(self.tangent(tt.ravel())).reshape(tt.shape)
-        panel_len = 0.5 * (hi - lo) * (speed @ weights)
+        panel_len = 0.5 * (hi - lo) * (speed @ _GL7_WEIGHTS)
         cum = np.concatenate([[0.0], np.cumsum(panel_len)])
         return t_ends, cum
 

@@ -8,8 +8,10 @@ batched: one call integrates a whole grid of points, each with its own
 interval, tolerance, panels and budget, in one shared loop of numpy passes,
 so a point gets the panels and evaluation count it would get alone.  The
 discrete path evaluates the finite trapezoid sums whose nodes are exactly
-the clustered poles of the rational scheme.  All arithmetic is binary64;
-the practical accuracy floor is ~1e-13 relative.
+the clustered poles of the rational scheme, each as z times ``pole_sum``,
+the library's one partial-fraction sum sum_j w_j/(z - p_j) with its
+collision test.  All arithmetic is binary64; the practical accuracy floor
+is ~1e-13 relative.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ __all__ = [
     "quadrature_poles",
     "log_weights",
     "pole_collisions",
+    "pole_sum",
 ]
 
 
@@ -411,19 +414,39 @@ def pole_collisions(z, poles) -> np.ndarray:
     return _near_poles(z, poles, z[..., None] - poles).any(axis=-1)
 
 
-def _trapezoid_sum(z, poles, num, scale=None):
-    """Sum over j of scale_j * (num_j*z/(z - p_j)) at a point or an array of
-    points, added in ascending j (smallest magnitudes first; cumsum is
-    sequential); z = 0 gives 0 since every term carries a factor z."""
+def pole_sum(z, poles, weights) -> np.ndarray:
+    """sum_j weights_j/(z - poles_j) at each point of the flat array z: the
+    one partial-fraction sum, behind RationalApprox.eval, the trapezoid
+    sums and the prefactor tail fit.  Works in blocks of 1024 points; each
+    block forms its point-pole differences once, takes the collision test
+    from them, and divides in place.  Any collision raises
+    PoleCollisionError before a division happens."""
+    z = np.asarray(z, complex)
+    out = np.empty(z.shape, complex)
+    for k in range(0, z.size, 1024):
+        blk = z[k:k + 1024]
+        diff = blk[:, None] - poles
+        if _near_poles(blk, poles, diff).any():
+            raise PoleCollisionError("pole collision")
+        out[k:k + 1024] = np.sum(np.divide(weights, diff, out=diff), axis=1)
+    return out
+
+
+def _trapezoid(z, cfg: KernelConfig, log_weighted: bool):
+    """z * pole_sum over the n_quad nodes with the power or the log-target
+    node weights, at a point or an array of points; z = 0 gives 0."""
+    j = np.arange(1, cfg.n_quad + 1)
+    s, poles = quadrature_nodes(cfg, j)
+    a = cfg.alpha
+    if log_weighted:
+        w1, w2 = log_weights(a, cfg.C, cfg.h, cfg.T)
+        weights = cfg.C**a * np.exp(s) * (w1 + w2 * np.sqrt(cfg.h / j))
+    else:
+        pref = math.sin(a * math.pi) / (2.0 * a * math.pi)
+        weights = pref * np.sqrt(cfg.h / j) * cfg.C**a * np.exp(s)
     zs = np.asarray(z, complex)
     flat = zs.ravel()
-    if pole_collisions(flat, poles).any():
-        raise PoleCollisionError("pole collision")
-    col = flat[:, None]
-    terms = num * col / (col - poles)
-    if scale is not None:
-        terms = scale * terms
-    out = np.cumsum(terms, axis=1)[:, -1]
+    out = flat * pole_sum(flat, poles, weights)
     return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
@@ -431,22 +454,15 @@ def trapezoid_rational(z, cfg: KernelConfig):
     """Exact trapezoid sum r_{n_quad}(z) approximating z^alpha at a point
     (returns a complex) or an array of points (returns an array).
 
-    Terms are added in ascending j (smallest magnitudes first).  z = 0
-    returns 0 exactly since every term carries a factor z.
+    Evaluated as z * pole_sum(z, poles, w) with the node weights
+    w_j = sin(alpha*pi)/(2*alpha*pi) * sqrt(h/j) * C^alpha*e^{s_j}; z = 0
+    returns 0 exactly.
     """
-    a = cfg.alpha
-    j = np.arange(1, cfg.n_quad + 1)
-    s, poles = quadrature_nodes(cfg, j)
-    pref = math.sin(a * math.pi) / (2.0 * a * math.pi)
-    weights = pref * np.sqrt(cfg.h / j) * cfg.C**a * np.exp(s)
-    return _trapezoid_sum(z, poles, weights)
+    return _trapezoid(z, cfg, log_weighted=False)
 
 
 def trapezoid_rational_log(z, cfg: KernelConfig):
     """Exact trapezoid sum approximating z^alpha*log z, at a point or an
-    array of points like trapezoid_rational."""
-    j = np.arange(1, cfg.n_quad + 1)
-    s, poles = quadrature_nodes(cfg, j)
-    w1, w2 = log_weights(cfg.alpha, cfg.C, cfg.h, cfg.T)
-    kernel = cfg.C**cfg.alpha * np.exp(s)
-    return _trapezoid_sum(z, poles, kernel, w1 + w2 * np.sqrt(cfg.h / j))
+    array of points like trapezoid_rational, with the log-target node
+    weights (w1 + w2*sqrt(h/j)) * C^alpha*e^{s_j}."""
+    return _trapezoid(z, cfg, log_weighted=True)

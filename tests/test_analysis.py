@@ -68,22 +68,19 @@ class TestSupError:
         target = lambda zs: self.approx.eval(zs) + 0.125
         assert sup_error(self.approx, target, self.dom, self.grid) == pytest.approx(0.125)
 
-    def test_string_target(self):
-        err = sup_error(self.approx, "power", self.dom, self.grid)
-        assert 0 < err < 1e-3
-
     def test_sector_rate_spec_point(self):
         cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=optimal_sigma(0.5, 1.0), n1=36)
         approx = build_approximation(cfg)
-        err = checked_sup_error(approx, "power", self.dom, cfg)
+        err = checked_sup_error(approx, make_target("power", 0.5), self.dom, cfg)
         predicted = math.exp(-6 * math.pi)
         assert predicted / 100 <= err <= predicted * 100
 
     def test_v_subset_error_never_larger(self):
         sector = sample_sector(self.dom, 40, 8, 0.5)
         vgrid = sample_v_boundary(self.dom, 40, 0.5)
-        e_s = sup_error(self.approx, "power", self.dom, sector)
-        e_v = sup_error(self.approx, "power", self.dom, vgrid)
+        target = make_target("power", 0.5)
+        e_s = sup_error(self.approx, target, self.dom, sector)
+        e_v = sup_error(self.approx, target, self.dom, vgrid)
         assert e_v <= e_s + 1e-18
 
 
@@ -384,7 +381,7 @@ class TestSweepAndCsv:
         point_sets = [_fit_points(cfg, fine) for fine in (False, True)]
         point_sets += [rate_grid(cfg, refine).points for refine in (0, 1, 2)]
         for zs in point_sets:
-            assert all(sector.contains(z) for z in zs.tolist())
+            assert sector.contains(zs).all()
 
 
 class TestDiagnosticsAndSkips:

@@ -25,6 +25,7 @@ from lightningpoly.kernels import (
     PoleCollisionError,
     log_weight_constant,
     log_weights,
+    pole_sum,
     quadrature_nodes,
     trapezoid_rational,
     trapezoid_rational_log,
@@ -178,6 +179,11 @@ def _remainder_one_shot(cfg, zs):
     return zs[:, None] / (zs[:, None] - far) @ (fw * np.abs(far) ** a) + c_near
 
 
+def _one_shot_pole_sum(zs, poles, weights):
+    """sum_j w_j/(z - p_j) as one (points x poles) quotient matrix."""
+    return np.sum(weights / (np.asarray(zs, complex)[:, None] - poles), axis=1)
+
+
 def _sector_points(beta, n):
     half = beta * math.pi / 2
     radii = np.geomspace(1e-9, 1.0, max(1, n // 7 + 1))
@@ -196,7 +202,7 @@ class TestRemainderValues:
         assert abs(kcfg.T - cfg.T) < 1e-12
         zs = _sector_points(1.5, 140)
         res = residues_power_log(cfg) if cfg.log_like else residues_power(cfg)
-        got = approx._partial_fractions(zs, clustered_poles(cfg), res) \
+        got = _one_shot_pole_sum(zs, clustered_poles(cfg), res) \
             + approx._remainder_values(cfg, zs)
         trap = trapezoid_rational_log if cfg.log_like else trapezoid_rational
         ref = trap(zs, kcfg)
@@ -369,7 +375,7 @@ class TestBuildAndEval:
         ap = build_approximation(cfg)
         zs = _sector_points(1.0, 2500)
         assert zs.size > 2048
-        ref = approx._partial_fractions(zs, ap.poles, ap.residues) \
+        ref = _one_shot_pole_sum(zs, ap.poles, ap.residues) \
             + approx._poly_eval(ap.tail_coeffs, zs, ap.basis_scale)
         np.testing.assert_array_equal(ap.eval(zs), ref)
 
@@ -384,6 +390,29 @@ class TestBuildAndEval:
             RationalApprox(poles=np.array([-1.0 + 0j, -2.0 + 0j, -1.5 + 0j]),
                            residues=np.ones(3, complex),
                            tail_coeffs=np.array([0j]), basis_scale=1.0)
+
+
+class TestPoleSum:
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2500])
+    @pytest.mark.parametrize("target", ["power", "power_log"])
+    def test_equals_one_shot_sum(self, n, target):
+        # real residues, and the complex ones of a prefactor build
+        cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=optimal_sigma(0.5, 1.0), n1=36,
+                           target=target)
+        res = residues_power_log(cfg) if cfg.log_like else residues_power(cfg)
+        poles = clustered_poles(cfg)
+        zs = _sector_points(1.0, n)
+        for w in (res, (1.0 + 0.5j - 0.1 * poles) * res):
+            np.testing.assert_array_equal(pole_sum(zs, poles, w),
+                                          _one_shot_pole_sum(zs, poles, w))
+
+    def test_collision_in_third_block_raises(self):
+        poles = np.array([-2.0, -1.0, -0.5])
+        zs = np.full(2500, 0.5 + 0.1j)
+        zs[2048 + 7] = -1.0 + 1e-16j
+        assert np.all(np.isfinite(pole_sum(zs[:2048], poles, np.ones(3))))
+        with pytest.raises(PoleCollisionError):
+            pole_sum(zs, poles, np.ones(3))
 
 
 class TestSerialization:

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -149,6 +150,37 @@ class TestSampleSector:
             sample_sector(SectorDomain(beta=0.5), 5, 1, 1.5)
         with pytest.raises(ValueError):
             SectorDomain(beta=2.0)
+
+
+def _contains_scalar(beta, z, tol=1e-12):
+    """The point test SectorDomain.contains applies, in scalar arithmetic."""
+    w = complex(z)
+    if abs(w) <= tol:
+        return True
+    return abs(w) <= 1 + tol and abs(np.angle(w)) <= beta * math.pi / 2 + tol
+
+
+class TestSectorContains:
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 1.5])
+    def test_array_matches_points(self, beta):
+        # the apex, |z| = 1 +- tol, and angles just inside and just outside
+        # the edge beta*pi/2 + tol, in both half-planes
+        dom = SectorDomain(beta=beta)
+        tol = 1e-12
+        edge = beta * math.pi / 2 + tol
+        angles = [0.0, edge, np.nextafter(edge, 0.0), np.nextafter(edge, 4.0),
+                  edge - 1e-9, edge + 1e-9]
+        radii = [1.0 - tol, 1.0, 1.0 + tol, np.nextafter(1.0 + tol, 2.0), 0.5]
+        pts = [0j, 0.5 * tol, tol, 2.0 * tol] + [r * cmath.exp(1j * s * t) for r in radii
+                                                for t in angles for s in (1.0, -1.0)]
+        zs = np.array(pts).reshape(-1, 2)
+        got = dom.contains(zs)
+        assert got.dtype == bool and got.shape == zs.shape
+        per_point = [[dom.contains(z) for z in row] for row in zs.tolist()]
+        assert all(type(v) is bool for row in per_point for v in row)
+        assert got.tolist() == per_point
+        assert per_point == [[_contains_scalar(beta, z) for z in row] for row in zs.tolist()]
+        assert got.any() and not got.all()
 
 
 class TestPolygonFile:

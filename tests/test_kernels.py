@@ -340,9 +340,11 @@ def _trapezoid_log_oracle(z, alpha, C, h, n_quad):
 
 class TestTrapezoidSums:
     def test_zero(self):
-        cfg = KernelConfig(alpha=0.5, C=1.0, h=math.pi**2, n_quad=4)
-        assert trapezoid_rational(0.0, cfg) == 0
-        assert trapezoid_rational_log(0.0, cfg) == 0
+        # exactly 0, also after a sum of many nonzero terms at C != 1
+        for C, n_quad in ((1.0, 4), (1.7, 200)):
+            cfg = KernelConfig(alpha=0.5, C=C, h=math.pi**2, n_quad=n_quad)
+            assert trapezoid_rational(0.0, cfg) == 0
+            assert trapezoid_rational_log(0.0, cfg) == 0
 
     def test_four_term_oracle(self):
         cfg = KernelConfig(alpha=0.5, C=1.0, h=math.pi**2, n_quad=4)
@@ -382,22 +384,6 @@ class TestTrapezoidSums:
                 grid = fn(zs, cfg)
                 assert grid.shape == zs.shape
                 assert grid.tolist() == [[fn(z, cfg) for z in row] for row in zs.tolist()]
-
-    def test_sum_is_sequential_in_ascending_j(self):
-        # at C = 1 every factor C**alpha is exactly 1, so these are the
-        # library's terms and only the order of summation is under test
-        cfg = KernelConfig(alpha=0.6, C=1.0, h=2.0, n_quad=200)
-        a = cfg.alpha
-        j = np.arange(1, cfg.n_quad + 1)
-        s = np.sqrt(j * cfg.h) - cfg.T
-        poles = -np.exp(s / a)
-        weights = math.sin(a * math.pi) / (2.0 * a * math.pi) * np.sqrt(cfg.h / j) * np.exp(s)
-        for z in (0.7 + 0.2j, 1.0, 0.01j, 0.3 - 0.9j):
-            total = 0j
-            for term in (weights * z / (z - poles)).tolist():
-                total += term
-            assert trapezoid_rational(z, cfg) == total
-
 
 class TestRepresentationIdentities:
     """Reduced grid version of the full acceptance identity check."""
