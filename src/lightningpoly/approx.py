@@ -78,10 +78,10 @@ class ApproxConfig:
             raise ValueError("alpha must lie in (0, 1)")
         if not 0.0 <= self.beta < 2.0:
             raise ValueError("beta must lie in [0, 2)")
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
-        if self.C <= 0.0:
-            raise ValueError("C must be positive")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
+        if not 0.0 < self.C < math.inf:
+            raise ValueError("C must be positive and finite")
         if self.n1 < 1:
             raise ValueError("n1 must be >= 1")
         if self.n2 is None:
@@ -282,6 +282,8 @@ class RationalApprox:
         t = np.asarray(self.tail_coeffs, complex).ravel()
         if p.size != r.size:
             raise ValueError("poles and residues must pair up")
+        if np.any(p.imag != 0.0):
+            raise ValueError("poles must lie on the negative real axis")
         # natural index order of the tapered formula: p_1 nearest the origin,
         # magnitudes strictly growing to |p_n1| = C
         if p.size and not (np.all(np.diff(p.real) < 0) and np.all(p.real < 0)):

@@ -46,12 +46,16 @@ def _parse_sigma(token: str, alpha: float, beta: float) -> float:
         return math.sqrt(2.0) if s == "sqrt2" else float(s)
 
     if t == "opt":
-        return optimal_sigma(alpha, beta)
-    if t.startswith("opt*"):
-        return optimal_sigma(alpha, beta) * num(t[4:])
-    if t.startswith("opt/"):
-        return optimal_sigma(alpha, beta) / num(t[4:])
-    return float(t)
+        sigma = optimal_sigma(alpha, beta)
+    elif t.startswith("opt*"):
+        sigma = optimal_sigma(alpha, beta) * num(t[4:])
+    elif t.startswith("opt/"):
+        sigma = optimal_sigma(alpha, beta) / num(t[4:])
+    else:
+        sigma = float(t)
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {token!r}")
+    return sigma
 
 
 def _parse_list(token, cast, option: str, what: str) -> list:
@@ -68,12 +72,14 @@ def _parse_list(token, cast, option: str, what: str) -> list:
 
 def _kernel_configs(alpha: float, C: float, h: float, t_list) -> list:
     """One trapezoid config per truncation T in ``t_list``: the fewest points
-    n_quad (at least 2) with sqrt(n_quad*h)/(kappa+1) >= T.  alpha and h are
-    checked before they divide."""
+    n_quad (at least 2) with sqrt(n_quad*h)/(kappa+1) >= T.  alpha, h and
+    every T are checked before they divide or round."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError("h must be positive and finite")
+    if not all(math.isfinite(t) for t in t_list):
+        raise ValueError(f"T must be finite, got {t_list}")
     kap1 = 1.0 / (1.0 - alpha)
     return [KernelConfig(alpha=alpha, C=C, h=h, n_quad=max(2, math.ceil((t * kap1) ** 2 / h)))
             for t in t_list]

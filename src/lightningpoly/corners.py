@@ -104,8 +104,8 @@ def plan_basis(polygon: Polygon, N: int, sigma_mode="global_opt",
         sigmas = [_sigma_opt(a, b) for a, b in zip(alphas, betas)]
     else:
         sigma = float(sigma_mode)
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
         sigmas = [sigma] * m
     weights = list(corner_weights) if corner_weights is not None else [1.0] * m
     if len(weights) != m:
@@ -293,8 +293,8 @@ class SlitIntegralSpec:
             raise ValueError("k must be >= 0")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.W <= 0.0:
-            raise ValueError("W must be positive")
+        if not 0.0 < self.W < math.inf:
+            raise ValueError("W must be positive and finite")
         if abs((self.k + self.alpha) - round(self.k + self.alpha)) < 1e-12:
             raise ValueError("k + alpha must be non-integer")
 

@@ -9,9 +9,12 @@ interval, tolerance, panels and budget, in one shared loop of numpy passes,
 so a point gets the panels and evaluation count it would get alone.  The
 discrete path evaluates the finite trapezoid sums whose nodes are exactly
 the clustered poles of the rational scheme, each as z times ``pole_sum``,
-the library's one partial-fraction sum sum_j w_j/(z - p_j) with its
-collision test.  All arithmetic is binary64; the practical accuracy floor
-is ~1e-13 relative.
+the library's one partial-fraction sum sum_j w_j/(z - p_j).  Every pole
+lies on the real axis, so ``pole_sum`` works in real arithmetic on
+x - p_j and y^2 and tests collisions only on the few points near the
+axis, where one can occur; a call at scales where the squared distances
+could leave binary64 keeps the complex quotient.  All arithmetic is
+binary64; the practical accuracy floor is ~1e-13 relative.
 """
 
 from __future__ import annotations
@@ -81,10 +84,10 @@ class KernelConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.C <= 0.0:
-            raise ValueError("C must be positive")
-        if self.h <= 0.0:
-            raise ValueError("h must be positive")
+        if not 0.0 < self.C < math.inf:
+            raise ValueError("C must be positive and finite")
+        if not 0.0 < self.h < math.inf:
+            raise ValueError("h must be positive and finite")
         if self.n_quad < 1:
             raise ValueError("n_quad must be >= 1")
         t_min = (1.0 - self.alpha) * (2.0 * math.log(2.0) - math.log(self.C))
@@ -400,35 +403,100 @@ def _near_poles(z, poles, diff) -> np.ndarray:
     """Boolean (points x poles) matrix: |z - p| < 1e-14*max(|z|, |p|, 1e-286),
     given the differences ``diff = z[..., None] - poles``.  The one
     definition of a pole collision; scale-relative, so stable evaluations at
-    tiny |z| and |p| are not flagged.  Callers that divide by ``diff``
-    anyway pass it in rather than forming it twice."""
+    tiny |z| and |p| are not flagged."""
     gap = np.abs(diff)
     near = gap < 1e-14 * np.abs(poles)
     near |= gap < 1e-14 * np.maximum(np.abs(z), 1e-286)[..., None]
     return near
 
 
+def _real_poles(poles) -> np.ndarray:
+    """The poles as a float array; ValueError if one lies off the real axis."""
+    p = np.asarray(poles)
+    if np.iscomplexobj(p):
+        if np.any(p.imag != 0.0):
+            raise ValueError("poles must lie on the real axis")
+        p = p.real
+    return np.asarray(p, float)
+
+
+# points per block of pole_sum and of the collision test
+_BLOCK = 512
+
+
 def pole_collisions(z, poles) -> np.ndarray:
-    """Mask of the points z that collide with some pole (see _near_poles)."""
+    """Mask of the points z that collide with some real pole (see
+    _near_poles).  A collision needs |Im z| <= |z - p| < 1e-14*max(|z|, |p|,
+    1e-286), and |p| < |z|/(1 - 1e-14) then, so only points with
+    |Im z| < 2e-14*max(|z|, 1e-286) are candidates; the exact rule runs on
+    those alone, in blocks."""
     z = np.asarray(z, complex)
-    return _near_poles(z, poles, z[..., None] - poles).any(axis=-1)
+    p = _real_poles(poles)
+    hit = np.zeros(z.shape, bool)
+    cand = np.flatnonzero(np.abs(z.imag) < 2e-14 * np.maximum(np.abs(z), 1e-286))
+    zc = z.ravel()[cand]
+    for k in range(0, cand.size, _BLOCK):
+        blk = zc[k:k + _BLOCK]
+        hit.flat[cand[k:k + _BLOCK]] = _near_poles(blk, p, blk[:, None] - p).any(axis=1)
+    return hit
+
+
+def _real_form_sums(x, y2, poles, weights):
+    """Rows sum_j w_j*(x - p_j)/d_j and sum_j w_j/d_j of one block, with real
+    weights and d_j = (x - p_j)^2 + y^2 = |z - p_j|^2."""
+    dx = x[:, None] - poles
+    d = dx * dx
+    d += y2[:, None]
+    q = np.divide(weights, d, out=d)
+    s = np.sum(q, axis=1)
+    return np.sum(np.multiply(q, dx, out=dx), axis=1), s
 
 
 def pole_sum(z, poles, weights) -> np.ndarray:
     """sum_j weights_j/(z - poles_j) at each point of the flat array z: the
     one partial-fraction sum, behind RationalApprox.eval, the trapezoid
-    sums and the prefactor tail fit.  Works in blocks of 1024 points; each
-    block forms its point-pole differences once, takes the collision test
-    from them, and divides in place.  Any collision raises
-    PoleCollisionError before a division happens."""
+    sums and the prefactor tail fit.
+
+    The poles must be real (ValueError otherwise), so with z = x + iy and
+    d_j = (x - p_j)^2 + y^2 the sum is, in real arithmetic,
+    sum_j w_j*(x - p_j)/d_j - i*y*sum_j w_j/d_j; complex weights are split
+    into their real and imaginary parts.  Each sum is a row sum over a
+    block of 512 points, not a matrix product, so a point's value does not
+    depend on the block it falls in: an array call is bit for bit its
+    point calls.  Any collision (pole_collisions, run once on the few
+    candidate points) raises PoleCollisionError before a division.
+
+    A point that does not collide is only guaranteed |z - p| >=
+    1e-14*|p|, so d_j can leave binary64 at extreme scales.  A call whose
+    smallest |pole| is below 1e-140, or whose largest |z| or |pole| is
+    above 1e150, keeps the complex quotient w_j/(z - p_j) instead.
+    """
     z = np.asarray(z, complex)
+    p = _real_poles(poles)
+    w = np.asarray(weights)
+    if pole_collisions(z, p).any():
+        raise PoleCollisionError("pole collision")
     out = np.empty(z.shape, complex)
-    for k in range(0, z.size, 1024):
-        blk = z[k:k + 1024]
-        diff = blk[:, None] - poles
-        if _near_poles(blk, poles, diff).any():
-            raise PoleCollisionError("pole collision")
-        out[k:k + 1024] = np.sum(np.divide(weights, diff, out=diff), axis=1)
+    abs_p = np.abs(p)
+    wide = abs_p.min(initial=np.inf) < 1e-140 \
+        or max(abs_p.max(initial=0.0), np.abs(z).max(initial=0.0)) > 1e150
+    split = np.iscomplexobj(w) and np.any(w.imag != 0.0)
+    for k in range(0, z.size, _BLOCK):
+        blk = z[k:k + _BLOCK]
+        if wide:
+            diff = blk[:, None] - p
+            out[k:k + _BLOCK] = np.sum(np.divide(w, diff, out=diff), axis=1)
+            continue
+        x, y = blk.real, blk.imag
+        y2 = y * y
+        re, s = _real_form_sums(x, y2, p, w.real)
+        im = -y * s
+        if split:  # (wr + i*wi)*(x - p - i*y)/d
+            re_i, s_i = _real_form_sums(x, y2, p, w.imag)
+            re += y * s_i
+            im += re_i
+        out.real[k:k + _BLOCK] = re
+        out.imag[k:k + _BLOCK] = im
     return out
 
 

@@ -23,8 +23,10 @@ from lightningpoly.approx import (
 from lightningpoly.kernels import (
     KernelConfig,
     PoleCollisionError,
+    _near_poles,
     log_weight_constant,
     log_weights,
+    pole_collisions,
     pole_sum,
     quadrature_nodes,
     trapezoid_rational,
@@ -182,6 +184,20 @@ def _remainder_one_shot(cfg, zs):
 def _one_shot_pole_sum(zs, poles, weights):
     """sum_j w_j/(z - p_j) as one (points x poles) quotient matrix."""
     return np.sum(weights / (np.asarray(zs, complex)[:, None] - poles), axis=1)
+
+
+# pole_sum's real-axis form rounds differently from the complex quotient;
+# this bound on the gap is fixed from the dtype, not fitted to the results
+_SUM_TOL = 8 * np.finfo(float).eps
+
+
+def _assert_near_one_shot(got, zs, poles, weights, extra=0.0):
+    """|got - one-shot sum| <= 8*eps*(sum_j |w_j/(z - p_j)| + extra) at
+    every point; ``extra`` holds magnitudes added after the sum."""
+    zs = np.asarray(zs, complex)
+    scale = np.sum(np.abs(weights / (zs[:, None] - poles)), axis=1) + extra
+    gap = np.abs(got - _one_shot_pole_sum(zs, poles, weights))
+    assert np.all(gap <= _SUM_TOL * scale), np.max(gap / scale) / _SUM_TOL
 
 
 def _sector_points(beta, n):
@@ -369,15 +385,15 @@ class TestBuildAndEval:
 
     @pytest.mark.parametrize("target", ["power", "power_log"])
     def test_eval_equals_partial_fractions_plus_tail(self, target):
-        # three 1024-point blocks, the last one partial
+        # five 512-point blocks, the last one partial
         cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=optimal_sigma(0.5, 1.0), n1=36,
                            target=target)
         ap = build_approximation(cfg)
         zs = _sector_points(1.0, 2500)
         assert zs.size > 2048
-        ref = _one_shot_pole_sum(zs, ap.poles, ap.residues) \
-            + approx._poly_eval(ap.tail_coeffs, zs, ap.basis_scale)
-        np.testing.assert_array_equal(ap.eval(zs), ref)
+        vals = ap.eval(zs)
+        tail = approx._poly_eval(ap.tail_coeffs, zs, ap.basis_scale)
+        _assert_near_one_shot(vals - tail, zs, ap.poles, ap.residues, extra=np.abs(vals))
 
     def test_eval_pole_collision(self):
         ap = RationalApprox(poles=np.array([-1.0 + 0j]), residues=np.array([1.0 + 0j]),
@@ -392,19 +408,95 @@ class TestBuildAndEval:
                            tail_coeffs=np.array([0j]), basis_scale=1.0)
 
 
+# +-10^e with e in [-16, -12]: relative offsets around a collision window
+_SIGNED_TINY = st.builds(lambda e, neg: -(10.0**e) if neg else 10.0**e,
+                         st.floats(-16.0, -12.0), st.booleans())
+
+
+def _pole_sum_case(target):
+    """Poles of an n1 = 36 build, with its real residues and the complex
+    ones of a prefactor build."""
+    cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=optimal_sigma(0.5, 1.0), n1=36,
+                       target=target)
+    res = residues_power_log(cfg) if cfg.log_like else residues_power(cfg)
+    poles = clustered_poles(cfg)
+    return poles, (res, (1.0 + 0.5j - 0.1 * poles) * res)
+
+
 class TestPoleSum:
-    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2500])
+    @pytest.mark.parametrize("n", [1, 511, 512, 513, 2500])
     @pytest.mark.parametrize("target", ["power", "power_log"])
-    def test_equals_one_shot_sum(self, n, target):
-        # real residues, and the complex ones of a prefactor build
-        cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=optimal_sigma(0.5, 1.0), n1=36,
-                           target=target)
-        res = residues_power_log(cfg) if cfg.log_like else residues_power(cfg)
-        poles = clustered_poles(cfg)
+    def test_near_one_shot_sum(self, n, target):
+        poles, weights = _pole_sum_case(target)
         zs = _sector_points(1.0, n)
-        for w in (res, (1.0 + 0.5j - 0.1 * poles) * res):
-            np.testing.assert_array_equal(pole_sum(zs, poles, w),
-                                          _one_shot_pole_sum(zs, poles, w))
+        for w in weights:
+            _assert_near_one_shot(pole_sum(zs, poles, w), zs, poles, w)
+
+    @pytest.mark.parametrize("target", ["power", "power_log"])
+    def test_near_one_shot_sum_on_and_near_the_axis(self, target):
+        poles, weights = _pole_sum_case(target)
+        p = poles[::5]
+        near = np.concatenate([p * (1 + 1e-12), p * (1 - 3e-13) + 1e-13j * np.abs(p),
+                               p - 2e-12j * np.abs(p)])
+        zs = np.concatenate([[0.0], np.geomspace(1e-12, 2.0, 40), -np.geomspace(1e-9, 2.0, 9),
+                             near, near.conjugate()])
+        for w in weights:
+            _assert_near_one_shot(pole_sum(zs, poles, w), zs, poles, w)
+
+    @pytest.mark.parametrize("inner, outer, wide", [
+        (2e-140, 1.0, False),
+        (5e-141, 1.0, True),
+        (1e-3, 9e149, False),
+        (1e-3, 2e150, True),
+    ])
+    def test_both_sides_of_the_range_check(self, inner, outer, wide):
+        # poles from ``inner`` to 1, or points out to ``outer``: the real
+        # form inside the range, the complex quotient, bit for bit, outside
+        poles = -np.geomspace(inner, 1.0, 12)
+        zs = np.concatenate([poles * (1 + 1e-13) + 1e-13j * np.abs(poles),
+                             poles * (1 - 1e-12), [0.0, 0.5 + 0.25j],
+                             outer * np.exp(1j * np.linspace(-1.5, 1.5, 7))])
+        for w in (np.abs(poles) ** 1.25, (0.5 - 2j) * np.abs(poles) ** 1.25):
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                got = pole_sum(zs, poles, w)
+            if wide:
+                np.testing.assert_array_equal(got, _one_shot_pole_sum(zs, poles, w))
+            else:
+                _assert_near_one_shot(got, zs, poles, w)
+
+    @pytest.mark.parametrize("n", [511, 512, 513, 1025])
+    def test_array_matches_point_calls(self, n):
+        poles, weights = _pole_sum_case("power")
+        zs = _sector_points(1.0, n)
+        for w in weights:
+            got = pole_sum(zs, poles, w)
+            assert got.tolist() == [pole_sum(zs[k:k + 1], poles, w)[0] for k in range(n)]
+
+    def test_pole_off_the_axis_rejected(self):
+        with pytest.raises(ValueError, match="real axis"):
+            pole_sum(np.array([0.5j]), np.array([-1.0, -2.0 + 1e-300j]), np.ones(2))
+        with pytest.raises(ValueError, match="real axis"):
+            RationalApprox(poles=np.array([-1.0 + 1e-3j]), residues=np.ones(1, complex),
+                           tail_coeffs=np.array([0j]), basis_scale=1.0)
+        with pytest.raises(ValueError, match="real axis"):
+            deserialize("pole -1 0.001\nresidue 1 0\ntail 0\nscale 1\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_p=st.floats(-280.0, 10.0),
+           t=st.lists(_SIGNED_TINY, min_size=4, max_size=4),
+           s=st.lists(st.one_of(st.just(0.0), _SIGNED_TINY), min_size=4, max_size=4))
+    def test_collision_verdict_matches_full_matrix(self, log_p, t, s):
+        mag = 10.0**log_p
+        poles = -mag * np.array([0.25, 1.0, 3.0])
+        zs = np.array([-mag * (1 + ti) + 1j * si * mag for ti, si in zip(t, s)]
+                      + [0.5 + 0.5j])
+        full = _near_poles(zs, poles, zs[:, None] - poles).any(axis=1)
+        np.testing.assert_array_equal(pole_collisions(zs, poles), full)
+        if full.any():
+            with pytest.raises(PoleCollisionError):
+                pole_sum(zs, poles, np.ones(3))
+        else:
+            assert np.all(np.isfinite(pole_sum(zs, poles, np.ones(3))))
 
     def test_collision_in_third_block_raises(self):
         poles = np.array([-2.0, -1.0, -0.5])

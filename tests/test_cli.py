@@ -119,6 +119,42 @@ class TestArgumentHandling:
         assert main(argv) == 2
         assert f"invalid configuration: {reason}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, reason", [
+        (["approx", "--alpha", "0.5", "--beta", "1", "--N1", "9", "--sigma", "nan"],
+         "sigma must be finite"),
+        (["approx", "--alpha", "0.5", "--beta", "1", "--N1", "9", "--C", "nan"],
+         "C must be positive and finite"),
+        (["approx", "--alpha", "0.5", "--beta", "1", "--N1", "9", "--C", "inf"],
+         "C must be positive and finite"),
+        (["sweep", "--alpha", "0.5", "--beta", "1", "--N1", "9,16,25,36", "--sigma", "nan"],
+         "sigma must be finite"),
+        (["sweep", "--alpha", "0.5", "--beta", "1", "--N1", "9,16,25,36", "--C", "nan"],
+         "C must be positive and finite"),
+        (["sweep", "--alpha", "0.5", "--beta", "1", "--N1", "9,16,25,36", "--C", "inf"],
+         "C must be positive and finite"),
+        (["quaderr", "--alpha", "0.5", "--beta", "1", "--C", "nan"],
+         "C must be positive and finite"),
+        (["quaderr", "--alpha", "0.5", "--beta", "1", "--sigma", "nan"],
+         "sigma must be finite"),
+        (["quaderr", "--alpha", "0.5", "--beta", "1", "--T", "nan,4,6"], "T must be finite"),
+        (["nearorigin", "--alpha", "0.5", "--beta", "1", "--C", "nan"],
+         "C must be positive and finite"),
+        (["nearorigin", "--alpha", "0.5", "--beta", "1", "--h", "nan"],
+         "h must be positive and finite"),
+        (["nearorigin", "--alpha", "0.5", "--beta", "1", "--T", "nan,4,6"], "T must be finite"),
+        (["decomp", "--alpha", "0.25", "--W", "nan"], "W must be positive and finite"),
+        (["laplace", "--polygon", "builtin:concave-quad", "--sigma", "nan"],
+         "sigma must be positive and finite"),
+        (["laplace", "--polygon", "builtin:concave-quad", "--sigma", "inf"],
+         "sigma must be positive and finite"),
+    ])
+    def test_non_finite_parameter_exits_2(self, argv, reason, capfd):
+        # rejected before any LAPACK call or quadrature can see the value
+        assert main(argv) == 2
+        out, err = capfd.readouterr()
+        assert f"invalid configuration: {reason}" in err
+        assert "DLASCL" not in out + err
+
     @pytest.mark.parametrize("argv", [
         ["laplace", "--polygon", "builtin:concave-quad", "--N", "40", "--n2", "-1"],
         ["approx", "--alpha", "0.5", "--beta", "1", "--N1", "9", "--N2", "-1"],
