@@ -3,7 +3,14 @@ predicted error-bound evaluators used to compare theory against runs.
 
 Sup norms are sampled, not certified: the measurement grid is refined once
 and the value accepted only if it moved by less than 5% (another refinement
-is tried otherwise).  Rate fits exclude errors below 1e-13 (the binary64
+is tried otherwise).  The grids cover only the sector's boundary, its two
+edge rays, its arc and the apex.  That suffices by the maximum modulus
+principle: the poles and the branch cut of z^alpha lie on the negative
+axis, outside the closed sector since beta < 2, and a prefactor target's g
+is analytic on the closed sector, so the error e = r - g z^alpha (or
+r - g z^alpha log z) is analytic inside and continuous up to the apex, and
+its sup is attained on the boundary (as for the lightning Laplace
+solver's boundary_error).  Rate fits exclude errors below 1e-13 (the binary64
 floor) and above 1e-2 (pre-asymptotic).
 """
 
@@ -172,9 +179,16 @@ def fit_rate(records: Sequence[ConvergenceRecord], floor: float = RATE_FIT_FLOOR
 # ------------------------------------------------------------- sweeps
 
 def rate_grid(cfg: ApproxConfig, refine: int = 0) -> SampleGrid:
-    """Sup-norm grid on the unit sector: geometric radii reaching below the
-    innermost pole, plus Chebyshev radii that resolve the outer region where
-    the error peaks, on a fan of rays."""
+    """Sup-norm grid on the boundary of the unit sector: geometric radii
+    reaching below the innermost pole, plus Chebyshev radii that resolve the
+    outer region where the error peaks, on the two edge rays (the axis alone
+    at beta = 0); 8*(13*(refine + 1) - 1) + 1 points on the arc; and the apex.
+
+    No interior point is needed.  The poles lie on the negative axis, the
+    branch cut of z^alpha too, beta < 2 keeps both outside the closed
+    sector, and the g of a prefactor target is analytic on it.  So the error
+    is analytic inside and continuous up to the apex, and by the maximum
+    modulus principle its sup is on the edge rays or the arc."""
     p1 = abs(clustered_poles(cfg)[0])
     depth = int(math.log(max(p1, 1e-280)) / math.log(0.5)) + 4
     depth = min(max(depth, 40), 1400) * (refine + 1)
@@ -183,8 +197,9 @@ def rate_grid(cfg: ApproxConfig, refine: int = 0) -> SampleGrid:
         ratio ** np.arange(depth + 1),
         _chebyshev_radii(192 * (refine + 1)),
     ]))
-    pts = ray_fan(cfg.beta, radii, 13 * (refine + 1))
-    return SampleGrid(points=np.concatenate([pts, [0.0]]))
+    edges = ray_fan(cfg.beta, radii, 2)
+    arc = ray_fan(cfg.beta, [1.0], 8 * (13 * (refine + 1) - 1) + 1)
+    return SampleGrid(points=np.concatenate([edges, arc, [0.0]]))
 
 
 def checked_sup_error(approx: RationalApprox, target, domain: SectorDomain,

@@ -205,9 +205,16 @@ def _chebyshev_radii(n: int) -> np.ndarray:
 
 
 def _fit_points(cfg: ApproxConfig, fine: bool) -> np.ndarray:
-    """Deterministic unit-sector sample set: a few points per pole scale near
-    the apex, Chebyshev radii toward |z| = 1 (which keeps the polynomial fit
-    well posed at high degree), a fan of rays, and the arc."""
+    """Deterministic sample set on the boundary of the unit sector: a few
+    points per pole scale near the apex and Chebyshev radii toward |z| = 1
+    (which keeps the polynomial fit well posed at high degree), on the two
+    edge rays (the axis alone at beta = 0), then the arc and the apex.
+
+    The remainder being fit is analytic on the closed sector (its far poles
+    lie on the negative axis and beta < 2), and so is the misfit of a
+    polynomial to it, or to a prefactor target's remainder when g is
+    analytic there.  By the maximum modulus principle the misfit's sup is
+    on the edge rays or the arc, so interior points add nothing."""
     mags = np.abs(clustered_poles(cfg))
     mults = (0.6, 0.9, 1.1, 1.4) if fine else (0.75, 1.0, 1.25)
     radii = np.outer(mags, mults).ravel()
@@ -219,7 +226,7 @@ def _fit_points(cfg: ApproxConfig, fine: bool) -> np.ndarray:
         _chebyshev_radii(max(n_cheb, 48)),
     ])
     radii = np.unique(np.clip(radii, lo, 1.0))
-    pts = ray_fan(cfg.beta, radii, 9 if fine else 5)
+    pts = ray_fan(cfg.beta, radii, 2)
     n_arc = (4 if fine else 2) * (cfg.n2 + 1)
     if cfg.beta > 0:
         pts = np.concatenate([pts, ray_fan(cfg.beta, [1.0], max(n_arc, 64))])
@@ -227,7 +234,7 @@ def _fit_points(cfg: ApproxConfig, fine: bool) -> np.ndarray:
 
 
 def _poly_lstsq(zs, values, degree, scale):
-    V = (np.asarray(zs, complex) / scale)[:, None] ** np.arange(degree + 1)
+    V = np.vander(np.asarray(zs, complex) / scale, degree + 1, increasing=True)
     if V.shape[0] < V.shape[1]:
         raise ValueError("increase sampling or reduce N2 (rank-deficient fit)")
     norms = np.linalg.norm(V, axis=0)

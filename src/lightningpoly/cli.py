@@ -58,6 +58,14 @@ def _parse_sigma(token: str, alpha: float, beta: float) -> float:
     return sigma
 
 
+def _finite(token, option: str) -> float:
+    """``token`` as a float; NaN or infinity is an error naming the option."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{option} must be finite, got {token!r}")
+    return value
+
+
 def _parse_list(token, cast, option: str, what: str) -> list:
     """Comma list (or a list given to ``run``) of cast values; an empty list
     is an error naming the option."""
@@ -141,6 +149,8 @@ def _cmd_sweep(p: dict) -> int:
     if n2_mode not in ("auto", "proportional"):
         n2_mode = int(n2_mode)
     target = p.get("target", "power")
+    rate_tol = _finite(p.get("rate_tol", 0.15), "--rate-tol")
+    r2_min = _finite(p.get("r2_min", 0.9), "--r2-min")
     records = analysis.run_sweep(alpha, beta, sigma, n1_list,
                                  C=float(p.get("C", 1.0)), target=target,
                                  n2_mode=n2_mode, map_fn=_map_fn())
@@ -158,8 +168,6 @@ def _cmd_sweep(p: dict) -> int:
         failure = f"sweep: {exc}"
     else:
         failure = f"sweep: fitted_rate {fitted:.4f} vs predicted {predicted:.4f} (r2={r2:.4f})"
-    rate_tol = float(p.get("rate_tol", 0.15))
-    r2_min = float(p.get("r2_min", 0.9))
     ok = fitted is not None and abs(fitted - predicted) <= rate_tol * predicted \
         and r2 >= r2_min
     _emit_json(p.get("json"), {
@@ -263,8 +271,10 @@ def _cmd_laplace(p: dict) -> int:
         sigma_mode = float(sig_tok)
     n_list = _parse_list(p.get("N", "40,80,160"), int, "--N", "pole budgets")
     n2 = p.get("n2")
-    weights = (_parse_list(p["weights"], float, "--weights", "corner weights")
+    weights = (_parse_list(p["weights"], lambda t: _finite(t, "--weights"), "--weights",
+                           "corner weights")
                if p.get("weights") else None)
+    final_req = _finite(p.get("final_err", 1e-6), "--final-err")
     lines = ["N,columns,residual_rms,boundary_sup_err"]
     errs = []
     sol = None
@@ -282,7 +292,6 @@ def _cmd_laplace(p: dict) -> int:
     if p.get("export") and sol is not None:
         _write(p["export"], corners.export_solution(sol))
     monotone = all(errs[i + 1] <= 10.0 * errs[i] for i in range(len(errs) - 1))
-    final_req = float(p.get("final_err", 1e-6))
     ok = monotone and errs[-1] <= final_req
     _emit_json(p.get("json"), {
         "N": n_list,

@@ -29,6 +29,7 @@ from lightningpoly.analysis import (
 )
 from lightningpoly.approx import (
     ApproxConfig,
+    _chebyshev_radii,
     _fit_points,
     RationalApprox,
     build_approximation,
@@ -37,7 +38,13 @@ from lightningpoly.approx import (
     optimal_sigma,
     serialize,
 )
-from lightningpoly.geometry import SampleGrid, SectorDomain, sample_sector, sample_v_boundary
+from lightningpoly.geometry import (
+    SampleGrid,
+    SectorDomain,
+    ray_fan,
+    sample_sector,
+    sample_v_boundary,
+)
 from lightningpoly.kernels import (
     KernelConfig,
     PoleCollisionError,
@@ -376,12 +383,54 @@ class TestSweepAndCsv:
            st.integers(1, 25), st.integers(0, 30))
     @settings(max_examples=20, deadline=None)
     def test_sample_points_stay_in_unit_sector(self, alpha, beta, sigma, n1, n2):
+        # every point lies on the sector's boundary: the apex, the arc or an
+        # edge ray (the segment [0, 1] at beta = 0)
         cfg = ApproxConfig(alpha=alpha, beta=beta, sigma=sigma, n1=n1, n2=n2)
         sector = SectorDomain(beta=beta)
         point_sets = [_fit_points(cfg, fine) for fine in (False, True)]
         point_sets += [rate_grid(cfg, refine).points for refine in (0, 1, 2)]
         for zs in point_sets:
             assert sector.contains(zs).all()
+            on_edge = np.abs(np.abs(np.angle(zs)) - beta * math.pi / 2) <= 1e-12
+            on_arc = np.abs(np.abs(zs) - 1.0) <= 1e-12
+            assert (on_edge | on_arc | (np.abs(zs) <= 1e-12)).all()
+            if beta == 0.0:
+                assert np.all(zs.imag == 0.0) and np.all((zs.real >= 0) & (zs.real <= 1))
+
+
+def _fan_grid(cfg, refine):
+    """The sector grid with interior rays that the boundary rate grid
+    replaced: the same radii on a fan of 13*(refine + 1) rays, and the apex."""
+    p1 = abs(clustered_poles(cfg)[0])
+    depth = int(math.log(max(p1, 1e-280)) / math.log(0.5)) + 4
+    depth = min(max(depth, 40), 1400) * (refine + 1)
+    ratio = 0.5 ** (1.0 / (refine + 1))
+    radii = np.unique(np.concatenate([ratio ** np.arange(depth + 1),
+                                      _chebyshev_radii(192 * (refine + 1))]))
+    return SampleGrid(points=np.concatenate([ray_fan(cfg.beta, radii, 13 * (refine + 1)),
+                                             [0.0]]))
+
+
+class TestBoundaryGrid:
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 1.5, 1.9])
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.8])
+    def test_interior_rays_never_exceed_the_boundary(self, alpha, beta):
+        # maximum modulus: the error is analytic inside the sector, so no
+        # point of the interior-ray fan exceeds the boundary grid's sup
+        dom = SectorDomain(beta=beta)
+        for factor in (0.5, 1.0, 2.0):
+            sigma = factor * optimal_sigma(alpha, beta)
+            for target, g in (("power", None), ("power_log", None),
+                              ("prefactor_power", cmath.exp)):
+                f = make_target(target, alpha, g)
+                for n1 in (16, 49):
+                    cfg = ApproxConfig(alpha=alpha, beta=beta, sigma=sigma, n1=n1,
+                                       target=target, g=g)
+                    approx = build_approximation(cfg)
+                    for refine in (0, 1):
+                        boundary = sup_error(approx, f, dom, rate_grid(cfg, refine))
+                        fan = sup_error(approx, f, dom, _fan_grid(cfg, refine))
+                        assert fan <= boundary + 1e-13, (factor, target, n1, refine)
 
 
 class TestDiagnosticsAndSkips:

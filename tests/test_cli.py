@@ -147,6 +147,14 @@ class TestArgumentHandling:
          "sigma must be positive and finite"),
         (["laplace", "--polygon", "builtin:concave-quad", "--sigma", "inf"],
          "sigma must be positive and finite"),
+        (["sweep", "--alpha", "0.5", "--beta", "1", "--N1", "9,16,25,36", "--rate-tol", "nan"],
+         "--rate-tol must be finite"),
+        (["sweep", "--alpha", "0.5", "--beta", "1", "--N1", "9,16,25,36", "--r2-min", "nan"],
+         "--r2-min must be finite"),
+        (["laplace", "--polygon", "builtin:concave-quad", "--final-err", "nan"],
+         "--final-err must be finite"),
+        (["laplace", "--polygon", "builtin:concave-quad", "--weights", "1,nan,1,1"],
+         "--weights must be finite"),
     ])
     def test_non_finite_parameter_exits_2(self, argv, reason, capfd):
         # rejected before any LAPACK call or quadrature can see the value
