@@ -10,7 +10,15 @@ axis, outside the closed sector since beta < 2, and a prefactor target's g
 is analytic on the closed sector, so the error e = r - g z^alpha (or
 r - g z^alpha log z) is analytic inside and continuous up to the apex, and
 its sup is attained on the boundary (as for the lightning Laplace
-solver's boundary_error).  Rate fits exclude errors below 1e-13 (the binary64
+solver's boundary_error).
+
+For the plain targets z^alpha and z^alpha log z the grids and the tail fit
+keep only the upper half of that boundary.  The poles lie on the negative
+real axis, their residues and the tail coefficients are real, and alpha is
+real, so r(conj z) = conj r(z) and the targets reflect alike; by Schwarz
+reflection |e(conj z)| = |e(z)|.  A prefactor target's g need not satisfy
+g(conj z) = conj g(z), so those targets keep the whole boundary and a
+complex tail fit.  Rate fits exclude errors below 1e-13 (the binary64
 floor) and above 1e-2 (pre-asymptotic).
 """
 
@@ -30,6 +38,7 @@ from .approx import (
     RationalApprox,
     _chebyshev_radii,
     _fmt,
+    _reflected_half,
     build_approximation,
     clustered_poles,
     fit_tail,
@@ -188,7 +197,15 @@ def rate_grid(cfg: ApproxConfig, refine: int = 0) -> SampleGrid:
     branch cut of z^alpha too, beta < 2 keeps both outside the closed
     sector, and the g of a prefactor target is analytic on it.  So the error
     is analytic inside and continuous up to the apex, and by the maximum
-    modulus principle its sup is on the edge rays or the arc."""
+    modulus principle its sup is on the edge rays or the arc.
+
+    For the plain targets (cfg.g is None) only the points with Im z >= 0
+    are kept: the upper edge ray, the arc angles in [0, beta*pi/2] and the
+    apex.  The poles and residues are real, the tail coefficients are real
+    and alpha is real, so r(conj z) = conj r(z) and z^alpha (and z^alpha
+    log z) reflect the same way; by Schwarz reflection |e(conj z)| = |e(z)|
+    and the lower half holds no larger error.  A prefactor target's g need
+    not satisfy g(conj z) = conj g(z), so its grid keeps both halves."""
     p1 = abs(clustered_poles(cfg)[0])
     depth = int(math.log(max(p1, 1e-280)) / math.log(0.5)) + 4
     depth = min(max(depth, 40), 1400) * (refine + 1)
@@ -199,7 +216,7 @@ def rate_grid(cfg: ApproxConfig, refine: int = 0) -> SampleGrid:
     ]))
     edges = ray_fan(cfg.beta, radii, 2)
     arc = ray_fan(cfg.beta, [1.0], 8 * (13 * (refine + 1) - 1) + 1)
-    return SampleGrid(points=np.concatenate([edges, arc, [0.0]]))
+    return SampleGrid(points=_reflected_half(cfg, np.concatenate([edges, arc, [0.0]])))
 
 
 def checked_sup_error(approx: RationalApprox, target, domain: SectorDomain,

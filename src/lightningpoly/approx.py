@@ -214,7 +214,14 @@ def _fit_points(cfg: ApproxConfig, fine: bool) -> np.ndarray:
     lie on the negative axis and beta < 2), and so is the misfit of a
     polynomial to it, or to a prefactor target's remainder when g is
     analytic there.  By the maximum modulus principle the misfit's sup is
-    on the edge rays or the arc, so interior points add nothing."""
+    on the edge rays or the arc, so interior points add nothing.
+
+    For the plain targets only the upper half is kept (_reflected_half): the
+    remainder obeys f(conj z) = conj f(z), since the far poles and their
+    weights are real and alpha is real, so a polynomial with real
+    coefficients (as fit_tail fits) has the same misfit at z and at conj z.
+    A prefactor target's g need not reflect that way, so its set keeps both
+    halves."""
     mags = np.abs(clustered_poles(cfg))
     mults = (0.6, 0.9, 1.1, 1.4) if fine else (0.75, 1.0, 1.25)
     radii = np.outer(mags, mults).ravel()
@@ -230,16 +237,49 @@ def _fit_points(cfg: ApproxConfig, fine: bool) -> np.ndarray:
     n_arc = (4 if fine else 2) * (cfg.n2 + 1)
     if cfg.beta > 0:
         pts = np.concatenate([pts, ray_fan(cfg.beta, [1.0], max(n_arc, 64))])
-    return np.concatenate([pts, [0.0]])
+    return _reflected_half(cfg, np.concatenate([pts, [0.0]]))
 
 
-def _poly_lstsq(zs, values, degree, scale):
-    V = np.vander(np.asarray(zs, complex) / scale, degree + 1, increasing=True)
+def _reflected_half(cfg: ApproxConfig, pts: np.ndarray) -> np.ndarray:
+    """The points of a sector sample set that a config's tail fit and sup
+    norm need: those with Im z >= 0 for a plain target (cfg.g is None),
+    whose error e obeys |e(conj z)| = |e(z)| by Schwarz reflection, and all
+    of them for a prefactor target, whose g need not satisfy
+    g(conj z) = conj g(z).
+
+    A point within rounding of the axis is put on it first.  The middle
+    angle of an odd fan, such as the rate grid's arc, is 0 only up to a few
+    ulps of beta*pi/2, and at beta = 1.1 it rounds below the axis: without
+    the snap the half would lose z = 1, which can hold the sup."""
+    if cfg.g is not None:
+        return pts
+    pts = np.where(np.abs(pts.imag) <= 1e-15 * np.abs(pts.real), pts.real + 0j, pts)
+    return pts[pts.imag >= 0]
+
+
+def _poly_lstsq(zs, values, degree, scale, real=False):
+    """Least-squares monomial coefficients of a degree-``degree`` fit to
+    ``values`` at ``zs``, solved with unit-norm columns.
+
+    ``real=True`` takes ``zs`` as the Im z >= 0 half of a set closed under
+    conjugation, with values obeying f(conj z) = conj f(z), and fits real
+    coefficients: the rows [Re V; Im V] against [Re y; Im y], with the rows
+    of points on the axis weighted by 1/sqrt(2).  That objective is half
+    the complex one over the whole set, so it has the same minimiser.  The
+    Im rows of points on the axis are zero and are left out."""
+    zs = np.asarray(zs, complex)
+    V = np.vander(zs / scale, degree + 1, increasing=True)
     if V.shape[0] < V.shape[1]:
         raise ValueError("increase sampling or reduce N2 (rank-deficient fit)")
+    y = np.asarray(values, complex)
+    if real:
+        axis = zs.imag == 0.0
+        w = np.where(axis, math.sqrt(0.5), 1.0)
+        V = np.concatenate([V.real * w[:, None], V[~axis].imag])
+        y = np.concatenate([y.real * w, y[~axis].imag])
     norms = np.linalg.norm(V, axis=0)
     norms[norms == 0.0] = 1.0
-    c, _, _, _ = np.linalg.lstsq(V / norms, np.asarray(values, complex), rcond=None)
+    c, _, _, _ = np.linalg.lstsq(V / norms, y, rcond=None)
     return c / norms
 
 
@@ -259,13 +299,20 @@ class TailFit:
 
 def fit_tail(cfg: ApproxConfig, values_fn=None) -> TailFit:
     """Degree-n2 least-squares polynomial fit to ``values_fn`` (default: the
-    analytic remainder) over clustered samples of the unit sector."""
+    analytic remainder) over clustered samples of the unit sector's boundary.
+
+    For the plain targets the samples are the upper half of the boundary
+    (see _fit_points) and the coefficients are real.  ``fit_rms`` is still
+    the RMS over the whole boundary: a point on the axis counts once, any
+    other point twice, for itself and its mirror image."""
     values_fn = values_fn or (lambda zs: _remainder_values(cfg, zs))
+    real = cfg.g is None
     zs = _fit_points(cfg, fine=False)
     y = values_fn(zs)
-    coeffs = _poly_lstsq(zs, y, cfg.n2, 1.0)
+    coeffs = _poly_lstsq(zs, y, cfg.n2, 1.0, real=real)
     resid = _poly_eval(coeffs, zs, 1.0) - y
-    rms = float(np.sqrt(np.mean(np.abs(resid) ** 2)))
+    counts = np.where(zs.imag == 0.0, 1.0, 2.0) if real else None
+    rms = float(np.sqrt(np.average(np.abs(resid) ** 2, weights=counts)))
     zv = _fit_points(cfg, fine=True)
     sup = float(np.max(np.abs(_poly_eval(coeffs, zv, 1.0) - values_fn(zv))))
     return TailFit(coeffs=coeffs, fit_rms=rms, validation_sup=sup)

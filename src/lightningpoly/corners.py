@@ -60,9 +60,6 @@ class CornerBasis:
     def n_columns(self) -> int:
         return 2 * sum(self.counts) + 2 * self.degree + 1
 
-    def all_poles(self) -> np.ndarray:
-        return np.concatenate(self.poles) if self.poles else np.empty(0, complex)
-
 
 def _corner_rays(polygon: Polygon):
     """Interior angles beta_k (units of pi) and the unit direction of the

@@ -1,10 +1,11 @@
 import cmath
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lightningpoly import analysis
@@ -31,10 +32,13 @@ from lightningpoly.approx import (
     ApproxConfig,
     _chebyshev_radii,
     _fit_points,
+    _poly_eval,
+    _remainder_values,
     RationalApprox,
     build_approximation,
     clustered_poles,
     deserialize,
+    fit_tail,
     optimal_sigma,
     serialize,
 )
@@ -381,21 +385,69 @@ class TestSweepAndCsv:
 
     @given(st.floats(0.1, 0.9), st.floats(0.0, 1.95), st.floats(0.5, 12.0),
            st.integers(1, 25), st.integers(0, 30))
+    @example(0.5, 1.1, 4.0, 9, 4)  # the middle arc angle rounds below the axis
     @settings(max_examples=20, deadline=None)
     def test_sample_points_stay_in_unit_sector(self, alpha, beta, sigma, n1, n2):
         # every point lies on the sector's boundary: the apex, the arc or an
-        # edge ray (the segment [0, 1] at beta = 0)
+        # edge ray (the segment [0, 1] at beta = 0); a plain target keeps the
+        # upper half, Im z >= 0, with the odd arc's middle point z = 1, and a
+        # prefactor target both edges
         cfg = ApproxConfig(alpha=alpha, beta=beta, sigma=sigma, n1=n1, n2=n2)
+        pre = _prefactor_twin(cfg)
         sector = SectorDomain(beta=beta)
-        point_sets = [_fit_points(cfg, fine) for fine in (False, True)]
-        point_sets += [rate_grid(cfg, refine).points for refine in (0, 1, 2)]
-        for zs in point_sets:
-            assert sector.contains(zs).all()
-            on_edge = np.abs(np.abs(np.angle(zs)) - beta * math.pi / 2) <= 1e-12
-            on_arc = np.abs(np.abs(zs) - 1.0) <= 1e-12
-            assert (on_edge | on_arc | (np.abs(zs) <= 1e-12)).all()
-            if beta == 0.0:
-                assert np.all(zs.imag == 0.0) and np.all((zs.real >= 0) & (zs.real <= 1))
+        half = beta * math.pi / 2
+
+        def point_sets(c):
+            return ([_fit_points(c, fine) for fine in (False, True)]
+                    + [rate_grid(c, refine).points for refine in (0, 1, 2)])
+
+        for k, (zs, full) in enumerate(zip(point_sets(cfg), point_sets(pre))):
+            assert np.all(zs.imag >= 0)
+            upper = full[full.imag > 1e-15 * np.abs(full.real)]
+            assert np.all(np.isin(upper, zs))
+            assert np.all(np.isin(zs, upper) | (zs.imag == 0))
+            if k >= 2:
+                assert 1.0 in zs
+            if beta > 0.0:
+                for edge in (-half, half):
+                    assert np.any((np.abs(np.angle(full) - edge) <= 1e-12) & (full != 0))
+            for pts in (zs, full):
+                assert sector.contains(pts).all()
+                on_edge = np.abs(np.abs(np.angle(pts)) - half) <= 1e-12
+                on_arc = np.abs(np.abs(pts) - 1.0) <= 1e-12
+                assert (on_edge | on_arc | (np.abs(pts) <= 1e-12)).all()
+                if beta == 0.0:
+                    assert np.all(pts.imag == 0.0)
+                    assert np.all((pts.real >= 0) & (pts.real <= 1))
+
+
+def _prefactor_twin(cfg):
+    """cfg with a prefactor target, whose grids and fit points keep both
+    halves of the boundary."""
+    return dataclasses.replace(cfg, target="prefactor_" + cfg.target, g=cmath.exp)
+
+
+def _full_boundary_complex_tail(cfg):
+    """The plain remainder's tail fit as complex coefficients over both
+    halves of the boundary: the fit that the real upper-half fit replaced."""
+    zs = _fit_points(_prefactor_twin(cfg), fine=False)
+    V = np.vander(zs, cfg.n2 + 1, increasing=True)
+    norms = np.linalg.norm(V, axis=0)
+    c = np.linalg.lstsq(V / norms, _remainder_values(cfg, zs), rcond=None)[0]
+    return c / norms
+
+
+_GRID_ALPHAS = [0.25, 0.5, 0.8]
+_GRID_BETAS = [0.0, 0.5, 1.0, 1.5, 1.9]
+
+
+def _grid_configs(alpha, beta, targets):
+    for factor in (0.5, 1.0, 2.0):
+        sigma = factor * optimal_sigma(alpha, beta)
+        for target, g in targets:
+            for n1 in (16, 49):
+                yield ApproxConfig(alpha=alpha, beta=beta, sigma=sigma, n1=n1,
+                                   target=target, g=g)
 
 
 def _fan_grid(cfg, refine):
@@ -412,25 +464,50 @@ def _fan_grid(cfg, refine):
 
 
 class TestBoundaryGrid:
-    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 1.5, 1.9])
-    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.8])
+    @pytest.mark.parametrize("beta", _GRID_BETAS)
+    @pytest.mark.parametrize("alpha", _GRID_ALPHAS)
     def test_interior_rays_never_exceed_the_boundary(self, alpha, beta):
         # maximum modulus: the error is analytic inside the sector, so no
         # point of the interior-ray fan exceeds the boundary grid's sup
         dom = SectorDomain(beta=beta)
-        for factor in (0.5, 1.0, 2.0):
-            sigma = factor * optimal_sigma(alpha, beta)
-            for target, g in (("power", None), ("power_log", None),
-                              ("prefactor_power", cmath.exp)):
-                f = make_target(target, alpha, g)
-                for n1 in (16, 49):
-                    cfg = ApproxConfig(alpha=alpha, beta=beta, sigma=sigma, n1=n1,
-                                       target=target, g=g)
-                    approx = build_approximation(cfg)
-                    for refine in (0, 1):
-                        boundary = sup_error(approx, f, dom, rate_grid(cfg, refine))
-                        fan = sup_error(approx, f, dom, _fan_grid(cfg, refine))
-                        assert fan <= boundary + 1e-13, (factor, target, n1, refine)
+        targets = (("power", None), ("power_log", None), ("prefactor_power", cmath.exp))
+        for cfg in _grid_configs(alpha, beta, targets):
+            f = make_target(cfg.target, alpha, cfg.g)
+            approx = build_approximation(cfg)
+            for refine in (0, 1):
+                boundary = sup_error(approx, f, dom, rate_grid(cfg, refine))
+                fan = sup_error(approx, f, dom, _fan_grid(cfg, refine))
+                assert fan <= boundary + 1e-13, (cfg, refine)
+
+    @pytest.mark.parametrize("beta", _GRID_BETAS)
+    @pytest.mark.parametrize("alpha", _GRID_ALPHAS)
+    def test_plain_tails_are_real_and_the_lower_half_adds_nothing(self, alpha, beta):
+        # Schwarz reflection: real poles, residues and tail give
+        # |e(conj z)| = |e(z)| bit for bit, so mirroring the upper half of
+        # the grid leaves the sup unchanged
+        dom = SectorDomain(beta=beta)
+        for cfg in _grid_configs(alpha, beta, (("power", None), ("power_log", None))):
+            f = make_target(cfg.target, alpha)
+            approx = build_approximation(cfg)
+            assert np.all(approx.tail_coeffs.imag == 0.0), cfg
+            for refine in (0, 1):
+                grid = rate_grid(cfg, refine)
+                zs = grid.points
+                mirrored = SampleGrid(points=np.concatenate([zs, zs[zs.imag > 0].conj()]))
+                assert (sup_error(approx, f, dom, mirrored)
+                        == sup_error(approx, f, dom, grid)), (cfg, refine)
+
+    @pytest.mark.parametrize("beta", _GRID_BETAS)
+    @pytest.mark.parametrize("alpha", _GRID_ALPHAS)
+    def test_real_half_fit_matches_full_boundary_complex_fit(self, alpha, beta):
+        for cfg in _grid_configs(alpha, beta, (("power", None), ("power_log", None))):
+            tail = fit_tail(cfg)
+            assert not np.iscomplexobj(tail.coeffs)
+            zv = _fit_points(cfg, fine=True)
+            y = _remainder_values(cfg, zv)
+            gap = np.abs(_poly_eval(tail.coeffs, zv, 1.0)
+                         - _poly_eval(_full_boundary_complex_tail(cfg), zv, 1.0))
+            assert gap.max() <= 1e-12 * np.abs(y).max(), cfg
 
 
 class TestDiagnosticsAndSkips:

@@ -201,6 +201,17 @@ class TestSolveDirichlet:
         for a, b in zip(errs, errs[1:]):
             assert b <= 10 * a
 
+    @pytest.mark.parametrize("domain", [concave_quadrilateral, curvy_l_domain])
+    def test_residual_norm_is_the_unweighted_collocation_rms(self, domain):
+        # the reported residual is exactly the RMS of sol.eval against the
+        # data on the collocation points, however the solve forms its misfit
+        poly = domain()
+        basis = plan_basis(poly, 80, "global_opt")
+        sol = solve_dirichlet(poly, "re2", basis)
+        zs, _ = _collocation(poly, basis, 4)
+        rhs = np.array([z.real**2 for z in zs.tolist()])
+        assert sol.residual_norm == float(np.sqrt(np.mean((sol.eval(zs) - rhs) ** 2)))
+
     def test_undersampling_rejected(self):
         basis = plan_basis(self.poly, 40, "global_opt")
         with pytest.raises(ValueError, match="oversample"):
