@@ -4,14 +4,9 @@ convergence-rate verification, and a lightning Laplace solver on polygons."""
 from .geometry import (
     Edge,
     Polygon,
-    SampleGrid,
-    SectorDomain,
     interior_angles,
     polygon_from_file,
-    polygon_to_file,
     resolve_corner_exponents,
-    sample_sector,
-    sample_v_boundary,
 )
 from .kernels import (
     BranchCutError,
@@ -22,7 +17,6 @@ from .kernels import (
     identity_residual,
     identity_residual_log,
     log_weight_constant,
-    ref_power,
     trapezoid_rational,
     trapezoid_rational_log,
     truncated_integral,

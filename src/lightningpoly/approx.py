@@ -24,7 +24,6 @@ __all__ = [
     "TailFit",
     "optimal_sigma",
     "clustered_poles",
-    "clustered_poles_quadrature_form",
     "residues_power",
     "residues_power_log",
     "fit_tail",
@@ -119,10 +118,6 @@ class ApproxConfig:
         return n
 
     @property
-    def eta(self) -> float:
-        return optimal_sigma(self.alpha, self.beta) / self.sigma
-
-    @property
     def log_like(self) -> bool:
         return self.target.endswith("power_log")
 
@@ -131,12 +126,6 @@ def clustered_poles(cfg: ApproxConfig) -> np.ndarray:
     """The n1 tapered poles -C*exp(-sigma*(sqrt(n1)-sqrt(j))); the last one
     is exactly -C."""
     return -tapered(cfg.n1, cfg.sigma, cfg.C)
-
-
-def clustered_poles_quadrature_form(cfg: ApproxConfig) -> np.ndarray:
-    """Same poles written through the quadrature nodes,
-    -C*exp((sqrt(j*h)-T)/alpha); agrees with clustered_poles to rounding."""
-    return quadrature_nodes(cfg, np.arange(1, cfg.n1 + 1))[1]
 
 
 def residues_power(cfg: ApproxConfig) -> np.ndarray:
@@ -257,7 +246,7 @@ def _reflected_half(cfg: ApproxConfig, pts: np.ndarray) -> np.ndarray:
     return pts[pts.imag >= 0]
 
 
-def _poly_lstsq(zs, values, degree, scale, real=False):
+def _poly_lstsq(zs, values, degree, real=False):
     """Least-squares monomial coefficients of a degree-``degree`` fit to
     ``values`` at ``zs``, solved with unit-norm columns.
 
@@ -268,7 +257,7 @@ def _poly_lstsq(zs, values, degree, scale, real=False):
     the complex one over the whole set, so it has the same minimiser.  The
     Im rows of points on the axis are zero and are left out."""
     zs = np.asarray(zs, complex)
-    V = np.vander(zs / scale, degree + 1, increasing=True)
+    V = np.vander(zs, degree + 1, increasing=True)
     if V.shape[0] < V.shape[1]:
         raise ValueError("increase sampling or reduce N2 (rank-deficient fit)")
     y = np.asarray(values, complex)
@@ -309,7 +298,7 @@ def fit_tail(cfg: ApproxConfig, values_fn=None) -> TailFit:
     real = cfg.g is None
     zs = _fit_points(cfg, fine=False)
     y = values_fn(zs)
-    coeffs = _poly_lstsq(zs, y, cfg.n2, 1.0, real=real)
+    coeffs = _poly_lstsq(zs, y, cfg.n2, real=real)
     resid = _poly_eval(coeffs, zs, 1.0) - y
     counts = np.where(zs.imag == 0.0, 1.0, 2.0) if real else None
     rms = float(np.sqrt(np.average(np.abs(resid) ** 2, weights=counts)))
@@ -351,10 +340,6 @@ class RationalApprox:
     @property
     def n_poles(self) -> int:
         return int(self.poles.size)
-
-    @property
-    def degree(self) -> int:
-        return int(self.tail_coeffs.size) - 1
 
     def eval(self, z):
         """Evaluate at a complex point (returns a complex) or an array of

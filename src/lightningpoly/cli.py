@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analysis, corners
 from .approx import ApproxConfig, _fmt, build_approximation, optimal_sigma, serialize
-from .geometry import SectorDomain, polygon_from_file
+from .geometry import polygon_from_file
 from .kernels import KernelConfig
 
 __all__ = ["ExperimentConfig", "run", "main"]
@@ -124,8 +124,7 @@ def _cmd_approx(p: dict) -> int:
                        n2=int(n2) if n2 is not None else None, C=float(p.get("C", 1.0)),
                        target=p.get("target", "power"))
     approx = build_approximation(cfg)
-    err = analysis.checked_sup_error(approx, analysis.make_target(cfg.target, alpha),
-                                     SectorDomain(beta=beta), cfg)
+    err = analysis.checked_sup_error(approx, analysis.make_target(cfg.target, alpha), cfg)
     _write(p.get("out"), serialize(approx))
     rate, _ = analysis.predicted_log_rate(sigma, alpha, beta, cfg.target)
     _emit_json(p.get("json"), {
@@ -187,7 +186,10 @@ def _cmd_quaderr(p: dict) -> int:
     if len(t_list) < 3:
         raise ValueError(f"--T lists {len(t_list)} truncations; the slope fit needs >= 3")
     target = p.get("target", "power")
-    grid = analysis.arc_grid(beta, n=int(p.get("arc_points", 31)))
+    n_arc = int(p.get("arc_points", 31))
+    if n_arc < 1:
+        raise ValueError(f"--arc-points must be >= 1, got {n_arc}")
+    grid = analysis.arc_grid(beta, n=n_arc)
     sigmas = _parse_list(p.get("sigma", "opt"), lambda t: _parse_sigma(t, alpha, beta),
                          "--sigma", "clustering parameters")
     lines = ["sigma,T,sup_err"]

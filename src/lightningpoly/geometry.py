@@ -1,10 +1,10 @@
-"""Domains on which approximations are built and errors are measured.
+"""Geometry on which approximations are built and errors are measured.
 
-Three kinds of geometry live here: the filled unit sector (with its
-V-shaped boundary subset), polygons whose edges may be straight or gently
-curved, and the sample grids drawn on either.  Everything is immutable after
-construction and all sampling is deterministic, so grids can be shared freely
-between threads.
+Two kinds live here: the fan of rays on the unit sector |arg z| <=
+beta*pi/2, |z| <= 1, from which every sample set of the sector is drawn,
+and polygons whose edges may be straight or gently curved.  Polygons are
+immutable after construction, and all sampling is deterministic and
+returns a fresh array per call.
 """
 
 from __future__ import annotations
@@ -17,51 +17,16 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "SectorDomain",
     "Edge",
     "Polygon",
-    "SampleGrid",
     "interior_angles",
     "resolve_corner_exponents",
     "ray_fan",
-    "sample_sector",
-    "sample_v_boundary",
     "polygon_from_file",
-    "polygon_to_file",
 ]
 
 _TWO_PI = 2.0 * math.pi
 _GL7_NODES, _GL7_WEIGHTS = np.polynomial.legendre.leggauss(7)
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
-
-
-@dataclass(frozen=True)
-class SectorDomain:
-    """The unit sector |arg z| <= beta*pi/2, |z| <= 1 (scale enters an
-    approximation only through its pole scale C).
-
-    ``beta = 0`` gives the segment [0, 1]; ``beta -> 2`` the full slit disk (excluded).
-    """
-
-    beta: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.beta < 2.0:
-            raise ValueError(f"beta must lie in [0, 2), got {self.beta}")
-
-    def contains(self, z, tol: float = 1e-12):
-        """Whether z lies in the sector up to tol: a bool for a point, a
-        boolean array of z's shape for an array."""
-        w = np.asarray(z, complex)
-        r = np.abs(w)
-        inside = (r <= tol) | ((r <= 1 + tol)
-                               & (np.abs(np.angle(w)) <= self.beta * math.pi / 2 + tol))
-        return bool(inside) if w.ndim == 0 else inside
 
 
 @dataclass(frozen=True)
@@ -196,22 +161,6 @@ class Polygon:
         return abs(abs(ang.sum()) - _TWO_PI) < 1e-6
 
 
-@dataclass(frozen=True, eq=False)
-class SampleGrid:
-    """Read-only points drawn on a domain for sup-norm measurement."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = _readonly(np.asarray(self.points, complex).ravel())
-        object.__setattr__(self, "points", pts)
-        if pts.size == 0:
-            raise ValueError("empty sample grid")
-
-    def __len__(self):
-        return self.points.size
-
-
 def interior_angles(polygon: Polygon) -> np.ndarray:
     """Interior angles beta_k (in units of pi) at each vertex.
 
@@ -257,41 +206,11 @@ def resolve_corner_exponents(polygon: Polygon):
 def ray_fan(beta: float, radii, n_rays: int) -> np.ndarray:
     """The points radii x rays of the unit sector, radius-major: ``n_rays``
     rays evenly spaced over |arg z| <= beta*pi/2, or the axis alone at
-    beta = 0.  The one definition of the sector's fan, shared by its sample
-    grids, tail-fit points and rate grids."""
+    beta = 0.  The one definition of the sector's fan, shared by its
+    tail-fit points, rate and arc grids and near-origin scan."""
     half = beta * math.pi / 2
     thetas = np.linspace(-half, half, n_rays) if beta > 0 else np.array([0.0])
     return (np.asarray(radii, float)[:, None] * np.exp(1j * thetas)).ravel()
-
-
-def sample_sector(domain: SectorDomain, n_ray: int, n_arc: int,
-                  cluster_ratio: float) -> SampleGrid:
-    """Sup-norm grid on a sector: geometric radii times a fan of rays.
-
-    Radii run from 1 down to ``cluster_ratio**n_ray`` and the apex 0 itself
-    is appended.  Rays always include both boundary rays and the axis, so
-    the outer arc and the V-shaped boundary are covered.
-    """
-    if n_ray < 2:
-        raise ValueError("n_ray must be >= 2")
-    if n_arc < 1:
-        raise ValueError("n_arc must be >= 1")
-    if not 0.0 < cluster_ratio < 1.0:
-        raise ValueError("cluster_ratio must lie in (0, 1)")
-    pts = ray_fan(domain.beta, cluster_ratio ** np.arange(n_ray + 1), 2 * n_arc + 1)
-    return SampleGrid(points=np.concatenate([pts, [0.0]]))
-
-
-def sample_v_boundary(domain: SectorDomain, n_ray: int,
-                      cluster_ratio: float) -> SampleGrid:
-    """Grid on the V-shaped boundary rays only; a pointwise subset of the
-    sector grid built with the same arguments."""
-    if n_ray < 2:
-        raise ValueError("n_ray must be >= 2")
-    if not 0.0 < cluster_ratio < 1.0:
-        raise ValueError("cluster_ratio must lie in (0, 1)")
-    pts = ray_fan(domain.beta, cluster_ratio ** np.arange(n_ray + 1), 2)
-    return SampleGrid(points=np.concatenate([pts, [0.0]]))
 
 
 def polygon_from_file(path) -> Polygon:
@@ -339,18 +258,3 @@ def polygon_from_file(path) -> Polygon:
     bulges = [curve_decls.get(k, 0.0) for k in range(m)]
     return Polygon.from_vertices(vertices, bulges=bulges, betas=betas, alphas=alphas)
 
-
-def polygon_to_file(path, polygon: Polygon):
-    lines = []
-    for k, v in enumerate(polygon.vertices):
-        extra = ""
-        if polygon.betas[k] is not None:
-            extra += f" beta={polygon.betas[k]:.17g}"
-        a = polygon.alphas[k]
-        if a != "auto":
-            extra += f" alpha={a:.17g}"
-        lines.append(f"{v.real:.17g} {v.imag:.17g}{extra}")
-    for k, e in enumerate(polygon.edges):
-        if e.bulge != 0.0:
-            lines.append(f"curve {k} bulge={e.bulge:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -31,7 +31,6 @@ __all__ = [
     "QuadratureNonConvergence",
     "KernelConfig",
     "QuadratureResult",
-    "ref_power",
     "power_values",
     "log_weight_constant",
     "adaptive_gauss_legendre",
@@ -43,7 +42,6 @@ __all__ = [
     "trapezoid_rational_log",
     "tapered",
     "quadrature_nodes",
-    "quadrature_poles",
     "log_weights",
     "pole_collisions",
     "pole_sum",
@@ -120,15 +118,6 @@ class QuadratureResult:
             raise ValueError("est_error must be finite")
         if np.any(np.asarray(self.evaluations) <= 0):
             raise ValueError("evaluations must be positive")
-
-
-def ref_power(z: complex, alpha: float) -> complex:
-    """Principal-branch z^alpha (arg z in (-pi, pi]), with 0^alpha = 0."""
-    z = complex(z)
-    if z == 0:
-        return 0j
-    _check_off_cut(z)
-    return cmath.exp(alpha * cmath.log(z))
 
 
 def log_weight_constant(alpha: float, C: float) -> float:
@@ -382,11 +371,6 @@ def quadrature_nodes(cfg, j):
     poles -C*e^{s_j/alpha}; cfg is a KernelConfig or an ApproxConfig."""
     s = np.sqrt(j * cfg.h) - cfg.T
     return s, -cfg.C * np.exp(s / cfg.alpha)
-
-
-def quadrature_poles(cfg: KernelConfig) -> np.ndarray:
-    """All n_quad trapezoid nodes as poles -C*e^{(sqrt(jh)-T)/alpha}."""
-    return quadrature_nodes(cfg, np.arange(1, cfg.n_quad + 1))[1]
 
 
 def log_weights(alpha: float, C: float, h: float, T: float):

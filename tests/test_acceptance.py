@@ -23,7 +23,6 @@ from lightningpoly.approx import (
     ApproxConfig,
     build_approximation,
     clustered_poles,
-    clustered_poles_quadrature_form,
     optimal_sigma,
 )
 from lightningpoly.corners import (
@@ -36,11 +35,12 @@ from lightningpoly.corners import (
     singular_coefficient_check,
     solve_dirichlet,
 )
-from lightningpoly.geometry import SectorDomain, sample_sector
+from lightningpoly.geometry import ray_fan
 from lightningpoly.kernels import (
     KernelConfig,
     identity_residual,
     identity_residual_log,
+    quadrature_nodes,
     trapezoid_rational,
     truncated_integral,
 )
@@ -65,17 +65,17 @@ def test_criterion_01_integral_identities():
     worst_pow = worst_log = 0.0
     for alpha in (0.25, 0.5, 0.8):
         for beta in (0.0, 1.0, 1.5):
+            # geometric radii on a fan of rays, and the apex
             if beta == 0.0:
-                grid = sample_sector(SectorDomain(beta=beta), n_ray=199, n_arc=1,
-                                     cluster_ratio=0.92)
+                radii, n_rays = 0.92 ** np.arange(200), 3
             else:
-                grid = sample_sector(SectorDomain(beta=beta), n_ray=19, n_arc=5,
-                                     cluster_ratio=0.35)
-            assert len(grid) >= 200
+                radii, n_rays = 0.35 ** np.arange(20), 11
+            grid = np.concatenate([ray_fan(beta, radii, n_rays), [0.0]])
+            assert grid.size >= 200
             # each grid takes one batched call per representation
-            worst_pow = max(worst_pow, float(np.max(identity_residual(grid.points, alpha, 1e-12))))
+            worst_pow = max(worst_pow, float(np.max(identity_residual(grid, alpha, 1e-12))))
             worst_log = max(worst_log,
-                            float(np.max(identity_residual_log(grid.points, alpha, 1e-12))))
+                            float(np.max(identity_residual_log(grid, alpha, 1e-12))))
     elapsed = time.perf_counter() - t0
     ok = worst_pow <= 1e-10 and worst_log <= 1e-9 and elapsed < 20.0
     _report(1, "integral representations", ok,
@@ -258,7 +258,7 @@ def test_criterion_11_property_suite_exact_invariants():
                            sigma=float(rng.uniform(1.0, 10.0)),
                            n1=int(rng.randint(2, 40)), n2=0)
         a = clustered_poles(cfg)
-        b = clustered_poles_quadrature_form(cfg)
+        b = quadrature_nodes(cfg, np.arange(1, cfg.n1 + 1))[1]
         worst_equiv = max(worst_equiv, float(np.max(np.abs(a - b) / np.abs(a))))
     ok &= worst_equiv <= 1e-13
     details.append(f"pole formula equivalence={worst_equiv:.2e}")

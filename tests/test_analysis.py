@@ -42,17 +42,11 @@ from lightningpoly.approx import (
     optimal_sigma,
     serialize,
 )
-from lightningpoly.geometry import (
-    SampleGrid,
-    SectorDomain,
-    ray_fan,
-    sample_sector,
-    sample_v_boundary,
-)
+from lightningpoly.geometry import ray_fan
 from lightningpoly.kernels import (
     KernelConfig,
     PoleCollisionError,
-    quadrature_poles,
+    quadrature_nodes,
     trapezoid_rational,
     trapezoid_rational_log,
 )
@@ -63,35 +57,40 @@ def _record(n1, n2, err, sigma=1.0):
                              predicted_log_err=0.0, sigma=sigma, runtime_ms=0.0)
 
 
+def _sector_points(beta, n_ray, n_arc, ratio):
+    """Geometric radii ratio**0..ratio**n_ray on a fan of 2*n_arc + 1 rays,
+    and the apex."""
+    return np.concatenate([ray_fan(beta, ratio ** np.arange(n_ray + 1), 2 * n_arc + 1), [0.0]])
+
+
 class TestSupError:
     def setup_method(self):
         self.cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=optimal_sigma(0.5, 1.0), n1=9)
-        self.dom = SectorDomain(beta=1.0)
         self.approx = build_approximation(self.cfg)
-        self.grid = sample_sector(self.dom, 30, 6, 0.5)
+        self.grid = _sector_points(1.0, 30, 6, 0.5)
 
     def test_self_comparison_after_round_trip(self):
         clone = deserialize(serialize(self.approx))
         target = lambda zs: clone.eval(zs)
-        assert sup_error(self.approx, target, self.dom, self.grid) == 0.0
+        assert sup_error(self.approx, target, None, self.grid) == 0.0
 
     def test_constant_shift(self):
         target = lambda zs: self.approx.eval(zs) + 0.125
-        assert sup_error(self.approx, target, self.dom, self.grid) == pytest.approx(0.125)
+        assert sup_error(self.approx, target, None, self.grid) == pytest.approx(0.125)
 
     def test_sector_rate_spec_point(self):
         cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=optimal_sigma(0.5, 1.0), n1=36)
         approx = build_approximation(cfg)
-        err = checked_sup_error(approx, make_target("power", 0.5), self.dom, cfg)
+        err = checked_sup_error(approx, make_target("power", 0.5), cfg)
         predicted = math.exp(-6 * math.pi)
         assert predicted / 100 <= err <= predicted * 100
 
     def test_v_subset_error_never_larger(self):
-        sector = sample_sector(self.dom, 40, 8, 0.5)
-        vgrid = sample_v_boundary(self.dom, 40, 0.5)
+        sector = _sector_points(1.0, 40, 8, 0.5)
+        vgrid = np.concatenate([ray_fan(1.0, 0.5 ** np.arange(41), 2), [0.0]])
         target = make_target("power", 0.5)
-        e_s = sup_error(self.approx, target, self.dom, sector)
-        e_v = sup_error(self.approx, target, self.dom, vgrid)
+        e_s = sup_error(self.approx, target, None, sector)
+        e_v = sup_error(self.approx, target, None, vgrid)
         assert e_v <= e_s + 1e-18
 
 
@@ -348,12 +347,11 @@ class TestSweepAndCsv:
         # from the chosen config must give the same record
         alpha, beta, n1 = 0.8, 1.5, 16
         sigma = optimal_sigma(alpha, beta)
-        dom = SectorDomain(beta=beta)
         (rec,) = run_sweep(alpha, beta, sigma, [n1], target=target, g=g)
         cfg, tail = _auto_tail_config(alpha, beta, sigma, n1, 1.0, target, g)
         assert tail.coeffs.size == cfg.n2 + 1
         approx = build_approximation(cfg)
-        err = checked_sup_error(approx, make_target(target, alpha, g), dom, cfg)
+        err = checked_sup_error(approx, make_target(target, alpha, g), cfg)
         assert (rec.n1, rec.n2, rec.sup_err) == (cfg.n1, cfg.n2, err)
 
     @pytest.mark.parametrize("alpha, beta, target, sigma_factor, n1, rungs", [
@@ -378,10 +376,10 @@ class TestSweepAndCsv:
         cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=optimal_sigma(0.5, 1.0), n1=25)
         grid = rate_grid(cfg)
         p1 = abs(clustered_poles(cfg)[0])
-        nz = np.abs(grid.points[grid.points != 0])
+        nz = np.abs(grid[grid != 0])
         assert nz.min() < p1
         assert np.isclose(nz.max(), 1.0)
-        assert 0.0 in grid.points
+        assert 0.0 in grid
 
     @given(st.floats(0.1, 0.9), st.floats(0.0, 1.95), st.floats(0.5, 12.0),
            st.integers(1, 25), st.integers(0, 30))
@@ -394,12 +392,11 @@ class TestSweepAndCsv:
         # prefactor target both edges
         cfg = ApproxConfig(alpha=alpha, beta=beta, sigma=sigma, n1=n1, n2=n2)
         pre = _prefactor_twin(cfg)
-        sector = SectorDomain(beta=beta)
         half = beta * math.pi / 2
 
         def point_sets(c):
             return ([_fit_points(c, fine) for fine in (False, True)]
-                    + [rate_grid(c, refine).points for refine in (0, 1, 2)])
+                    + [rate_grid(c, refine) for refine in (0, 1, 2)])
 
         for k, (zs, full) in enumerate(zip(point_sets(cfg), point_sets(pre))):
             assert np.all(zs.imag >= 0)
@@ -412,13 +409,19 @@ class TestSweepAndCsv:
                 for edge in (-half, half):
                     assert np.any((np.abs(np.angle(full) - edge) <= 1e-12) & (full != 0))
             for pts in (zs, full):
-                assert sector.contains(pts).all()
+                assert _in_unit_sector(beta, pts).all()
                 on_edge = np.abs(np.abs(np.angle(pts)) - half) <= 1e-12
                 on_arc = np.abs(np.abs(pts) - 1.0) <= 1e-12
                 assert (on_edge | on_arc | (np.abs(pts) <= 1e-12)).all()
                 if beta == 0.0:
                     assert np.all(pts.imag == 0.0)
                     assert np.all((pts.real >= 0) & (pts.real <= 1))
+
+
+def _in_unit_sector(beta, zs, tol=1e-12):
+    """Whether each point lies in |arg z| <= beta*pi/2, |z| <= 1, up to tol."""
+    r = np.abs(zs)
+    return (r <= tol) | ((r <= 1 + tol) & (np.abs(np.angle(zs)) <= beta * math.pi / 2 + tol))
 
 
 def _prefactor_twin(cfg):
@@ -459,8 +462,7 @@ def _fan_grid(cfg, refine):
     ratio = 0.5 ** (1.0 / (refine + 1))
     radii = np.unique(np.concatenate([ratio ** np.arange(depth + 1),
                                       _chebyshev_radii(192 * (refine + 1))]))
-    return SampleGrid(points=np.concatenate([ray_fan(cfg.beta, radii, 13 * (refine + 1)),
-                                             [0.0]]))
+    return np.concatenate([ray_fan(cfg.beta, radii, 13 * (refine + 1)), [0.0]])
 
 
 class TestBoundaryGrid:
@@ -469,14 +471,13 @@ class TestBoundaryGrid:
     def test_interior_rays_never_exceed_the_boundary(self, alpha, beta):
         # maximum modulus: the error is analytic inside the sector, so no
         # point of the interior-ray fan exceeds the boundary grid's sup
-        dom = SectorDomain(beta=beta)
         targets = (("power", None), ("power_log", None), ("prefactor_power", cmath.exp))
         for cfg in _grid_configs(alpha, beta, targets):
             f = make_target(cfg.target, alpha, cfg.g)
             approx = build_approximation(cfg)
             for refine in (0, 1):
-                boundary = sup_error(approx, f, dom, rate_grid(cfg, refine))
-                fan = sup_error(approx, f, dom, _fan_grid(cfg, refine))
+                boundary = sup_error(approx, f, None, rate_grid(cfg, refine))
+                fan = sup_error(approx, f, None, _fan_grid(cfg, refine))
                 assert fan <= boundary + 1e-13, (cfg, refine)
 
     @pytest.mark.parametrize("beta", _GRID_BETAS)
@@ -485,17 +486,15 @@ class TestBoundaryGrid:
         # Schwarz reflection: real poles, residues and tail give
         # |e(conj z)| = |e(z)| bit for bit, so mirroring the upper half of
         # the grid leaves the sup unchanged
-        dom = SectorDomain(beta=beta)
         for cfg in _grid_configs(alpha, beta, (("power", None), ("power_log", None))):
             f = make_target(cfg.target, alpha)
             approx = build_approximation(cfg)
             assert np.all(approx.tail_coeffs.imag == 0.0), cfg
             for refine in (0, 1):
-                grid = rate_grid(cfg, refine)
-                zs = grid.points
-                mirrored = SampleGrid(points=np.concatenate([zs, zs[zs.imag > 0].conj()]))
-                assert (sup_error(approx, f, dom, mirrored)
-                        == sup_error(approx, f, dom, grid)), (cfg, refine)
+                zs = rate_grid(cfg, refine)
+                mirrored = np.concatenate([zs, zs[zs.imag > 0].conj()])
+                assert (sup_error(approx, f, None, mirrored)
+                        == sup_error(approx, f, None, zs)), (cfg, refine)
 
     @pytest.mark.parametrize("beta", _GRID_BETAS)
     @pytest.mark.parametrize("alpha", _GRID_ALPHAS)
@@ -513,35 +512,33 @@ class TestBoundaryGrid:
 class TestDiagnosticsAndSkips:
     def test_sup_error_skips_and_errors(self):
         approx = deserialize("pole -1 0\nresidue 1 0\ntail 0\nscale 1\n")
-        dom = SectorDomain(beta=1.0)
         near_pole = -1.0 + 1e-16j
         ok_points = (0.5 + 0.1j) * np.ones(300)
-        grid = SampleGrid(points=np.concatenate([[near_pole], ok_points]))
+        grid = np.concatenate([[near_pole], ok_points])
         with pytest.warns(UserWarning, match="skipped 1"):
-            sup_error(approx, lambda zs: np.zeros_like(zs), dom, grid)
-        tiny = SampleGrid(points=np.array([near_pole, 0.5 + 0j]))
+            sup_error(approx, lambda zs: np.zeros_like(zs), None, grid)
+        tiny = np.array([near_pole, 0.5 + 0j])
         with pytest.warns(UserWarning):
             with pytest.raises(Exception, match="1%"):
-                sup_error(approx, lambda zs: np.zeros_like(zs), dom, tiny)
+                sup_error(approx, lambda zs: np.zeros_like(zs), None, tiny)
 
     def test_collision_rule_shared_by_sums_eval_and_sup_error(self):
         # alpha = 0.1 and T ~ 68 put the innermost node near 1e-291, where
         # the absolute 1e-300 floor of the collision window decides
         cfg = KernelConfig(alpha=0.1, C=1.0, h=1.0, n_quad=5700)
-        poles = quadrature_poles(cfg)
+        poles = quadrature_nodes(cfg, np.arange(1, cfg.n_quad + 1))[1]
         approx = RationalApprox(poles=poles, residues=np.ones(poles.size),
                                 tail_coeffs=np.zeros(1), basis_scale=1.0)
-        dom = SectorDomain(beta=1.0)
         safe = np.full(100, 0.5 + 0.1j)
         assert 1e-292 < abs(poles[0]) < 1e-289
         for p in (poles[0], poles[np.argmin(np.abs(np.log(np.abs(poles))))]):
             window = max(1e-14 * abs(p), 1e-300)
             for factor, collides in ((0.5, True), (2.0, False)):
                 z = complex(p, factor * window)
-                grid = SampleGrid(points=np.concatenate([[z], safe]))
+                grid = np.concatenate([[z], safe])
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
-                    sup_error(approx, lambda zs: np.zeros_like(zs), dom, grid)
+                    sup_error(approx, lambda zs: np.zeros_like(zs), None, grid)
                 assert any("skipped 1" in str(w.message) for w in caught) == collides
                 for fn in (lambda: trapezoid_rational(z, cfg),
                            lambda: trapezoid_rational_log(z, cfg),

@@ -12,7 +12,6 @@ from lightningpoly.approx import (
     RationalApprox,
     build_approximation,
     clustered_poles,
-    clustered_poles_quadrature_form,
     deserialize,
     fit_tail,
     optimal_sigma,
@@ -68,7 +67,7 @@ class TestPoles:
         # tapered form vs quadrature-node form of the same poles
         cfg = ApproxConfig(alpha=alpha, beta=0.5, sigma=sigma, n1=n1, n2=0)
         a = clustered_poles(cfg)
-        b = clustered_poles_quadrature_form(cfg)
+        b = quadrature_nodes(cfg, np.arange(1, cfg.n1 + 1))[1]
         assert np.max(np.abs(a - b) / np.abs(a)) <= 1e-13
 
     def test_scaling_in_c(self):
@@ -79,7 +78,7 @@ class TestPoles:
 
     def test_eta_ratio(self):
         cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=math.pi, n1=4, n2=0)
-        assert cfg.eta == pytest.approx(2.0, rel=1e-15)
+        assert optimal_sigma(0.5, 1.0) / cfg.sigma == pytest.approx(2.0, rel=1e-15)
         assert cfg.h == pytest.approx(math.pi**2 / 4, rel=1e-15)
 
     def test_n_quad_consistency(self):
@@ -160,7 +159,7 @@ class TestFitTail:
         from lightningpoly.approx import _poly_lstsq
         zs = np.array([0.1, 0.5, 0.9], complex)
         with pytest.raises(ValueError, match="reduce N2"):
-            _poly_lstsq(zs, zs**0.5, degree=5, scale=1.0)
+            _poly_lstsq(zs, zs**0.5, degree=5)
 
 
 def _remainder_one_shot(cfg, zs):
@@ -275,7 +274,7 @@ class TestBuildAndEval:
     def test_smallest_instance(self):
         cfg = ApproxConfig(alpha=0.5, beta=0.0, sigma=2.0, n1=1, n2=0)
         ap = build_approximation(cfg)
-        assert ap.n_poles == 1 and ap.degree == 0
+        assert ap.n_poles == 1 and ap.tail_coeffs.size == 1
         assert np.isfinite(abs(ap.eval(0.5)))
 
     def test_segment_rate_value(self):

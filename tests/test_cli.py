@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ import pytest
 from lightningpoly.analysis import BoundContext, arc_grid
 from lightningpoly.approx import deserialize, optimal_sigma
 from lightningpoly.cli import ExperimentConfig, main, run
-from lightningpoly.corners import concave_quadrilateral
-from lightningpoly.geometry import polygon_to_file
 from lightningpoly.kernels import KernelConfig, truncated_integral, truncated_integral_log
+
+POLYGONS = Path(__file__).resolve().parent.parent / "scripts" / "polygons"
 
 
 class TestArgumentHandling:
@@ -242,6 +243,17 @@ class TestQuaderr:
         assert preds == [1.0, pytest.approx(0.5)]
 
 
+    @pytest.mark.parametrize("beta", ["0", "1", "1.5"])
+    @pytest.mark.parametrize("arc_points", ["0", "-1"])
+    def test_arc_points_below_one_exits_2(self, beta, arc_points, tmp_path, capsys):
+        # at beta = 0 the arc is the single point z = 1 whatever the count
+        csv = tmp_path / "q.csv"
+        assert main(["quaderr", "--alpha", "0.5", "--beta", beta, "--T", "4,6,8",
+                     "--arc-points", arc_points, "--csv", str(csv)]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid configuration: --arc-points must be >= 1, got {arc_points}" in err
+        assert not csv.exists()
+
     def test_json_counts_reference_evaluations(self, tmp_path):
         j = tmp_path / "q.json"
         csv = tmp_path / "q.csv"
@@ -249,7 +261,7 @@ class TestQuaderr:
               "--T", "4,6,8", "--arc-points", "7", "--target", "power_log",
               "--csv", str(csv), "--json", str(j)])
         curves = json.loads(j.read_text())["curves"]
-        grid = arc_grid(1.0, n=7).points.tolist()
+        grid = arc_grid(1.0, n=7).tolist()
         for curve in curves:
             h = curve["sigma"] ** 2 * 0.25
             cfgs = [KernelConfig(alpha=0.5, h=h, n_quad=max(2, math.ceil((2 * t) ** 2 / h)))
@@ -290,8 +302,7 @@ class TestNearOrigin:
 
 class TestLaplace:
     def test_polygon_file_run(self, tmp_path):
-        poly_path = tmp_path / "quad.poly"
-        polygon_to_file(poly_path, concave_quadrilateral())
+        poly_path = POLYGONS / "concave_quadrilateral.poly"
         j = tmp_path / "l.json"
         code = main(["laplace", "--polygon", str(poly_path), "--data", "re2",
                      "--sigma", "opt", "--N", "40,80,160",

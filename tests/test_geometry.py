@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -8,14 +7,10 @@ from hypothesis import strategies as st
 
 from lightningpoly.geometry import (
     Polygon,
-    SampleGrid,
-    SectorDomain,
     interior_angles,
     polygon_from_file,
-    polygon_to_file,
+    ray_fan,
     resolve_corner_exponents,
-    sample_sector,
-    sample_v_boundary,
 )
 
 
@@ -111,91 +106,38 @@ class TestCornerExponents:
         assert exps[2] == (0.25, False)
 
 
-class TestSampleSector:
-    def test_degenerate_sector_is_interval(self):
-        grid = sample_sector(SectorDomain(beta=0.0), n_ray=3, n_arc=1, cluster_ratio=0.1)
-        pts = grid.points
-        assert np.all(np.abs(pts.imag) == 0)
-        assert np.all((pts.real >= 0) & (pts.real <= 1))
-        assert 0.0 in pts.real and 1.0 in pts.real
+class TestRayFan:
+    def test_axis_alone_at_beta_zero(self):
+        pts = ray_fan(0.0, [1.0, 0.25], 5)
+        assert pts.dtype == complex
+        assert pts.tolist() == [1.0, 0.25]
 
-    def test_half_plane_sector_arg_bound(self):
-        grid = sample_sector(SectorDomain(beta=1.0), n_ray=2, n_arc=2, cluster_ratio=0.5)
-        nz = grid.points[grid.points != 0]
-        assert np.all(np.abs(np.angle(nz)) <= math.pi / 2 + 1e-14)
-
-    def test_min_radius_geometric(self):
-        grid = sample_sector(SectorDomain(beta=1.5), n_ray=40, n_arc=20, cluster_ratio=0.3)
-        nz = np.abs(grid.points[grid.points != 0])
-        assert np.isclose(nz.min(), 0.3**40, rtol=1e-12)
-
-    def test_deterministic(self):
-        a = sample_sector(SectorDomain(beta=0.7), 15, 4, 0.45).points
-        b = sample_sector(SectorDomain(beta=0.7), 15, 4, 0.45).points
-        assert np.array_equal(a, b)
-
-    def test_v_boundary_is_subset(self):
-        dom = SectorDomain(beta=1.3)
-        sector = sample_sector(dom, 12, 5, 0.5).points
-        vgrid = sample_v_boundary(dom, 12, 0.5).points
-        sector_set = set(sector.tolist())
-        assert all(z in sector_set for z in vgrid.tolist())
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            sample_sector(SectorDomain(beta=0.5), 1, 1, 0.5)
-        with pytest.raises(ValueError):
-            sample_sector(SectorDomain(beta=0.5), 5, 0, 0.5)
-        with pytest.raises(ValueError):
-            sample_sector(SectorDomain(beta=0.5), 5, 1, 1.5)
-        with pytest.raises(ValueError):
-            SectorDomain(beta=2.0)
-
-
-def _contains_scalar(beta, z, tol=1e-12):
-    """The point test SectorDomain.contains applies, in scalar arithmetic."""
-    w = complex(z)
-    if abs(w) <= tol:
-        return True
-    return abs(w) <= 1 + tol and abs(np.angle(w)) <= beta * math.pi / 2 + tol
-
-
-class TestSectorContains:
-    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 1.5])
-    def test_array_matches_points(self, beta):
-        # the apex, |z| = 1 +- tol, and angles just inside and just outside
-        # the edge beta*pi/2 + tol, in both half-planes
-        dom = SectorDomain(beta=beta)
-        tol = 1e-12
-        edge = beta * math.pi / 2 + tol
-        angles = [0.0, edge, np.nextafter(edge, 0.0), np.nextafter(edge, 4.0),
-                  edge - 1e-9, edge + 1e-9]
-        radii = [1.0 - tol, 1.0, 1.0 + tol, np.nextafter(1.0 + tol, 2.0), 0.5]
-        pts = [0j, 0.5 * tol, tol, 2.0 * tol] + [r * cmath.exp(1j * s * t) for r in radii
-                                                for t in angles for s in (1.0, -1.0)]
-        zs = np.array(pts).reshape(-1, 2)
-        got = dom.contains(zs)
-        assert got.dtype == bool and got.shape == zs.shape
-        per_point = [[dom.contains(z) for z in row] for row in zs.tolist()]
-        assert all(type(v) is bool for row in per_point for v in row)
-        assert got.tolist() == per_point
-        assert per_point == [[_contains_scalar(beta, z) for z in row] for row in zs.tolist()]
-        assert got.any() and not got.all()
+    def test_rays_span_the_sector_radius_major(self):
+        beta = 1.3
+        pts = ray_fan(beta, [1.0, 0.5], 5).reshape(2, 5)
+        np.testing.assert_allclose(np.abs(pts), [[1.0] * 5, [0.5] * 5], rtol=1e-15)
+        half = beta * math.pi / 2
+        np.testing.assert_allclose(np.angle(pts), [np.linspace(-half, half, 5)] * 2,
+                                   rtol=0, atol=1e-15)
 
 
 class TestPolygonFile:
-    def test_round_trip(self, tmp_path):
-        poly = Polygon.from_vertices(
-            [0, 2, 2 + 1j, 1 + 2j, 2j],
-            bulges=[0.0, -0.06, 0.12, -0.06, 0.0],
-            alphas=["auto", 0.5, "auto", "auto", "auto"],
-        )
+    def test_parse_vertices_attributes_and_curves(self, tmp_path):
         path = tmp_path / "domain.poly"
-        polygon_to_file(path, poly)
-        back = polygon_from_file(path)
-        assert back.vertices == poly.vertices
-        assert back.alphas[1] == 0.5
-        assert [e.bulge for e in back.edges] == [e.bulge for e in poly.edges]
+        path.write_text(
+            "0 0\n"
+            "2 0 alpha=0.5\n"
+            "2 1 beta=0.75\n"
+            "1 2 alpha=auto  # the reflex corner\n"
+            "0 2\n"
+            "curve 1 bulge=-0.06\n"
+            "curve 2 bulge=0.12\n"
+        )
+        poly = polygon_from_file(path)
+        assert poly.vertices == (0j, 2 + 0j, 2 + 1j, 1 + 2j, 2j)
+        assert poly.alphas == ("auto", 0.5, "auto", "auto", "auto")
+        assert poly.betas == (None, None, 0.75, None, None)
+        assert [e.bulge for e in poly.edges] == [0.0, -0.06, 0.12, 0.0, 0.0]
 
     def test_parse_with_comments_and_beta(self, tmp_path):
         path = tmp_path / "square.poly"
@@ -256,7 +198,3 @@ class TestEdgesAndContainment:
         assert poly.contains(3 + 5j)
         assert not poly.contains(5 + 7j)  # inside the reflex notch, outside domain
         assert not poly.contains(20 + 20j)
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            SampleGrid(points=np.array([]))
