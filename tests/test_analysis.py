@@ -381,6 +381,13 @@ class TestSweepAndCsv:
         assert np.isclose(nz.max(), 1.0)
         assert 0.0 in grid
 
+    def test_rate_grid_is_deterministic_and_fresh_per_call(self):
+        cfg = ApproxConfig(alpha=0.3, beta=0.7, sigma=4.0, n1=15, target="power_log")
+        a, b = rate_grid(cfg, 1), rate_grid(cfg, 1)
+        assert a is not b and np.array_equal(a, b)
+        a[:] = 2.0
+        assert np.array_equal(rate_grid(cfg, 1), b)
+
     @given(st.floats(0.1, 0.9), st.floats(0.0, 1.95), st.floats(0.5, 12.0),
            st.integers(1, 25), st.integers(0, 30))
     @example(0.5, 1.1, 4.0, 9, 4)  # the middle arc angle rounds below the axis

@@ -50,6 +50,32 @@ class TestOptimalSigma:
             optimal_sigma(0.5, 2.0)
 
 
+class TestApproxConfig:
+    # the config is the one place a build checks the sector's beta
+    @pytest.mark.parametrize("change,reason", [
+        ({"beta": 2.0}, "beta must lie in"),
+        ({"beta": -0.1}, "beta must lie in"),
+        ({"beta": math.nan}, "beta must lie in"),
+        ({"alpha": 0.0}, "alpha must lie in"),
+        ({"alpha": 1.0}, "alpha must lie in"),
+        ({"sigma": 0.0}, "sigma must be positive"),
+        ({"sigma": math.inf}, "sigma must be positive"),
+        ({"C": 0.0}, "C must be positive"),
+        ({"n1": 0}, "n1 must be"),
+        ({"n2": -1}, "n2 must be"),
+        ({"n2": 121}, "tail degree capped"),
+        ({"target": "cube"}, "unknown target"),
+        ({"target": "prefactor_power"}, "prefactor targets require g"),
+        ({"g": cmath.exp}, "prefactor targets require g"),
+        ({"sigma": 1000.0}, "double-precision range"),
+    ])
+    def test_validation(self, change, reason):
+        kw = dict(alpha=0.5, beta=1.0, sigma=3.0, n1=4, n2=0)
+        ApproxConfig(**kw)
+        with pytest.raises(ValueError, match=reason):
+            ApproxConfig(**{**kw, **change})
+
+
 class TestPoles:
     def test_last_pole_exactly_minus_c(self):
         cfg = ApproxConfig(alpha=0.5, beta=0.0, sigma=2.0, n1=4, n2=0)
