@@ -38,11 +38,12 @@ from .approx import (
     RationalApprox,
     _chebyshev_radii,
     _fmt,
+    _ladder_degrees,
     _reflected_half,
     build_approximation,
     clustered_poles,
-    fit_tail,
     optimal_sigma,
+    tail_fits,
 )
 from .geometry import ray_fan
 from .kernels import (
@@ -234,9 +235,17 @@ def checked_sup_error(approx: RationalApprox, target, cfg: ApproxConfig) -> floa
 
 
 def _auto_tail_config(alpha, beta, sigma, n1, C, target, g):
-    """Tail degree for rate sweeps: smallest rung of an O(sqrt(n1)) ladder
-    whose fit misfit is below the truncation error (or the float floor);
-    keeps N = n1 + n2 close to n1 so fitted slopes stay comparable.
+    """Tail degree for rate sweeps: smallest rung n2 = ceil(k*sqrt(n1)),
+    k in approx._LADDER (2, 3, 4, 6), whose fit misfit is below the
+    truncation error (or the float floor); keeps N = n1 + n2 close to n1
+    so fitted slopes stay comparable.
+
+    The rungs are the degrees of one tail_fits generator, which is consumed
+    only up to the rung that passes: the fit points and the remainder on
+    them are made once per cell, not once per rung.  Those sets are sized
+    by the top rung whatever the degree (_fit_points), so a fresh
+    ``fit_tail`` on the chosen config gives the same tail, and a sweep
+    record equals a fresh build from its config.
 
     Returns ``(cfg, tail)``: the chosen config and the ``fit_tail(cfg)``
     result of its rung, which ``build_approximation`` can reuse for the plain
@@ -245,12 +254,16 @@ def _auto_tail_config(alpha, beta, sigma, n1, C, target, g):
     """
     T = sigma * alpha * math.sqrt(n1)
     goal = max(math.exp(-T) / 5.0, 1e-13)
+
+    def rung(n2):
+        return ApproxConfig(alpha=alpha, beta=beta, sigma=sigma, n1=n1, n2=n2,
+                            C=C, target=target, g=g)
+
+    degrees = _ladder_degrees(n1)
     tried = []
-    for k in (2.0, 3.0, 4.0, 6.0):
-        n2 = math.ceil(k * math.sqrt(n1))
-        cfg = ApproxConfig(alpha=alpha, beta=beta, sigma=sigma, n1=n1, n2=n2,
-                           C=C, target=target, g=g)
-        tail = fit_tail(cfg)
+    # zip builds a rung's config, which checks n2 against its cap, before
+    # it asks the generator for that rung's fit
+    for cfg, tail in zip(map(rung, degrees), tail_fits(rung(degrees[0]), degrees)):
         tried.append((cfg, tail))
         if tail.validation_sup <= goal:
             return cfg, tail

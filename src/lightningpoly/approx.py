@@ -27,6 +27,7 @@ __all__ = [
     "residues_power",
     "residues_power_log",
     "fit_tail",
+    "tail_fits",
     "build_approximation",
     "serialize",
     "deserialize",
@@ -188,6 +189,17 @@ def _remainder_values(cfg: ApproxConfig, zs: np.ndarray) -> np.ndarray:
     return direct - zs * _poly_eval(moments, zs, 1.0) + c_near
 
 
+# the multipliers k of a rate sweep's tail-degree ladder, whose rungs are
+# n2 = ceil(k*sqrt(n1)) (analysis._auto_tail_config); the top one also sizes
+# the fit sets (_fit_points)
+_LADDER = (2.0, 3.0, 4.0, 6.0)
+
+
+def _ladder_degrees(n1: int) -> list[int]:
+    """The tail degrees ceil(k*sqrt(n1)) of the ladder's rungs, lowest first."""
+    return [math.ceil(k * math.sqrt(n1)) for k in _LADDER]
+
+
 def _chebyshev_radii(n: int) -> np.ndarray:
     k = np.arange(n)
     return 0.5 * (1.0 - np.cos(math.pi * (k + 0.5) / n))
@@ -210,12 +222,20 @@ def _fit_points(cfg: ApproxConfig, fine: bool) -> np.ndarray:
     weights are real and alpha is real, so a polynomial with real
     coefficients (as fit_tail fits) has the same misfit at z and at conj z.
     A prefactor target's g need not reflect that way, so its set keeps both
-    halves."""
+    halves.
+
+    The Chebyshev and arc counts grow with max(n2, ceil(6*sqrt(n1))), the
+    larger of the config's degree and the ladder's top rung, not with n2
+    alone.  So every rung of a sweep cell's ladder shares one fit set and
+    one validation set (tail_fits builds them once), and a fresh fit_tail
+    from the rung a sweep chose sees those same sets: a sweep record equals
+    a fresh build from its config."""
     mags = np.abs(clustered_poles(cfg))
     mults = (0.6, 0.9, 1.1, 1.4) if fine else (0.75, 1.0, 1.25)
     radii = np.outer(mags, mults).ravel()
     lo = max(mags.min() * 0.5, 1e-17)
-    n_cheb = (6 if fine else 4) * (cfg.n2 + 1)
+    size = max(cfg.n2, _ladder_degrees(cfg.n1)[-1]) + 1
+    n_cheb = (6 if fine else 4) * size
     radii = np.concatenate([
         radii,
         np.geomspace(lo, 1.0, 65 if fine else 33),
@@ -223,7 +243,7 @@ def _fit_points(cfg: ApproxConfig, fine: bool) -> np.ndarray:
     ])
     radii = np.unique(np.clip(radii, lo, 1.0))
     pts = ray_fan(cfg.beta, radii, 2)
-    n_arc = (4 if fine else 2) * (cfg.n2 + 1)
+    n_arc = (4 if fine else 2) * size
     if cfg.beta > 0:
         pts = np.concatenate([pts, ray_fan(cfg.beta, [1.0], max(n_arc, 64))])
     return _reflected_half(cfg, np.concatenate([pts, [0.0]]))
@@ -286,9 +306,18 @@ class TailFit:
     validation_sup: float
 
 
-def fit_tail(cfg: ApproxConfig, values_fn=None) -> TailFit:
-    """Degree-n2 least-squares polynomial fit to ``values_fn`` (default: the
-    analytic remainder) over clustered samples of the unit sector's boundary.
+def tail_fits(cfg: ApproxConfig, degrees, values_fn=None):
+    """Lazily yield one least-squares polynomial fit to ``values_fn``
+    (default: the analytic remainder) per degree in ``degrees``, over
+    clustered samples of the unit sector's boundary.
+
+    The fit and validation sets (_fit_points) and the values on both (one
+    ``values_fn`` call on the two sets joined) are made once, before the
+    first fit.  Each degree then has its own monomial basis and SVD least
+    squares (_poly_lstsq): the basis at the ladder's top rung is too ill
+    conditioned for one shared QR whose leading columns would serve every
+    degree.  A consumer that stops early, as the rate sweep's ladder does,
+    pays for no later fit and builds no larger basis.
 
     For the plain targets the samples are the upper half of the boundary
     (see _fit_points) and the coefficients are real.  ``fit_rms`` is still
@@ -297,14 +326,22 @@ def fit_tail(cfg: ApproxConfig, values_fn=None) -> TailFit:
     values_fn = values_fn or (lambda zs: _remainder_values(cfg, zs))
     real = cfg.g is None
     zs = _fit_points(cfg, fine=False)
-    y = values_fn(zs)
-    coeffs = _poly_lstsq(zs, y, cfg.n2, real=real)
-    resid = _poly_eval(coeffs, zs, 1.0) - y
-    counts = np.where(zs.imag == 0.0, 1.0, 2.0) if real else None
-    rms = float(np.sqrt(np.average(np.abs(resid) ** 2, weights=counts)))
     zv = _fit_points(cfg, fine=True)
-    sup = float(np.max(np.abs(_poly_eval(coeffs, zv, 1.0) - values_fn(zv))))
-    return TailFit(coeffs=coeffs, fit_rms=rms, validation_sup=sup)
+    y, yv = np.split(values_fn(np.concatenate([zs, zv])), [zs.size])
+    counts = np.where(zs.imag == 0.0, 1.0, 2.0) if real else None
+    for n2 in degrees:
+        coeffs = _poly_lstsq(zs, y, n2, real=real)
+        resid = _poly_eval(coeffs, zs, 1.0) - y
+        rms = float(np.sqrt(np.average(np.abs(resid) ** 2, weights=counts)))
+        sup = float(np.max(np.abs(_poly_eval(coeffs, zv, 1.0) - yv)))
+        yield TailFit(coeffs=coeffs, fit_rms=rms, validation_sup=sup)
+
+
+def fit_tail(cfg: ApproxConfig, values_fn=None) -> TailFit:
+    """The degree-n2 tail fit of tail_fits.  Its sets are sized by the
+    larger of n2 and the ladder's top rung (_fit_points), so on any rung's
+    config it equals the fit a rate sweep's ladder made for that rung."""
+    return next(tail_fits(cfg, [cfg.n2], values_fn))
 
 
 @dataclass(frozen=True, eq=False)

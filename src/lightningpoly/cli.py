@@ -189,6 +189,7 @@ def _cmd_quaderr(p: dict) -> int:
     n_arc = int(p.get("arc_points", 31))
     if n_arc < 1:
         raise ValueError(f"--arc-points must be >= 1, got {n_arc}")
+    s_opt = optimal_sigma(alpha, beta)  # checks beta before any quadrature runs
     grid = analysis.arc_grid(beta, n=n_arc)
     sigmas = _parse_list(p.get("sigma", "opt"), lambda t: _parse_sigma(t, alpha, beta),
                          "--sigma", "clustering parameters")
@@ -199,7 +200,7 @@ def _cmd_quaderr(p: dict) -> int:
         rows = analysis.quadrature_error_curve(cfgs, target, grid)
         for t, e in rows:
             lines.append(f"{_fmt(sigma)},{_fmt(t)},{_fmt(e)}")
-        eta = optimal_sigma(alpha, beta) / sigma
+        eta = s_opt / sigma
         predicted = min(1.0, eta**2)
         try:
             slope = analysis.fit_slope_vs_t(rows)

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lightningpoly import analysis
+from lightningpoly import approx as approx_module
 from lightningpoly.analysis import (
     CSV_HEADER,
     BoundContext,
@@ -340,37 +341,67 @@ class TestSweepAndCsv:
         records = run_sweep(0.5, 1.0, optimal_sigma(0.5, 1.0), [9], n2_mode=7)
         assert records[0].n2 == 7
 
-    @pytest.mark.parametrize("target, g", [("power", None), ("power_log", None),
-                                           ("prefactor_power", cmath.exp)])
-    def test_auto_sweep_equals_fresh_build(self, target, g):
+    @pytest.mark.parametrize("alpha, beta, sigma_factor, n1, target, g", [
+        (0.8, 1.5, 1.0, 16, "power", None),
+        (0.8, 1.5, 1.0, 16, "power_log", None),
+        (0.8, 1.5, 1.0, 16, "prefactor_power", cmath.exp),
+        # the ladder stops below its top rung: n2 = 28 of 42, and 12 of 36
+        (0.8, 1.5, 0.5, 49, "power", None),
+        (0.25, 0.5, 1.0, 36, "power_log", None),
+    ])
+    def test_auto_sweep_equals_fresh_build(self, alpha, beta, sigma_factor, n1, target, g):
         # the sweep reuses the ladder's tail for plain targets; a fresh build
         # from the chosen config must give the same record
-        alpha, beta, n1 = 0.8, 1.5, 16
-        sigma = optimal_sigma(alpha, beta)
+        sigma = sigma_factor * optimal_sigma(alpha, beta)
         (rec,) = run_sweep(alpha, beta, sigma, [n1], target=target, g=g)
         cfg, tail = _auto_tail_config(alpha, beta, sigma, n1, 1.0, target, g)
-        assert tail.coeffs.size == cfg.n2 + 1
+        np.testing.assert_array_equal(fit_tail(cfg).coeffs, tail.coeffs)
         approx = build_approximation(cfg)
         err = checked_sup_error(approx, make_target(target, alpha, g), cfg)
         assert (rec.n1, rec.n2, rec.sup_err) == (cfg.n1, cfg.n2, err)
 
-    @pytest.mark.parametrize("alpha, beta, target, sigma_factor, n1, rungs", [
+    _LADDER_CASES = [
         (0.8, 1.5, "power", 1.0, 16, 4),
         (0.8, 1.5, "power_log", 1.0, 9, 4),
         (0.8, 1.5, "power_log", 0.5, 16, 3),
         (0.25, 0.5, "power_log", 1.0, 36, 1),
         (0.25, 1.5, "power", 2.0, 49, 3),
-    ])
+    ]
+
+    @pytest.mark.parametrize("alpha, beta, target, sigma_factor, n1, rungs", _LADDER_CASES)
     def test_ladder_climbs_the_expected_rungs(self, monkeypatch, alpha, beta, target,
                                               sigma_factor, n1, rungs):
         sigma = sigma_factor * optimal_sigma(alpha, beta)
-        n2s = []
-        fit = analysis.fit_tail
-        monkeypatch.setattr(analysis, "fit_tail",
-                            lambda cfg, values_fn=None: (n2s.append(cfg.n2),
-                                                         fit(cfg, values_fn))[1])
-        _auto_tail_config(alpha, beta, sigma, n1, 1.0, target, None)
-        assert len(n2s) == rungs
+        consumed = []
+        fits = analysis.tail_fits
+
+        def counted(cfg, degrees, values_fn=None):
+            for tail in fits(cfg, degrees, values_fn):
+                consumed.append(tail)
+                yield tail
+
+        monkeypatch.setattr(analysis, "tail_fits", counted)
+        cfg, tail = _auto_tail_config(alpha, beta, sigma, n1, 1.0, target, None)
+        assert len(consumed) == rungs
+        assert tail.coeffs.size == cfg.n2 + 1
+
+    @pytest.mark.parametrize("alpha, beta, target, sigma_factor, n1, rungs", _LADDER_CASES)
+    def test_one_fit_set_and_remainder_per_sweep_cell(self, monkeypatch, alpha, beta, target,
+                                                      sigma_factor, n1, rungs):
+        # whatever number of rungs a cell climbs, it builds the fit and
+        # validation sets once each and evaluates the remainder once
+        calls = {"_fit_points": 0, "_remainder_values": 0}
+        for name in calls:
+            original = getattr(approx_module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(approx_module, name, counted)
+        run_sweep(alpha, beta, sigma_factor * optimal_sigma(alpha, beta), [n1],
+                  target=target)
+        assert calls == {"_fit_points": 2, "_remainder_values": 1}
 
     def test_rate_grid_reaches_below_innermost_pole(self):
         cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=optimal_sigma(0.5, 1.0), n1=25)

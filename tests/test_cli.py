@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lightningpoly import analysis
 from lightningpoly.analysis import BoundContext, arc_grid
 from lightningpoly.approx import deserialize, optimal_sigma
 from lightningpoly.cli import ExperimentConfig, main, run
@@ -119,6 +120,21 @@ class TestArgumentHandling:
     def test_trapezoid_config_checked_before_dividing(self, argv, reason, capsys):
         assert main(argv) == 2
         assert f"invalid configuration: {reason}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("beta", ["2", "2.5", "-1"])
+    def test_quaderr_checks_beta_before_integrating(self, beta, monkeypatch, tmp_path,
+                                                    capsys):
+        # beta = 2 once reached the quadrature and died of non-convergence
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran before beta was checked")
+
+        monkeypatch.setattr(analysis, "quadrature_error_curve", no_quadrature)
+        csv = tmp_path / "q.csv"
+        argv = ["quaderr", "--alpha", "0.5", "--beta", beta, "--sigma", "3",
+                "--T", "4,6,8", "--csv", str(csv)]
+        assert main(argv) == 2
+        assert "invalid configuration: beta must lie in [0, 2)" in capsys.readouterr().err
+        assert not csv.exists()
 
     @pytest.mark.parametrize("argv, reason", [
         (["approx", "--alpha", "0.5", "--beta", "1", "--N1", "9", "--sigma", "nan"],
