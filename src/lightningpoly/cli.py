@@ -285,8 +285,12 @@ def _cmd_laplace(p: dict) -> int:
         basis = corners.plan_basis(polygon, n, sigma_mode,
                                    n2=int(n2) if n2 is not None else None,
                                    corner_weights=weights)
-        sol = corners.solve_dirichlet(polygon, data, basis,
-                                      oversample=int(p.get("oversample", 4)))
+        try:
+            sol = corners.solve_dirichlet(polygon, data, basis,
+                                          oversample=int(p.get("oversample", 4)))
+        except RuntimeError as exc:  # a numerical breakdown fails the run
+            print(f"laplace: solver failed at N={n}: {exc}", file=sys.stderr)
+            return 1
         err = corners.boundary_error(sol, polygon, data,
                                      fine_factor=int(p.get("fine_factor", 4)))
         errs.append(err)

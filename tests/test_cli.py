@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -344,6 +345,23 @@ class TestLaplace:
                      "--json", str(tmp_path / "f.json")])
         assert code == 1
         assert "final err" in capsys.readouterr().err
+
+    def test_numerical_breakdown_exits_1(self, tmp_path, capfd):
+        # at this budget a pole rounds onto a collocation point next to the
+        # reflex corner: a solver failure, reported without a RuntimeWarning
+        # or LAPACK noise and without writing a CSV
+        csv_path = tmp_path / "b.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["laplace", "--polygon", "builtin:concave-quad", "--sigma", "4",
+                         "--N", "400", "--oversample", "8", "--csv", str(csv_path)])
+        assert code == 1
+        out, err = capfd.readouterr()
+        assert err.splitlines() == [
+            "laplace: solver failed at N=400: design matrix is not finite "
+            "(a pole lies on a collocation point)"]
+        assert "DLASCL" not in out
+        assert not csv_path.exists()
 
     def test_bad_curve_line_exits_2(self, tmp_path, capsys):
         poly_path = tmp_path / "square.poly"

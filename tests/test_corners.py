@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from lightningpoly.corners import (
     SlitIntegralSpec,
+    _back_substitute,
     _collocation,
     boundary_error,
     builtin_boundary_data,
@@ -200,6 +202,38 @@ class TestSolveDirichlet:
             errs.append(boundary_error(sol, self.poly, "re2"))
         for a, b in zip(errs, errs[1:]):
             assert b <= 10 * a
+
+    def test_converges_past_n160(self):
+        # the SVD cutoff stalled here (6.8e-8 at N=240, 2.1e-7 at N=320)
+        errs = []
+        for n in (160, 240, 320):
+            basis = plan_basis(self.poly, n, 4.0)
+            sol = solve_dirichlet(self.poly, "re2", basis, oversample=4)
+            errs.append(boundary_error(sol, self.poly, "re2"))
+        assert max(errs) <= 1e-8, errs
+        for a, b in zip(errs, errs[1:]):
+            assert b <= 10 * a, errs
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    def test_back_substitution_matches_a_dense_solve(self, n):
+        rng = np.random.default_rng(n)
+        R = np.triu(rng.standard_normal((n, n))) + 4.0 * np.eye(n)
+        c = rng.standard_normal(n)
+        np.testing.assert_allclose(_back_substitute(R, c), np.linalg.solve(R, c),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_rank_deficient_basis_is_damped(self):
+        # every corner-0 pole twice: the design has pairs of equal columns,
+        # singular for an undamped QR; the damping rows keep the fit finite
+        basis = plan_basis(self.poly, 80, "global_opt")
+        twice = dataclasses.replace(
+            basis,
+            poles=(np.concatenate([basis.poles[0]] * 2),) + basis.poles[1:],
+            counts=(2 * basis.counts[0],) + basis.counts[1:])
+        err = boundary_error(solve_dirichlet(self.poly, "re2", basis), self.poly, "re2")
+        sol = solve_dirichlet(self.poly, "re2", twice)
+        assert np.all(np.isfinite(sol.coeffs))
+        assert boundary_error(sol, self.poly, "re2") <= 1.1 * err
 
     @pytest.mark.parametrize("domain", [concave_quadrilateral, curvy_l_domain])
     def test_residual_norm_is_the_unweighted_collocation_rms(self, domain):
