@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import ray_fan
-from .kernels import log_weights, pole_sum, quadrature_nodes, tapered
+from .kernels import damped_lstsq, log_weights, pole_sum, quadrature_nodes, tapered
 
 __all__ = [
     "ApproxConfig",
@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 TARGETS = ("power", "power_log", "prefactor_power", "prefactor_power_log")
+# the largest tail degree, set by the memory of the fit matrix (a fit at
+# n2 = 1170 peaked at 500 MB); the damped solve converges at any degree
+_MAX_N2 = 1000
 
 
 def _sigma_opt(alpha: float, beta: float) -> float:
@@ -57,8 +60,8 @@ def optimal_sigma(alpha: float, beta: float) -> float:
 class ApproxConfig:
     """All knobs of one approximation build.
 
-    n2 defaults to ceil(1.3*n1), the experimentally efficient tail degree;
-    rate-verification sweeps use smaller tails (see analysis.run_sweep).
+    n2 defaults to ceil(1.3*n1), the experimentally efficient tail degree,
+    at most _MAX_N2; rate sweeps use smaller tails (see analysis.run_sweep).
     Derived quantities: h = sigma^2*alpha^2, kappa = alpha/(1-alpha),
     truncation T = sigma*alpha*sqrt(n1), and the quadrature term count
     n_quad paired with n1 through n1 = ceil(n_quad/(kappa+1)^2).
@@ -69,7 +72,7 @@ class ApproxConfig:
     sigma: float
     n1: int
     C: float = 1.0
-    n2: int | None = None  # None means the ceil(1.3*n1) default
+    n2: int | None = None  # None means the min(ceil(1.3*n1), _MAX_N2) default
     target: str = "power"
     g: Callable | None = None
 
@@ -85,11 +88,12 @@ class ApproxConfig:
         if self.n1 < 1:
             raise ValueError("n1 must be >= 1")
         if self.n2 is None:
-            object.__setattr__(self, "n2", math.ceil(1.3 * self.n1))
+            object.__setattr__(self, "n2", min(math.ceil(1.3 * self.n1), _MAX_N2))
         if self.n2 < 0:
             raise ValueError("n2 must be >= 0")
-        if self.n2 > 120:
-            raise ValueError("tail degree capped at 120 for conditioning control")
+        if self.n2 > _MAX_N2:
+            raise ValueError(f"tail degree capped at {_MAX_N2} to bound the "
+                             "fit matrix's memory")
         if self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}")
         if self.target.startswith("prefactor") != (self.g is not None):
@@ -268,7 +272,7 @@ def _reflected_half(cfg: ApproxConfig, pts: np.ndarray) -> np.ndarray:
 
 def _poly_lstsq(zs, values, degree, real=False):
     """Least-squares monomial coefficients of a degree-``degree`` fit to
-    ``values`` at ``zs``, solved with unit-norm columns.
+    ``values`` at ``zs``, by kernels.damped_lstsq on ``[V y]``.
 
     ``real=True`` takes ``zs`` as the Im z >= 0 half of a set closed under
     conjugation, with values obeying f(conj z) = conj f(z), and fits real
@@ -277,19 +281,14 @@ def _poly_lstsq(zs, values, degree, real=False):
     the complex one over the whole set, so it has the same minimiser.  The
     Im rows of points on the axis are zero and are left out."""
     zs = np.asarray(zs, complex)
-    V = np.vander(zs, degree + 1, increasing=True)
-    if V.shape[0] < V.shape[1]:
+    if zs.size < degree + 1:
         raise ValueError("increase sampling or reduce N2 (rank-deficient fit)")
-    y = np.asarray(values, complex)
+    Vy = np.column_stack([np.vander(zs, degree + 1, increasing=True), values])
     if real:
         axis = zs.imag == 0.0
         w = np.where(axis, math.sqrt(0.5), 1.0)
-        V = np.concatenate([V.real * w[:, None], V[~axis].imag])
-        y = np.concatenate([y.real * w, y[~axis].imag])
-    norms = np.linalg.norm(V, axis=0)
-    norms[norms == 0.0] = 1.0
-    c, _, _, _ = np.linalg.lstsq(V / norms, y, rcond=None)
-    return c / norms
+        Vy = np.concatenate([Vy.real * w[:, None], Vy[~axis].imag])
+    return damped_lstsq(Vy)
 
 
 def _poly_eval(coeffs, zs, scale):
@@ -313,11 +312,9 @@ def tail_fits(cfg: ApproxConfig, degrees, values_fn=None):
 
     The fit and validation sets (_fit_points) and the values on both (one
     ``values_fn`` call on the two sets joined) are made once, before the
-    first fit.  Each degree then has its own monomial basis and SVD least
-    squares (_poly_lstsq): the basis at the ladder's top rung is too ill
-    conditioned for one shared QR whose leading columns would serve every
-    degree.  A consumer that stops early, as the rate sweep's ladder does,
-    pays for no later fit and builds no larger basis.
+    first fit.  Each degree then has its own monomial basis and damped
+    least squares (_poly_lstsq).  A consumer that stops early, as the rate
+    sweep's ladder does, pays for no later fit and builds no larger basis.
 
     For the plain targets the samples are the upper half of the boundary
     (see _fit_points) and the coefficients are real.  ``fit_rms`` is still

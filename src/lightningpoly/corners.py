@@ -18,7 +18,7 @@ import numpy as np
 
 from .geometry import Polygon, interior_angles, resolve_corner_exponents
 from .approx import _fmt, _fmt_coeff, _sigma_opt
-from .kernels import adaptive_gauss_legendre, tapered
+from .kernels import adaptive_gauss_legendre, damped_lstsq, tapered
 
 __all__ = [
     "CornerBasis",
@@ -210,65 +210,34 @@ def _collocation(polygon: Polygon, basis: CornerBasis, oversample: int):
     return np.concatenate(pts), np.concatenate(wts)
 
 
-def _back_substitute(R: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Solve the upper-triangular system R x = c 64 rows at a time, bottom
-    up; ``np.linalg.solve`` on the whole triangle would spend an LU
-    factorization on it, about 7% of the solver's flops."""
-    x = c.copy()
-    for hi in range(c.size, 0, -64):
-        lo = max(hi - 64, 0)
-        x[lo:hi] = np.linalg.solve(R[lo:hi, lo:hi], x[lo:hi] - R[lo:hi, hi:] @ x[hi:])
-    return x
+def _weighted_system(zs, w, basis: CornerBasis, rhs) -> np.ndarray:
+    """The weighted ``[A b]`` of the collocation fit, for damped_lstsq to own
+    and free: held by the caller, it would outlive the misfit's design."""
+    Ab = np.empty((zs.size, basis.n_columns + 1))
+    # a pole on a collocation point divides by zero; the norms report it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Ab[:, :-1] = _design_matrix(zs, basis)
+    Ab[:, -1] = rhs
+    Ab *= w[:, None]
+    return Ab
 
 
 def solve_dirichlet(polygon: Polygon, boundary_data, basis: CornerBasis,
                     oversample: int = 4) -> HarmonicSolution:
     """Weighted least-squares fit of Dirichlet data over clustered boundary
-    collocation, by damped Householder QR.
-
-    The weighted design A (m x n), its columns scaled to unit norm, and the
-    weighted data b are factored as one m x (n+1) matrix ``[A b]``, whose
-    R-only QR reduces the fit to an (n+1)-row triangle ``[R c]``.  A second
-    R-only QR, of ``[R c; lam*I 0]``, then gives the Tikhonov-damped
-    solution of ``min |A x - b|^2 + lam^2 |x|^2``: the same as one QR of
-    ``[A b; lam*I 0]`` in exact arithmetic, without n more rows under the
-    tall matrix.  Neither QR forms Q.  ``lam = max(m, n) * eps`` is the
-    default singular-value cutoff of ``np.linalg.lstsq``, relative to the
-    unit-norm columns: a direction the columns resolve only below that
-    level is damped instead of fit, so a numerically rank-deficient basis
-    (duplicate poles, poles crowding a corner) still gives finite
-    coefficients, where an undamped QR would divide by the rounding left on
-    its diagonal.
-
-    Raises ``RuntimeError`` on a numerical breakdown: a pole that rounds
-    onto a collocation point makes the design non-finite.
-    """
+    collocation by kernels.damped_lstsq.  Raises ``RuntimeError`` on a
+    numerical breakdown: a pole that rounds onto a collocation point makes
+    the design non-finite."""
     data = builtin_boundary_data(boundary_data) if isinstance(boundary_data, str) else boundary_data
     zs, w = _collocation(polygon, basis, oversample)
-    m, n = zs.size, basis.n_columns
-    if m < 3 * n:
+    if zs.size < 3 * basis.n_columns:
         raise ValueError("collocation count below 3x coefficient count; "
                          "raise oversample")
     rhs = np.asarray([data(complex(z)) for z in zs.tolist()], float)
-    Ab = np.empty((m, n + 1))
-    # a pole on a collocation point divides by zero; the norms report it
-    with np.errstate(divide="ignore", invalid="ignore"):
-        Ab[:, :n] = _design_matrix(zs, basis)
-    Ab[:, n] = rhs
-    Ab *= w[:, None]
-    norms = np.linalg.norm(Ab[:, :n], axis=0)
-    if not np.all(np.isfinite(norms)):
-        raise RuntimeError("design matrix is not finite (a pole lies on a "
-                           "collocation point)")
-    norms[norms == 0.0] = 1.0
-    Ab[:, :n] /= norms
-    R = np.linalg.qr(Ab, mode="r")
-    del Ab  # free the tall matrix before the misfit's design is built
-    damped = np.zeros((2 * n + 1, n + 1))
-    damped[:n + 1] = R
-    np.fill_diagonal(damped[n + 1:], max(m, n) * np.finfo(float).eps)
-    R = np.linalg.qr(damped, mode="r")
-    coeffs = _back_substitute(R[:n, :n], R[:n, n]) / norms
+    try:
+        coeffs = damped_lstsq(_weighted_system(zs, w, basis, rhs))
+    except RuntimeError as exc:
+        raise RuntimeError(f"{exc} (a pole lies on a collocation point)") from None
     misfit = _design_matrix(zs, basis) @ coeffs - rhs
     rms = float(np.sqrt(np.mean(misfit**2)))
     if not np.all(np.isfinite(coeffs)):

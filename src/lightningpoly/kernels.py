@@ -13,8 +13,9 @@ the library's one partial-fraction sum sum_j w_j/(z - p_j).  Every pole
 lies on the real axis, so ``pole_sum`` works in real arithmetic on
 x - p_j and y^2 and tests collisions only on the few points near the
 axis, where one can occur; a call at scales where the squared distances
-could leave binary64 keeps the complex quotient.  All arithmetic is
-binary64; the practical accuracy floor is ~1e-13 relative.
+could leave binary64 keeps the complex quotient.  ``damped_lstsq`` is the
+least-squares solver of both the tail fit and the Laplace solver.  All
+arithmetic is binary64; the practical accuracy floor is ~1e-13 relative.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ __all__ = [
     "log_weights",
     "pole_collisions",
     "pole_sum",
+    "damped_lstsq",
 ]
 
 
@@ -518,3 +520,45 @@ def trapezoid_rational_log(z, cfg: KernelConfig):
     array of points like trapezoid_rational, with the log-target node
     weights (w1 + w2*sqrt(h/j)) * C^alpha*e^{s_j}."""
     return _trapezoid(z, cfg, log_weighted=True)
+
+
+def _back_substitute(R: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Solve the upper-triangular system R x = c 64 rows at a time, bottom
+    up; ``np.linalg.solve`` on the whole triangle would spend an LU
+    factorization on it, about 7% of the Laplace solver's flops."""
+    x = c.copy()
+    for hi in range(c.size, 0, -64):
+        lo = max(hi - 64, 0)
+        x[lo:hi] = np.linalg.solve(R[lo:hi, lo:hi], x[lo:hi] - R[lo:hi, hi:] @ x[hi:])
+    return x
+
+
+def damped_lstsq(Ab: np.ndarray) -> np.ndarray:
+    """Least-squares solution x of A x ~ b from ``Ab = [A b]`` (m x (n+1),
+    real or complex) by damped Householder QR: the library's one solver.
+
+    A's columns are scaled to unit norm in place, and an R-only QR reduces
+    ``[A b]`` to an (n+1)-row triangle ``[R c]``; the tall matrix is then
+    released, so a caller that passes a temporary does not hold it through
+    the rest.  A second R-only QR, of ``[R c; lam*I 0]``, gives the x of
+    ``min |A x - b|^2 + lam^2 |x|^2``, as one QR of ``[A b; lam*I 0]`` would
+    in exact arithmetic.  ``lam = max(m, n) * eps`` is the default
+    singular-value cutoff of ``np.linalg.lstsq``, relative to the unit-norm
+    columns: a direction they resolve only below it is damped instead of
+    fit, so a numerically rank-deficient basis (duplicate poles, a
+    high-degree monomial tail) gives finite coefficients where an undamped
+    QR would divide by rounding.  Raises ``RuntimeError`` if a column of A
+    is not finite.
+    """
+    m, n = Ab.shape[0], Ab.shape[1] - 1
+    norms = np.linalg.norm(Ab[:, :n], axis=0)
+    if not np.all(np.isfinite(norms)):
+        raise RuntimeError("design matrix is not finite")
+    norms[norms == 0.0] = 1.0
+    Ab[:, :n] /= norms
+    R = np.linalg.qr(Ab, mode="r")
+    del Ab  # the caller's temporary dies here, before the second QR
+    damped = np.concatenate([R, np.zeros((n, n + 1), R.dtype)])
+    np.fill_diagonal(damped[-n:], max(m, n) * np.finfo(float).eps)
+    R = np.linalg.qr(damped, mode="r")
+    return _back_substitute(R[:n, :n], R[:n, n]) / norms

@@ -598,5 +598,9 @@ class TestDiagnosticsAndSkips:
         assert [r.n2 for r in par] == [r.n2 for r in seq]
 
     def test_degree_cap_enforced(self):
-        with pytest.raises(ValueError, match="capped at 120"):
-            ApproxConfig(alpha=0.5, beta=0.0, sigma=4.0, n1=4, n2=121)
+        ApproxConfig(alpha=0.5, beta=0.0, sigma=4.0, n1=4, n2=1000)
+        with pytest.raises(ValueError, match="capped at 1000"):
+            ApproxConfig(alpha=0.5, beta=0.0, sigma=4.0, n1=4, n2=1001)
+        # the default degree ceil(1.3*n1) stops at the cap instead of failing it
+        assert ApproxConfig(alpha=0.5, beta=0.0, sigma=1.0, n1=100).n2 == 130
+        assert ApproxConfig(alpha=0.5, beta=0.0, sigma=1.0, n1=770).n2 == 1000

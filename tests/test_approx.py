@@ -63,7 +63,7 @@ class TestApproxConfig:
         ({"C": 0.0}, "C must be positive"),
         ({"n1": 0}, "n1 must be"),
         ({"n2": -1}, "n2 must be"),
-        ({"n2": 121}, "tail degree capped"),
+        ({"n2": 1001}, "tail degree capped at 1000"),
         ({"target": "cube"}, "unknown target"),
         ({"target": "prefactor_power"}, "prefactor targets require g"),
         ({"g": cmath.exp}, "prefactor targets require g"),

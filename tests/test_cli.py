@@ -245,6 +245,17 @@ class TestApprox:
         assert ap.n_poles == 9
         assert json.loads(j.read_text())["sup_err"] < 1e-3
 
+    def test_default_tail_degree_is_accepted(self, tmp_path):
+        # the default n2 = ceil(1.3*n1) = 130 is below the tail cap, which
+        # bounds the fit matrix's memory, not its conditioning
+        j = tmp_path / "approx.json"
+        code = main(["approx", "--alpha", "0.5", "--beta", "1", "--N1", "100",
+                     "--json", str(j)])
+        assert code == 0
+        summary = json.loads(j.read_text())
+        assert summary["n2"] == 130 and summary["pass"]
+        assert summary["sup_err"] < 1e-12
+
 
 class TestQuaderr:
     def test_slopes_match_predictions(self, tmp_path):

@@ -7,7 +7,6 @@ import pytest
 
 from lightningpoly.corners import (
     SlitIntegralSpec,
-    _back_substitute,
     _collocation,
     boundary_error,
     builtin_boundary_data,
@@ -213,14 +212,6 @@ class TestSolveDirichlet:
         assert max(errs) <= 1e-8, errs
         for a, b in zip(errs, errs[1:]):
             assert b <= 10 * a, errs
-
-    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
-    def test_back_substitution_matches_a_dense_solve(self, n):
-        rng = np.random.default_rng(n)
-        R = np.triu(rng.standard_normal((n, n))) + 4.0 * np.eye(n)
-        c = rng.standard_normal(n)
-        np.testing.assert_allclose(_back_substitute(R, c), np.linalg.solve(R, c),
-                                   rtol=1e-12, atol=1e-12)
 
     def test_rank_deficient_basis_is_damped(self):
         # every corner-0 pole twice: the design has pairs of equal columns,

@@ -14,7 +14,9 @@ from lightningpoly.kernels import (
     KernelConfig,
     PoleCollisionError,
     QuadratureNonConvergence,
+    _back_substitute,
     adaptive_gauss_legendre,
+    damped_lstsq,
     identity_residual,
     identity_residual_log,
     log_weight_constant,
@@ -400,3 +402,53 @@ class TestRepresentationIdentities:
         grid = _sector_points(1.0, n_ray=5, n_arc=2, ratio=0.3)
         for z in grid.tolist():
             assert identity_residual_log(z, 0.5, 1e-12) <= 1e-9
+
+
+class TestDampedLstsq:
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    def test_back_substitution_matches_a_dense_solve(self, n):
+        rng = np.random.default_rng(n)
+        R = np.triu(rng.standard_normal((n, n))) + 4.0 * np.eye(n)
+        c = rng.standard_normal(n)
+        np.testing.assert_allclose(_back_substitute(R, c), np.linalg.solve(R, c),
+                                   rtol=1e-12, atol=1e-12)
+
+    @staticmethod
+    def _system(rng, m, n, complex_):
+        A = rng.standard_normal((m, n)) * np.logspace(0, 3, n)
+        b = rng.standard_normal(m)
+        if complex_:
+            A = A + 1j * rng.standard_normal((m, n)) * np.logspace(0, 3, n)
+            b = b + 1j * rng.standard_normal(m)
+        return A, b
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("m,n", [(5, 1), (40, 12), (300, 70), (600, 150)])
+    def test_full_rank_matches_lstsq(self, m, n, complex_):
+        A, b = self._system(np.random.default_rng(m + n), m, n, complex_)
+        x = damped_lstsq(np.column_stack([A, b]))
+        assert np.iscomplexobj(x) == complex_
+        np.testing.assert_allclose(x, np.linalg.lstsq(A, b, rcond=None)[0],
+                                   rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicated_columns_stay_finite(self, seed, complex_):
+        # every column twice: exactly rank deficient, singular for an
+        # undamped QR; the damping rows keep the fit finite.  The pairs
+        # carry cancelling coefficients near 1e10, so evaluating the
+        # residual rounds at about eps*1e10 of it: hence the 1e-5 slack
+        A, b = self._system(np.random.default_rng(seed), 200, 30, complex_)
+        AA = np.column_stack([A, A])
+        x = damped_lstsq(np.column_stack([AA, b]))
+        assert np.all(np.isfinite(x.view(float)))
+        ref = np.linalg.lstsq(AA, b, rcond=None)[0]
+        resid = np.linalg.norm(AA @ x - b)
+        assert resid <= np.linalg.norm(AA @ ref - b) * (1 + 1e-5)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_column_raises(self, bad):
+        Ab = np.random.default_rng(3).standard_normal((50, 6))
+        Ab[17, 2] = bad
+        with pytest.raises(RuntimeError, match="not finite"):
+            damped_lstsq(Ab)
