@@ -165,22 +165,23 @@ class HarmonicSolution:
 
 def _design_matrix(zs: np.ndarray, basis: CornerBasis) -> np.ndarray:
     """Columns Re and Im of 1/(z - p) for each pole in corner order, then
-    Re w^0 and Re, Im of w^k for k = 1..degree, w = (z - center)/scale."""
-    A = np.empty((zs.size, basis.n_columns))
-    col = 0
+    Re w^0 and Re, Im of w^k for k = 1..degree, w = (z - center)/scale.
+    Filled as its transpose and returned column-major, LAPACK's layout."""
+    At = np.empty((basis.n_columns, zs.size))
+    row = 0
     for pk in basis.poles:  # one corner at a time keeps the temporaries small
-        f = 1.0 / (zs[:, None] - pk)
-        A[:, col:col + 2 * pk.size:2] = f.real
-        A[:, col + 1:col + 2 * pk.size:2] = f.imag
-        col += 2 * pk.size
-    A[:, col] = 1.0
+        f = 1.0 / (zs - pk[:, None])
+        At[row:row + 2 * pk.size:2] = f.real
+        At[row + 1:row + 2 * pk.size:2] = f.imag
+        row += 2 * pk.size
+    At[row] = 1.0
     w = (zs - basis.center) / basis.scale
     pw = np.ones_like(zs)
-    for k in range(col + 1, basis.n_columns, 2):
+    for k in range(row + 1, basis.n_columns, 2):
         pw = pw * w
-        A[:, k] = pw.real
-        A[:, k + 1] = pw.imag
-    return A
+        At[k] = pw.real
+        At[k + 1] = pw.imag
+    return At.T
 
 
 def _edge_samples(polygon: Polygon, basis: CornerBasis, factor: int, n_fill: int):
@@ -211,9 +212,11 @@ def _collocation(polygon: Polygon, basis: CornerBasis, oversample: int):
 
 
 def _weighted_system(zs, w, basis: CornerBasis, rhs) -> np.ndarray:
-    """The weighted ``[A b]`` of the collocation fit, for damped_lstsq to own
-    and free: held by the caller, it would outlive the misfit's design."""
-    Ab = np.empty((zs.size, basis.n_columns + 1))
+    """The weighted ``[A b]`` of the collocation fit, column-major, for
+    damped_lstsq to own and free: held by the caller, it would outlive the
+    misfit's design.  The design is built apart and copied in: built in
+    place, it raised the peak RSS."""
+    Ab = np.empty((zs.size, basis.n_columns + 1), order="F")
     # a pole on a collocation point divides by zero; the norms report it
     with np.errstate(divide="ignore", invalid="ignore"):
         Ab[:, :-1] = _design_matrix(zs, basis)

@@ -4,13 +4,14 @@ Two kinds live here: the fan of rays on the unit sector |arg z| <=
 beta*pi/2, |z| <= 1, from which every sample set of the sector is drawn,
 and polygons whose edges may be straight or gently curved.  Polygons are
 immutable after construction, and all sampling is deterministic and
-returns a fresh array per call.
+returns a fresh array per call; the tables they cache are read-only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -57,22 +58,25 @@ class Edge:
         c = self.chord
         return c + self.bulge * 1j * c * math.pi * np.sin(2 * math.pi * t)
 
+    @cached_property
     def arclength_table(self):
-        """Cumulative arclength at the ends of 32 panels, via Gauss-Legendre."""
+        """Read-only (parameters, cumulative arclength) at the ends of 32
+        panels, via Gauss-Legendre; built once per edge."""
         t_ends = np.linspace(0.0, 1.0, 33)
         lo, hi = t_ends[:-1], t_ends[1:]
         tt = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _GL7_NODES
         speed = np.abs(self.tangent(tt.ravel())).reshape(tt.shape)
         panel_len = 0.5 * (hi - lo) * (speed @ _GL7_WEIGHTS)
         cum = np.concatenate([[0.0], np.cumsum(panel_len)])
+        t_ends.flags.writeable = cum.flags.writeable = False
         return t_ends, cum
 
     def length(self) -> float:
-        return float(self.arclength_table()[1][-1])
+        return float(self.arclength_table[1][-1])
 
     def point_at_arclength(self, s):
         """Points at arclength(s) measured from ``start``."""
-        t_ends, cum = self.arclength_table()
+        t_ends, cum = self.arclength_table
         t = np.interp(np.asarray(s, float), cum, t_ends)
         return self.point(t)
 
@@ -150,11 +154,17 @@ class Polygon:
     def orientation(self) -> int:
         return 1 if _shoelace(self.vertices) >= 0 else -1
 
-    def contains(self, z: complex) -> bool:
-        """Winding-number containment on a 128-point-per-edge boundary polyline."""
+    @cached_property
+    def boundary_polyline(self) -> np.ndarray:
+        """Read-only boundary polyline, 128 points per edge; built once."""
         t = np.linspace(0.0, 1.0, 128, endpoint=False)
         pts = np.concatenate([e.point(t) for e in self.edges])
-        rel = pts - complex(z)
+        pts.flags.writeable = False
+        return pts
+
+    def contains(self, z: complex) -> bool:
+        """Winding-number containment on the boundary polyline."""
+        rel = self.boundary_polyline - complex(z)
         if np.min(np.abs(rel)) < 1e-12:
             return True
         ang = np.angle(np.roll(rel, -1) / rel)

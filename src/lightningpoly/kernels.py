@@ -549,6 +549,12 @@ def damped_lstsq(Ab: np.ndarray) -> np.ndarray:
     high-degree monomial tail) gives finite coefficients where an undamped
     QR would divide by rounding.  Raises ``RuntimeError`` if a column of A
     is not finite.
+
+    ``np.linalg.qr`` copies its input twice on the way to LAPACK, which
+    works on column-major arrays: a column-major ``[A b]`` makes both
+    copies contiguous, while a row-major one still works but makes them
+    transposing, strided copies.  The damped stack is built column-major
+    for the same reason.
     """
     m, n = Ab.shape[0], Ab.shape[1] - 1
     norms = np.linalg.norm(Ab[:, :n], axis=0)
@@ -558,7 +564,8 @@ def damped_lstsq(Ab: np.ndarray) -> np.ndarray:
     Ab[:, :n] /= norms
     R = np.linalg.qr(Ab, mode="r")
     del Ab  # the caller's temporary dies here, before the second QR
-    damped = np.concatenate([R, np.zeros((n, n + 1), R.dtype)])
-    np.fill_diagonal(damped[-n:], max(m, n) * np.finfo(float).eps)
+    damped = np.zeros((R.shape[0] + n, n + 1), R.dtype, order="F")
+    damped[:R.shape[0]] = R
+    np.fill_diagonal(damped[R.shape[0]:], max(m, n) * np.finfo(float).eps)
     R = np.linalg.qr(damped, mode="r")
     return _back_substitute(R[:n, :n], R[:n, n]) / norms

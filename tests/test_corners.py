@@ -8,6 +8,8 @@ import pytest
 from lightningpoly.corners import (
     SlitIntegralSpec,
     _collocation,
+    _design_matrix,
+    _weighted_system,
     boundary_error,
     builtin_boundary_data,
     cauchy_slit_integral,
@@ -166,6 +168,42 @@ class TestCollocation:
         curve = np.concatenate([e.point(t) for e in poly.edges])
         dist = np.min(np.abs(zs[:, None] - curve[None, :]), axis=1)
         assert np.max(dist) < 5e-3
+
+
+class TestLayout:
+    """The Laplace least squares hands LAPACK column-major arrays: a row-major
+    ``[A b]`` would make np.linalg.qr's two input copies transposing ones."""
+
+    @pytest.mark.parametrize("domain", [concave_quadrilateral, curvy_l_domain])
+    def test_design_is_column_major_and_exact(self, domain):
+        poly = domain()
+        basis = plan_basis(poly, 40, "global_opt")
+        zs, _ = _collocation(poly, basis, oversample=4)
+        A = _design_matrix(zs, basis)
+        assert A.flags.f_contiguous
+        cols = []
+        for pk in basis.poles:
+            for p in pk.tolist():
+                f = 1.0 / (zs - p)
+                cols += [f.real, f.imag]
+        w = (zs - basis.center) / basis.scale
+        cols.append(np.ones(zs.size))
+        pw = np.ones_like(zs)
+        for _ in range(basis.degree):
+            pw = pw * w
+            cols += [pw.real, pw.imag]
+        np.testing.assert_array_equal(A, np.column_stack(cols))
+
+    def test_weighted_system_is_column_major(self):
+        poly = concave_quadrilateral()
+        basis = plan_basis(poly, 40, "global_opt")
+        zs, w = _collocation(poly, basis, oversample=4)
+        rhs = zs.real**2
+        Ab = _weighted_system(zs, w, basis, rhs)
+        assert Ab.flags.f_contiguous
+        assert Ab.shape == (zs.size, basis.n_columns + 1)
+        np.testing.assert_array_equal(Ab[:, -1], rhs * w)
+        np.testing.assert_array_equal(Ab[:, :-1], _design_matrix(zs, basis) * w[:, None])
 
 
 class TestSolveDirichlet:

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lightningpoly.geometry import (
+    _GL7_NODES,
+    _GL7_WEIGHTS,
     Polygon,
     interior_angles,
     polygon_from_file,
@@ -198,3 +200,72 @@ class TestEdgesAndContainment:
         assert poly.contains(3 + 5j)
         assert not poly.contains(5 + 7j)  # inside the reflex notch, outside domain
         assert not poly.contains(20 + 20j)
+
+
+def curvy_l():
+    return Polygon.from_vertices([0, 2, 2 + 1j, 1 + 2j, 2j],
+                                 bulges=[0, -0.06, 0.12, -0.06, 0])
+
+
+def _fresh_arclength(edge):
+    """Cumulative arclength at the ends of 32 panels, recomputed."""
+    t_ends = np.linspace(0.0, 1.0, 33)
+    lo, hi = t_ends[:-1], t_ends[1:]
+    tt = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _GL7_NODES
+    speed = np.abs(edge.tangent(tt.ravel())).reshape(tt.shape)
+    return t_ends, np.concatenate([[0.0], np.cumsum(0.5 * (hi - lo) * (speed @ _GL7_WEIGHTS))])
+
+
+def _fresh_contains(poly, z):
+    """Winding-number containment on a freshly built 128-point-per-edge polyline."""
+    t = np.linspace(0.0, 1.0, 128, endpoint=False)
+    rel = np.concatenate([e.point(t) for e in poly.edges]) - complex(z)
+    if np.min(np.abs(rel)) < 1e-12:
+        return True
+    return abs(abs(np.angle(np.roll(rel, -1) / rel).sum()) - 2 * math.pi) < 1e-6
+
+
+class TestCachedTables:
+    """Each edge's arclength table and each polygon's boundary polyline are
+    built once, read-only, and give what a fresh build gives."""
+
+    @pytest.mark.parametrize("poly", [concave_quad(), curvy_l()])
+    def test_tables_are_read_only(self, poly):
+        for e in poly.edges:
+            for a in e.arclength_table:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 1.0
+        assert not poly.boundary_polyline.flags.writeable
+        with pytest.raises(ValueError):
+            poly.boundary_polyline[0] = 0.0
+
+    def test_tables_are_built_once(self):
+        poly = curvy_l()
+        e = poly.edges[2]
+        assert e.arclength_table is e.arclength_table
+        assert poly.boundary_polyline is poly.boundary_polyline
+
+    @pytest.mark.parametrize("poly", [concave_quad(), curvy_l()])
+    def test_arclength_equals_fresh_computation(self, poly):
+        for e in poly.edges:
+            t_ends, cum = _fresh_arclength(e)
+            for _ in range(2):  # the cached second call too
+                assert e.length() == float(cum[-1])
+                s = np.linspace(0.0, cum[-1], 17)
+                np.testing.assert_array_equal(e.point_at_arclength(s),
+                                              e.point(np.interp(s, cum, t_ends)))
+
+    @pytest.mark.parametrize("poly", [concave_quad(), curvy_l()])
+    def test_contains_matches_fresh_polyline(self, poly):
+        vs = np.asarray(poly.vertices)
+        mids = [complex(e.point(0.5)) for e in poly.edges]
+        center = complex(np.mean(vs))
+        probes = (list(vs) + mids
+                  + [center + 0.9 * (v - center) for v in vs]  # interior or notch
+                  + [center + 1.5 * (v - center) for v in vs]  # exterior
+                  + [3 + 5j, 5 + 7j, 0.5 + 0.5j, 1.5 + 1.5j, 20 + 20j, -1 - 1j])
+        for z in probes:
+            assert poly.contains(z) == _fresh_contains(poly, z), z
+        assert all(poly.contains(z) for z in list(vs) + mids)
+        assert not poly.contains(20 + 20j) and not poly.contains(-1 - 1j)

@@ -446,6 +446,22 @@ class TestDampedLstsq:
         resid = np.linalg.norm(AA @ x - b)
         assert resid <= np.linalg.norm(AA @ ref - b) * (1 + 1e-5)
 
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_row_and_column_major_agree(self, complex_):
+        A, b = self._system(np.random.default_rng(7), 400, 90, complex_)
+        Ab = np.column_stack([A, b])
+        # fresh copies: the kernel scales its argument's columns in place
+        x_c = damped_lstsq(np.array(Ab, order="C"))
+        x_f = damped_lstsq(np.array(Ab, order="F"))
+        np.testing.assert_allclose(x_f, x_c, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_duplicated_columns_finite_in_both_layouts(self, complex_):
+        A, b = self._system(np.random.default_rng(11), 200, 30, complex_)
+        Ab = np.column_stack([A, A, b])
+        for order in ("C", "F"):
+            assert np.all(np.isfinite(damped_lstsq(np.array(Ab, order=order)).view(float)))
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_column_raises(self, bad):
         Ab = np.random.default_rng(3).standard_normal((50, 6))
