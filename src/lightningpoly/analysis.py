@@ -3,23 +3,11 @@ predicted error-bound evaluators used to compare theory against runs.
 
 Sup norms are sampled, not certified: the measurement grid is refined once
 and the value accepted only if it moved by less than 5% (another refinement
-is tried otherwise).  The grids cover only the sector's boundary, its two
-edge rays, its arc and the apex.  That suffices by the maximum modulus
-principle: the poles and the branch cut of z^alpha lie on the negative
-axis, outside the closed sector since beta < 2, and a prefactor target's g
-is analytic on the closed sector, so the error e = r - g z^alpha (or
-r - g z^alpha log z) is analytic inside and continuous up to the apex, and
-its sup is attained on the boundary (as for the lightning Laplace
-solver's boundary_error).
-
-For the plain targets z^alpha and z^alpha log z the grids and the tail fit
-keep only the upper half of that boundary.  The poles lie on the negative
-real axis, their residues and the tail coefficients are real, and alpha is
-real, so r(conj z) = conj r(z) and the targets reflect alike; by Schwarz
-reflection |e(conj z)| = |e(z)|.  A prefactor target's g need not satisfy
-g(conj z) = conj g(z), so those targets keep the whole boundary and a
-complex tail fit.  Rate fits exclude errors below 1e-13 (the binary64
-floor) and above 1e-2 (pre-asymptotic).
+is tried otherwise).  The grids cover only the sector's boundary, and only
+its upper half for the plain targets, which suffices by the maximum modulus
+principle and Schwarz reflection (geometry.sector_boundary).  Rate fits
+exclude errors below 1e-13 (the binary64 floor) and above 1e-2
+(pre-asymptotic).
 """
 
 from __future__ import annotations
@@ -36,16 +24,13 @@ from .approx import (
     TARGETS,
     ApproxConfig,
     RationalApprox,
-    _chebyshev_radii,
     _fmt,
-    _ladder_degrees,
-    _reflected_half,
     build_approximation,
     clustered_poles,
+    ladder_tail,
     optimal_sigma,
-    tail_fits,
 )
-from .geometry import ray_fan
+from .geometry import chebyshev_radii, ray_fan, sector_boundary
 from .kernels import (
     KernelConfig,
     PoleCollisionError,
@@ -84,7 +69,6 @@ CSV_HEADER = "sigma,N1,N2,N,sup_err,predicted_log_err,runtime_ms"
 class ConvergenceRecord:
     n1: int
     n2: int
-    n: int
     sup_err: float
     predicted_log_err: float
     sigma: float
@@ -93,8 +77,10 @@ class ConvergenceRecord:
     def __post_init__(self):
         if self.sup_err < 0:
             raise ValueError("sup_err must be nonnegative")
-        if self.n != self.n1 + self.n2:
-            raise ValueError("n must equal n1 + n2")
+
+    @property
+    def n(self) -> int:
+        return self.n1 + self.n2
 
 
 def make_target(kind: str, alpha: float, g: Callable | None = None):
@@ -190,35 +176,21 @@ def fit_rate(records: Sequence[ConvergenceRecord], floor: float = RATE_FIT_FLOOR
 # ------------------------------------------------------------- sweeps
 
 def rate_grid(cfg: ApproxConfig, refine: int = 0) -> np.ndarray:
-    """Sup-norm grid on the boundary of the unit sector: geometric radii
-    reaching below the innermost pole, plus Chebyshev radii that resolve the
-    outer region where the error peaks, on the two edge rays (the axis alone
-    at beta = 0); 8*(13*(refine + 1) - 1) + 1 points on the arc; and the apex.
-
-    No interior point is needed.  The poles lie on the negative axis, the
-    branch cut of z^alpha too, beta < 2 keeps both outside the closed
-    sector, and the g of a prefactor target is analytic on it.  So the error
-    is analytic inside and continuous up to the apex, and by the maximum
-    modulus principle its sup is on the edge rays or the arc.
-
-    For the plain targets (cfg.g is None) only the points with Im z >= 0
-    are kept: the upper edge ray, the arc angles in [0, beta*pi/2] and the
-    apex.  The poles and residues are real, the tail coefficients are real
-    and alpha is real, so r(conj z) = conj r(z) and z^alpha (and z^alpha
-    log z) reflect the same way; by Schwarz reflection |e(conj z)| = |e(z)|
-    and the lower half holds no larger error.  A prefactor target's g need
-    not satisfy g(conj z) = conj g(z), so its grid keeps both halves."""
+    """Sup-norm grid on the boundary of the unit sector
+    (geometry.sector_boundary; the upper half for a plain target):
+    geometric radii reaching below the innermost pole, plus Chebyshev radii
+    that resolve the outer region where the error peaks, on the edge rays;
+    8*(13*(refine + 1) - 1) + 1 points on the arc; and the apex."""
     p1 = abs(clustered_poles(cfg)[0])
     depth = int(math.log(max(p1, 1e-280)) / math.log(0.5)) + 4
     depth = min(max(depth, 40), 1400) * (refine + 1)
     ratio = 0.5 ** (1.0 / (refine + 1))
     radii = np.unique(np.concatenate([
         ratio ** np.arange(depth + 1),
-        _chebyshev_radii(192 * (refine + 1)),
+        chebyshev_radii(192 * (refine + 1)),
     ]))
-    edges = ray_fan(cfg.beta, radii, 2)
-    arc = ray_fan(cfg.beta, [1.0], 8 * (13 * (refine + 1) - 1) + 1)
-    return _reflected_half(cfg, np.concatenate([edges, arc, [0.0]]))
+    return sector_boundary(cfg.beta, radii, 8 * (13 * (refine + 1) - 1) + 1,
+                           upper_half=cfg.g is None)
 
 
 def checked_sup_error(approx: RationalApprox, target, cfg: ApproxConfig) -> float:
@@ -232,43 +204,6 @@ def checked_sup_error(approx: RationalApprox, target, cfg: ApproxConfig) -> floa
             warnings.warn("sup-norm estimate still drifting after two refinements")
         return finer
     return fine
-
-
-def _auto_tail_config(alpha, beta, sigma, n1, C, target, g):
-    """Tail degree for rate sweeps: smallest rung n2 = ceil(k*sqrt(n1)),
-    k in approx._LADDER (2, 3, 4, 6), whose fit misfit is below the
-    truncation error (or the float floor); keeps N = n1 + n2 close to n1
-    so fitted slopes stay comparable.
-
-    The rungs are the degrees of one tail_fits generator, which is consumed
-    only up to the rung that passes: the fit points and the remainder on
-    them are made once per cell, not once per rung.  Those sets are sized
-    by the top rung whatever the degree (_fit_points), so a fresh
-    ``fit_tail`` on the chosen config gives the same tail, and a sweep
-    record equals a fresh build from its config.
-
-    Returns ``(cfg, tail)``: the chosen config and the ``fit_tail(cfg)``
-    result of its rung, which ``build_approximation`` can reuse for the plain
-    targets.  The rungs fit the plain remainder for every target,
-    so for a prefactor target the tail only ranks the rungs.
-    """
-    T = sigma * alpha * math.sqrt(n1)
-    goal = max(math.exp(-T) / 5.0, 1e-13)
-
-    def rung(n2):
-        return ApproxConfig(alpha=alpha, beta=beta, sigma=sigma, n1=n1, n2=n2,
-                            C=C, target=target, g=g)
-
-    degrees = _ladder_degrees(n1)
-    tried = []
-    # zip builds a rung's config, which checks n2 against its cap, before
-    # it asks the generator for that rung's fit
-    for cfg, tail in zip(map(rung, degrees), tail_fits(rung(degrees[0]), degrees)):
-        tried.append((cfg, tail))
-        if tail.validation_sup <= goal:
-            return cfg, tail
-    best = min(t.validation_sup for _, t in tried)
-    return next((c, t) for c, t in tried if t.validation_sup <= 2.0 * best)
 
 
 def run_sweep(alpha: float, beta: float, sigma: float, n1_list: Iterable[int],
@@ -288,7 +223,7 @@ def run_sweep(alpha: float, beta: float, sigma: float, n1_list: Iterable[int],
         t0 = time.perf_counter()
         tail = None
         if n2_mode == "auto":
-            cfg, tail = _auto_tail_config(alpha, beta, sigma, n1, C, target, g)
+            cfg, tail = ladder_tail(alpha, beta, sigma, n1, C, target, g)
             if g is not None:  # prefactor targets fit a g-corrected tail
                 tail = None
         elif n2_mode == "proportional":
@@ -302,7 +237,7 @@ def run_sweep(alpha: float, beta: float, sigma: float, n1_list: Iterable[int],
         n = cfg.n1 + cfg.n2
         pred = pref * math.log(n) - rate * math.sqrt(n)
         ms = (time.perf_counter() - t0) * 1e3
-        return ConvergenceRecord(n1=cfg.n1, n2=cfg.n2, n=n, sup_err=err,
+        return ConvergenceRecord(n1=cfg.n1, n2=cfg.n2, sup_err=err,
                                  predicted_log_err=pred, sigma=sigma, runtime_ms=ms)
 
     records = list(map_fn(cell, n1_list))

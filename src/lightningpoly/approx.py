@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import ray_fan
+from .geometry import chebyshev_radii, sector_boundary
 from .kernels import damped_lstsq, log_weights, pole_sum, quadrature_nodes, tapered
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "residues_power_log",
     "fit_tail",
     "tail_fits",
+    "ladder_tail",
     "build_approximation",
     "serialize",
     "deserialize",
@@ -61,7 +62,7 @@ class ApproxConfig:
     """All knobs of one approximation build.
 
     n2 defaults to ceil(1.3*n1), the experimentally efficient tail degree,
-    at most _MAX_N2; rate sweeps use smaller tails (see analysis.run_sweep).
+    at most _MAX_N2; rate sweeps use smaller tails (see ladder_tail).
     Derived quantities: h = sigma^2*alpha^2, kappa = alpha/(1-alpha),
     truncation T = sigma*alpha*sqrt(n1), and the quadrature term count
     n_quad paired with n1 through n1 = ceil(n_quad/(kappa+1)^2).
@@ -194,8 +195,8 @@ def _remainder_values(cfg: ApproxConfig, zs: np.ndarray) -> np.ndarray:
 
 
 # the multipliers k of a rate sweep's tail-degree ladder, whose rungs are
-# n2 = ceil(k*sqrt(n1)) (analysis._auto_tail_config); the top one also sizes
-# the fit sets (_fit_points)
+# n2 = ceil(k*sqrt(n1)) (ladder_tail); the top one also sizes the fit sets
+# (_fit_points)
 _LADDER = (2.0, 3.0, 4.0, 6.0)
 
 
@@ -204,29 +205,11 @@ def _ladder_degrees(n1: int) -> list[int]:
     return [math.ceil(k * math.sqrt(n1)) for k in _LADDER]
 
 
-def _chebyshev_radii(n: int) -> np.ndarray:
-    k = np.arange(n)
-    return 0.5 * (1.0 - np.cos(math.pi * (k + 0.5) / n))
-
-
 def _fit_points(cfg: ApproxConfig, fine: bool) -> np.ndarray:
-    """Deterministic sample set on the boundary of the unit sector: a few
-    points per pole scale near the apex and Chebyshev radii toward |z| = 1
-    (which keeps the polynomial fit well posed at high degree), on the two
-    edge rays (the axis alone at beta = 0), then the arc and the apex.
-
-    The remainder being fit is analytic on the closed sector (its far poles
-    lie on the negative axis and beta < 2), and so is the misfit of a
-    polynomial to it, or to a prefactor target's remainder when g is
-    analytic there.  By the maximum modulus principle the misfit's sup is
-    on the edge rays or the arc, so interior points add nothing.
-
-    For the plain targets only the upper half is kept (_reflected_half): the
-    remainder obeys f(conj z) = conj f(z), since the far poles and their
-    weights are real and alpha is real, so a polynomial with real
-    coefficients (as fit_tail fits) has the same misfit at z and at conj z.
-    A prefactor target's g need not reflect that way, so its set keeps both
-    halves.
+    """Deterministic samples of the unit sector's boundary
+    (geometry.sector_boundary; the upper half for a plain target): a few
+    radii per pole scale near the apex and Chebyshev radii toward |z| = 1,
+    which keep the polynomial fit well posed at high degree.
 
     The Chebyshev and arc counts grow with max(n2, ceil(6*sqrt(n1))), the
     larger of the config's degree and the ladder's top rung, not with n2
@@ -243,31 +226,11 @@ def _fit_points(cfg: ApproxConfig, fine: bool) -> np.ndarray:
     radii = np.concatenate([
         radii,
         np.geomspace(lo, 1.0, 65 if fine else 33),
-        _chebyshev_radii(max(n_cheb, 48)),
+        chebyshev_radii(max(n_cheb, 48)),
     ])
     radii = np.unique(np.clip(radii, lo, 1.0))
-    pts = ray_fan(cfg.beta, radii, 2)
-    n_arc = (4 if fine else 2) * size
-    if cfg.beta > 0:
-        pts = np.concatenate([pts, ray_fan(cfg.beta, [1.0], max(n_arc, 64))])
-    return _reflected_half(cfg, np.concatenate([pts, [0.0]]))
-
-
-def _reflected_half(cfg: ApproxConfig, pts: np.ndarray) -> np.ndarray:
-    """The points of a sector sample set that a config's tail fit and sup
-    norm need: those with Im z >= 0 for a plain target (cfg.g is None),
-    whose error e obeys |e(conj z)| = |e(z)| by Schwarz reflection, and all
-    of them for a prefactor target, whose g need not satisfy
-    g(conj z) = conj g(z).
-
-    A point within rounding of the axis is put on it first.  The middle
-    angle of an odd fan, such as the rate grid's arc, is 0 only up to a few
-    ulps of beta*pi/2, and at beta = 1.1 it rounds below the axis: without
-    the snap the half would lose z = 1, which can hold the sup."""
-    if cfg.g is not None:
-        return pts
-    pts = np.where(np.abs(pts.imag) <= 1e-15 * np.abs(pts.real), pts.real + 0j, pts)
-    return pts[pts.imag >= 0]
+    n_arc = max((4 if fine else 2) * size, 64)
+    return sector_boundary(cfg.beta, radii, n_arc, upper_half=cfg.g is None)
 
 
 def _poly_lstsq(zs, values, degree, real=False):
@@ -339,6 +302,43 @@ def fit_tail(cfg: ApproxConfig, values_fn=None) -> TailFit:
     larger of n2 and the ladder's top rung (_fit_points), so on any rung's
     config it equals the fit a rate sweep's ladder made for that rung."""
     return next(tail_fits(cfg, [cfg.n2], values_fn))
+
+
+def ladder_tail(alpha, beta, sigma, n1, C, target, g):
+    """Tail degree for rate sweeps: smallest rung n2 = ceil(k*sqrt(n1)),
+    k in _LADDER (2, 3, 4, 6), whose fit misfit is below the truncation
+    error (or the float floor); keeps N = n1 + n2 close to n1 so fitted
+    slopes stay comparable.
+
+    The rungs are the degrees of one tail_fits generator, which is consumed
+    only up to the rung that passes: the fit points and the remainder on
+    them are made once per cell, not once per rung.  Those sets are sized
+    by the top rung whatever the degree (_fit_points), so a fresh
+    ``fit_tail`` on the chosen config gives the same tail, and a sweep
+    record equals a fresh build from its config.
+
+    Returns ``(cfg, tail)``: the chosen config and the ``fit_tail(cfg)``
+    result of its rung, which ``build_approximation`` can reuse for the plain
+    targets.  The rungs fit the plain remainder for every target,
+    so for a prefactor target the tail only ranks the rungs.
+    """
+    T = sigma * alpha * math.sqrt(n1)
+    goal = max(math.exp(-T) / 5.0, 1e-13)
+
+    def rung(n2):
+        return ApproxConfig(alpha=alpha, beta=beta, sigma=sigma, n1=n1, n2=n2,
+                            C=C, target=target, g=g)
+
+    degrees = _ladder_degrees(n1)
+    tried = []
+    # zip builds a rung's config, which checks n2 against its cap, before
+    # it asks the generator for that rung's fit
+    for cfg, tail in zip(map(rung, degrees), tail_fits(rung(degrees[0]), degrees)):
+        tried.append((cfg, tail))
+        if tail.validation_sup <= goal:
+            return cfg, tail
+    best = min(t.validation_sup for _, t in tried)
+    return next((c, t) for c, t in tried if t.validation_sup <= 2.0 * best)
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,6 +9,7 @@ Exit codes: 0 all embedded assertions passed, 1 an assertion failed
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -98,12 +99,21 @@ def _write(path, text: str):
         Path(path).write_text(text)
 
 
-def _emit_json(path, payload: dict):
+def _report(p: dict, payload: dict, failure: str) -> int:
+    """The exit-code contract of every runner: write the JSON summary to
+    ``--json`` (stdout if omitted) and return 0 if ``payload["pass"]``;
+    otherwise also print ``failure`` (when not empty) to stderr and
+    return 1."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path:
-        Path(path).write_text(text)
+    if p.get("json"):
+        Path(p["json"]).write_text(text)
     else:
         sys.stdout.write(text)
+    if payload["pass"]:
+        return 0
+    if failure:
+        print(failure, file=sys.stderr)
+    return 1
 
 
 def _map_fn():
@@ -127,15 +137,14 @@ def _cmd_approx(p: dict) -> int:
     err = analysis.checked_sup_error(approx, analysis.make_target(cfg.target, alpha), cfg)
     _write(p.get("out"), serialize(approx))
     rate, _ = analysis.predicted_log_rate(sigma, alpha, beta, cfg.target)
-    _emit_json(p.get("json"), {
+    return _report(p, {
         "sup_err": err,
         "n1": cfg.n1,
         "n2": cfg.n2,
         "sigma": sigma,
         "predicted_rate": rate,
         "pass": bool(np.isfinite(err)),
-    })
-    return 0
+    }, f"approx: sup_err {err} is not finite")
 
 
 def _cmd_sweep(p: dict) -> int:
@@ -154,10 +163,7 @@ def _cmd_sweep(p: dict) -> int:
                                  C=float(p.get("C", 1.0)), target=target,
                                  n2_mode=n2_mode, map_fn=_map_fn())
     if not p.get("timings", False):
-        records = [analysis.ConvergenceRecord(
-            n1=r.n1, n2=r.n2, n=r.n, sup_err=r.sup_err,
-            predicted_log_err=r.predicted_log_err, sigma=r.sigma, runtime_ms=0.0,
-        ) for r in records]
+        records = [dataclasses.replace(r, runtime_ms=0.0) for r in records]
     _write(p.get("csv"), analysis.records_to_csv(records))
     predicted, _ = analysis.predicted_log_rate(sigma, alpha, beta, target)
     try:
@@ -169,15 +175,12 @@ def _cmd_sweep(p: dict) -> int:
         failure = f"sweep: fitted_rate {fitted:.4f} vs predicted {predicted:.4f} (r2={r2:.4f})"
     ok = fitted is not None and abs(fitted - predicted) <= rate_tol * predicted \
         and r2 >= r2_min
-    _emit_json(p.get("json"), {
+    return _report(p, {
         "fitted_rate": fitted,
         "predicted_rate": predicted,
         "r2": r2,
         "pass": bool(ok),
-    })
-    if not ok:
-        print(failure, file=sys.stderr)
-    return 0 if ok else 1
+    }, failure)
 
 
 def _cmd_quaderr(p: dict) -> int:
@@ -215,12 +218,10 @@ def _cmd_quaderr(p: dict) -> int:
             "quadrature_evaluations": sum(r.evaluations for r in rows),
         })
     _write(p.get("csv"), "\n".join(lines) + "\n")
-    ok = all(r["pass"] for r in results)
-    _emit_json(p.get("json"), {"curves": results, "pass": bool(ok)})
+    # a curve with too few points in the band has printed its own line
     bad = [r for r in results if r["slope"] is not None and not r["pass"]]
-    if bad:
-        print(f"quaderr: slope off prediction: {bad}", file=sys.stderr)
-    return 0 if ok else 1
+    return _report(p, {"curves": results, "pass": all(r["pass"] for r in results)},
+                   f"quaderr: slope off prediction: {bad}" if bad else "")
 
 
 def _cmd_nearorigin(p: dict) -> int:
@@ -240,18 +241,13 @@ def _cmd_nearorigin(p: dict) -> int:
     rls = [r[2] for r in ratios]
     spread_p = max(rps) / max(min(rps), 1e-300)
     spread_l = max(rls) / max(min(rls), 1e-300)
-    ok = spread_p < 10.0 and spread_l < 10.0
-    _emit_json(p.get("json"), {
+    return _report(p, {
         "rows": [{"T": t, "ratio_power": rp, "ratio_log": rl, "quadrature_evaluations": n}
                  for t, rp, rl, n in ratios],
         "spread_power": spread_p,
         "spread_log": spread_l,
-        "pass": bool(ok),
-    })
-    if not ok:
-        print(f"nearorigin: ratio spread power={spread_p:.2f} log={spread_l:.2f}",
-              file=sys.stderr)
-    return 0 if ok else 1
+        "pass": bool(spread_p < 10.0 and spread_l < 10.0),
+    }, f"nearorigin: ratio spread power={spread_p:.2f} log={spread_l:.2f}")
 
 
 def _resolve_polygon(token: str):
@@ -299,18 +295,14 @@ def _cmd_laplace(p: dict) -> int:
     if p.get("export") and sol is not None:
         _write(p["export"], corners.export_solution(sol))
     monotone = all(errs[i + 1] <= 10.0 * errs[i] for i in range(len(errs) - 1))
-    ok = monotone and errs[-1] <= final_req
-    _emit_json(p.get("json"), {
+    return _report(p, {
         "N": n_list,
         "boundary_err": errs,
         "final_err": errs[-1],
-        "monotone_within_10x": bool(monotone),
-        "pass": bool(ok),
-    })
-    if not ok:
-        print(f"laplace: final err {errs[-1]:.3e} (required <= {final_req:.1e}), "
-              f"monotone={monotone}", file=sys.stderr)
-    return 0 if ok else 1
+        "monotone_within_10x": monotone,
+        "pass": bool(monotone and errs[-1] <= final_req),
+    }, f"laplace: final err {errs[-1]:.3e} (required <= {final_req:.1e}), "
+       f"monotone={monotone}")
 
 
 def _cmd_decomp(p: dict) -> int:
@@ -319,19 +311,15 @@ def _cmd_decomp(p: dict) -> int:
     w = float(p.get("W", 1.0))
     p0_err, p1_err = corners.singular_coefficient_check(k, alpha, w)
     cot = math.pi / math.tan(alpha * math.pi)
-    ok = max(p0_err, p1_err) <= 1e-6
-    _emit_json(p.get("json"), {
+    return _report(p, {
         "k": k,
         "alpha": alpha,
         "W": w,
         "P0": [-cot, -math.pi],
         "P0_discrepancy": p0_err,
         "P1_discrepancy": p1_err,
-        "pass": bool(ok),
-    })
-    if not ok:
-        print(f"decomp: discrepancy P0={p0_err:.3e} P1={p1_err:.3e}", file=sys.stderr)
-    return 0 if ok else 1
+        "pass": bool(max(p0_err, p1_err) <= 1e-6),
+    }, f"decomp: discrepancy P0={p0_err:.3e} P1={p1_err:.3e}")
 
 
 _RUNNERS = {

@@ -48,13 +48,15 @@ class CornerBasis:
     exterior bisector (L_k = half the shorter adjacent edge).
     """
 
-    vertices: tuple
     sigmas: tuple
-    counts: tuple
     poles: tuple           # tuple of complex arrays
     degree: int
     center: complex
     scale: float
+
+    @property
+    def counts(self) -> tuple:
+        return tuple(pk.size for pk in self.poles)
 
     @property
     def n_columns(self) -> int:
@@ -131,9 +133,7 @@ def plan_basis(polygon: Polygon, N: int, sigma_mode="global_opt",
     if n2 < 0:
         raise ValueError("n2 must be >= 0")
     return CornerBasis(
-        vertices=tuple(polygon.vertices),
         sigmas=tuple(sigmas),
-        counts=tuple(counts),
         poles=tuple(poles),
         degree=n2,
         center=center,

@@ -23,6 +23,8 @@ __all__ = [
     "interior_angles",
     "resolve_corner_exponents",
     "ray_fan",
+    "chebyshev_radii",
+    "sector_boundary",
     "polygon_from_file",
 ]
 
@@ -221,6 +223,45 @@ def ray_fan(beta: float, radii, n_rays: int) -> np.ndarray:
     half = beta * math.pi / 2
     thetas = np.linspace(-half, half, n_rays) if beta > 0 else np.array([0.0])
     return (np.asarray(radii, float)[:, None] * np.exp(1j * thetas)).ravel()
+
+
+def chebyshev_radii(n: int) -> np.ndarray:
+    """The n Chebyshev points of [0, 1], clustered toward both ends."""
+    k = np.arange(n)
+    return 0.5 * (1.0 - np.cos(math.pi * (k + 0.5) / n))
+
+
+def sector_boundary(beta: float, radii, n_arc: int, upper_half: bool) -> np.ndarray:
+    """Samples of the unit sector's boundary: its two edge rays at
+    ``radii`` (the axis alone at beta = 0), ``n_arc`` points on the arc
+    |z| = 1 (none at beta = 0, where the arc is the point z = 1), and the
+    apex.  The one sampler of the sweep's fit sets and sup-norm grids.
+
+    No interior point is needed.  The approximant's poles lie on the
+    negative axis, the branch cut of z^alpha too, and beta < 2 keeps both
+    outside the closed sector; the g of a prefactor target is analytic on
+    it.  So the error e = r - g z^alpha (or r - g z^alpha log z), and the
+    misfit of a polynomial tail to the remainder, are analytic inside and
+    continuous up to the apex, and by the maximum modulus principle their
+    sup is on the edge rays or the arc.
+
+    ``upper_half`` keeps only the points with Im z >= 0, for the plain
+    targets: real poles, residues and tail coefficients and a real alpha
+    give r(conj z) = conj r(z), z^alpha (and z^alpha log z) reflect the same
+    way, so by Schwarz reflection |e(conj z)| = |e(z)|.  A prefactor
+    target's g need not satisfy g(conj z) = conj g(z) and keeps both
+    halves.  A point within rounding of the axis is put on it first: the
+    middle angle of an odd arc is 0 only up to a few ulps of beta*pi/2, and
+    at beta = 1.1 it rounds below the axis, so without the snap the half
+    would lose z = 1, which can hold the sup."""
+    pts = ray_fan(beta, radii, 2)
+    if beta > 0:
+        pts = np.concatenate([pts, ray_fan(beta, [1.0], n_arc)])
+    pts = np.concatenate([pts, [0.0]])
+    if not upper_half:
+        return pts
+    pts = np.where(np.abs(pts.imag) <= 1e-15 * np.abs(pts.real), pts.real + 0j, pts)
+    return pts[pts.imag >= 0]
 
 
 def polygon_from_file(path) -> Polygon:

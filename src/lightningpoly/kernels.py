@@ -141,7 +141,10 @@ def _panel_values(f, lo, hi, owner):
     nodes = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _GL_NODES
     vals = f(nodes.ravel(), np.repeat(owner, _GL_NODES.size))
     vals = np.asarray(vals, complex).reshape(lo.size, _GL_NODES.size)
-    return 0.5 * (hi - lo) * (vals @ _GL_WEIGHTS)
+    # einsum sums each row on its own, without BLAS: a gemv rounds a row by
+    # its place in the batch, so a batched point could split a panel that
+    # it accepts alone
+    return 0.5 * (hi - lo) * np.einsum("ij,j->i", vals, _GL_WEIGHTS)
 
 
 def adaptive_gauss_legendre(f, a, b, tol, max_panels: int = 32768):
@@ -153,9 +156,9 @@ def adaptive_gauss_legendre(f, a, b, tol, max_panels: int = 32768):
     bisection changes its estimate by more than its proportional share of
     that point's ``tol`` is split, each point may hold at most
     ``max_panels`` panels, and splitting stops after 60 rounds.  Only the
-    loop is shared, so every point gets the panels and evaluation count it
-    would get alone, and its value up to rounding.  Intervals with a == b
-    give 0 for one nominal evaluation.
+    loop is shared, so every point gets the panels, evaluation count and
+    value it would get alone.  Intervals with a == b give 0 for one
+    nominal evaluation.
 
     Returns (values, est_errors, evaluations, point_evaluations): per-point
     arrays, except ``evaluations``, the total as an int.  If some point

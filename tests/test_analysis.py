@@ -14,7 +14,6 @@ from lightningpoly.analysis import (
     CSV_HEADER,
     BoundContext,
     ConvergenceRecord,
-    _auto_tail_config,
     arc_grid,
     checked_sup_error,
     fit_rate,
@@ -31,7 +30,6 @@ from lightningpoly.analysis import (
 )
 from lightningpoly.approx import (
     ApproxConfig,
-    _chebyshev_radii,
     _fit_points,
     _poly_eval,
     _remainder_values,
@@ -40,10 +38,11 @@ from lightningpoly.approx import (
     clustered_poles,
     deserialize,
     fit_tail,
+    ladder_tail,
     optimal_sigma,
     serialize,
 )
-from lightningpoly.geometry import ray_fan
+from lightningpoly.geometry import chebyshev_radii, ray_fan, sector_boundary
 from lightningpoly.kernels import (
     KernelConfig,
     PoleCollisionError,
@@ -54,7 +53,7 @@ from lightningpoly.kernels import (
 
 
 def _record(n1, n2, err, sigma=1.0):
-    return ConvergenceRecord(n1=n1, n2=n2, n=n1 + n2, sup_err=err,
+    return ConvergenceRecord(n1=n1, n2=n2, sup_err=err,
                              predicted_log_err=0.0, sigma=sigma, runtime_ms=0.0)
 
 
@@ -154,9 +153,11 @@ class TestFitRate:
             fit_rate(records)
 
     def test_record_invariant(self):
-        with pytest.raises(ValueError):
-            ConvergenceRecord(n1=4, n2=4, n=9, sup_err=1.0,
-                              predicted_log_err=0.0, sigma=1.0, runtime_ms=0.0)
+        # N is n1 + n2 by construction; a negative sup_err is still rejected
+        assert _record(4, 5, 1.0).n == 9
+        assert dataclasses.replace(_record(4, 5, 1.0), n2=7).n == 11
+        with pytest.raises(ValueError, match="nonnegative"):
+            _record(4, 4, -1.0)
 
 
 class TestEnvelope:
@@ -354,7 +355,7 @@ class TestSweepAndCsv:
         # from the chosen config must give the same record
         sigma = sigma_factor * optimal_sigma(alpha, beta)
         (rec,) = run_sweep(alpha, beta, sigma, [n1], target=target, g=g)
-        cfg, tail = _auto_tail_config(alpha, beta, sigma, n1, 1.0, target, g)
+        cfg, tail = ladder_tail(alpha, beta, sigma, n1, 1.0, target, g)
         np.testing.assert_array_equal(fit_tail(cfg).coeffs, tail.coeffs)
         approx = build_approximation(cfg)
         err = checked_sup_error(approx, make_target(target, alpha, g), cfg)
@@ -373,15 +374,15 @@ class TestSweepAndCsv:
                                               sigma_factor, n1, rungs):
         sigma = sigma_factor * optimal_sigma(alpha, beta)
         consumed = []
-        fits = analysis.tail_fits
+        fits = approx_module.tail_fits
 
         def counted(cfg, degrees, values_fn=None):
             for tail in fits(cfg, degrees, values_fn):
                 consumed.append(tail)
                 yield tail
 
-        monkeypatch.setattr(analysis, "tail_fits", counted)
-        cfg, tail = _auto_tail_config(alpha, beta, sigma, n1, 1.0, target, None)
+        monkeypatch.setattr(approx_module, "tail_fits", counted)
+        cfg, tail = ladder_tail(alpha, beta, sigma, n1, 1.0, target, None)
         assert len(consumed) == rungs
         assert tail.coeffs.size == cfg.n2 + 1
 
@@ -422,19 +423,21 @@ class TestSweepAndCsv:
     @given(st.floats(0.1, 0.9), st.floats(0.0, 1.95), st.floats(0.5, 12.0),
            st.integers(1, 25), st.integers(0, 30))
     @example(0.5, 1.1, 4.0, 9, 4)  # the middle arc angle rounds below the axis
+    @example(0.5, 0.0, 4.0, 9, 4)  # no arc: z = 1 once, from the axis
     @settings(max_examples=20, deadline=None)
     def test_sample_points_stay_in_unit_sector(self, alpha, beta, sigma, n1, n2):
         # every point lies on the sector's boundary: the apex, the arc or an
-        # edge ray (the segment [0, 1] at beta = 0); a plain target keeps the
-        # upper half, Im z >= 0, with the odd arc's middle point z = 1, and a
-        # prefactor target both edges
+        # edge ray (the segment [0, 1] at beta = 0, with z = 1 once and no
+        # arc); a plain target keeps the upper half, Im z >= 0, with the odd
+        # arc's middle point z = 1, and a prefactor target both edges
         cfg = ApproxConfig(alpha=alpha, beta=beta, sigma=sigma, n1=n1, n2=n2)
         pre = _prefactor_twin(cfg)
         half = beta * math.pi / 2
 
         def point_sets(c):
             return ([_fit_points(c, fine) for fine in (False, True)]
-                    + [rate_grid(c, refine) for refine in (0, 1, 2)])
+                    + [rate_grid(c, refine) for refine in (0, 1, 2)]
+                    + [sector_boundary(beta, [0.25, 1.0], 2 * n1 + 1, c.g is None)])
 
         for k, (zs, full) in enumerate(zip(point_sets(cfg), point_sets(pre))):
             assert np.all(zs.imag >= 0)
@@ -454,6 +457,7 @@ class TestSweepAndCsv:
                 if beta == 0.0:
                     assert np.all(pts.imag == 0.0)
                     assert np.all((pts.real >= 0) & (pts.real <= 1))
+                    assert np.count_nonzero(pts == 1.0) == 1
 
 
 def _in_unit_sector(beta, zs, tol=1e-12):
@@ -499,7 +503,7 @@ def _fan_grid(cfg, refine):
     depth = min(max(depth, 40), 1400) * (refine + 1)
     ratio = 0.5 ** (1.0 / (refine + 1))
     radii = np.unique(np.concatenate([ratio ** np.arange(depth + 1),
-                                      _chebyshev_radii(192 * (refine + 1))]))
+                                      chebyshev_radii(192 * (refine + 1))]))
     return np.concatenate([ray_fan(cfg.beta, radii, 13 * (refine + 1)), [0.0]])
 
 

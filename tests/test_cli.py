@@ -256,6 +256,16 @@ class TestApprox:
         assert summary["n2"] == 130 and summary["pass"]
         assert summary["sup_err"] < 1e-12
 
+    def test_non_finite_sup_error_exits_1(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(analysis, "checked_sup_error", lambda *args: math.nan)
+        j = tmp_path / "approx.json"
+        code = main(["approx", "--alpha", "0.5", "--beta", "1", "--N1", "9",
+                     "--json", str(j)])
+        assert code == 1
+        summary = json.loads(j.read_text())
+        assert summary["pass"] is False and math.isnan(summary["sup_err"])
+        assert capsys.readouterr().err == "approx: sup_err nan is not finite\n"
+
 
 class TestQuaderr:
     def test_slopes_match_predictions(self, tmp_path):

@@ -256,9 +256,8 @@ class TestSolveDirichlet:
         # singular for an undamped QR; the damping rows keep the fit finite
         basis = plan_basis(self.poly, 80, "global_opt")
         twice = dataclasses.replace(
-            basis,
-            poles=(np.concatenate([basis.poles[0]] * 2),) + basis.poles[1:],
-            counts=(2 * basis.counts[0],) + basis.counts[1:])
+            basis, poles=(np.concatenate([basis.poles[0]] * 2),) + basis.poles[1:])
+        assert twice.counts == (2 * basis.counts[0],) + basis.counts[1:]
         err = boundary_error(solve_dirichlet(self.poly, "re2", basis), self.poly, "re2")
         sol = solve_dirichlet(self.poly, "re2", twice)
         assert np.all(np.isfinite(sol.coeffs))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lightningpoly import kernels
@@ -233,13 +233,15 @@ class TestTruncatedIntegral:
 
 def _one_point_agl(f, a, b, tol, max_panels=32768):
     """The one-point adaptive Gauss-Legendre loop that the batched kernel
-    replaced, kept as the reference for its per-point results."""
+    replaced, kept as the reference for its per-point results.  Its panels
+    are summed row by row, as the kernel sums them: a BLAS gemv rounds a
+    row by its place in the array, which can change a split decision."""
     nodes, weights = np.polynomial.legendre.leggauss(15)
 
     def panels(lo, hi):
         t = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * nodes
         vals = np.asarray(f(t.ravel()), complex).reshape(lo.size, nodes.size)
-        return 0.5 * (hi - lo) * (vals @ weights)
+        return 0.5 * (hi - lo) * np.einsum("ij,j->i", vals, weights)
 
     lo, hi = np.array([a], float), np.array([b], float)
     coarse = panels(lo, hi)
@@ -268,13 +270,18 @@ _RADII = st.one_of(st.just(0.0), st.floats(1e-12, 1e-8), st.floats(1e-6, 1.0),
 
 class TestBatchedReferences:
     """One batched reference call equals one call per point: each point's
-    panels and evaluation count are its own, and values agree to rounding."""
+    panels, evaluation count and value are its own, bit for bit."""
 
     @given(alpha=st.floats(0.1, 0.9), C=st.floats(0.5, 2.0), h=st.floats(0.5, 12.0),
            T=st.floats(3.0, 12.0), log=st.booleans(),
            polar=st.lists(st.tuples(_RADII, st.floats(-3.0, 3.0)), max_size=5),
            tiny=st.floats(1e-12, 1e-8), big=st.floats(1.0, 5.0),
            angle=st.floats(-3.0, 3.0))
+    # a BLAS gemv over the panels rounded z = 2.82's rows by their place in
+    # the batch, which split a panel that the one-point call accepts (285
+    # against 225 evaluations)
+    @example(alpha=0.6672690414008335, C=0.9406331275267154, h=1.0, T=7.609375, log=True,
+             polar=[(1.0, 0.0)], tiny=1e-10, big=2.820347886534932, angle=0.0)
     @settings(max_examples=25, deadline=None)
     def test_batch_equals_points_alone(self, alpha, C, h, T, log, polar, tiny, big, angle):
         kappa = alpha / (1.0 - alpha)
@@ -286,8 +293,7 @@ class TestBatchedReferences:
         batch = fn(zs, cfg)
         for z, v, n in zip(zs.tolist(), batch.value.tolist(), batch.evaluations.tolist()):
             alone = fn(z, cfg)
-            assert n == alone.evaluations
-            assert abs(v - alone.value) <= 1e-15 * max(1.0, abs(alone.value))
+            assert (n, v) == (alone.evaluations, alone.value)
         assert batch.value[0] == 0
 
     @pytest.mark.parametrize("alpha,C,log", [(0.5, 1.0, False), (0.25, 1.7, True),
