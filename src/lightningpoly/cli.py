@@ -284,9 +284,14 @@ def _cmd_laplace(p: dict) -> int:
         try:
             sol = corners.solve_dirichlet(polygon, data, basis,
                                           oversample=int(p.get("oversample", 4)))
-        except RuntimeError as exc:  # a numerical breakdown fails the run
-            print(f"laplace: solver failed at N={n}: {exc}", file=sys.stderr)
-            return 1
+        except RuntimeError as exc:  # a numerical breakdown fails the run, no CSV
+            return _report(p, {
+                "N": n_list,
+                "boundary_err": errs,
+                "failed_at_N": n,
+                "error": str(exc),
+                "pass": False,
+            }, f"laplace: solver failed at N={n}: {exc}")
         err = corners.boundary_error(sol, polygon, data,
                                      fine_factor=int(p.get("fine_factor", 4)))
         errs.append(err)

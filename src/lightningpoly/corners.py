@@ -152,36 +152,33 @@ class HarmonicSolution:
     """
 
     basis: CornerBasis
-    coeffs: np.ndarray     # real vector, column order matches _design_matrix
+    coeffs: np.ndarray     # real vector, column order of _weighted_system
     residual_norm: float
 
     def eval(self, z):
         zs = np.asarray(z, complex)
-        out = _design_matrix(zs.ravel(), self.basis) @ self.coeffs
+        out = _harmonic_values(self.basis, self.coeffs, zs.ravel())
         return out.reshape(zs.shape) if zs.shape else float(out[0])
 
     __call__ = eval
 
 
-def _design_matrix(zs: np.ndarray, basis: CornerBasis) -> np.ndarray:
-    """Columns Re and Im of 1/(z - p) for each pole in corner order, then
-    Re w^0 and Re, Im of w^k for k = 1..degree, w = (z - center)/scale.
-    Filled as its transpose and returned column-major, LAPACK's layout."""
-    At = np.empty((basis.n_columns, zs.size))
-    row = 0
-    for pk in basis.poles:  # one corner at a time keeps the temporaries small
-        f = 1.0 / (zs - pk[:, None])
-        At[row:row + 2 * pk.size:2] = f.real
-        At[row + 1:row + 2 * pk.size:2] = f.imag
-        row += 2 * pk.size
-    At[row] = 1.0
+def _harmonic_values(basis: CornerBasis, coeffs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """u at the flat array zs without a design matrix: Re of the partial
+    fractions sum_j r_j/(z - p_j), one corner at a time, plus the polynomial
+    sum_k tau_k w^k by Horner's rule, w = (z - center)/scale.  The complex
+    residues and tail coefficients fold each Re, Im column pair (a, b) into
+    a - i*b, as export_solution lists them: Re((a - i*b) f) = a Re f + b Im f."""
+    out = np.zeros(zs.size)
+    i = 0
+    for pk in basis.poles:
+        res = coeffs[i:i + 2 * pk.size:2] - 1j * coeffs[i + 1:i + 2 * pk.size:2]
+        out += ((1.0 / (zs[:, None] - pk)) @ res).real
+        i += 2 * pk.size
+    taus = np.concatenate([coeffs[i:i + 1], coeffs[i + 1::2] - 1j * coeffs[i + 2::2]])
     w = (zs - basis.center) / basis.scale
-    pw = np.ones_like(zs)
-    for k in range(row + 1, basis.n_columns, 2):
-        pw = pw * w
-        At[k] = pw.real
-        At[k + 1] = pw.imag
-    return At.T
+    out += np.polynomial.polynomial.polyval(w, taus).real
+    return out
 
 
 def _edge_samples(polygon: Polygon, basis: CornerBasis, factor: int, n_fill: int):
@@ -211,17 +208,44 @@ def _collocation(polygon: Polygon, basis: CornerBasis, oversample: int):
     return np.concatenate(pts), np.concatenate(wts)
 
 
+# collocation points per block of _weighted_system's reciprocals
+_ROW_BLOCK = 128
+
+
 def _weighted_system(zs, w, basis: CornerBasis, rhs) -> np.ndarray:
-    """The weighted ``[A b]`` of the collocation fit, column-major, for
-    damped_lstsq to own and free: held by the caller, it would outlive the
-    misfit's design.  The design is built apart and copied in: built in
-    place, it raised the peak RSS."""
+    """The weighted ``[A b]`` of the collocation fit, column-major (LAPACK's
+    layout), for damped_lstsq to own and free.  A's columns are Re and Im of
+    1/(z - p) for each pole in corner order, then Re w^0 and Re, Im of w^k
+    for k = 1..degree, w = (z - center)/scale.  Each column is written
+    weighted, in one pass, through the row-major view of the transpose (one
+    contiguous row per column); each entry rounds once, as Re(1/(z - p))*w,
+    so no design temporary, copy or weighting pass is needed.
+
+    The reciprocals are taken one corner and one block of points at a time:
+    whole-corner temporaries (1.7 MB at N = 240) left freed heap that the
+    QR's full-size copies could not reuse, which raised the peak RSS."""
     Ab = np.empty((zs.size, basis.n_columns + 1), order="F")
+    cols = Ab.T
+    row = 0
     # a pole on a collocation point divides by zero; the norms report it
     with np.errstate(divide="ignore", invalid="ignore"):
-        Ab[:, :-1] = _design_matrix(zs, basis)
-    Ab[:, -1] = rhs
-    Ab *= w[:, None]
+        for pk in basis.poles:
+            re, im = cols[row:row + 2 * pk.size:2], cols[row + 1:row + 2 * pk.size:2]
+            for lo in range(0, zs.size, _ROW_BLOCK):
+                hi = lo + _ROW_BLOCK
+                f = zs[lo:hi] - pk[:, None]
+                np.divide(1.0, f, out=f)
+                np.multiply(f.real, w[lo:hi], out=re[:, lo:hi])
+                np.multiply(f.imag, w[lo:hi], out=im[:, lo:hi])
+            row += 2 * pk.size
+    cols[row] = w
+    wz = (zs - basis.center) / basis.scale
+    pw = np.ones_like(zs)
+    for k in range(row + 1, basis.n_columns, 2):
+        pw = pw * wz
+        np.multiply(pw.real, w, out=cols[k])
+        np.multiply(pw.imag, w, out=cols[k + 1])
+    np.multiply(rhs, w, out=cols[-1])
     return Ab
 
 
@@ -231,6 +255,8 @@ def solve_dirichlet(polygon: Polygon, boundary_data, basis: CornerBasis,
     collocation by kernels.damped_lstsq.  Raises ``RuntimeError`` on a
     numerical breakdown: a pole that rounds onto a collocation point makes
     the design non-finite."""
+    if oversample < 1:
+        raise ValueError(f"oversample must be >= 1, got {oversample}")
     data = builtin_boundary_data(boundary_data) if isinstance(boundary_data, str) else boundary_data
     zs, w = _collocation(polygon, basis, oversample)
     if zs.size < 3 * basis.n_columns:
@@ -241,7 +267,7 @@ def solve_dirichlet(polygon: Polygon, boundary_data, basis: CornerBasis,
         coeffs = damped_lstsq(_weighted_system(zs, w, basis, rhs))
     except RuntimeError as exc:
         raise RuntimeError(f"{exc} (a pole lies on a collocation point)") from None
-    misfit = _design_matrix(zs, basis) @ coeffs - rhs
+    misfit = _harmonic_values(basis, coeffs, zs) - rhs
     rms = float(np.sqrt(np.mean(misfit**2)))
     if not np.all(np.isfinite(coeffs)):
         raise RuntimeError(f"least squares failed; achieved residual {rms:.3e}")

@@ -536,6 +536,10 @@ def _back_substitute(R: np.ndarray, c: np.ndarray) -> np.ndarray:
     return x
 
 
+# columns of A per block of damped_lstsq's damping step
+_DAMP_BLOCK = 192
+
+
 def damped_lstsq(Ab: np.ndarray) -> np.ndarray:
     """Least-squares solution x of A x ~ b from ``Ab = [A b]`` (m x (n+1),
     real or complex) by damped Householder QR: the library's one solver.
@@ -543,20 +547,32 @@ def damped_lstsq(Ab: np.ndarray) -> np.ndarray:
     A's columns are scaled to unit norm in place, and an R-only QR reduces
     ``[A b]`` to an (n+1)-row triangle ``[R c]``; the tall matrix is then
     released, so a caller that passes a temporary does not hold it through
-    the rest.  A second R-only QR, of ``[R c; lam*I 0]``, gives the x of
-    ``min |A x - b|^2 + lam^2 |x|^2``, as one QR of ``[A b; lam*I 0]`` would
-    in exact arithmetic.  ``lam = max(m, n) * eps`` is the default
-    singular-value cutoff of ``np.linalg.lstsq``, relative to the unit-norm
-    columns: a direction they resolve only below it is damped instead of
-    fit, so a numerically rank-deficient basis (duplicate poles, a
-    high-degree monomial tail) gives finite coefficients where an undamped
-    QR would divide by rounding.  Raises ``RuntimeError`` if a column of A
-    is not finite.
+    the rest.  The damping step then reduces ``[R c; lam*I 0]``, which gives
+    the x of ``min |A x - b|^2 + lam^2 |x|^2``, as one QR of
+    ``[A b; lam*I 0]`` would in exact arithmetic.  ``lam = max(m, n) * eps``
+    is the default singular-value cutoff of ``np.linalg.lstsq``, relative
+    to the unit-norm columns: a direction they resolve only below it is
+    damped instead of fit, so a numerically rank-deficient basis (duplicate
+    poles, a high-degree monomial tail) gives finite coefficients where an
+    undamped QR would divide by rounding.  Raises ``RuntimeError`` if a
+    column of A is not finite.
+
+    The damping rows are reduced one block of ``_DAMP_BLOCK`` columns at a
+    time (Elden, BIT 1977): a block's R-only QR sees only its own rows of
+    R, the triangle of fill that the blocks before it left in the trailing
+    columns, and its own lam rows, and the fill it leaves comes out
+    compressed to a triangle again.  One dense QR of the (2n+1) x (n+1)
+    stack costs about 3.3 n^3 flops; blocks of width n/b cost about 2.0,
+    1.6 and 1.5 n^3 for b = 2, 3 and 4, so past three blocks the flops fall
+    little while each QR gets narrower.  192 columns give three blocks at
+    n = 575 (the Laplace solve at N = 240); at n <= 192, as in every tail
+    fit of the benchmark's sweeps, the step is the one dense QR of the
+    whole stack.
 
     ``np.linalg.qr`` copies its input twice on the way to LAPACK, which
     works on column-major arrays: a column-major ``[A b]`` makes both
     copies contiguous, while a row-major one still works but makes them
-    transposing, strided copies.  The damped stack is built column-major
+    transposing, strided copies.  The damping stacks are built column-major
     for the same reason.
     """
     m, n = Ab.shape[0], Ab.shape[1] - 1
@@ -566,9 +582,20 @@ def damped_lstsq(Ab: np.ndarray) -> np.ndarray:
     norms[norms == 0.0] = 1.0
     Ab[:, :n] /= norms
     R = np.linalg.qr(Ab, mode="r")
-    del Ab  # the caller's temporary dies here, before the second QR
-    damped = np.zeros((R.shape[0] + n, n + 1), R.dtype, order="F")
-    damped[:R.shape[0]] = R
-    np.fill_diagonal(damped[R.shape[0]:], max(m, n) * np.finfo(float).eps)
-    R = np.linalg.qr(damped, mode="r")
-    return _back_substitute(R[:n, :n], R[:n, n]) / norms
+    del Ab  # the caller's temporary dies here, before the damping step
+    lam = max(m, n) * np.finfo(float).eps
+    T = np.zeros((n, n + 1), R.dtype)
+    fill = R[:0]
+    for lo in range(0, n, _DAMP_BLOCK):
+        hi = min(lo + _DAMP_BLOCK, n)
+        # the last block also takes R's last row: one block is the whole stack
+        own = R[lo:hi, lo:] if hi < n else R[lo:, lo:]
+        top = own.shape[0] + fill.shape[0]
+        stack = np.zeros((top + hi - lo, n + 1 - lo), R.dtype, order="F")
+        stack[:own.shape[0]] = own
+        stack[own.shape[0]:top] = fill
+        np.fill_diagonal(stack[top:], lam)
+        Rb = np.linalg.qr(stack, mode="r")
+        T[lo:hi, lo:] = Rb[:hi - lo]
+        fill = Rb[hi - lo:, hi - lo:]
+    return _back_substitute(T[:, :n], T[:, n]) / norms

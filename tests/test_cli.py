@@ -192,6 +192,16 @@ class TestArgumentHandling:
         err = capsys.readouterr().err
         assert "invalid configuration: n2 must be >= 0" in err
 
+    @pytest.mark.parametrize("oversample", ["0", "-1"])
+    def test_oversample_below_one_exits_2(self, oversample, tmp_path, capsys):
+        csv = tmp_path / "o.csv"
+        code = main(["laplace", "--polygon", "builtin:concave-quad", "--N", "40",
+                     "--oversample", oversample, "--csv", str(csv)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"invalid configuration: oversample must be >= 1, got {oversample}" in err
+        assert not csv.exists()
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text("frob = 1\n")
@@ -382,6 +392,22 @@ class TestLaplace:
             "laplace: solver failed at N=400: design matrix is not finite "
             "(a pole lies on a collocation point)"]
         assert "DLASCL" not in out
+        assert not csv_path.exists()
+
+    def test_numerical_breakdown_writes_the_json_summary(self, tmp_path, capsys):
+        csv_path, json_path = tmp_path / "b.csv", tmp_path / "b.json"
+        code = main(["laplace", "--polygon", "builtin:concave-quad", "--sigma", "4",
+                     "--N", "160,400", "--oversample", "8", "--csv", str(csv_path),
+                     "--json", str(json_path)])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        msg = "design matrix is not finite (a pole lies on a collocation point)"
+        assert err.splitlines() == [f"laplace: solver failed at N=400: {msg}"]
+        summary = json.loads(json_path.read_text())
+        assert summary["pass"] is False
+        assert summary["failed_at_N"] == 400 and summary["error"] == msg
+        assert summary["N"] == [160, 400] and len(summary["boundary_err"]) == 1
         assert not csv_path.exists()
 
     def test_bad_curve_line_exits_2(self, tmp_path, capsys):

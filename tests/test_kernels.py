@@ -14,6 +14,7 @@ from lightningpoly.kernels import (
     KernelConfig,
     PoleCollisionError,
     QuadratureNonConvergence,
+    _DAMP_BLOCK,
     _back_substitute,
     adaptive_gauss_legendre,
     damped_lstsq,
@@ -467,6 +468,90 @@ class TestDampedLstsq:
         Ab = np.column_stack([A, A, b])
         for order in ("C", "F"):
             assert np.all(np.isfinite(damped_lstsq(np.array(Ab, order=order)).view(float)))
+
+    # the damping step by column blocks, checked above one block's width
+    @staticmethod
+    def _scaled(A, b):
+        norms = np.linalg.norm(A, axis=0)
+        lam = max(A.shape) * np.finfo(float).eps
+        return A / norms, norms, lam
+
+    @classmethod
+    def _one_dense_qr(cls, A, b):
+        """The damped fit as one QR of [A b; lam*I 0], A's columns scaled
+        to unit norm as the kernel scales them."""
+        As, norms, lam = cls._scaled(A, b)
+        m, n = A.shape
+        stack = np.zeros((m + n, n + 1), np.result_type(A, b))
+        stack[:m, :n], stack[:m, n] = As, b
+        stack[m:, :n] = lam * np.eye(n)
+        R = np.linalg.qr(stack, mode="r")
+        return _back_substitute(R[:n, :n], R[:n, n]) / norms
+
+    @staticmethod
+    def _dense_damping(Ab):
+        """The kernel with its damping step as one dense QR of the whole
+        stack [R c; lam*I 0]."""
+        m, n = Ab.shape[0], Ab.shape[1] - 1
+        norms = np.linalg.norm(Ab[:, :n], axis=0)
+        Ab[:, :n] /= norms
+        R = np.linalg.qr(Ab, mode="r")
+        damped = np.zeros((R.shape[0] + n, n + 1), R.dtype, order="F")
+        damped[:R.shape[0]] = R
+        np.fill_diagonal(damped[R.shape[0]:], max(m, n) * np.finfo(float).eps)
+        R = np.linalg.qr(damped, mode="r")
+        return _back_substitute(R[:n, :n], R[:n, n]) / norms
+
+    @staticmethod
+    def _duplicated_objective(A, b, x, norms, lam):
+        # |[A A] x - b|^2 + lam^2 |D x|^2 with D the column norms; each pair
+        # sum x_j + x_(j+k) cancels to within a factor 2, so it is exact
+        # (Sterbenz), and the residual does not round at the pairs' 1e10 size
+        k = A.shape[1]
+        s = x[:k] + x[k:]
+        return np.linalg.norm(A @ s - b) ** 2 + lam**2 * np.linalg.norm(norms * x) ** 2
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("n", [_DAMP_BLOCK + 1, 2 * _DAMP_BLOCK + 17])
+    def test_blocked_damping_matches_lstsq(self, n, complex_):
+        A, b = self._system(np.random.default_rng(n), 3 * n, n, complex_)
+        x = damped_lstsq(np.column_stack([A, b]))
+        np.testing.assert_allclose(x, np.linalg.lstsq(A, b, rcond=None)[0],
+                                   rtol=1e-10, atol=0)
+        As, norms, lam = self._scaled(A, b)
+        J = [np.linalg.norm(As @ (norms * v) - b) ** 2 + lam**2 * np.linalg.norm(norms * v) ** 2
+             for v in (x, self._one_dense_qr(A, b))]
+        assert J[0] == pytest.approx(J[1], rel=1e-12)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_blocked_damping_of_duplicated_columns(self, seed, complex_):
+        # 2k > _DAMP_BLOCK columns, every one twice.  The blocks solve the
+        # damped problem of the same triangle as one dense QR of the stack
+        # does, to rounding (measured: at most 5e-12 relative); against one
+        # QR of [A b; lam*I 0], both solutions sit about 1e-6 above the
+        # damped minimum (the null-space bound |c2|/(2 lam)), hence 1e-5
+        k = _DAMP_BLOCK // 2 + 30
+        A, b = self._system(np.random.default_rng(seed), 500, k, complex_)
+        Ab = np.column_stack([A, A, b])
+        x = damped_lstsq(Ab.copy())
+        assert np.all(np.isfinite(x.view(float)))
+        _, norms, lam = self._scaled(Ab[:, :-1], b)
+        J = self._duplicated_objective(A, b, x, norms, lam)
+        J_dense = self._duplicated_objective(A, b, self._dense_damping(Ab.copy()), norms, lam)
+        J_one = self._duplicated_objective(A, b, self._one_dense_qr(Ab[:, :-1], b), norms, lam)
+        assert J == pytest.approx(J_dense, rel=1e-10)
+        assert J == pytest.approx(J_one, rel=1e-5)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("n", [1, 70, _DAMP_BLOCK])
+    def test_one_block_is_the_dense_damping(self, n, complex_):
+        # at n <= _DAMP_BLOCK the step is the one dense QR of the stack, on
+        # the same array: bytes-equal, duplicated columns included
+        A, b = self._system(np.random.default_rng(n), 3 * n + 5, (n + 1) // 2, complex_)
+        Ab = np.column_stack([A, A, b])[:, -(n + 1):]
+        x = damped_lstsq(np.array(Ab, order="F"))
+        assert x.tobytes() == self._dense_damping(np.array(Ab, order="F")).tobytes()
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_column_raises(self, bad):

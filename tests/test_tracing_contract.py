@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from lightningpoly import analysis
+from lightningpoly import analysis, corners
 from lightningpoly.approx import ApproxConfig, optimal_sigma
 from lightningpoly.kernels import KernelConfig
 
@@ -63,3 +63,25 @@ def test_quadrature_curve_counts_its_grid():
     assert metrics["kernels.trapezoid.terms"] == cfg.n_quad
     assert metrics["kernels.agl.evals"] == rows[0].evaluations > 0
     assert t == cfg.T and np.isfinite(err)
+
+
+def test_laplace_cell_counts_rows_grid_and_eval_terms():
+    # the solver's misfit is evaluated outside HarmonicSolution.eval, so
+    # only boundary_error's one eval per edge counts point terms; boundary
+    # data is one data(complex(z)) call per point, which the tracer counts
+    tracing = _load_tracing()
+    poly = corners.curvy_l_domain()
+    tracer = tracing.Tracer()
+    with tracer.patched():
+        basis = corners.plan_basis(poly, 80, 4.0)
+        sol = corners.solve_dirichlet(poly, "re2", basis)
+        corners.boundary_error(sol, poly, "re2")
+    metrics = tracing.layer_metrics(tracer.spans, tracer.counts)
+    n_colloc = corners._collocation(poly, basis, 4)[0].size
+    n_fine = sum(zs.size for _, _, zs in corners._edge_samples(poly, basis, 4, 64))
+    assert (n_colloc, n_fine, basis.n_columns) == (715, 955, 215)
+    assert metrics["corners.solve.rows"] == n_colloc
+    assert metrics["corners.boundary_error.points"] == n_fine
+    assert metrics["corners.harmonic_eval.point_terms"] == 205325 == n_fine * basis.n_columns
+    names = [s[0] for s in tracer.spans]
+    assert names.count("corners.harmonic_eval") == len(poly.edges)
