@@ -276,7 +276,9 @@ def tail_fits(cfg: ApproxConfig, degrees, values_fn=None):
     The fit and validation sets (_fit_points) and the values on both (one
     ``values_fn`` call on the two sets joined) are made once, before the
     first fit.  Each degree then has its own monomial basis and damped
-    least squares (_poly_lstsq).  A consumer that stops early, as the rate
+    least squares (_poly_lstsq), and its tail is evaluated once, on the two
+    sets joined; Horner's rule is elementwise, so each set's misfit is the
+    one it would have alone.  A consumer that stops early, as the rate
     sweep's ladder does, pays for no later fit and builds no larger basis.
 
     For the plain targets the samples are the upper half of the boundary
@@ -286,15 +288,15 @@ def tail_fits(cfg: ApproxConfig, degrees, values_fn=None):
     values_fn = values_fn or (lambda zs: _remainder_values(cfg, zs))
     real = cfg.g is None
     zs = _fit_points(cfg, fine=False)
-    zv = _fit_points(cfg, fine=True)
-    y, yv = np.split(values_fn(np.concatenate([zs, zv])), [zs.size])
+    z_all = np.concatenate([zs, _fit_points(cfg, fine=True)])
+    y_all = values_fn(z_all)
+    y = y_all[:zs.size]
     counts = np.where(zs.imag == 0.0, 1.0, 2.0) if real else None
     for n2 in degrees:
         coeffs = _poly_lstsq(zs, y, n2, real=real)
-        resid = _poly_eval(coeffs, zs, 1.0) - y
-        rms = float(np.sqrt(np.average(np.abs(resid) ** 2, weights=counts)))
-        sup = float(np.max(np.abs(_poly_eval(coeffs, zv, 1.0) - yv)))
-        yield TailFit(coeffs=coeffs, fit_rms=rms, validation_sup=sup)
+        miss, miss_v = np.split(np.abs(_poly_eval(coeffs, z_all, 1.0) - y_all), [zs.size])
+        rms = float(np.sqrt(np.average(miss ** 2, weights=counts)))
+        yield TailFit(coeffs=coeffs, fit_rms=rms, validation_sup=float(np.max(miss_v)))
 
 
 def fit_tail(cfg: ApproxConfig, values_fn=None) -> TailFit:

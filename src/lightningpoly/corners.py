@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -168,12 +169,15 @@ def _harmonic_values(basis: CornerBasis, coeffs: np.ndarray, zs: np.ndarray) -> 
     fractions sum_j r_j/(z - p_j), one corner at a time, plus the polynomial
     sum_k tau_k w^k by Horner's rule, w = (z - center)/scale.  The complex
     residues and tail coefficients fold each Re, Im column pair (a, b) into
-    a - i*b, as export_solution lists them: Re((a - i*b) f) = a Re f + b Im f."""
+    a - i*b, as export_solution lists them: Re((a - i*b) f) = a Re f + b Im f.
+    einsum sums each point's row on its own, without BLAS, so an array
+    evaluation is bit for bit its point evaluations (as in
+    kernels._panel_values)."""
     out = np.zeros(zs.size)
     i = 0
     for pk in basis.poles:
         res = coeffs[i:i + 2 * pk.size:2] - 1j * coeffs[i + 1:i + 2 * pk.size:2]
-        out += ((1.0 / (zs[:, None] - pk)) @ res).real
+        out += np.einsum("ij,j->i", 1.0 / (zs[:, None] - pk), res).real
         i += 2 * pk.size
     taus = np.concatenate([coeffs[i:i + 1], coeffs[i + 1::2] - 1j * coeffs[i + 2::2]])
     w = (zs - basis.center) / basis.scale
@@ -254,7 +258,8 @@ def solve_dirichlet(polygon: Polygon, boundary_data, basis: CornerBasis,
     """Weighted least-squares fit of Dirichlet data over clustered boundary
     collocation by kernels.damped_lstsq.  Raises ``RuntimeError`` on a
     numerical breakdown: a pole that rounds onto a collocation point makes
-    the design non-finite."""
+    the design non-finite, and data that is not finite there makes the
+    right-hand side non-finite."""
     if oversample < 1:
         raise ValueError(f"oversample must be >= 1, got {oversample}")
     data = builtin_boundary_data(boundary_data) if isinstance(boundary_data, str) else boundary_data
@@ -266,7 +271,9 @@ def solve_dirichlet(polygon: Polygon, boundary_data, basis: CornerBasis,
     try:
         coeffs = damped_lstsq(_weighted_system(zs, w, basis, rhs))
     except RuntimeError as exc:
-        raise RuntimeError(f"{exc} (a pole lies on a collocation point)") from None
+        if str(exc).startswith("design matrix"):
+            raise RuntimeError(f"{exc} (a pole lies on a collocation point)") from None
+        raise
     misfit = _harmonic_values(basis, coeffs, zs) - rhs
     rms = float(np.sqrt(np.mean(misfit**2)))
     if not np.all(np.isfinite(coeffs)):
@@ -276,9 +283,15 @@ def solve_dirichlet(polygon: Polygon, boundary_data, basis: CornerBasis,
 
 def boundary_error(sol: HarmonicSolution, polygon: Polygon, boundary_data,
                    fine_factor: int = 4) -> float:
-    """Sup |u - g| over a boundary grid ``fine_factor`` denser than the
-    collocation grid; by the maximum principle this bounds the interior
-    error of the harmonic mismatch (rationale, not asserted here)."""
+    """Sup |u - g| over boundary samples drawn by the collocation rule
+    (_edge_samples): per edge, ``fine_factor`` times each end corner's pole
+    count of tapered distances, plus ``16*fine_factor`` uniform ones.  At
+    the defaults (``fine_factor`` 4, ``solve_dirichlet``'s oversample 4)
+    the tapered samples are the collocation points themselves and only
+    the uniform fill is denser, 64 points per edge against 16: on the curvy
+    L at N = 80, 635 of the 955 samples are collocation points.  By the
+    maximum principle the sup bounds the interior error of the harmonic
+    mismatch (rationale, not asserted here)."""
     if fine_factor < 4:
         raise ValueError("fine_factor must be >= 4")
     data = builtin_boundary_data(boundary_data) if isinstance(boundary_data, str) else boundary_data
@@ -303,8 +316,23 @@ def builtin_boundary_data(name: str) -> Callable[[complex], float]:
 
 
 def _tabulated_data(path):
-    """Tabulated samples: lines 're im value'; nearest-sample lookup."""
-    rows = np.loadtxt(path, ndmin=2)
+    """Tabulated samples: lines 're im value', at least one and all finite;
+    nearest-sample lookup.  A malformed table raises a ValueError that
+    names the file."""
+    try:
+        with warnings.catch_warnings():
+            # an empty table is reported below, with the path
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(path, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"boundary data {path}: {exc}") from None
+    if rows.shape[0] == 0:
+        raise ValueError(f"boundary data {path}: no 're im value' lines")
+    if rows.shape[1] != 3:
+        raise ValueError(f"boundary data {path}: {rows.shape[1]} columns, "
+                         "needs 3 ('re im value')")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError(f"boundary data {path}: values are not finite")
     zs = rows[:, 0] + 1j * rows[:, 1]
     vals = rows[:, 2]
 

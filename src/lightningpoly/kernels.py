@@ -543,19 +543,26 @@ _DAMP_BLOCK = 192
 def damped_lstsq(Ab: np.ndarray) -> np.ndarray:
     """Least-squares solution x of A x ~ b from ``Ab = [A b]`` (m x (n+1),
     real or complex) by damped Householder QR: the library's one solver.
+    ``Ab`` is read, never written.
 
-    A's columns are scaled to unit norm in place, and an R-only QR reduces
-    ``[A b]`` to an (n+1)-row triangle ``[R c]``; the tall matrix is then
-    released, so a caller that passes a temporary does not hold it through
-    the rest.  The damping step then reduces ``[R c; lam*I 0]``, which gives
-    the x of ``min |A x - b|^2 + lam^2 |x|^2``, as one QR of
-    ``[A b; lam*I 0]`` would in exact arithmetic.  ``lam = max(m, n) * eps``
-    is the default singular-value cutoff of ``np.linalg.lstsq``, relative
-    to the unit-norm columns: a direction they resolve only below it is
-    damped instead of fit, so a numerically rank-deficient basis (duplicate
-    poles, a high-degree monomial tail) gives finite coefficients where an
-    undamped QR would divide by rounding.  Raises ``RuntimeError`` if a
-    column of A is not finite.
+    An R-only QR reduces the unscaled ``[A b]`` to an (n+1)-row triangle
+    ``[R c]``; the tall matrix is then released, so a caller that passes a
+    temporary does not hold it through the rest.  A's columns are scaled
+    to unit norm on the triangle: Householder QR commutes with column
+    scaling, |R e_j| = |A e_j|, and the R of A D is the R of A times D to
+    columnwise rounding (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 19), so the scaling costs n x n work and no m x n
+    temporary.  The damping step then reduces ``[R c; lam*I 0]``, which
+    gives the x of ``min |A x - b|^2 + lam^2 |x|^2`` for the scaled A, as
+    one QR of ``[A b; lam*I 0]`` would in exact arithmetic.
+    ``lam = max(m, n) * eps`` is the default singular-value cutoff of
+    ``np.linalg.lstsq``, relative to the unit-norm columns: a direction
+    they resolve only below it is damped instead of fit, so a numerically
+    rank-deficient basis (duplicate poles, a high-degree monomial tail)
+    gives finite coefficients where an undamped QR would divide by
+    rounding.  Raises ``RuntimeError`` if a column of A, or b, is not
+    finite: a non-finite entry leaves its column of the triangle, and
+    every column after it, non-finite.
 
     The damping rows are reduced one block of ``_DAMP_BLOCK`` columns at a
     time (Elden, BIT 1977): a block's R-only QR sees only its own rows of
@@ -576,13 +583,18 @@ def damped_lstsq(Ab: np.ndarray) -> np.ndarray:
     for the same reason.
     """
     m, n = Ab.shape[0], Ab.shape[1] - 1
-    norms = np.linalg.norm(Ab[:, :n], axis=0)
+    try:
+        R = np.linalg.qr(Ab, mode="r")
+    except np.linalg.LinAlgError:
+        raise RuntimeError("design matrix is not finite") from None
+    del Ab  # the caller's temporary dies here, before the damping step
+    norms = np.linalg.norm(R[:, :n], axis=0)
     if not np.all(np.isfinite(norms)):
         raise RuntimeError("design matrix is not finite")
+    if not np.all(np.isfinite(R[:, n])):
+        raise RuntimeError("right-hand side is not finite")
     norms[norms == 0.0] = 1.0
-    Ab[:, :n] /= norms
-    R = np.linalg.qr(Ab, mode="r")
-    del Ab  # the caller's temporary dies here, before the damping step
+    R[:, :n] /= norms
     lam = max(m, n) * np.finfo(float).eps
     T = np.zeros((n, n + 1), R.dtype)
     fill = R[:0]

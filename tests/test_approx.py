@@ -181,6 +181,23 @@ class TestFitTail:
         assert tail.validation_sup <= 1e-10
         assert tail.validation_sup <= 50 * max(tail.fit_rms, 1e-16)
 
+    @pytest.mark.parametrize("target,beta", [("power", 1.5), ("power_log", 0.5)])
+    def test_joined_evaluation_keeps_each_sets_misfit(self, target, beta):
+        # each rung's tail is evaluated once on the fit and validation sets
+        # joined; Horner is elementwise, so both misfits keep their bytes
+        cfg = ApproxConfig(alpha=0.8, beta=beta, sigma=optimal_sigma(0.8, beta),
+                           n1=49, target=target)
+        zs = approx._fit_points(cfg, fine=False)
+        zv = approx._fit_points(cfg, fine=True)
+        y, yv = np.split(approx._remainder_values(cfg, np.concatenate([zs, zv])), [zs.size])
+        counts = np.where(zs.imag == 0.0, 1.0, 2.0)
+        degrees = approx._ladder_degrees(cfg.n1)
+        for fit in approx.tail_fits(cfg, degrees):
+            resid = approx._poly_eval(fit.coeffs, zs, 1.0) - y
+            rms = float(np.sqrt(np.average(np.abs(resid) ** 2, weights=counts)))
+            sup = float(np.max(np.abs(approx._poly_eval(fit.coeffs, zv, 1.0) - yv)))
+            assert (fit.fit_rms, fit.validation_sup) == (rms, sup)
+
     def test_rank_deficient_raises(self):
         from lightningpoly.approx import _poly_lstsq
         zs = np.array([0.1, 0.5, 0.9], complex)

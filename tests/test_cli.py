@@ -417,6 +417,25 @@ class TestLaplace:
         err = capsys.readouterr().err
         assert "invalid configuration: curve 7 names no edge" in err
 
+    @pytest.mark.parametrize("table, reason", [
+        pytest.param("", "no 're im value' lines", id="empty"),
+        pytest.param("2 4 4\n8 4 nan\n", "not finite", id="nan"),
+        pytest.param("2 4\n8 4\n", "2 columns, needs 3", id="two-columns"),
+    ])
+    def test_malformed_data_table_exits_2(self, table, reason, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_text(table)
+        csv_path = tmp_path / "t.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["laplace", "--polygon", "builtin:concave-quad",
+                         "--data", f"file:{path}", "--N", "40", "--csv", str(csv_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: boundary data ")
+        assert str(path) in err and reason in err
+        assert not csv_path.exists()
+
     @pytest.mark.parametrize("flag, value, reason", [
         ("--N", "", "no pole budgets"),
         ("--weights", "1,1,1", "3 entries for 4 corners"),

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -229,8 +230,19 @@ class TestLayout:
         zs = np.array(_interior_points(poly, 6)).reshape(2, 3)
         out = sol(zs)
         assert out.shape == (2, 3) and out.dtype == float
-        assert out[1, 2] == pytest.approx(sol.eval(zs[1, 2]), rel=1e-14)
+        assert out[1, 2] == sol.eval(zs[1, 2])
         assert sol.eval(np.array(z)) == u
+
+    @pytest.mark.parametrize("N", [40, 80, 240])
+    @pytest.mark.parametrize("domain", [concave_quadrilateral, curvy_l_domain])
+    def test_array_eval_is_its_point_evals(self, domain, N):
+        # each point's partial fractions sum on their own row, without
+        # BLAS, so an array evaluation is bit for bit its point evaluations
+        poly = domain()
+        sol = solve_dirichlet(poly, "re2", plan_basis(poly, N, "global_opt"))
+        zs = np.array(_interior_points(poly, 64))
+        want = np.array([sol.eval(z) for z in zs.tolist()])
+        assert sol.eval(zs).tobytes() == want.tobytes()
 
 
 class TestSolveDirichlet:
@@ -371,6 +383,15 @@ class TestSolveDirichlet:
     def test_unknown_data_name(self):
         with pytest.raises(ValueError, match="unknown boundary data"):
             builtin_boundary_data("bogus")
+
+    def test_non_finite_data_is_not_a_pole_on_a_sample(self):
+        # the kernel reports b, and the pole hint stays with the design
+        basis = plan_basis(self.poly, 40, "global_opt")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeError) as info:
+                solve_dirichlet(self.poly, lambda z: math.nan if z.real > 7 else 0.0, basis)
+        assert str(info.value) == "right-hand side is not finite"
 
     def test_export_format(self):
         basis = plan_basis(self.poly, 32, "global_opt")

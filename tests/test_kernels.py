@@ -457,7 +457,6 @@ class TestDampedLstsq:
     def test_row_and_column_major_agree(self, complex_):
         A, b = self._system(np.random.default_rng(7), 400, 90, complex_)
         Ab = np.column_stack([A, b])
-        # fresh copies: the kernel scales its argument's columns in place
         x_c = damped_lstsq(np.array(Ab, order="C"))
         x_f = damped_lstsq(np.array(Ab, order="F"))
         np.testing.assert_allclose(x_f, x_c, rtol=1e-12, atol=0)
@@ -491,11 +490,12 @@ class TestDampedLstsq:
     @staticmethod
     def _dense_damping(Ab):
         """The kernel with its damping step as one dense QR of the whole
-        stack [R c; lam*I 0]."""
+        stack [R c; lam*I 0], R's columns scaled to unit norm as the
+        kernel scales them."""
         m, n = Ab.shape[0], Ab.shape[1] - 1
-        norms = np.linalg.norm(Ab[:, :n], axis=0)
-        Ab[:, :n] /= norms
         R = np.linalg.qr(Ab, mode="r")
+        norms = np.linalg.norm(R[:, :n], axis=0)
+        R[:, :n] /= norms
         damped = np.zeros((R.shape[0] + n, n + 1), R.dtype, order="F")
         damped[:R.shape[0]] = R
         np.fill_diagonal(damped[R.shape[0]:], max(m, n) * np.finfo(float).eps)
@@ -534,11 +534,11 @@ class TestDampedLstsq:
         k = _DAMP_BLOCK // 2 + 30
         A, b = self._system(np.random.default_rng(seed), 500, k, complex_)
         Ab = np.column_stack([A, A, b])
-        x = damped_lstsq(Ab.copy())
+        x = damped_lstsq(Ab)
         assert np.all(np.isfinite(x.view(float)))
         _, norms, lam = self._scaled(Ab[:, :-1], b)
         J = self._duplicated_objective(A, b, x, norms, lam)
-        J_dense = self._duplicated_objective(A, b, self._dense_damping(Ab.copy()), norms, lam)
+        J_dense = self._duplicated_objective(A, b, self._dense_damping(Ab), norms, lam)
         J_one = self._duplicated_objective(A, b, self._one_dense_qr(Ab[:, :-1], b), norms, lam)
         assert J == pytest.approx(J_dense, rel=1e-10)
         assert J == pytest.approx(J_one, rel=1e-5)
@@ -555,7 +555,20 @@ class TestDampedLstsq:
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_column_raises(self, bad):
-        Ab = np.random.default_rng(3).standard_normal((50, 6))
-        Ab[17, 2] = bad
-        with pytest.raises(RuntimeError, match="not finite"):
-            damped_lstsq(Ab)
+        # a column of A, then b
+        for col, what in ((2, "design matrix"), (5, "right-hand side")):
+            Ab = np.random.default_rng(3).standard_normal((50, 6))
+            Ab[17, col] = bad
+            with pytest.raises(RuntimeError, match=f"{what} is not finite"):
+                damped_lstsq(Ab)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [12, _DAMP_BLOCK + 1])
+    def test_argument_is_left_alone(self, n, order, complex_):
+        # the columns are scaled on the triangle, not on [A b]
+        A, b = self._system(np.random.default_rng(n), 3 * n, n, complex_)
+        Ab = np.array(np.column_stack([A, b]), order=order)
+        before = Ab.tobytes()
+        damped_lstsq(Ab)
+        assert Ab.tobytes() == before
