@@ -11,6 +11,7 @@ from pathlib import Path
 
 from lightningpoly.corners import (
     boundary_error,
+    builtin_boundary_data,
     concave_quadrilateral,
     curvy_l_domain,
     plan_basis,
@@ -19,6 +20,7 @@ from lightningpoly.corners import (
 
 
 def sweep(polygon, sigma_mode, n_list, data="re2"):
+    data = builtin_boundary_data(data)  # resolved once, not per solve
     rows = []
     for n in n_list:
         basis = plan_basis(polygon, n, sigma_mode)

@@ -260,7 +260,8 @@ def _resolve_polygon(token: str):
 
 def _cmd_laplace(p: dict) -> int:
     polygon = _resolve_polygon(str(p["polygon"]))
-    data = str(p.get("data", "re2"))
+    # resolved once: a file: table is parsed here, not once per solve and check
+    data = corners.builtin_boundary_data(str(p.get("data", "re2")))
     sig_tok = str(p.get("sigma", "opt")).strip().lower()
     if sig_tok == "opt":
         sigma_mode = "global_opt"

@@ -231,11 +231,17 @@ def chebyshev_radii(n: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(math.pi * (k + 0.5) / n))
 
 
-def sector_boundary(beta: float, radii, n_arc: int, upper_half: bool) -> np.ndarray:
+def sector_boundary(beta: float, radii, n_arc: int, upper_half: bool,
+                    split: bool = False):
     """Samples of the unit sector's boundary: its two edge rays at
     ``radii`` (the axis alone at beta = 0), ``n_arc`` points on the arc
     |z| = 1 (none at beta = 0, where the arc is the point z = 1), and the
     apex.  The one sampler of the sweep's fit sets and sup-norm grids.
+
+    ``split=True`` returns the same samples as two disjoint arrays, the
+    even half and the rest.  The half holds the points of the radii
+    ``radii[0::2]``, the arc points of even index and the apex: a grid of
+    about twice the spacing, nested in the whole.
 
     No interior point is needed.  The approximant's poles lie on the
     negative axis, the branch cut of z^alpha too, and beta < 2 keeps both
@@ -255,13 +261,17 @@ def sector_boundary(beta: float, radii, n_arc: int, upper_half: bool) -> np.ndar
     at beta = 1.1 it rounds below the axis, so without the snap the half
     would lose z = 1, which can hold the sup."""
     pts = ray_fan(beta, radii, 2)
+    even = [np.repeat(np.arange(np.size(radii)) % 2 == 0, 2 if beta > 0 else 1)]
     if beta > 0:
         pts = np.concatenate([pts, ray_fan(beta, [1.0], n_arc)])
+        even.append(np.arange(n_arc) % 2 == 0)
     pts = np.concatenate([pts, [0.0]])
-    if not upper_half:
-        return pts
-    pts = np.where(np.abs(pts.imag) <= 1e-15 * np.abs(pts.real), pts.real + 0j, pts)
-    return pts[pts.imag >= 0]
+    even = np.concatenate(even + [[True]])
+    if upper_half:
+        pts = np.where(np.abs(pts.imag) <= 1e-15 * np.abs(pts.real), pts.real + 0j, pts)
+        keep = pts.imag >= 0
+        pts, even = pts[keep], even[keep]
+    return (pts[even], pts[~even]) if split else pts
 
 
 def polygon_from_file(path) -> Polygon:

@@ -551,6 +551,64 @@ class TestBoundaryGrid:
             assert gap.max() <= 1e-12 * np.abs(y).max(), cfg
 
 
+_NESTED_CONFIGS = [
+    pytest.param(0.5, 1.0, None, id="plain"),
+    pytest.param(0.8, 1.5, cmath.exp, id="prefactor"),  # both halves of the boundary
+    pytest.param(0.5, 0.0, None, id="no-arc"),
+]
+
+
+def _spiked(approx, z0, spike):
+    """A target equal to approx.eval except at z0, where it is off by spike."""
+    return lambda zs: approx.eval(zs) + np.where(zs == z0, spike, 0.0)
+
+
+class TestNestedDriftCheck:
+    # checked_sup_error measures the refine=1 grid once, as its even half
+    # and the rest, and compares the half's sup with the whole's
+
+    def _setup(self, alpha, beta, g):
+        cfg = ApproxConfig(alpha=alpha, beta=beta, sigma=optimal_sigma(alpha, beta), n1=16,
+                           target="prefactor_power" if g else "power", g=g)
+        return cfg, build_approximation(cfg)
+
+    @pytest.mark.parametrize("alpha, beta, g", _NESTED_CONFIGS)
+    def test_half_and_rest_partition_the_grid(self, alpha, beta, g):
+        cfg, _ = self._setup(alpha, beta, g)
+        whole = rate_grid(cfg, 1)
+        half, rest = rate_grid(cfg, 1, split=True)
+        assert np.intersect1d(half, rest).size == 0
+        assert np.array_equal(np.sort(np.concatenate([half, rest])), np.sort(whole))
+        assert 0.0 in half and 1.0 in half
+        assert abs(half.size - rest.size) <= 0.02 * whole.size
+
+    @pytest.mark.parametrize("alpha, beta, g", _NESTED_CONFIGS)
+    def test_no_drift_returns_the_whole_grids_sup(self, alpha, beta, g):
+        cfg, approx = self._setup(alpha, beta, g)
+        f = make_target(cfg.target, alpha, g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = checked_sup_error(approx, f, cfg)
+        assert err == sup_error(approx, f, None, rate_grid(cfg, 1))
+
+    def test_drift_in_the_rest_refines_again(self):
+        cfg, approx = self._setup(0.5, 1.0, None)
+        _, rest = rate_grid(cfg, 1, split=True)
+        z0 = rest[rest.size // 2]
+        finer_grid = rate_grid(cfg, 2)
+        assert z0 not in finer_grid
+        target = _spiked(approx, z0, 0.25)
+        with pytest.warns(UserWarning, match="still drifting after two refinements"):
+            err = checked_sup_error(approx, target, cfg)
+        assert err == sup_error(approx, target, None, finer_grid) == 0.0
+
+    def test_nan_in_the_rest_is_kept(self):
+        # Python's max(x, nan) is x: the rest's NaN must not be dropped
+        cfg, approx = self._setup(0.5, 1.0, None)
+        _, rest = rate_grid(cfg, 1, split=True)
+        assert math.isnan(checked_sup_error(approx, _spiked(approx, rest[3], math.nan), cfg))
+
+
 class TestDiagnosticsAndSkips:
     def test_sup_error_skips_and_errors(self):
         approx = deserialize("pole -1 0\nresidue 1 0\ntail 0\nscale 1\n")

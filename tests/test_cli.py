@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lightningpoly import analysis
+from lightningpoly import analysis, corners
 from lightningpoly.analysis import BoundContext, arc_grid
-from lightningpoly.approx import deserialize, optimal_sigma
+from lightningpoly.approx import ApproxConfig, deserialize, optimal_sigma
 from lightningpoly.cli import ExperimentConfig, main, run
 from lightningpoly.kernels import KernelConfig, truncated_integral, truncated_integral_log
 
@@ -276,6 +276,24 @@ class TestApprox:
         assert summary["pass"] is False and math.isnan(summary["sup_err"])
         assert capsys.readouterr().err == "approx: sup_err nan is not finite\n"
 
+    def test_nan_target_in_the_rest_of_the_grid_exits_1(self, monkeypatch, tmp_path, capsys):
+        # a NaN that only the rest of the refine=1 grid sees still fails the run
+        cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=optimal_sigma(0.5, 1.0), n1=9)
+        _, rest = analysis.rate_grid(cfg, 1, split=True)
+        make_target = analysis.make_target
+
+        def poisoned(kind, alpha, g=None):
+            f = make_target(kind, alpha, g)
+            return lambda zs: np.where(zs == rest[0], math.nan, f(zs))
+
+        monkeypatch.setattr(analysis, "make_target", poisoned)
+        j = tmp_path / "approx.json"
+        code = main(["approx", "--alpha", "0.5", "--beta", "1", "--N1", "9",
+                     "--json", str(j)])
+        assert code == 1
+        assert math.isnan(json.loads(j.read_text())["sup_err"])
+        assert capsys.readouterr().err == "approx: sup_err nan is not finite\n"
+
 
 class TestQuaderr:
     def test_slopes_match_predictions(self, tmp_path):
@@ -435,6 +453,25 @@ class TestLaplace:
         assert err.startswith("invalid configuration: boundary data ")
         assert str(path) in err and reason in err
         assert not csv_path.exists()
+
+    def test_data_table_is_read_once_per_run(self, monkeypatch, tmp_path):
+        # re2 on the quadrilateral's vertices and edge midpoints: one parse
+        # serves every solve and check of the run
+        poly = corners.concave_quadrilateral()
+        samples = list(poly.vertices) + [complex(e.point(0.5)) for e in poly.edges]
+        path = tmp_path / "g.txt"
+        path.write_text("".join(f"{z.real!r} {z.imag!r} {z.real**2!r}\n" for z in samples))
+        reads = []
+        tabulated = corners._tabulated_data
+        monkeypatch.setattr(corners, "_tabulated_data",
+                            lambda p: reads.append(p) or tabulated(p))
+        csv_path, json_path = tmp_path / "t.csv", tmp_path / "t.json"
+        code = main(["laplace", "--polygon", "builtin:concave-quad", "--data", f"file:{path}",
+                     "--N", "40,80", "--csv", str(csv_path), "--json", str(json_path)])
+        assert code in (0, 1)
+        assert reads == [str(path)]
+        assert len(csv_path.read_text().splitlines()) == 3
+        assert json.loads(json_path.read_text())["N"] == [40, 80]
 
     @pytest.mark.parametrize("flag, value, reason", [
         ("--N", "", "no pole budgets"),
