@@ -25,6 +25,7 @@ from .approx import (
     ApproxConfig,
     RationalApprox,
     _fmt,
+    _g_values,
     build_approximation,
     clustered_poles,
     ladder_tail,
@@ -97,9 +98,7 @@ def make_target(kind: str, alpha: float, g: Callable | None = None):
     def target(zs):
         zs = np.asarray(zs, complex)
         out = power_values(zs, alpha, log_like)
-        if prefactor:
-            out = np.array([g(complex(w)) for w in zs.tolist()], complex) * out
-        return out
+        return _g_values(g, zs) * out if prefactor else out
 
     return target
 
@@ -234,14 +233,10 @@ def run_sweep(alpha: float, beta: float, sigma: float, n1_list: Iterable[int],
         tail = None
         if n2_mode == "auto":
             cfg, tail = ladder_tail(alpha, beta, sigma, n1, C, target, g)
-            if g is not None:  # prefactor targets fit a g-corrected tail
-                tail = None
-        elif n2_mode == "proportional":
-            cfg = ApproxConfig(alpha=alpha, beta=beta, sigma=sigma, n1=n1, C=C,
+        else:  # n2=None is ApproxConfig's proportional default
+            n2 = None if n2_mode == "proportional" else int(n2_mode)
+            cfg = ApproxConfig(alpha=alpha, beta=beta, sigma=sigma, n1=n1, n2=n2, C=C,
                                target=target, g=g)
-        else:
-            cfg = ApproxConfig(alpha=alpha, beta=beta, sigma=sigma, n1=n1,
-                               n2=int(n2_mode), C=C, target=target, g=g)
         approx = build_approximation(cfg, tail=tail)
         err = checked_sup_error(approx, make_target(target, alpha, g), cfg)
         n = cfg.n1 + cfg.n2

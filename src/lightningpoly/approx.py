@@ -268,28 +268,55 @@ class TailFit:
     validation_sup: float
 
 
-def tail_fits(cfg: ApproxConfig, degrees, values_fn=None):
-    """Lazily yield one least-squares polynomial fit to ``values_fn``
-    (default: the analytic remainder) per degree in ``degrees``, over
-    clustered samples of the unit sector's boundary.
+def _g_values(g, zs) -> np.ndarray:
+    """g at each point of ``zs``, one scalar call per point."""
+    return np.array([g(complex(w)) for w in np.asarray(zs).tolist()], complex)
+
+
+def _residues(cfg: ApproxConfig):
+    """(base, residues): residues_power or residues_power_log, and the
+    approximant's, which are the base ones times g(p_j) for a prefactor target."""
+    base = residues_power_log(cfg) if cfg.log_like else residues_power(cfg)
+    return base, (base if cfg.g is None else _g_values(cfg.g, clustered_poles(cfg)) * base)
+
+
+def _tail_values(cfg: ApproxConfig, zs) -> np.ndarray:
+    """What the tail fits: the remainder, and for a prefactor target
+    g(z)*(near + remainder) - folded, where near and folded are the pole
+    sums of the base and of the approximant's residues (_residues)."""
+    remainder = _remainder_values(cfg, zs)
+    if cfg.g is None:
+        return remainder
+    zs, poles = np.asarray(zs, complex), clustered_poles(cfg)
+    base, residues = _residues(cfg)
+    near = pole_sum(zs, poles, base)
+    return _g_values(cfg.g, zs) * (near + remainder) - pole_sum(zs, poles, residues)
+
+
+def tail_fits(cfg: ApproxConfig, degrees):
+    """Lazily yield one least-squares polynomial fit to _tail_values per
+    degree in ``degrees``, over clustered samples of the unit sector's
+    boundary.
 
     The fit and validation sets (_fit_points) and the values on both (one
-    ``values_fn`` call on the two sets joined) are made once, before the
-    first fit.  Each degree then has its own monomial basis and damped
-    least squares (_poly_lstsq), and its tail is evaluated once, on the two
-    sets joined; Horner's rule is elementwise, so each set's misfit is the
-    one it would have alone.  A consumer that stops early, as the rate
-    sweep's ladder does, pays for no later fit and builds no larger basis.
+    _tail_values call on the two sets joined, which must be finite) are
+    made once, before the first fit.  Each degree then has its own monomial
+    basis and damped least squares (_poly_lstsq), and its tail is evaluated
+    once, on the two sets joined; Horner's rule is elementwise, so each
+    set's misfit is the one it would have alone.  A consumer that stops
+    early, as the rate sweep's ladder does, pays for no later fit and
+    builds no larger basis.
 
     For the plain targets the samples are the upper half of the boundary
     (see _fit_points) and the coefficients are real.  ``fit_rms`` is still
     the RMS over the whole boundary: a point on the axis counts once, any
     other point twice, for itself and its mirror image."""
-    values_fn = values_fn or (lambda zs: _remainder_values(cfg, zs))
     real = cfg.g is None
     zs = _fit_points(cfg, fine=False)
     z_all = np.concatenate([zs, _fit_points(cfg, fine=True)])
-    y_all = values_fn(z_all)
+    y_all = _tail_values(cfg, z_all)
+    if not np.all(np.isfinite(y_all)):
+        raise RuntimeError("tail values are not finite")
     y = y_all[:zs.size]
     counts = np.where(zs.imag == 0.0, 1.0, 2.0) if real else None
     for n2 in degrees:
@@ -299,11 +326,11 @@ def tail_fits(cfg: ApproxConfig, degrees, values_fn=None):
         yield TailFit(coeffs=coeffs, fit_rms=rms, validation_sup=float(np.max(miss_v)))
 
 
-def fit_tail(cfg: ApproxConfig, values_fn=None) -> TailFit:
+def fit_tail(cfg: ApproxConfig) -> TailFit:
     """The degree-n2 tail fit of tail_fits.  Its sets are sized by the
     larger of n2 and the ladder's top rung (_fit_points), so on any rung's
     config it equals the fit a rate sweep's ladder made for that rung."""
-    return next(tail_fits(cfg, [cfg.n2], values_fn))
+    return next(tail_fits(cfg, [cfg.n2]))
 
 
 def ladder_tail(alpha, beta, sigma, n1, C, target, g):
@@ -313,16 +340,13 @@ def ladder_tail(alpha, beta, sigma, n1, C, target, g):
     slopes stay comparable.
 
     The rungs are the degrees of one tail_fits generator, which is consumed
-    only up to the rung that passes: the fit points and the remainder on
-    them are made once per cell, not once per rung.  Those sets are sized
-    by the top rung whatever the degree (_fit_points), so a fresh
-    ``fit_tail`` on the chosen config gives the same tail, and a sweep
-    record equals a fresh build from its config.
+    only up to the rung that passes: the fit points and the tail values on
+    them are made once per cell, not once per rung.
 
-    Returns ``(cfg, tail)``: the chosen config and the ``fit_tail(cfg)``
-    result of its rung, which ``build_approximation`` can reuse for the plain
-    targets.  The rungs fit the plain remainder for every target,
-    so for a prefactor target the tail only ranks the rungs.
+    Returns ``(cfg, tail)``: the chosen config and its rung's tail, which
+    equals ``fit_tail(cfg)`` and which ``build_approximation`` reuses for
+    every target.  NaN misfits that leave no rung within 2x of the best
+    give the top rung, so no StopIteration escapes into a caller's map.
     """
     T = sigma * alpha * math.sqrt(n1)
     goal = max(math.exp(-T) / 5.0, 1e-13)
@@ -340,7 +364,7 @@ def ladder_tail(alpha, beta, sigma, n1, C, target, g):
         if tail.validation_sup <= goal:
             return cfg, tail
     best = min(t.validation_sup for _, t in tried)
-    return next((c, t) for c, t in tried if t.validation_sup <= 2.0 * best)
+    return next(((c, t) for c, t in tried if t.validation_sup <= 2.0 * best), tried[-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,39 +418,15 @@ def build_approximation(cfg: ApproxConfig, *, tail: TailFit | None = None) -> Ra
     """Build the full approximant for cfg.target on the unit sector.
 
     ``tail`` is a ``fit_tail(cfg)`` result the caller already holds (a rate
-    sweep fits it while choosing n2); it is used as is instead of being fit
-    again.  Only the ``power`` and ``power_log`` targets take one: the
-    prefactor targets fit their own g-corrected tail.
+    sweep fits it while choosing n2), for any target; it is used as is
+    instead of being fit again.
     """
-    if tail is not None:
-        if cfg.target not in ("power", "power_log"):
-            raise ValueError("prefactor targets fit their own g-corrected tail")
-        if tail.coeffs.size != cfg.n2 + 1:
-            raise ValueError("tail does not match the config")
-    poles = clustered_poles(cfg)
-    base_res = residues_power_log(cfg) if cfg.log_like else residues_power(cfg)
-    if cfg.target in ("power", "power_log"):
-        residues = base_res
-        if tail is None:
-            tail = fit_tail(cfg)
-    else:
-        gp = np.array([cfg.g(complex(p)) for p in poles.tolist()], complex)
-        residues = gp * base_res
-
-        def corrected(zs):
-            zs = np.asarray(zs, complex)
-            gz = np.array([cfg.g(complex(w)) for w in zs.tolist()], complex)
-            near = pole_sum(zs, poles, base_res)
-            folded = pole_sum(zs, poles, residues)
-            return gz * (near + _remainder_values(cfg, zs)) - folded
-
-        tail = fit_tail(cfg, values_fn=corrected)
-    return RationalApprox(
-        poles=poles,
-        residues=residues,
-        tail_coeffs=tail.coeffs,
-        basis_scale=1.0,
-    )
+    if tail is None:
+        tail = fit_tail(cfg)
+    elif tail.coeffs.size != cfg.n2 + 1:
+        raise ValueError("tail does not match the config")
+    return RationalApprox(poles=clustered_poles(cfg), residues=_residues(cfg)[1],
+                          tail_coeffs=tail.coeffs, basis_scale=1.0)
 
 
 def _fmt(x: float) -> str:

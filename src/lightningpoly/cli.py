@@ -56,6 +56,8 @@ def _parse_sigma(token: str, alpha: float, beta: float) -> float:
         sigma = float(t)
     if not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {token!r}")
+    if sigma <= 0.0:  # only h = sigma^2*alpha^2 is used: -3 would run as 3
+        raise ValueError(f"sigma must be positive, got {token!r}")
     return sigma
 
 

@@ -110,6 +110,8 @@ def plan_basis(polygon: Polygon, N: int, sigma_mode="global_opt",
     weights = list(corner_weights) if corner_weights is not None else [1.0] * m
     if len(weights) != m:
         raise ValueError(f"corner_weights has {len(weights)} entries for {m} corners")
+    if not all(w >= 0.0 for w in weights):  # max(4, .) below would hide a negative one
+        raise ValueError(f"corner_weights must be >= 0, got {weights}")
     counts = [max(4, int(round(N / m * w))) for w in weights]
     edge_len = [e.length() for e in polygon.edges]
     poles = []

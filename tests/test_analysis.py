@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -351,7 +352,7 @@ class TestSweepAndCsv:
         (0.25, 0.5, 1.0, 36, "power_log", None),
     ])
     def test_auto_sweep_equals_fresh_build(self, alpha, beta, sigma_factor, n1, target, g):
-        # the sweep reuses the ladder's tail for plain targets; a fresh build
+        # the sweep reuses the ladder's tail for every target; a fresh build
         # from the chosen config must give the same record
         sigma = sigma_factor * optimal_sigma(alpha, beta)
         (rec,) = run_sweep(alpha, beta, sigma, [n1], target=target, g=g)
@@ -367,31 +368,37 @@ class TestSweepAndCsv:
         (0.8, 1.5, "power_log", 0.5, 16, 3),
         (0.25, 0.5, "power_log", 1.0, 36, 1),
         (0.25, 1.5, "power", 2.0, 49, 3),
+        # the ladder ranks the g-corrected tail, which passes a rung below
+        # the plain remainder's 4
+        (0.8, 1.5, "prefactor_power", 1.0, 16, 3),
     ]
 
     @pytest.mark.parametrize("alpha, beta, target, sigma_factor, n1, rungs", _LADDER_CASES)
     def test_ladder_climbs_the_expected_rungs(self, monkeypatch, alpha, beta, target,
                                               sigma_factor, n1, rungs):
         sigma = sigma_factor * optimal_sigma(alpha, beta)
+        g = cmath.exp if target.startswith("prefactor") else None
         consumed = []
         fits = approx_module.tail_fits
 
-        def counted(cfg, degrees, values_fn=None):
-            for tail in fits(cfg, degrees, values_fn):
+        def counted(cfg, degrees):
+            for tail in fits(cfg, degrees):
                 consumed.append(tail)
                 yield tail
 
         monkeypatch.setattr(approx_module, "tail_fits", counted)
-        cfg, tail = ladder_tail(alpha, beta, sigma, n1, 1.0, target, None)
+        cfg, tail = ladder_tail(alpha, beta, sigma, n1, 1.0, target, g)
         assert len(consumed) == rungs
         assert tail.coeffs.size == cfg.n2 + 1
 
     @pytest.mark.parametrize("alpha, beta, target, sigma_factor, n1, rungs", _LADDER_CASES)
     def test_one_fit_set_and_remainder_per_sweep_cell(self, monkeypatch, alpha, beta, target,
                                                       sigma_factor, n1, rungs):
-        # whatever number of rungs a cell climbs, it builds the fit and
-        # validation sets once each and evaluates the remainder once
-        calls = {"_fit_points": 0, "_remainder_values": 0}
+        # whatever number of rungs a cell climbs, and for every target, it
+        # builds the fit and validation sets once each, evaluates the
+        # remainder once and solves one least-squares problem per rung: the
+        # approximant keeps the ladder's tail
+        calls = {"_fit_points": 0, "_remainder_values": 0, "_poly_lstsq": 0}
         for name in calls:
             original = getattr(approx_module, name)
 
@@ -400,9 +407,36 @@ class TestSweepAndCsv:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(approx_module, name, counted)
+        g = cmath.exp if target.startswith("prefactor") else None
         run_sweep(alpha, beta, sigma_factor * optimal_sigma(alpha, beta), [n1],
-                  target=target)
-        assert calls == {"_fit_points": 2, "_remainder_values": 1}
+                  target=target, g=g)
+        assert calls == {"_fit_points": 2, "_remainder_values": 1, "_poly_lstsq": rungs}
+
+    @pytest.mark.parametrize("threads", [False, True])
+    def test_non_finite_tail_values_raise_from_every_map(self, threads):
+        # g is NaN at one validation point of the n1 = 16 cell only, so the
+        # misfit of every rung would be NaN: the sweep must raise, not lose
+        # the cell (and the cells after it) to a StopIteration that map
+        # takes for the end of its input
+        cfg = ApproxConfig(alpha=0.8, beta=1.5, sigma=optimal_sigma(0.8, 1.5), n1=16,
+                           target="prefactor_power", g=cmath.exp)
+        fit = set(_fit_points(cfg, fine=False).tolist())
+        bad = next(z for z in _fit_points(cfg, fine=True).tolist()
+                   if z.imag > 0 and z not in fit)
+
+        def g(z):
+            return complex("nan") if z == bad else cmath.exp(z)
+
+        def sweep(map_fn):
+            return run_sweep(0.8, 1.5, cfg.sigma, [9, 16, 25], target="prefactor_power",
+                             g=g, map_fn=map_fn)
+
+        with pytest.raises(RuntimeError, match="tail values are not finite"):
+            if threads:
+                with ThreadPoolExecutor(2) as pool:
+                    sweep(pool.map)
+            else:
+                sweep(map)
 
     def test_rate_grid_reaches_below_innermost_pole(self):
         cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=optimal_sigma(0.5, 1.0), n1=25)

@@ -149,7 +149,7 @@ class TestResidues:
 
 
 class TestFitTail:
-    def test_constant_remainder_single_coefficient(self):
+    def test_constant_remainder_single_coefficient(self, monkeypatch):
         # with the far sum empty the remainder is the near-pole constant
         cfg = ApproxConfig(alpha=0.5, beta=0.0, sigma=2.0, n1=3, n2=0)
         pref = math.sin(0.5 * math.pi) / (2 * 0.5 * math.pi)
@@ -157,10 +157,11 @@ class TestFitTail:
         mags = np.abs(clustered_poles(cfg)) ** 0.5
         const = pref * np.sum(np.sqrt(cfg.h / j) * mags)
 
-        def values(zs):
+        def values(cfg, zs):
             return np.full(np.shape(zs), const, complex)
 
-        tail = fit_tail(cfg, values_fn=values)
+        monkeypatch.setattr(approx, "_tail_values", values)
+        tail = fit_tail(cfg)
         assert tail.coeffs.size == 1
         assert tail.coeffs[0] == pytest.approx(const, rel=1e-12)
 
@@ -376,22 +377,17 @@ class TestBuildAndEval:
             slope = np.polyfit(np.sqrt([4, 9, 16, 25]), np.log(errs), 1)[0]
             assert slope < 0
 
-    @pytest.mark.parametrize("target", ["power", "power_log"])
-    def test_given_tail_gives_the_same_approximant(self, target):
+    @pytest.mark.parametrize("target, g", [
+        ("power", None), ("power_log", None), ("prefactor_power", cmath.exp),
+    ])
+    def test_given_tail_gives_the_same_approximant(self, target, g):
         cfg = ApproxConfig(alpha=0.8, beta=1.5, sigma=optimal_sigma(0.8, 1.5), n1=16,
-                           n2=9, target=target)
+                           n2=9, target=target, g=g)
         reused = build_approximation(cfg, tail=fit_tail(cfg))
         fresh = build_approximation(cfg)
         for field in ("poles", "residues", "tail_coeffs"):
             np.testing.assert_array_equal(getattr(reused, field), getattr(fresh, field))
         assert reused.basis_scale == fresh.basis_scale
-
-    def test_tail_rejected_for_prefactor_target(self):
-        plain = ApproxConfig(alpha=0.5, beta=1.0, sigma=5.0, n1=9, n2=6)
-        pre = ApproxConfig(alpha=0.5, beta=1.0, sigma=5.0, n1=9, n2=6,
-                           target="prefactor_power", g=cmath.exp)
-        with pytest.raises(ValueError, match="prefactor"):
-            build_approximation(pre, tail=fit_tail(plain))
 
     def test_tail_of_another_degree_rejected(self):
         cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=5.0, n1=9, n2=6)

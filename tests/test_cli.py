@@ -115,7 +115,9 @@ class TestArgumentHandling:
     @pytest.mark.parametrize("argv, reason", [
         (["quaderr", "--alpha", "1", "--beta", "1", "--sigma", "3"], "alpha must lie in (0, 1)"),
         (["nearorigin", "--alpha", "1", "--beta", "1"], "alpha must lie in (0, 1)"),
-        (["quaderr", "--alpha", "0.5", "--beta", "1", "--sigma", "0"], "h must be positive"),
+        # sigma^2 underflows to h = 0
+        (["quaderr", "--alpha", "0.5", "--beta", "1", "--sigma", "1e-200"],
+         "h must be positive"),
         (["nearorigin", "--alpha", "0.5", "--beta", "1", "--h", "0"], "h must be positive"),
     ])
     def test_trapezoid_config_checked_before_dividing(self, argv, reason, capsys):
@@ -173,6 +175,16 @@ class TestArgumentHandling:
          "--final-err must be finite"),
         (["laplace", "--polygon", "builtin:concave-quad", "--weights", "1,nan,1,1"],
          "--weights must be finite"),
+        # only h = sigma^2*alpha^2 is used, so -3 would silently run as 3
+        (["quaderr", "--alpha", "0.5", "--beta", "1", "--sigma=-3"],
+         "sigma must be positive, got '-3'"),
+        (["quaderr", "--alpha", "0.5", "--beta", "1", "--sigma", "0"],
+         "sigma must be positive, got '0'"),
+        (["approx", "--alpha", "0.5", "--beta", "1", "--N1", "9", "--sigma", "opt*-1"],
+         "sigma must be positive, got 'opt*-1'"),
+        # plan_basis would clamp a negative weight to 4 poles, as it does 0
+        (["laplace", "--polygon", "builtin:concave-quad", "--weights=-5,1,1,1"],
+         "corner_weights must be >= 0"),
     ])
     def test_non_finite_parameter_exits_2(self, argv, reason, capfd):
         # rejected before any LAPACK call or quadrature can see the value
