@@ -223,7 +223,8 @@ def run_sweep(alpha: float, beta: float, sigma: float, n1_list: Iterable[int],
     n2_mode: "auto" (default, O(sqrt(n1)) tail for clean rate fits),
     "proportional" (ceil(1.3*n1), the efficient experiment default), or an
     int fixing n2.  ``map_fn`` may be an executor map for concurrent cells;
-    records come back sorted by n1 regardless.
+    records come back sorted by n1 regardless.  A cell whose sup error is
+    not finite raises RuntimeError, as a non-finite tail value does.
     """
     rate, pref = predicted_log_rate(sigma, alpha, beta, target)
     n1_list = list(n1_list)
@@ -239,6 +240,8 @@ def run_sweep(alpha: float, beta: float, sigma: float, n1_list: Iterable[int],
                                target=target, g=g)
         approx = build_approximation(cfg, tail=tail)
         err = checked_sup_error(approx, make_target(target, alpha, g), cfg)
+        if not math.isfinite(err):
+            raise RuntimeError(f"sup error {err} at n1={n1} is not finite")
         n = cfg.n1 + cfg.n2
         pred = pref * math.log(n) - rate * math.sqrt(n)
         ms = (time.perf_counter() - t0) * 1e3

@@ -137,14 +137,27 @@ def log_weight_constant(alpha: float, C: float) -> float:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 
+# panels per integrand call: 256 panels are 3,840 nodes, so each complex
+# temporary of the integrand is about 61 KB and its working set stays in a
+# 2 MB L2 cache.  On the benchmark's near-origin cells, blocks of 512 or
+# 1024 panels were 17-22% slower, and one unblocked call per round 31%
+# slower
+_PANEL_BLOCK = 256
+
+
 def _panel_values(f, lo, hi, owner):
-    nodes = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _GL_NODES
-    vals = f(nodes.ravel(), np.repeat(owner, _GL_NODES.size))
-    vals = np.asarray(vals, complex).reshape(lo.size, _GL_NODES.size)
-    # einsum sums each row on its own, without BLAS: a gemv rounds a row by
-    # its place in the batch, so a batched point could split a panel that
-    # it accepts alone
-    return 0.5 * (hi - lo) * np.einsum("ij,j->i", vals, _GL_WEIGHTS)
+    out = np.empty(lo.size, complex)
+    for start in range(0, lo.size, _PANEL_BLOCK):
+        blk = slice(start, start + _PANEL_BLOCK)
+        half = 0.5 * (hi[blk] - lo[blk])
+        nodes = 0.5 * (lo[blk] + hi[blk])[:, None] + half[:, None] * _GL_NODES
+        vals = f(nodes.ravel(), np.repeat(owner[blk], _GL_NODES.size))
+        vals = np.asarray(vals, complex).reshape(half.size, _GL_NODES.size)
+        # einsum sums each row on its own, without BLAS: a gemv rounds a row
+        # by its place in the batch, so a batched point could split a panel
+        # that it accepts alone
+        out[blk] = half * np.einsum("ij,j->i", vals, _GL_WEIGHTS)
+    return out
 
 
 def adaptive_gauss_legendre(f, a, b, tol, max_panels: int = 32768):
@@ -160,6 +173,11 @@ def adaptive_gauss_legendre(f, a, b, tol, max_panels: int = 32768):
     value it would get alone.  Intervals with a == b give 0 for one
     nominal evaluation.
 
+    Each round evaluates both halves of every live panel, of every point,
+    in one pass of calls on blocks of at most ``_PANEL_BLOCK`` panels, so
+    ``f`` must be elementwise in (t, k): no value may depend on which other
+    nodes share its call.
+
     Returns (values, est_errors, evaluations, point_evaluations): per-point
     arrays, except ``evaluations``, the total as an int.  If some point
     runs out of budget, QuadratureNonConvergence carries per-point partial
@@ -171,19 +189,19 @@ def adaptive_gauss_legendre(f, a, b, tol, max_panels: int = 32768):
     span = np.abs(b - a)
     value = np.zeros(n, complex)
     err = np.zeros(n)
-    evals = np.ones(n, np.int64)
     failed = np.zeros(n, bool)
     owner = np.flatnonzero(a != b)
     lo, hi = a[owner], b[owner]
     coarse = _panel_values(f, lo, hi, owner)
-    evals[owner] = 15
+    tested = []  # owners of the panels bisected, round by round
     for _ in range(60):  # rounds of bisection before giving up
         if owner.size == 0:
             break
+        tested.append(owner)
         mid = 0.5 * (lo + hi)
-        left = _panel_values(f, lo, mid, owner)
-        right = _panel_values(f, mid, hi, owner)
-        evals += 30 * np.bincount(owner, minlength=n)
+        halves = _panel_values(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]),
+                               np.concatenate([owner, owner]))
+        left, right = halves[:owner.size], halves[owner.size:]
         fine = left + right
         perr = np.abs(fine - coarse)
         # proportional budget with a small absolute floor so that panels
@@ -195,11 +213,12 @@ def adaptive_gauss_legendre(f, a, b, tol, max_panels: int = 32768):
         lo = np.concatenate([lo[keep], mid[keep]])
         hi = np.concatenate([mid[keep], hi[keep]])
         coarse = np.concatenate([left[keep], right[keep]])
-        # a point over its panel budget stops here with its partial sum
-        failed |= np.bincount(owner, minlength=n) > max_panels
-        out = failed[owner]
-        _add_at(value, err, owner[out], coarse[out], np.abs(coarse[out]))
-        owner, lo, hi, coarse = owner[~out], lo[~out], hi[~out], coarse[~out]
+        if owner.size > max_panels:
+            # a point over its panel budget stops here with its partial sum
+            failed |= np.bincount(owner, minlength=n) > max_panels
+            out = failed[owner]
+            _add_at(value, err, owner[out], coarse[out], np.abs(coarse[out]))
+            owner, lo, hi, coarse = owner[~out], lo[~out], hi[~out], coarse[~out]
     failed[owner] = True  # still splitting after the last round
     _add_at(value, err, owner, coarse, np.abs(coarse))
     if failed.any():
@@ -209,6 +228,9 @@ def adaptive_gauss_legendre(f, a, b, tol, max_panels: int = 32768):
             partial=value,
             est_error=err,
         )
+    evals = np.where(a != b, 15, 1)  # the first panel, or the nominal evaluation
+    if tested:
+        evals += 30 * np.bincount(np.concatenate(tested), minlength=n)
     return value, err, int(evals.sum()), evals
 
 

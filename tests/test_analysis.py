@@ -438,6 +438,21 @@ class TestSweepAndCsv:
             else:
                 sweep(map)
 
+    def test_non_finite_sup_error_raises(self):
+        # g is NaN at one refine=1 sup-norm point that neither fit set
+        # holds, so the tail fit succeeds; the sweep used to record the cell
+        # as the row "6.2831853071795862,9,9,18,nan,..."
+        cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=optimal_sigma(0.5, 1.0), n1=9,
+                           target="prefactor_power", g=cmath.exp)
+        fits = {z for fine in (False, True) for z in _fit_points(cfg, fine).tolist()}
+        bad = next(z for z in rate_grid(cfg, 1).tolist() if z not in fits)
+
+        def g(z):
+            return complex("nan") if z == bad else cmath.exp(z)
+
+        with pytest.raises(RuntimeError, match="sup error nan at n1=9 is not finite"):
+            run_sweep(0.5, 1.0, cfg.sigma, [9], target="prefactor_power", g=g)
+
     def test_rate_grid_reaches_below_innermost_pole(self):
         cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=optimal_sigma(0.5, 1.0), n1=25)
         grid = rate_grid(cfg)

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lightningpoly import kernels
+from lightningpoly.analysis import BoundContext
 from lightningpoly.geometry import ray_fan
 from lightningpoly.kernels import (
     BranchCutError,
@@ -313,6 +314,32 @@ class TestBatchedReferences:
                                             -cfg.T, cfg.kappa * cfg.T, tol[k])
             assert per_point[k] == ref_evals
             assert abs(value[k] - ref) <= 1e-15 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("fn", [truncated_integral, truncated_integral_log])
+    def test_many_points_equal_their_solo_calls(self, fn, monkeypatch):
+        # near_origin_check's fan at T = 15 (alpha = 0.5, beta = 1): 126
+        # points, so a round fills a whole block of panels and goes on into
+        # the next
+        alpha, beta = 0.5, 1.0
+        h = 2.0 * (2.0 - beta) * math.pi**2 * alpha
+        cfg = KernelConfig(alpha=alpha, h=h, n_quad=math.ceil((15.0 / (1.0 - alpha)) ** 2 / h))
+        xm = min(BoundContext.from_quadrature(cfg, beta).x_star, 1.0)
+        zs = ray_fan(beta, np.geomspace(xm * 1e-8, xm, 14), 9)
+        assert zs.size == 126
+        sizes = []
+        integrand = kernels._integrand
+
+        def counted(*args):
+            f = integrand(*args)
+            return lambda t, k: sizes.append(t.size) or f(t, k)
+
+        monkeypatch.setattr(kernels, "_integrand", counted)
+        batch = fn(zs, cfg)
+        assert max(sizes) == kernels._PANEL_BLOCK * kernels._GL_NODES.size
+        for z, v, e, n in zip(zs.tolist(), batch.value.tolist(), batch.est_error.tolist(),
+                              batch.evaluations.tolist()):
+            alone = fn(z, cfg)
+            assert (n, v, e) == (alone.evaluations, alone.value, alone.est_error)
 
 
 def _trapezoid_oracle(z, alpha, C, h, n_quad):
