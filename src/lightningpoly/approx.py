@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import chebyshev_radii, sector_boundary
-from .kernels import damped_lstsq, log_weights, pole_sum, quadrature_nodes, tapered
+from .kernels import damped_lstsq, horner, log_weights, pole_sum, quadrature_nodes, tapered
 
 __all__ = [
     "ApproxConfig",
@@ -223,11 +223,10 @@ def _fit_points(cfg: ApproxConfig, fine: bool) -> np.ndarray:
     lo = max(mags.min() * 0.5, 1e-17)
     size = max(cfg.n2, _ladder_degrees(cfg.n1)[-1]) + 1
     n_cheb = (6 if fine else 4) * size
-    radii = np.concatenate([
-        radii,
-        np.geomspace(lo, 1.0, 65 if fine else 33),
-        chebyshev_radii(max(n_cheb, 48)),
-    ])
+    # np.geomspace(lo, 1.0, n) by its own formula, without its overhead
+    geo = 10.0 ** np.linspace(np.log10(lo), 0.0, 65 if fine else 33)
+    geo[0], geo[-1] = lo, 1.0
+    radii = np.concatenate([radii, geo, chebyshev_radii(max(n_cheb, 48))])
     radii = np.unique(np.clip(radii, lo, 1.0))
     n_arc = max((4 if fine else 2) * size, 64)
     return sector_boundary(cfg.beta, radii, n_arc, upper_half=cfg.g is None)
@@ -242,20 +241,30 @@ def _poly_lstsq(zs, values, degree, real=False):
     coefficients: the rows [Re V; Im V] against [Re y; Im y], with the rows
     of points on the axis weighted by 1/sqrt(2).  That objective is half
     the complex one over the whole set, so it has the same minimiser.  The
-    Im rows of points on the axis are zero and are left out."""
-    zs = np.asarray(zs, complex)
-    if zs.size < degree + 1:
+    Im rows of points on the axis are zero and are left out.
+
+    ``[V y]`` is written once, column-major, the layout damped_lstsq's QR
+    copies fastest."""
+    zs, y = np.asarray(zs, complex), np.asarray(values, complex)
+    m, n = zs.size, degree + 1
+    if m < n:
         raise ValueError("increase sampling or reduce N2 (rank-deficient fit)")
-    Vy = np.column_stack([np.vander(zs, degree + 1, increasing=True), values])
-    if real:
-        axis = zs.imag == 0.0
-        w = np.where(axis, math.sqrt(0.5), 1.0)
-        Vy = np.concatenate([Vy.real * w[:, None], Vy[~axis].imag])
+    V = np.vander(zs, n, increasing=True)
+    if not real:
+        Vy = np.empty((m, n + 1), complex, order="F")
+        Vy[:, :n], Vy[:, n] = V, y
+        return damped_lstsq(Vy)
+    off = zs.imag != 0.0
+    w = np.where(off, 1.0, math.sqrt(0.5))
+    Vy = np.empty((m + np.count_nonzero(off), n + 1), order="F")
+    np.multiply(V.real, w[:, None], out=Vy[:m, :n])
+    np.multiply(y.real, w, out=Vy[:m, n])
+    Vy[m:, :n], Vy[m:, n] = V.imag[off], y.imag[off]
     return damped_lstsq(Vy)
 
 
 def _poly_eval(coeffs, zs, scale):
-    return np.polynomial.polynomial.polyval(np.asarray(zs, complex) / scale, coeffs)
+    return horner(coeffs, np.asarray(zs, complex) / scale)
 
 
 @dataclass(frozen=True)
@@ -318,11 +327,12 @@ def tail_fits(cfg: ApproxConfig, degrees):
     if not np.all(np.isfinite(y_all)):
         raise RuntimeError("tail values are not finite")
     y = y_all[:zs.size]
-    counts = np.where(zs.imag == 0.0, 1.0, 2.0) if real else None
+    counts = np.where(zs.imag == 0.0, 1.0, 2.0) if real else np.ones(zs.size)
     for n2 in degrees:
         coeffs = _poly_lstsq(zs, y, n2, real=real)
-        miss, miss_v = np.split(np.abs(_poly_eval(coeffs, z_all, 1.0) - y_all), [zs.size])
-        rms = float(np.sqrt(np.average(miss ** 2, weights=counts)))
+        miss_all = np.abs(_poly_eval(coeffs, z_all, 1.0) - y_all)
+        miss, miss_v = miss_all[:zs.size], miss_all[zs.size:]
+        rms = float(np.sqrt((miss ** 2 * counts).sum() / counts.sum()))
         yield TailFit(coeffs=coeffs, fit_rms=rms, validation_sup=float(np.max(miss_v)))
 
 

@@ -69,15 +69,18 @@ def _finite(token, option: str) -> float:
     return value
 
 
-def _parse_list(token, cast, option: str, what: str) -> list:
-    """Comma list (or a list given to ``run``) of cast values; an empty list
-    is an error naming the option."""
+def _parse_list(token, cast, option: str, what: str, repeats: bool = False) -> list:
+    """Comma list (or a list given to ``run``) of cast values; an empty list,
+    or unless ``repeats`` a value given twice, is an error naming the
+    option.  A repeated sample would count twice in a rate or slope fit."""
     if isinstance(token, (list, tuple)):
         values = [cast(v) for v in token]
     else:
         values = [cast(v) for v in str(token).split(",") if v.strip()]
     if not values:
         raise ValueError(f"{option} lists no {what}")
+    if not repeats and len(set(values)) < len(values):
+        raise ValueError(f"{option} repeats a value, got {values}")
     return values
 
 
@@ -91,6 +94,8 @@ def _kernel_configs(alpha: float, C: float, h: float, t_list) -> list:
         raise ValueError("h must be positive and finite")
     if not all(math.isfinite(t) for t in t_list):
         raise ValueError(f"T must be finite, got {t_list}")
+    if not all(t > 0.0 for t in t_list):  # n_quad squares T: -5 would run as 5
+        raise ValueError(f"--T must be positive, got {t_list}")
     kap1 = 1.0 / (1.0 - alpha)
     return [KernelConfig(alpha=alpha, C=C, h=h, n_quad=max(2, math.ceil((t * kap1) ** 2 / h)))
             for t in t_list]
@@ -273,8 +278,9 @@ def _cmd_laplace(p: dict) -> int:
         sigma_mode = float(sig_tok)
     n_list = _parse_list(p.get("N", "40,80,160"), int, "--N", "pole budgets")
     n2 = p.get("n2")
+    # per-corner weights may repeat
     weights = (_parse_list(p["weights"], lambda t: _finite(t, "--weights"), "--weights",
-                           "corner weights")
+                           "corner weights", repeats=True)
                if p.get("weights") else None)
     final_req = _finite(p.get("final_err", 1e-6), "--final-err")
     lines = ["N,columns,residual_rms,boundary_sup_err"]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .geometry import Polygon, interior_angles, resolve_corner_exponents
 from .approx import _fmt, _fmt_coeff, _sigma_opt
-from .kernels import adaptive_gauss_legendre, damped_lstsq, tapered
+from .kernels import adaptive_gauss_legendre, damped_lstsq, horner, tapered
 
 __all__ = [
     "CornerBasis",
@@ -183,7 +183,7 @@ def _harmonic_values(basis: CornerBasis, coeffs: np.ndarray, zs: np.ndarray) -> 
         i += 2 * pk.size
     taus = np.concatenate([coeffs[i:i + 1], coeffs[i + 1::2] - 1j * coeffs[i + 2::2]])
     w = (zs - basis.center) / basis.scale
-    out += np.polynomial.polynomial.polyval(w, taus).real
+    out += horner(taus, w).real
     return out
 
 

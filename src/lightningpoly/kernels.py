@@ -13,8 +13,9 @@ the library's one partial-fraction sum sum_j w_j/(z - p_j).  Every pole
 lies on the real axis, so ``pole_sum`` works in real arithmetic on
 x - p_j and y^2 and tests collisions only on the few points near the
 axis, where one can occur; a call at scales where the squared distances
-could leave binary64 keeps the complex quotient.  ``damped_lstsq`` is the
-least-squares solver of both the tail fit and the Laplace solver.  All
+could leave binary64 keeps the complex quotient.  ``horner`` is the one
+polynomial evaluation and ``damped_lstsq`` the least-squares solver, both
+shared by the tail fit and the Laplace solver.  All
 arithmetic is binary64; the practical accuracy floor is ~1e-13 relative.
 """
 
@@ -46,6 +47,7 @@ __all__ = [
     "log_weights",
     "pole_collisions",
     "pole_sum",
+    "horner",
     "damped_lstsq",
 ]
 
@@ -508,6 +510,30 @@ def pole_sum(z, poles, weights) -> np.ndarray:
             im += re_i
         out.real[k:k + _BLOCK] = re
         out.imag[k:k + _BLOCK] = im
+    return out
+
+
+def horner(coeffs, x) -> np.ndarray:
+    """sum_k coeffs[k]*x**k at each point of the array x (0-d included) by
+    Horner's rule: the library's one polynomial evaluation, behind the
+    sweep's tail fits, RationalApprox.eval, the far-pole moments and the
+    Laplace solution's polynomial part.
+
+    It keeps the operations of numpy.polynomial.polynomial's polyval, and
+    their order, c_n + x*0 and then c_k + acc*x, so its values are
+    polyval's bit for bit, and an array call is its point calls, since each
+    step is elementwise.  Its two buffers are allocated once per call, and
+    each product goes to the one that is not its operand: numpy's complex
+    multiply may round an in-place product on a one-element array
+    differently from its vector loop, which would break that equality.
+    """
+    c = np.asarray(coeffs)
+    x = np.asarray(x)
+    out = np.empty(x.shape, np.result_type(x, c, 0.0))
+    prod = np.empty_like(out)
+    np.add(np.multiply(x, 0, out=prod), c[-1], out=out)
+    for ck in c[-2::-1]:
+        np.add(np.multiply(out, x, out=prod), ck, out=out)
     return out
 
 

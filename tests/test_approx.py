@@ -182,22 +182,80 @@ class TestFitTail:
         assert tail.validation_sup <= 1e-10
         assert tail.validation_sup <= 50 * max(tail.fit_rms, 1e-16)
 
-    @pytest.mark.parametrize("target,beta", [("power", 1.5), ("power_log", 0.5)])
+    @pytest.mark.parametrize("target,beta", [("power", 1.5), ("power_log", 0.5),
+                                             ("prefactor_power", 1.0)])
     def test_joined_evaluation_keeps_each_sets_misfit(self, target, beta):
         # each rung's tail is evaluated once on the fit and validation sets
-        # joined; Horner is elementwise, so both misfits keep their bytes
+        # joined; Horner is elementwise, so both misfits keep their bytes,
+        # and the RMS is np.average's, weighted on the upper half only
+        g = (lambda z: 1.0 + z) if target.startswith("prefactor") else None
         cfg = ApproxConfig(alpha=0.8, beta=beta, sigma=optimal_sigma(0.8, beta),
-                           n1=49, target=target)
+                           n1=49, target=target, g=g)
         zs = approx._fit_points(cfg, fine=False)
         zv = approx._fit_points(cfg, fine=True)
-        y, yv = np.split(approx._remainder_values(cfg, np.concatenate([zs, zv])), [zs.size])
-        counts = np.where(zs.imag == 0.0, 1.0, 2.0)
+        y, yv = np.split(approx._tail_values(cfg, np.concatenate([zs, zv])), [zs.size])
+        counts = np.where(zs.imag == 0.0, 1.0, 2.0) if g is None else None
         degrees = approx._ladder_degrees(cfg.n1)
         for fit in approx.tail_fits(cfg, degrees):
             resid = approx._poly_eval(fit.coeffs, zs, 1.0) - y
             rms = float(np.sqrt(np.average(np.abs(resid) ** 2, weights=counts)))
             sup = float(np.max(np.abs(approx._poly_eval(fit.coeffs, zv, 1.0) - yv)))
             assert (fit.fit_rms, fit.validation_sup) == (rms, sup)
+
+    @staticmethod
+    def _old_poly_system(zs, values, degree, real):
+        """[V y] as _poly_lstsq built it through column_stack and concatenate."""
+        Vy = np.column_stack([np.vander(zs, degree + 1, increasing=True), values])
+        if real:
+            axis = zs.imag == 0.0
+            w = np.where(axis, math.sqrt(0.5), 1.0)
+            Vy = np.concatenate([Vy.real * w[:, None], Vy[~axis].imag])
+        return Vy
+
+    @pytest.mark.parametrize("target,beta", [("power", 1.5), ("power_log", 0.5),
+                                             ("prefactor_power", 1.0)])
+    def test_poly_system_is_column_major_and_unchanged(self, target, beta, monkeypatch):
+        # every set holds points on the axis (the apex, and z = 1 for the
+        # upper half); the prefactor target fits the complex [V y]
+        g = (lambda z: 1.0 + z) if target.startswith("prefactor") else None
+        cfg = ApproxConfig(alpha=0.8, beta=beta, sigma=optimal_sigma(0.8, beta), n1=25,
+                           target=target, g=g)
+        zs = approx._fit_points(cfg, fine=False)
+        real = g is None
+        assert np.any(zs.imag == 0.0)
+        y = approx._tail_values(cfg, zs)
+        seen = []
+        monkeypatch.setattr(approx, "damped_lstsq", lambda Ab: seen.append(Ab) or Ab[0, :-1])
+        for degree in approx._ladder_degrees(cfg.n1):
+            approx._poly_lstsq(zs, y, degree, real=real)
+            Ab = seen.pop()
+            assert Ab.flags.f_contiguous and np.iscomplexobj(Ab) != real
+            old = self._old_poly_system(zs, y, degree, real)
+            assert Ab.shape == old.shape and Ab.tobytes("F") == old.tobytes("F")
+
+    @pytest.mark.parametrize("fine", [False, True])
+    def test_fit_points_keep_the_geomspace_radii(self, fine):
+        # at n1 = 1 the smallest radius is lo = C/2, so C sweeps lo over
+        # [1e-17, 0.5]; the fit set must be the one np.geomspace built
+        def old_fit_points(cfg):
+            mags = np.abs(clustered_poles(cfg))
+            radii = np.outer(mags, (0.6, 0.9, 1.1, 1.4) if fine else (0.75, 1.0, 1.25))
+            lo = max(mags.min() * 0.5, 1e-17)
+            size = max(cfg.n2, approx._ladder_degrees(cfg.n1)[-1]) + 1
+            radii = np.concatenate([radii.ravel(), np.geomspace(lo, 1.0, 65 if fine else 33),
+                                    approx.chebyshev_radii(max((6 if fine else 4) * size, 48))])
+            radii = np.unique(np.clip(radii, lo, 1.0))
+            n_arc = max((4 if fine else 2) * size, 64)
+            return approx.sector_boundary(cfg.beta, radii, n_arc, upper_half=True)
+
+        # the first two extra values are ones at which math.log10 and np.log10
+        # can round differently, which would move the interior radii
+        rng = np.random.default_rng(17)
+        los = np.concatenate([[1e-17, 0.5, 0.25, 0.3279477022281109, 0.3872552423147882],
+                              10.0 ** rng.uniform(-17, math.log10(0.5), 400)])
+        for lo in los:
+            cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=2.0, n1=1, n2=0, C=2.0 * lo)
+            assert approx._fit_points(cfg, fine).tobytes() == old_fit_points(cfg).tobytes()
 
     def test_rank_deficient_raises(self):
         from lightningpoly.approx import _poly_lstsq

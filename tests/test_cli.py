@@ -95,6 +95,50 @@ class TestArgumentHandling:
         assert f"invalid configuration: {reason}" in capsys.readouterr().err
         assert not csv.exists()
 
+    @pytest.mark.parametrize("argv, reason", [
+        # n_quad = ceil((T*kappa1)^2/h) squares the sign away: -5 ran as 5
+        (["nearorigin", "--alpha", "0.5", "--beta", "1", "--T=-5,10"],
+         "--T must be positive, got [-5.0, 10.0]"),
+        (["nearorigin", "--alpha", "0.5", "--beta", "1", "--T", "0"],
+         "--T must be positive, got [0.0]"),
+        (["quaderr", "--alpha", "0.5", "--beta", "1", "--T=-4,6,8,10"],
+         "--T must be positive, got [-4.0, 6.0, 8.0, 10.0]"),
+        (["quaderr", "--alpha", "0.5", "--beta", "1", "--T", "0,6,8,10"],
+         "--T must be positive, got [0.0, 6.0, 8.0, 10.0]"),
+    ])
+    def test_non_positive_truncation_exits_2(self, argv, reason, tmp_path, capsys):
+        csv = tmp_path / "out.csv"
+        assert main(argv + ["--csv", str(csv)]) == 2
+        assert f"invalid configuration: {reason}" in capsys.readouterr().err
+        assert not csv.exists()
+
+    @pytest.mark.parametrize("argv, reason", [
+        # three equal truncations passed the >= 3 check and fit a slope
+        # through one point; a repeated n1 counted twice in the rate fit
+        (["quaderr", "--alpha", "0.5", "--beta", "1", "--T", "6,6,6"],
+         "--T repeats a value, got [6.0, 6.0, 6.0]"),
+        (["nearorigin", "--alpha", "0.5", "--beta", "1", "--T", "5,10,5"],
+         "--T repeats a value"),
+        (["sweep", "--alpha", "0.5", "--beta", "1", "--N1", "9,9,16,25,36"],
+         "--N1 repeats a value, got [9, 9, 16, 25, 36]"),
+        (["quaderr", "--alpha", "0.5", "--beta", "1", "--sigma", "opt,opt*1"],
+         "--sigma repeats a value"),
+        (["laplace", "--polygon", "builtin:concave-quad", "--N", "40,80,40"],
+         "--N repeats a value, got [40, 80, 40]"),
+    ])
+    def test_repeated_sample_exits_2(self, argv, reason, tmp_path, capsys):
+        csv = tmp_path / "out.csv"
+        assert main(argv + ["--csv", str(csv)]) == 2
+        assert f"invalid configuration: {reason}" in capsys.readouterr().err
+        assert not csv.exists()
+
+    def test_repeated_corner_weights_are_accepted(self, tmp_path):
+        csv = tmp_path / "out.csv"
+        code = main(["laplace", "--polygon", "builtin:concave-quad", "--N", "40",
+                     "--weights", "1,0.5,1,0.5", "--csv", str(csv)])
+        assert code in (0, 1)
+        assert len(csv.read_text().splitlines()) == 2
+
     @pytest.mark.parametrize("argv, fit_key, cause", [
         (["sweep", "--alpha", "0.5", "--beta", "1", "--N1", "1,2,3,4"], "fitted_rate",
          "sweep: insufficient span: need >= 4 records inside the error band"),

@@ -19,6 +19,7 @@ from lightningpoly.kernels import (
     _back_substitute,
     adaptive_gauss_legendre,
     damped_lstsq,
+    horner,
     identity_residual,
     identity_residual_log,
     log_weight_constant,
@@ -436,6 +437,56 @@ class TestRepresentationIdentities:
         grid = _sector_points(1.0, n_ray=5, n_arc=2, ratio=0.3)
         for z in grid.tolist():
             assert identity_residual_log(z, 0.5, 1e-12) <= 1e-9
+
+
+class TestHorner:
+    """kernels.horner is np.polynomial.polynomial.polyval bit for bit: a
+    product in place, or with its operands swapped, rounds differently."""
+
+    @staticmethod
+    def _case(seed, degree, complex_coeffs):
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal(degree + 1) * 10.0 ** rng.integers(-6, 6, degree + 1)
+        if complex_coeffs:
+            c = c + 1j * rng.standard_normal(degree + 1)
+        x = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+        x *= 10.0 ** rng.uniform(-2, 1)
+        # signed zeros and points on the axes
+        x[:6] = [0j, complex(-0.0, 0.0), complex(-0.0, -0.0), complex(0.0, -0.0), -1.5, 2.5j]
+        return c, x
+
+    @pytest.mark.parametrize("complex_coeffs", [False, True])
+    @pytest.mark.parametrize("degree", [0, 1, 7, 40])
+    def test_equals_polyval_on_arrays_points_and_0d(self, degree, complex_coeffs):
+        polyval = np.polynomial.polynomial.polyval
+        c, x = self._case(degree, degree, complex_coeffs)
+        got = horner(c, x)
+        assert got.dtype == complex and got.shape == x.shape
+        assert got.tobytes() == polyval(x, c).tobytes()
+        for k in range(x.size):
+            one = x[k:k + 1]
+            assert horner(c, one).tobytes() == polyval(one, c).tobytes() \
+                == got[k:k + 1].tobytes()
+            point = horner(c, np.asarray(x[k]))
+            assert point.shape == ()
+            assert point.tobytes() == np.asarray(polyval(np.asarray(x[k]), c)).tobytes()
+
+    @pytest.mark.parametrize("degree", [0, 3])
+    def test_non_finite_points_propagate_as_in_polyval(self, degree):
+        # polyval starts from c_n + x*0, which is NaN at an infinite x
+        c, _ = self._case(degree, degree, True)
+        x = np.array([complex(np.inf, 0.0), complex(0.0, -np.inf), complex(np.nan, 1.0), 1j])
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = horner(c, x)
+            assert got.tobytes() == np.polynomial.polynomial.polyval(x, c).tobytes()
+        assert np.isnan(got[:3]).all()
+
+    def test_real_points_and_coefficients_stay_real(self):
+        c = np.array([1.0, -2.0, 0.5])
+        x = np.linspace(-3.0, 3.0, 13)
+        got = horner(c, x)
+        assert got.dtype == float
+        assert got.tobytes() == np.polynomial.polynomial.polyval(x, c).tobytes()
 
 
 class TestDampedLstsq:
