@@ -231,13 +231,11 @@ def run_sweep(alpha: float, beta: float, sigma: float, n1_list: Iterable[int],
 
     def cell(n1: int) -> ConvergenceRecord:
         t0 = time.perf_counter()
-        tail = None
-        if n2_mode == "auto":
-            cfg, tail = ladder_tail(alpha, beta, sigma, n1, C, target, g)
-        else:  # n2=None is ApproxConfig's proportional default
-            n2 = None if n2_mode == "proportional" else int(n2_mode)
-            cfg = ApproxConfig(alpha=alpha, beta=beta, sigma=sigma, n1=n1, n2=n2, C=C,
-                               target=target, g=g)
+        # n2=None is ApproxConfig's proportional default; the ladder sets its own
+        n2 = None if n2_mode in ("auto", "proportional") else int(n2_mode)
+        cfg = ApproxConfig(alpha=alpha, beta=beta, sigma=sigma, n1=n1, n2=n2, C=C,
+                           target=target, g=g)
+        cfg, tail = ladder_tail(cfg) if n2_mode == "auto" else (cfg, None)
         approx = build_approximation(cfg, tail=tail)
         err = checked_sup_error(approx, make_target(target, alpha, g), cfg)
         if not math.isfinite(err):
@@ -395,6 +393,10 @@ def near_origin_check(cfg: KernelConfig, beta: float,
     """
     ctx = BoundContext.from_quadrature(cfg, beta)
     xm = min(ctx.x_star, 1.0)
+    # radii down to xm*1e-8 stay normal, poles out to C*e^(T/(1-alpha)) finite
+    t_max = min(ctx.c0 - cfg.alpha * math.log(2.3e-300 / cfg.C), 600.0 * (1.0 - cfg.alpha))
+    if cfg.T > t_max:
+        raise ValueError(f"T = {cfg.T:.6g} is above {t_max:.6g}, where the scan leaves doubles")
     zs = ray_fan(beta, np.geomspace(xm * 1e-8, xm, n_x), 2 * n_theta - 1)
     ref_pow = truncated_integral(zs, cfg)
     ref_log = truncated_integral_log(zs, cfg)

@@ -10,13 +10,14 @@ cancellation-free combined form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .geometry import chebyshev_radii, sector_boundary
-from .kernels import damped_lstsq, horner, log_weights, pole_sum, quadrature_nodes, tapered
+from .kernels import (_real_poles, damped_lstsq, horner, log_weights, pole_sum,
+                      quadrature_nodes, tapered)
 
 __all__ = [
     "ApproxConfig",
@@ -191,7 +192,7 @@ def _remainder_values(cfg: ApproxConfig, zs: np.ndarray) -> np.ndarray:
     direct = zs[:, None] / (zs[:, None] - far[close]) @ weights[close]
     inv = 1.0 / far[~close]
     moments = (weights[~close] * inv) @ np.vander(inv, _MOMENTS, increasing=True)
-    return direct - zs * _poly_eval(moments, zs, 1.0) + c_near
+    return direct - zs * horner(moments, zs) + c_near
 
 
 # the multipliers k of a rate sweep's tail-degree ladder, whose rungs are
@@ -263,10 +264,6 @@ def _poly_lstsq(zs, values, degree, real=False):
     return damped_lstsq(Vy)
 
 
-def _poly_eval(coeffs, zs, scale):
-    return horner(coeffs, np.asarray(zs, complex) / scale)
-
-
 @dataclass(frozen=True)
 class TailFit:
     """Polynomial tail (monomial coefficients in z) with its misfit on the
@@ -330,7 +327,7 @@ def tail_fits(cfg: ApproxConfig, degrees):
     counts = np.where(zs.imag == 0.0, 1.0, 2.0) if real else np.ones(zs.size)
     for n2 in degrees:
         coeffs = _poly_lstsq(zs, y, n2, real=real)
-        miss_all = np.abs(_poly_eval(coeffs, z_all, 1.0) - y_all)
+        miss_all = np.abs(horner(coeffs, z_all) - y_all)
         miss, miss_v = miss_all[:zs.size], miss_all[zs.size:]
         rms = float(np.sqrt((miss ** 2 * counts).sum() / counts.sum()))
         yield TailFit(coeffs=coeffs, fit_rms=rms, validation_sup=float(np.max(miss_v)))
@@ -343,36 +340,31 @@ def fit_tail(cfg: ApproxConfig) -> TailFit:
     return next(tail_fits(cfg, [cfg.n2]))
 
 
-def ladder_tail(alpha, beta, sigma, n1, C, target, g):
+def ladder_tail(cfg: ApproxConfig):
     """Tail degree for rate sweeps: smallest rung n2 = ceil(k*sqrt(n1)),
     k in _LADDER (2, 3, 4, 6), whose fit misfit is below the truncation
     error (or the float floor); keeps N = n1 + n2 close to n1 so fitted
-    slopes stay comparable.
+    slopes stay comparable.  Each rung is ``cfg`` with its own n2; the fits
+    take the lowest rung's, whose sets (_fit_points) every rung shares.
 
     The rungs are the degrees of one tail_fits generator, which is consumed
     only up to the rung that passes: the fit points and the tail values on
     them are made once per cell, not once per rung.
 
-    Returns ``(cfg, tail)``: the chosen config and its rung's tail, which
+    Returns ``(cfg, tail)``: the chosen rung's config and its tail, which
     equals ``fit_tail(cfg)`` and which ``build_approximation`` reuses for
     every target.  NaN misfits that leave no rung within 2x of the best
     give the top rung, so no StopIteration escapes into a caller's map.
     """
-    T = sigma * alpha * math.sqrt(n1)
-    goal = max(math.exp(-T) / 5.0, 1e-13)
-
-    def rung(n2):
-        return ApproxConfig(alpha=alpha, beta=beta, sigma=sigma, n1=n1, n2=n2,
-                            C=C, target=target, g=g)
-
-    degrees = _ladder_degrees(n1)
+    goal = max(math.exp(-cfg.T) / 5.0, 1e-13)
+    degrees = _ladder_degrees(cfg.n1)
     tried = []
-    # zip builds a rung's config, which checks n2 against its cap, before
-    # it asks the generator for that rung's fit
-    for cfg, tail in zip(map(rung, degrees), tail_fits(rung(degrees[0]), degrees)):
-        tried.append((cfg, tail))
+    # each rung's config checks its n2 cap before zip asks for the rung's fit
+    rungs = (replace(cfg, n2=n2) for n2 in degrees)
+    for rung, tail in zip(rungs, tail_fits(replace(cfg, n2=degrees[0]), degrees)):
+        tried.append((rung, tail))
         if tail.validation_sup <= goal:
-            return cfg, tail
+            return rung, tail
     best = min(t.validation_sup for _, t in tried)
     return next(((c, t) for c, t in tried if t.validation_sup <= 2.0 * best), tried[-1])
 
@@ -387,19 +379,16 @@ class RationalApprox:
     poles: np.ndarray
     residues: np.ndarray
     tail_coeffs: np.ndarray
-    basis_scale: float
 
     def __post_init__(self):
-        p = np.asarray(self.poles, complex).ravel()
+        p = _real_poles(self.poles).ravel()
         r = np.asarray(self.residues, complex).ravel()
         t = np.asarray(self.tail_coeffs, complex).ravel()
         if p.size != r.size:
             raise ValueError("poles and residues must pair up")
-        if np.any(p.imag != 0.0):
-            raise ValueError("poles must lie on the negative real axis")
         # natural index order of the tapered formula: p_1 nearest the origin,
         # magnitudes strictly growing to |p_n1| = C
-        if p.size and not (np.all(np.diff(p.real) < 0) and np.all(p.real < 0)):
+        if p.size and not (np.all(np.diff(p) < 0) and np.all(p < 0)):
             raise ValueError("poles must be negative with strictly growing magnitude")
         if not (np.all(np.isfinite(r.view(float))) and np.all(np.isfinite(t.view(float)))):
             raise ValueError("non-finite coefficients")
@@ -414,11 +403,11 @@ class RationalApprox:
     def eval(self, z):
         """Evaluate at a complex point (returns a complex) or an array of
         points: the partial fractions by kernels.pole_sum, which raises
-        PoleCollisionError on any collision, then the Horner tail."""
+        PoleCollisionError on any collision, then the tail's Horner sum in z."""
         zs = np.asarray(z, complex)
         flat = zs.ravel()
         out = pole_sum(flat, self.poles, self.residues)
-        out += _poly_eval(self.tail_coeffs, flat, self.basis_scale)
+        out += horner(self.tail_coeffs, flat)
         return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
     __call__ = eval
@@ -436,7 +425,7 @@ def build_approximation(cfg: ApproxConfig, *, tail: TailFit | None = None) -> Ra
     elif tail.coeffs.size != cfg.n2 + 1:
         raise ValueError("tail does not match the config")
     return RationalApprox(poles=clustered_poles(cfg), residues=_residues(cfg)[1],
-                          tail_coeffs=tail.coeffs, basis_scale=1.0)
+                          tail_coeffs=tail.coeffs)
 
 
 def _fmt(x: float) -> str:
@@ -451,36 +440,28 @@ def _fmt_coeff(c: complex) -> str:
 
 def serialize(approx: RationalApprox) -> str:
     """Text form: 'pole re im' / 'residue re im' lines, one 'tail c0 c1 ...'
-    line, and 'scale s'.  Decimal-17 fields round-trip doubles exactly."""
+    line, and 'scale 1'.  Decimal-17 fields round-trip doubles exactly."""
     lines = [f"pole {_fmt(p.real)} {_fmt(p.imag)}" for p in approx.poles.tolist()]
     lines += [f"residue {_fmt(r.real)} {_fmt(r.imag)}" for r in approx.residues.tolist()]
     lines.append("tail " + " ".join(_fmt_coeff(c) for c in approx.tail_coeffs.tolist()))
-    lines.append(f"scale {_fmt(approx.basis_scale)}")
+    lines.append("scale 1")
     return "\n".join(lines) + "\n"
 
 
 def deserialize(text: str) -> RationalApprox:
-    poles, residues, tail, scale = [], [], [0j], 1.0
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
+    records, tail = {"pole": [], "residue": []}, [0j]
+    for line in filter(None, map(str.strip, text.splitlines())):
         kind, _, rest = line.partition(" ")
-        if kind == "pole":
+        if kind in records:
             re_s, im_s = rest.split()
-            poles.append(complex(float(re_s), float(im_s)))
-        elif kind == "residue":
-            re_s, im_s = rest.split()
-            residues.append(complex(float(re_s), float(im_s)))
+            records[kind].append(complex(float(re_s), float(im_s)))
         elif kind == "tail":
             tail = [complex(tok) for tok in rest.split()]
-        elif kind == "scale":
-            scale = float(rest)
+        elif kind == "scale":  # the tail is a polynomial in z, unscaled
+            if rest.strip() not in ("1", "1.0"):
+                raise ValueError(f"record {line!r}: only scale 1 is supported")
         else:
             raise ValueError(f"unknown record {kind!r}")
-    return RationalApprox(
-        poles=np.array(poles, complex),
-        residues=np.array(residues, complex),
-        tail_coeffs=np.array(tail, complex),
-        basis_scale=scale,
-    )
+    return RationalApprox(poles=np.array(records["pole"], complex),
+                          residues=np.array(records["residue"], complex),
+                          tail_coeffs=np.array(tail, complex))

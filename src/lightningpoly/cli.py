@@ -23,7 +23,7 @@ import numpy as np
 from . import analysis, corners
 from .approx import ApproxConfig, _fmt, build_approximation, optimal_sigma, serialize
 from .geometry import polygon_from_file
-from .kernels import KernelConfig
+from .kernels import KernelConfig, QuadratureNonConvergence
 
 __all__ = ["ExperimentConfig", "run", "main"]
 
@@ -51,6 +51,8 @@ def _parse_sigma(token: str, alpha: float, beta: float) -> float:
     elif t.startswith("opt*"):
         sigma = optimal_sigma(alpha, beta) * num(t[4:])
     elif t.startswith("opt/"):
+        if num(t[4:]) == 0.0:
+            raise ValueError(f"--sigma divides opt by zero, got {token!r}")
         sigma = optimal_sigma(alpha, beta) / num(t[4:])
     else:
         sigma = float(t)
@@ -124,7 +126,10 @@ def _report(p: dict, payload: dict, failure: str) -> int:
 
 
 def _map_fn():
-    threads = int(os.environ.get("LIGHTNING_THREADS", "1"))
+    try:
+        threads = int(os.environ.get("LIGHTNING_THREADS", "1"))
+    except ValueError as exc:
+        raise ValueError(f"LIGHTNING_THREADS must be an integer: {exc}") from None
     if threads > 1:
         pool = ThreadPoolExecutor(max_workers=threads)
         return lambda f, xs: list(pool.map(f, xs))
@@ -236,10 +241,14 @@ def _cmd_nearorigin(p: dict) -> int:
     h_tok = str(p.get("h", "opt")).strip().lower()
     h = 2.0 * (2.0 - beta) * math.pi**2 * alpha if h_tok == "opt" else float(h_tok)
     t_list = _parse_list(p.get("T", "5,10,15"), float, "--T", "truncations")
+    optimal_sigma(alpha, beta)  # checks beta: a ValueError below is T's range
     lines = ["T,ratio_power,ratio_log"]
     ratios = []
     for cfg in _kernel_configs(alpha, float(p.get("C", 1.0)), h, t_list):
-        check = analysis.near_origin_check(cfg, beta)
+        try:
+            check = analysis.near_origin_check(cfg, beta)
+        except ValueError as exc:
+            raise ValueError(f"--T: {exc}") from None
         rp, rl = check
         ratios.append((cfg.T, rp, rl, check.evaluations))
         lines.append(f"{_fmt(cfg.T)},{_fmt(rp)},{_fmt(rl)}")
@@ -350,6 +359,9 @@ def run(config: ExperimentConfig) -> int:
     """Execute one experiment; returns the process exit code."""
     try:
         return _RUNNERS[config.command](config.parameters)
+    except QuadratureNonConvergence as exc:  # a failed check: exit 1, no CSV
+        return _report(config.parameters, {"error": str(exc), "pass": False},
+                       f"{config.command}: reference quadrature failed: {exc}")
     except (ValueError, KeyError, OSError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2

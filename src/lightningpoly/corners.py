@@ -19,7 +19,8 @@ import numpy as np
 
 from .geometry import Polygon, interior_angles, resolve_corner_exponents
 from .approx import _fmt, _fmt_coeff, _sigma_opt
-from .kernels import adaptive_gauss_legendre, damped_lstsq, horner, tapered
+from .kernels import (QuadratureNonConvergence, adaptive_gauss_legendre, damped_lstsq,
+                      horner, tapered)
 
 __all__ = [
     "CornerBasis",
@@ -379,6 +380,9 @@ def _slit_integral(spec: SlitIntegralSpec, z, log_weighted: bool):
     flat = zs.ravel()
     s = spec.k + spec.alpha
     W = spec.W
+    # peak 4*W^(s+1) (times 1 + |log W| if log-weighted) < max double: log(max/4) = 708.39
+    if (s + 1) * math.log(W) + log_weighted * math.log1p(abs(math.log(W))) >= 708.39:
+        raise QuadratureNonConvergence(f"the slit integrand overflows at W = {W:.6g}")
     dist = np.abs(flat - np.clip(flat.real, 0.0, W))
     live = flat != 0
     if np.any(live & (dist < 1e-10 * W)):

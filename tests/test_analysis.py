@@ -32,7 +32,6 @@ from lightningpoly.analysis import (
 from lightningpoly.approx import (
     ApproxConfig,
     _fit_points,
-    _poly_eval,
     _remainder_values,
     RationalApprox,
     build_approximation,
@@ -47,6 +46,7 @@ from lightningpoly.geometry import chebyshev_radii, ray_fan, sector_boundary
 from lightningpoly.kernels import (
     KernelConfig,
     PoleCollisionError,
+    horner,
     quadrature_nodes,
     trapezoid_rational,
     trapezoid_rational_log,
@@ -356,8 +356,16 @@ class TestSweepAndCsv:
         # from the chosen config must give the same record
         sigma = sigma_factor * optimal_sigma(alpha, beta)
         (rec,) = run_sweep(alpha, beta, sigma, [n1], target=target, g=g)
-        cfg, tail = ladder_tail(alpha, beta, sigma, n1, 1.0, target, g)
+        given = ApproxConfig(alpha=alpha, beta=beta, sigma=sigma, n1=n1, target=target, g=g)
+        cfg, tail = ladder_tail(given)
         np.testing.assert_array_equal(fit_tail(cfg).coeffs, tail.coeffs)
+        # the ladder sets n2 itself: the n2 it is handed moves nothing
+        for n2 in (0, 1, cfg.n2, 1000):
+            cfg_n2, tail_n2 = ladder_tail(dataclasses.replace(given, n2=n2))
+            assert cfg_n2 == cfg
+            np.testing.assert_array_equal(tail_n2.coeffs, tail.coeffs)
+            assert (tail_n2.fit_rms, tail_n2.validation_sup) == \
+                (tail.fit_rms, tail.validation_sup)
         approx = build_approximation(cfg)
         err = checked_sup_error(approx, make_target(target, alpha, g), cfg)
         assert (rec.n1, rec.n2, rec.sup_err) == (cfg.n1, cfg.n2, err)
@@ -387,7 +395,8 @@ class TestSweepAndCsv:
                 yield tail
 
         monkeypatch.setattr(approx_module, "tail_fits", counted)
-        cfg, tail = ladder_tail(alpha, beta, sigma, n1, 1.0, target, g)
+        cfg, tail = ladder_tail(ApproxConfig(alpha=alpha, beta=beta, sigma=sigma, n1=n1,
+                                             target=target, g=g))
         assert len(consumed) == rungs
         assert tail.coeffs.size == cfg.n2 + 1
 
@@ -595,8 +604,7 @@ class TestBoundaryGrid:
             assert not np.iscomplexobj(tail.coeffs)
             zv = _fit_points(cfg, fine=True)
             y = _remainder_values(cfg, zv)
-            gap = np.abs(_poly_eval(tail.coeffs, zv, 1.0)
-                         - _poly_eval(_full_boundary_complex_tail(cfg), zv, 1.0))
+            gap = np.abs(horner(tail.coeffs, zv) - horner(_full_boundary_complex_tail(cfg), zv))
             assert gap.max() <= 1e-12 * np.abs(y).max(), cfg
 
 
@@ -677,7 +685,7 @@ class TestDiagnosticsAndSkips:
         cfg = KernelConfig(alpha=0.1, C=1.0, h=1.0, n_quad=5700)
         poles = quadrature_nodes(cfg, np.arange(1, cfg.n_quad + 1))[1]
         approx = RationalApprox(poles=poles, residues=np.ones(poles.size),
-                                tail_coeffs=np.zeros(1), basis_scale=1.0)
+                                tail_coeffs=np.zeros(1))
         safe = np.full(100, 0.5 + 0.1j)
         assert 1e-292 < abs(poles[0]) < 1e-289
         for p in (poles[0], poles[np.argmin(np.abs(np.log(np.abs(poles))))]):

@@ -23,6 +23,7 @@ from lightningpoly.kernels import (
     KernelConfig,
     PoleCollisionError,
     _near_poles,
+    horner,
     log_weight_constant,
     log_weights,
     pole_collisions,
@@ -197,9 +198,9 @@ class TestFitTail:
         counts = np.where(zs.imag == 0.0, 1.0, 2.0) if g is None else None
         degrees = approx._ladder_degrees(cfg.n1)
         for fit in approx.tail_fits(cfg, degrees):
-            resid = approx._poly_eval(fit.coeffs, zs, 1.0) - y
+            resid = horner(fit.coeffs, zs) - y
             rms = float(np.sqrt(np.average(np.abs(resid) ** 2, weights=counts)))
-            sup = float(np.max(np.abs(approx._poly_eval(fit.coeffs, zv, 1.0) - yv)))
+            sup = float(np.max(np.abs(horner(fit.coeffs, zv) - yv)))
             assert (fit.fit_rms, fit.validation_sup) == (rms, sup)
 
     @staticmethod
@@ -445,7 +446,6 @@ class TestBuildAndEval:
         fresh = build_approximation(cfg)
         for field in ("poles", "residues", "tail_coeffs"):
             np.testing.assert_array_equal(getattr(reused, field), getattr(fresh, field))
-        assert reused.basis_scale == fresh.basis_scale
 
     def test_tail_of_another_degree_rejected(self):
         cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=5.0, n1=9, n2=6)
@@ -455,12 +455,12 @@ class TestBuildAndEval:
 
     def test_eval_single_pole(self):
         ap = RationalApprox(poles=np.array([-1.0 + 0j]), residues=np.array([1.0 + 0j]),
-                            tail_coeffs=np.array([0j]), basis_scale=1.0)
+                            tail_coeffs=np.array([0j]))
         assert ap.eval(0.0) == 1.0
 
     def test_eval_tail_only_horner(self):
         ap = RationalApprox(poles=np.empty(0, complex), residues=np.empty(0, complex),
-                            tail_coeffs=np.array([2.0 + 0j, 3.0 + 0j]), basis_scale=1.0)
+                            tail_coeffs=np.array([2.0 + 0j, 3.0 + 0j]))
         assert ap.eval(2.0) == 8.0
 
     def test_eval_conjugate_symmetry(self):
@@ -488,12 +488,12 @@ class TestBuildAndEval:
         zs = _sector_points(1.0, 2500)
         assert zs.size > 2048
         vals = ap.eval(zs)
-        tail = approx._poly_eval(ap.tail_coeffs, zs, ap.basis_scale)
+        tail = horner(ap.tail_coeffs, zs)
         _assert_near_one_shot(vals - tail, zs, ap.poles, ap.residues, extra=np.abs(vals))
 
     def test_eval_pole_collision(self):
         ap = RationalApprox(poles=np.array([-1.0 + 0j]), residues=np.array([1.0 + 0j]),
-                            tail_coeffs=np.array([0j]), basis_scale=1.0)
+                            tail_coeffs=np.array([0j]))
         with pytest.raises(PoleCollisionError):
             ap.eval(-1.0 + 1e-16j)
 
@@ -501,7 +501,17 @@ class TestBuildAndEval:
         with pytest.raises(ValueError):
             RationalApprox(poles=np.array([-1.0 + 0j, -2.0 + 0j, -1.5 + 0j]),
                            residues=np.ones(3, complex),
-                           tail_coeffs=np.array([0j]), basis_scale=1.0)
+                           tail_coeffs=np.array([0j]))
+
+    @pytest.mark.parametrize("poles", [np.array([-1.0 + 0j, -2.0 + 0j]),
+                                       np.array([-1.0, -2.0])])
+    def test_stored_poles_are_read_only_floats(self, poles):
+        ap = RationalApprox(poles=poles, residues=np.ones(2, complex),
+                            tail_coeffs=np.array([0j]))
+        assert ap.poles.dtype == np.float64
+        assert ap.poles.tolist() == [-1.0, -2.0]
+        with pytest.raises(ValueError):
+            ap.poles[0] = -3.0
 
 
 # +-10^e with e in [-16, -12]: relative offsets around a collision window
@@ -569,12 +579,14 @@ class TestPoleSum:
             assert got.tolist() == [pole_sum(zs[k:k + 1], poles, w)[0] for k in range(n)]
 
     def test_pole_off_the_axis_rejected(self):
-        with pytest.raises(ValueError, match="real axis"):
+        # one rule, kernels._real_poles, for the sum and the approximant
+        rule = "^poles must lie on the real axis$"
+        with pytest.raises(ValueError, match=rule):
             pole_sum(np.array([0.5j]), np.array([-1.0, -2.0 + 1e-300j]), np.ones(2))
-        with pytest.raises(ValueError, match="real axis"):
-            RationalApprox(poles=np.array([-1.0 + 1e-3j]), residues=np.ones(1, complex),
-                           tail_coeffs=np.array([0j]), basis_scale=1.0)
-        with pytest.raises(ValueError, match="real axis"):
+        with pytest.raises(ValueError, match=rule):
+            RationalApprox(poles=np.array([-1.0, -2.0 + 1e-300j]), residues=np.ones(2, complex),
+                           tail_coeffs=np.array([0j]))
+        with pytest.raises(ValueError, match=rule):
             deserialize("pole -1 0.001\nresidue 1 0\ntail 0\nscale 1\n")
 
     @settings(max_examples=200, deadline=None)
@@ -612,16 +624,28 @@ class TestSerialization:
         assert np.array_equal(back.poles, ap.poles)
         assert np.array_equal(back.residues, ap.residues)
         assert np.array_equal(back.tail_coeffs, ap.tail_coeffs)
-        assert back.basis_scale == ap.basis_scale
         assert serialize(back) == text
 
     def test_complex_tail_tokens(self):
         ap = RationalApprox(poles=np.array([-0.5 + 0j]), residues=np.array([0.25 - 0.125j]),
-                            tail_coeffs=np.array([1 / 3 + 0j, 0.1 - 0.7j]),
-                            basis_scale=2.0)
-        back = deserialize(serialize(ap))
+                            tail_coeffs=np.array([1 / 3 + 0j, 0.1 - 0.7j]))
+        text = serialize(ap)
+        back = deserialize(text)
+        assert np.array_equal(back.poles, ap.poles)
         assert np.array_equal(back.tail_coeffs, ap.tail_coeffs)
         assert np.array_equal(back.residues, ap.residues)
+        assert serialize(back) == text
+
+    @pytest.mark.parametrize("scale", ["scale 1\n", "scale 1.0\n", ""])
+    def test_unit_or_missing_scale_accepted(self, scale):
+        ap = deserialize("pole -1 0\nresidue 0.5 0\ntail 2 3\n" + scale)
+        assert ap.eval(1.0) == 0.25 + 5.0
+        assert serialize(ap).endswith("tail 2 3\nscale 1\n")
+
+    @pytest.mark.parametrize("value", ["2", "nan", "-1", "one"])
+    def test_other_scale_rejected(self, value):
+        with pytest.raises(ValueError, match=f"record 'scale {value}'"):
+            deserialize(f"pole -1 0\nresidue 0.5 0\ntail 2 3\nscale {value}\n")
 
     def test_unknown_record(self):
         with pytest.raises(ValueError, match="unknown record"):

@@ -11,7 +11,12 @@ from lightningpoly import analysis, corners
 from lightningpoly.analysis import BoundContext, arc_grid
 from lightningpoly.approx import ApproxConfig, deserialize, optimal_sigma
 from lightningpoly.cli import ExperimentConfig, main, run
-from lightningpoly.kernels import KernelConfig, truncated_integral, truncated_integral_log
+from lightningpoly.kernels import (
+    KernelConfig,
+    QuadratureNonConvergence,
+    truncated_integral,
+    truncated_integral_log,
+)
 
 POLYGONS = Path(__file__).resolve().parent.parent / "scripts" / "polygons"
 
@@ -263,6 +268,39 @@ class TestArgumentHandling:
         cfgfile.write_text("frob = 1\n")
         assert main(["decomp", "--alpha", "0.5", "--config", str(cfgfile)]) == 2
 
+    @pytest.mark.parametrize("sigma", ["opt/0", "opt/-0", "opt/0.0"])
+    @pytest.mark.parametrize("argv", [
+        ["approx", "--alpha", "0.5", "--beta", "1", "--N1", "9"],
+        ["sweep", "--alpha", "0.5", "--beta", "1", "--N1", "9,16,25,36"],
+        ["quaderr", "--alpha", "0.5", "--beta", "1", "--T", "4,6,8"],
+    ])
+    def test_zero_sigma_divisor_exits_2(self, argv, sigma, tmp_path, capsys):
+        csv = tmp_path / "z.csv"
+        assert main(argv + ["--sigma", sigma, "--csv", str(csv)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"invalid configuration: --sigma divides opt by zero, got {sigma!r}\n"
+        assert not csv.exists()
+
+    def test_non_integer_thread_count_exits_2(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("LIGHTNING_THREADS", "abc")
+        csv = tmp_path / "t.csv"
+        assert main(["sweep", "--alpha", "0.5", "--beta", "1", "--N1", "9,16,25,36",
+                     "--csv", str(csv)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: LIGHTNING_THREADS must be an integer: ")
+        assert err.endswith("'abc'\n")
+        assert not csv.exists()
+
+    def test_truncation_past_the_scan_range_exits_2(self, tmp_path, capsys):
+        # x_star = C*exp((c0 - T)/alpha) underflows to 0 at T = 400
+        csv = tmp_path / "n.csv"
+        assert main(["nearorigin", "--alpha", "0.5", "--beta", "1", "--T", "5,10,400",
+                     "--csv", str(csv)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: --T: T = 400.001 is above 300, ")
+        assert "Geometric" not in err
+        assert not csv.exists()
+
 
 class TestDecomp:
     def test_quarter_reports_p0(self, tmp_path):
@@ -274,6 +312,19 @@ class TestDecomp:
         assert payload["P0"] == pytest.approx([-math.pi, -math.pi])
         assert payload["P0_discrepancy"] <= 1e-6
         assert payload["pass"] is True
+
+    @pytest.mark.parametrize("k, W", [("2", "1e100"), ("0", "1e300"), ("1", "1e300")])
+    def test_quadrature_breakdown_writes_the_json_summary(self, k, W, tmp_path, capfd):
+        # the integrand's peak 4*W^(k+alpha+1) overflows: a failed check,
+        # reported without a RuntimeWarning or a traceback
+        out = tmp_path / "d.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["decomp", "--k", k, "--alpha", "0.5", "--W", W, "--json", str(out)])
+        assert code == 1
+        msg = f"the slit integrand overflows at W = {float(W):.6g}"
+        assert capfd.readouterr() == ("", f"decomp: reference quadrature failed: {msg}\n")
+        assert json.loads(out.read_text()) == {"error": msg, "pass": False}
 
 
 class TestSweep:
@@ -391,6 +442,27 @@ class TestQuaderr:
             want = sum(truncated_integral_log(z, cfg).evaluations for cfg in cfgs for z in grid)
             assert curve["quadrature_evaluations"] == want
         assert csv.read_text().splitlines()[0] == "sigma,T,sup_err"
+
+
+@pytest.mark.parametrize("argv", [
+    ["quaderr", "--alpha", "0.5", "--beta", "1", "--T", "4,6,8"],
+    ["nearorigin", "--alpha", "0.5", "--beta", "1", "--T", "5,10"],
+])
+def test_reference_breakdown_writes_the_json_summary(argv, monkeypatch, tmp_path, capsys):
+    # quaderr's and nearorigin's reference integrals fail as decomp's do:
+    # the error in the JSON summary, one stderr line, exit 1, no CSV
+    def broken(*args, **kwargs):
+        raise QuadratureNonConvergence("reference did not converge")
+
+    monkeypatch.setattr(analysis, "truncated_integral", broken)
+    monkeypatch.setattr(analysis, "truncated_integral_log", broken)
+    csv, out = tmp_path / "r.csv", tmp_path / "r.json"
+    assert main(argv + ["--csv", str(csv), "--json", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"{argv[0]}: reference quadrature failed: reference did not converge\n"
+    assert json.loads(out.read_text()) == {"error": "reference did not converge",
+                                           "pass": False}
+    assert not csv.exists()
 
 
 class TestNearOrigin:
