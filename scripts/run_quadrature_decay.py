@@ -28,17 +28,13 @@ def main():
     alpha, beta = args.alpha, args.beta
     s_opt = optimal_sigma(alpha, beta)
     grid = arc_grid(beta, n=31)
-    kap1 = 1.0 / (1.0 - alpha)
 
     lines = ["target,sigma_scale,T,sup_err"]
     print(f"{'target':>10} {'sigma':>10} {'slope':>7} {'predicted':>9}")
     for target in ("power", "power_log"):
         for scale in (1 / math.sqrt(2), 1.0, math.sqrt(2)):
             sigma = s_opt * scale
-            h = sigma**2 * alpha**2
-            cfgs = [KernelConfig(alpha=alpha, h=h,
-                                 n_quad=max(2, math.ceil((t * kap1) ** 2 / h)))
-                    for t in t_list]
+            cfgs = [KernelConfig.from_truncation(alpha, t, sigma=sigma) for t in t_list]
             rows = quadrature_error_curve(cfgs, target, grid)
             for t, e in rows:
                 lines.append(f"{target},{scale:.17g},{t:.17g},{e:.17g}")

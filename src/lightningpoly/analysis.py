@@ -35,6 +35,7 @@ from .geometry import chebyshev_radii, ray_fan, sector_boundary
 from .kernels import (
     KernelConfig,
     PoleCollisionError,
+    check_double_range,
     pole_collisions,
     power_values,
     trapezoid_rational,
@@ -54,6 +55,7 @@ __all__ = [
     "quadrature_error_curve",
     "near_origin_check",
     "run_sweep",
+    "sweep_configs",
     "rate_grid",
     "records_to_csv",
     "RATE_FIT_FLOOR",
@@ -215,6 +217,17 @@ def checked_sup_error(approx: RationalApprox, target, cfg: ApproxConfig) -> floa
     return fine
 
 
+def sweep_configs(alpha: float, beta: float, sigma: float, n1_list: Iterable[int],
+                  C: float = 1.0, target: str = "power", g: Callable | None = None,
+                  n2_mode="auto") -> list[ApproxConfig]:
+    """The config each run_sweep cell starts from, one per n1: n2 is
+    ApproxConfig's proportional default for "auto" (the ladder then sets
+    its own) and for "proportional", else int(n2_mode)."""
+    n2 = None if n2_mode in ("auto", "proportional") else int(n2_mode)
+    return [ApproxConfig(alpha=alpha, beta=beta, sigma=sigma, n1=n1, n2=n2, C=C,
+                         target=target, g=g) for n1 in n1_list]
+
+
 def run_sweep(alpha: float, beta: float, sigma: float, n1_list: Iterable[int],
               C: float = 1.0, target: str = "power", g: Callable | None = None,
               n2_mode="auto", map_fn=map) -> list[ConvergenceRecord]:
@@ -223,30 +236,27 @@ def run_sweep(alpha: float, beta: float, sigma: float, n1_list: Iterable[int],
     n2_mode: "auto" (default, O(sqrt(n1)) tail for clean rate fits),
     "proportional" (ceil(1.3*n1), the efficient experiment default), or an
     int fixing n2.  ``map_fn`` may be an executor map for concurrent cells;
-    records come back sorted by n1 regardless.  A cell whose sup error is
-    not finite raises RuntimeError, as a non-finite tail value does.
+    records come back sorted by n1 regardless.  Every cell's config
+    (sweep_configs) is built before the first cell runs.  A cell whose sup
+    error is not finite raises RuntimeError, as a non-finite tail value does.
     """
     rate, pref = predicted_log_rate(sigma, alpha, beta, target)
-    n1_list = list(n1_list)
 
-    def cell(n1: int) -> ConvergenceRecord:
+    def cell(cfg: ApproxConfig) -> ConvergenceRecord:
         t0 = time.perf_counter()
-        # n2=None is ApproxConfig's proportional default; the ladder sets its own
-        n2 = None if n2_mode in ("auto", "proportional") else int(n2_mode)
-        cfg = ApproxConfig(alpha=alpha, beta=beta, sigma=sigma, n1=n1, n2=n2, C=C,
-                           target=target, g=g)
         cfg, tail = ladder_tail(cfg) if n2_mode == "auto" else (cfg, None)
         approx = build_approximation(cfg, tail=tail)
         err = checked_sup_error(approx, make_target(target, alpha, g), cfg)
         if not math.isfinite(err):
-            raise RuntimeError(f"sup error {err} at n1={n1} is not finite")
+            raise RuntimeError(f"sup error {err} at n1={cfg.n1} is not finite")
         n = cfg.n1 + cfg.n2
         pred = pref * math.log(n) - rate * math.sqrt(n)
         ms = (time.perf_counter() - t0) * 1e3
         return ConvergenceRecord(n1=cfg.n1, n2=cfg.n2, sup_err=err,
                                  predicted_log_err=pred, sigma=sigma, runtime_ms=ms)
 
-    records = list(map_fn(cell, n1_list))
+    records = list(map_fn(cell, sweep_configs(alpha, beta, sigma, n1_list, C=C,
+                                              target=target, g=g, n2_mode=n2_mode)))
     records.sort(key=lambda r: (r.sigma, r.n1))
     return records
 
@@ -289,6 +299,7 @@ class BoundContext:
     @classmethod
     def from_parameters(cls, alpha: float, beta: float, h: float, T: float,
                         C: float = 1.0, n_quad: int = 10_000) -> "BoundContext":
+        s_opt = optimal_sigma(alpha, beta)  # checks alpha and beta first
         sigma = math.sqrt(h) / alpha
         rhs = max(
             h,
@@ -313,9 +324,14 @@ class BoundContext:
         while on_lattice(base + delta0):
             delta0 += h * 1e-3
         c0 = math.sqrt(base + delta0)
-        x_star = C * math.exp((c0 - T) / alpha)
+        # near_origin_check scans down to 1e-8*min(x_star, 1): x_star and its
+        # exponential factor must be doubles
+        e = (c0 - T) / alpha
+        lx = math.log(C) + e
+        check_double_range(dict(T=T, alpha=alpha, C=C, h=h), min(e, lx), max(e, lx))
+        x_star = C * math.exp(e)
         return cls(alpha=alpha, beta=beta, sigma=sigma, C=C, h=h, T=T,
-                   eta=optimal_sigma(alpha, beta) / sigma, M0=m0,
+                   eta=s_opt / sigma, M0=m0,
                    delta0=delta0, c0=c0, x_star=x_star)
 
     def a0beta(self, x: float) -> float:
@@ -391,12 +407,8 @@ def near_origin_check(cfg: KernelConfig, beta: float,
     bounded below by the lattice constants), so the scan clips at the
     unit radius of the sector.
     """
-    ctx = BoundContext.from_quadrature(cfg, beta)
+    ctx = BoundContext.from_quadrature(cfg, beta)  # checks the scan's double range
     xm = min(ctx.x_star, 1.0)
-    # radii down to xm*1e-8 stay normal, poles out to C*e^(T/(1-alpha)) finite
-    t_max = min(ctx.c0 - cfg.alpha * math.log(2.3e-300 / cfg.C), 600.0 * (1.0 - cfg.alpha))
-    if cfg.T > t_max:
-        raise ValueError(f"T = {cfg.T:.6g} is above {t_max:.6g}, where the scan leaves doubles")
     zs = ray_fan(beta, np.geomspace(xm * 1e-8, xm, n_x), 2 * n_theta - 1)
     ref_pow = truncated_integral(zs, cfg)
     ref_log = truncated_integral_log(zs, cfg)

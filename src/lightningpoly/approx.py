@@ -16,14 +16,15 @@ from typing import Callable
 import numpy as np
 
 from .geometry import chebyshev_radii, sector_boundary
-from .kernels import (_real_poles, damped_lstsq, horner, log_weights, pole_sum,
-                      quadrature_nodes, tapered)
+from .kernels import (_MAX_N_QUAD, _real_poles, check_double_range, damped_lstsq, horner,
+                      log_weights, pole_sum, quadrature_nodes, tapered)
 
 __all__ = [
     "ApproxConfig",
     "RationalApprox",
     "TailFit",
     "optimal_sigma",
+    "optimal_step",
     "clustered_poles",
     "residues_power",
     "residues_power_log",
@@ -58,6 +59,14 @@ def optimal_sigma(alpha: float, beta: float) -> float:
     return _sigma_opt(alpha, beta)
 
 
+def optimal_step(alpha: float, beta: float) -> float:
+    """The trapezoid step sigma_opt^2*alpha^2 of optimal_sigma, written
+    2*(2-beta)*pi^2*alpha without its square roots; checks alpha and beta
+    as optimal_sigma does."""
+    optimal_sigma(alpha, beta)
+    return 2.0 * (2.0 - beta) * math.pi**2 * alpha
+
+
 @dataclass(frozen=True)
 class ApproxConfig:
     """All knobs of one approximation build.
@@ -66,7 +75,9 @@ class ApproxConfig:
     at most _MAX_N2; rate sweeps use smaller tails (see ladder_tail).
     Derived quantities: h = sigma^2*alpha^2, kappa = alpha/(1-alpha),
     truncation T = sigma*alpha*sqrt(n1), and the quadrature term count
-    n_quad paired with n1 through n1 = ceil(n_quad/(kappa+1)^2).
+    n_quad paired with n1 through n1 = ceil(n_quad/(kappa+1)^2), at most
+    kernels._MAX_N_QUAD.  The poles, h and the residues must stay in the
+    double range (kernels.check_double_range).
     """
 
     alpha: float
@@ -94,14 +105,23 @@ class ApproxConfig:
         if self.n2 < 0:
             raise ValueError("n2 must be >= 0")
         if self.n2 > _MAX_N2:
-            raise ValueError(f"tail degree capped at {_MAX_N2} to bound the "
-                             "fit matrix's memory")
+            raise ValueError(f"n2={self.n2}: tail degree capped at {_MAX_N2} to bound "
+                             "the fit matrix's memory")
         if self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}")
         if self.target.startswith("prefactor") != (self.g is not None):
-            raise ValueError("prefactor targets require g; plain targets forbid it")
-        if self.T / (1.0 - self.alpha) > 600.0:
-            raise ValueError("parameters exceed the double-precision range")
+            raise ValueError(f"target {self.target!r}: prefactor targets require g; "
+                             "plain targets forbid it")
+        la, ls, lc = math.log(self.alpha), math.log(self.sigma), math.log(self.C)
+        check_double_range(
+            dict(alpha=self.alpha, sigma=self.sigma, C=self.C, n1=self.n1),
+            # the innermost pole, h = (sigma*alpha)^2 and the log weights' alpha^2
+            min(lc - self.sigma * (math.sqrt(self.n1) - 1.0), 2.0 * (ls + la), 2.0 * la),
+            # the outermost far pole and the outermost residue, about sqrt(h)*C^(1+alpha)
+            max(lc + self.T / (1.0 - self.alpha), ls + la + (1.0 + self.alpha) * lc))
+        if self.n_quad > _MAX_N_QUAD:  # n1 <= n_quad, so this bounds n1 as well
+            raise ValueError(f"alpha={self.alpha:.6g} and n1={self.n1} ask for {self.n_quad} "
+                             f"quadrature poles, above the {_MAX_N_QUAD} that bound their memory")
 
     @property
     def h(self) -> float:

@@ -2,8 +2,11 @@
 error curves, near-origin checks, Laplace experiments, and slit-integral
 decompositions, emitting deterministic CSV tables plus JSON summaries.
 
-Exit codes: 0 all embedded assertions passed, 1 an assertion failed
-(the failing metric is reported), 2 invalid configuration.
+Exit codes: 0 all embedded assertions passed, 1 an assertion failed or the
+run broke down (the failing metric or the error is reported), 2 invalid
+configuration.  The code comes from the phase: each runner first validates,
+parsing every option and building every config (any exception there exits
+2), then returns its compute step, in which any exception is a failed run.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, corners
-from .approx import ApproxConfig, _fmt, build_approximation, optimal_sigma, serialize
+from .approx import (ApproxConfig, _fmt, build_approximation, optimal_sigma, optimal_step,
+                     serialize)
 from .geometry import polygon_from_file
-from .kernels import KernelConfig, QuadratureNonConvergence
+from .kernels import KernelConfig
 
 __all__ = ["ExperimentConfig", "run", "main"]
 
@@ -86,23 +90,6 @@ def _parse_list(token, cast, option: str, what: str, repeats: bool = False) -> l
     return values
 
 
-def _kernel_configs(alpha: float, C: float, h: float, t_list) -> list:
-    """One trapezoid config per truncation T in ``t_list``: the fewest points
-    n_quad (at least 2) with sqrt(n_quad*h)/(kappa+1) >= T.  alpha, h and
-    every T are checked before they divide or round."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    if not 0.0 < h < math.inf:
-        raise ValueError("h must be positive and finite")
-    if not all(math.isfinite(t) for t in t_list):
-        raise ValueError(f"T must be finite, got {t_list}")
-    if not all(t > 0.0 for t in t_list):  # n_quad squares T: -5 would run as 5
-        raise ValueError(f"--T must be positive, got {t_list}")
-    kap1 = 1.0 / (1.0 - alpha)
-    return [KernelConfig(alpha=alpha, C=C, h=h, n_quad=max(2, math.ceil((t * kap1) ** 2 / h)))
-            for t in t_list]
-
-
 def _write(path, text: str):
     if path:
         Path(path).write_text(text)
@@ -125,41 +112,36 @@ def _report(p: dict, payload: dict, failure: str) -> int:
     return 1
 
 
-def _map_fn():
+def _threads() -> int:
+    """The sweep's worker count, LIGHTNING_THREADS (1 if unset)."""
     try:
-        threads = int(os.environ.get("LIGHTNING_THREADS", "1"))
+        return int(os.environ.get("LIGHTNING_THREADS", "1"))
     except ValueError as exc:
         raise ValueError(f"LIGHTNING_THREADS must be an integer: {exc}") from None
-    if threads > 1:
-        pool = ThreadPoolExecutor(max_workers=threads)
-        return lambda f, xs: list(pool.map(f, xs))
-    return map
 
 
-# --------------------------------------------------------------- commands
+# ---------------------------------------------------------------- commands
 
-def _cmd_approx(p: dict) -> int:
+def _cmd_approx(p: dict):
     alpha, beta = float(p["alpha"]), float(p["beta"])
     sigma = _parse_sigma(p.get("sigma", "opt"), alpha, beta)
     n2 = p.get("n2")
     cfg = ApproxConfig(alpha=alpha, beta=beta, sigma=sigma, n1=int(p["n1"]),
                        n2=int(n2) if n2 is not None else None, C=float(p.get("C", 1.0)),
                        target=p.get("target", "power"))
-    approx = build_approximation(cfg)
-    err = analysis.checked_sup_error(approx, analysis.make_target(cfg.target, alpha), cfg)
-    _write(p.get("out"), serialize(approx))
-    rate, _ = analysis.predicted_log_rate(sigma, alpha, beta, cfg.target)
-    return _report(p, {
-        "sup_err": err,
-        "n1": cfg.n1,
-        "n2": cfg.n2,
-        "sigma": sigma,
-        "predicted_rate": rate,
-        "pass": bool(np.isfinite(err)),
-    }, f"approx: sup_err {err} is not finite")
+
+    def compute():
+        approx = build_approximation(cfg)
+        err = analysis.checked_sup_error(approx, analysis.make_target(cfg.target, alpha), cfg)
+        _write(p.get("out"), serialize(approx))
+        rate, _ = analysis.predicted_log_rate(sigma, alpha, beta, cfg.target)
+        return _report(p, {"sup_err": err, "n1": cfg.n1, "n2": cfg.n2, "sigma": sigma,
+                           "predicted_rate": rate, "pass": bool(np.isfinite(err))},
+                       f"approx: sup_err {err} is not finite")
+    return compute
 
 
-def _cmd_sweep(p: dict) -> int:
+def _cmd_sweep(p: dict):
     alpha, beta = float(p["alpha"]), float(p["beta"])
     sigma = _parse_sigma(p.get("sigma", "opt"), alpha, beta)
     n1_list = _parse_list(p["n1"], int, "--N1", "pole counts")
@@ -171,120 +153,124 @@ def _cmd_sweep(p: dict) -> int:
     target = p.get("target", "power")
     rate_tol = _finite(p.get("rate_tol", 0.15), "--rate-tol")
     r2_min = _finite(p.get("r2_min", 0.9), "--r2-min")
-    records = analysis.run_sweep(alpha, beta, sigma, n1_list,
-                                 C=float(p.get("C", 1.0)), target=target,
-                                 n2_mode=n2_mode, map_fn=_map_fn())
-    if not p.get("timings", False):
-        records = [dataclasses.replace(r, runtime_ms=0.0) for r in records]
-    _write(p.get("csv"), analysis.records_to_csv(records))
-    predicted, _ = analysis.predicted_log_rate(sigma, alpha, beta, target)
-    try:
-        fitted, r2 = analysis.fit_rate(records)
-    except ValueError as exc:  # too few errors inside the band: a failed check
-        fitted = r2 = None
-        failure = f"sweep: {exc}"
-    else:
-        failure = f"sweep: fitted_rate {fitted:.4f} vs predicted {predicted:.4f} (r2={r2:.4f})"
-    ok = fitted is not None and abs(fitted - predicted) <= rate_tol * predicted \
-        and r2 >= r2_min
-    return _report(p, {
-        "fitted_rate": fitted,
-        "predicted_rate": predicted,
-        "r2": r2,
-        "pass": bool(ok),
-    }, failure)
+    C = float(p.get("C", 1.0))
+    # every cell's config is checked here; run_sweep builds them again
+    analysis.sweep_configs(alpha, beta, sigma, n1_list, C=C, target=target, n2_mode=n2_mode)
+    threads = _threads()
+
+    def compute():
+        map_fn = ThreadPoolExecutor(threads).map if threads > 1 else map
+        records = analysis.run_sweep(alpha, beta, sigma, n1_list, C=C, target=target,
+                                     n2_mode=n2_mode, map_fn=map_fn)
+        if not p.get("timings", False):
+            records = [dataclasses.replace(r, runtime_ms=0.0) for r in records]
+        _write(p.get("csv"), analysis.records_to_csv(records))
+        predicted, _ = analysis.predicted_log_rate(sigma, alpha, beta, target)
+        try:
+            fitted, r2 = analysis.fit_rate(records)
+        except ValueError as exc:  # too few errors inside the band: a failed check
+            fitted = r2 = None
+            failure = f"sweep: {exc}"
+        else:
+            failure = f"sweep: fitted_rate {fitted:.4f} vs predicted {predicted:.4f} (r2={r2:.4f})"
+        ok = fitted is not None and abs(fitted - predicted) <= rate_tol * predicted \
+            and r2 >= r2_min
+        return _report(p, {"fitted_rate": fitted, "predicted_rate": predicted, "r2": r2,
+                           "pass": bool(ok)}, failure)
+    return compute
 
 
-def _cmd_quaderr(p: dict) -> int:
+def _cmd_quaderr(p: dict):
     alpha, beta = float(p["alpha"]), float(p["beta"])
     t_list = _parse_list(p.get("T", "4,6,8,10,12,14,16"), float, "--T", "truncations")
     if len(t_list) < 3:
         raise ValueError(f"--T lists {len(t_list)} truncations; the slope fit needs >= 3")
     target = p.get("target", "power")
+    if target not in ("power", "power_log"):
+        raise ValueError(f"--target must be power or power_log, got {target!r}")
     n_arc = int(p.get("arc_points", 31))
     if n_arc < 1:
         raise ValueError(f"--arc-points must be >= 1, got {n_arc}")
-    s_opt = optimal_sigma(alpha, beta)  # checks beta before any quadrature runs
+    s_opt = optimal_sigma(alpha, beta)
     grid = analysis.arc_grid(beta, n=n_arc)
     sigmas = _parse_list(p.get("sigma", "opt"), lambda t: _parse_sigma(t, alpha, beta),
                          "--sigma", "clustering parameters")
-    lines = ["sigma,T,sup_err"]
-    results = []
-    for sigma in sigmas:
-        cfgs = _kernel_configs(alpha, float(p.get("C", 1.0)), sigma**2 * alpha**2, t_list)
-        rows = analysis.quadrature_error_curve(cfgs, target, grid)
-        for t, e in rows:
-            lines.append(f"{_fmt(sigma)},{_fmt(t)},{_fmt(e)}")
-        eta = s_opt / sigma
-        predicted = min(1.0, eta**2)
-        try:
-            slope = analysis.fit_slope_vs_t(rows)
-        except ValueError as exc:  # too few errors inside the band: a failed check
-            print(f"quaderr: sigma {_fmt(sigma)}: {exc}", file=sys.stderr)
-            slope = None
-        results.append({
-            "sigma": sigma,
-            "slope": slope,
-            "predicted": predicted,
-            "pass": slope is not None and abs(slope - predicted) <= 0.2 * predicted,
-            "quadrature_evaluations": sum(r.evaluations for r in rows),
-        })
-    _write(p.get("csv"), "\n".join(lines) + "\n")
-    # a curve with too few points in the band has printed its own line
-    bad = [r for r in results if r["slope"] is not None and not r["pass"]]
-    return _report(p, {"curves": results, "pass": all(r["pass"] for r in results)},
-                   f"quaderr: slope off prediction: {bad}" if bad else "")
+    C = float(p.get("C", 1.0))
+    curves = [(sigma, [KernelConfig.from_truncation(alpha, t, sigma=sigma, C=C)
+                       for t in t_list]) for sigma in sigmas]
+
+    def compute():
+        lines = ["sigma,T,sup_err"]
+        results = []
+        for sigma, cfgs in curves:
+            rows = analysis.quadrature_error_curve(cfgs, target, grid)
+            for t, e in rows:
+                lines.append(f"{_fmt(sigma)},{_fmt(t)},{_fmt(e)}")
+            predicted = min(1.0, (s_opt / sigma)**2)
+            try:
+                slope = analysis.fit_slope_vs_t(rows)
+            except ValueError as exc:  # too few errors inside the band: a failed check
+                print(f"quaderr: sigma {_fmt(sigma)}: {exc}", file=sys.stderr)
+                slope = None
+            results.append({
+                "sigma": sigma,
+                "slope": slope,
+                "predicted": predicted,
+                "pass": slope is not None and abs(slope - predicted) <= 0.2 * predicted,
+                "quadrature_evaluations": sum(r.evaluations for r in rows),
+            })
+        _write(p.get("csv"), "\n".join(lines) + "\n")
+        # a curve with too few points in the band has printed its own line
+        bad = [r for r in results if r["slope"] is not None and not r["pass"]]
+        return _report(p, {"curves": results, "pass": all(r["pass"] for r in results)},
+                       f"quaderr: slope off prediction: {bad}" if bad else "")
+    return compute
 
 
-def _cmd_nearorigin(p: dict) -> int:
+def _cmd_nearorigin(p: dict):
     alpha, beta = float(p["alpha"]), float(p["beta"])
     h_tok = str(p.get("h", "opt")).strip().lower()
-    h = 2.0 * (2.0 - beta) * math.pi**2 * alpha if h_tok == "opt" else float(h_tok)
+    h = optimal_step(alpha, beta) if h_tok == "opt" else float(h_tok)
     t_list = _parse_list(p.get("T", "5,10,15"), float, "--T", "truncations")
-    optimal_sigma(alpha, beta)  # checks beta: a ValueError below is T's range
-    lines = ["T,ratio_power,ratio_log"]
-    ratios = []
-    for cfg in _kernel_configs(alpha, float(p.get("C", 1.0)), h, t_list):
-        try:
+    cfgs = [KernelConfig.from_truncation(alpha, t, h, C=float(p.get("C", 1.0)))
+            for t in t_list]
+    for cfg in cfgs:  # the scan's double range, and beta
+        analysis.BoundContext.from_quadrature(cfg, beta)
+
+    def compute():
+        lines = ["T,ratio_power,ratio_log"]
+        ratios = []
+        for cfg in cfgs:
             check = analysis.near_origin_check(cfg, beta)
-        except ValueError as exc:
-            raise ValueError(f"--T: {exc}") from None
-        rp, rl = check
-        ratios.append((cfg.T, rp, rl, check.evaluations))
-        lines.append(f"{_fmt(cfg.T)},{_fmt(rp)},{_fmt(rl)}")
-    _write(p.get("csv"), "\n".join(lines) + "\n")
-    rps = [r[1] for r in ratios]
-    rls = [r[2] for r in ratios]
-    spread_p = max(rps) / max(min(rps), 1e-300)
-    spread_l = max(rls) / max(min(rls), 1e-300)
-    return _report(p, {
-        "rows": [{"T": t, "ratio_power": rp, "ratio_log": rl, "quadrature_evaluations": n}
-                 for t, rp, rl, n in ratios],
-        "spread_power": spread_p,
-        "spread_log": spread_l,
-        "pass": bool(spread_p < 10.0 and spread_l < 10.0),
-    }, f"nearorigin: ratio spread power={spread_p:.2f} log={spread_l:.2f}")
+            rp, rl = check
+            ratios.append((cfg.T, rp, rl, check.evaluations))
+            lines.append(f"{_fmt(cfg.T)},{_fmt(rp)},{_fmt(rl)}")
+        _write(p.get("csv"), "\n".join(lines) + "\n")
+        spread_p = max(r[1] for r in ratios) / max(min(r[1] for r in ratios), 1e-300)
+        spread_l = max(r[2] for r in ratios) / max(min(r[2] for r in ratios), 1e-300)
+        return _report(p, {
+            "rows": [{"T": t, "ratio_power": rp, "ratio_log": rl, "quadrature_evaluations": n}
+                     for t, rp, rl, n in ratios],
+            "spread_power": spread_p,
+            "spread_log": spread_l,
+            "pass": bool(spread_p < 10.0 and spread_l < 10.0),
+        }, f"nearorigin: ratio spread power={spread_p:.2f} log={spread_l:.2f}")
+    return compute
 
 
 def _resolve_polygon(token: str):
-    if token == "builtin:concave-quad":
-        return corners.concave_quadrilateral()
-    if token == "builtin:curvy-l":
-        return corners.curvy_l_domain()
-    return polygon_from_file(token)
+    builtin = {"builtin:concave-quad": corners.concave_quadrilateral,
+               "builtin:curvy-l": corners.curvy_l_domain}.get(token)
+    return builtin() if builtin else polygon_from_file(token)
 
 
-def _cmd_laplace(p: dict) -> int:
+def _cmd_laplace(p: dict):
     polygon = _resolve_polygon(str(p["polygon"]))
     # resolved once: a file: table is parsed here, not once per solve and check
     data = corners.builtin_boundary_data(str(p.get("data", "re2")))
     sig_tok = str(p.get("sigma", "opt")).strip().lower()
-    if sig_tok == "opt":
-        sigma_mode = "global_opt"
-    elif sig_tok in ("per-corner", "per_corner"):
-        sigma_mode = "per_corner"
-    else:
-        sigma_mode = float(sig_tok)
+    sigma_mode = {"opt": "global_opt", "per-corner": "per_corner",
+                  "per_corner": "per_corner"}.get(sig_tok) or float(sig_tok)
     n_list = _parse_list(p.get("N", "40,80,160"), int, "--N", "pole budgets")
     n2 = p.get("n2")
     # per-corner weights may repeat
@@ -292,79 +278,86 @@ def _cmd_laplace(p: dict) -> int:
                            "corner weights", repeats=True)
                if p.get("weights") else None)
     final_req = _finite(p.get("final_err", 1e-6), "--final-err")
-    lines = ["N,columns,residual_rms,boundary_sup_err"]
-    errs = []
-    sol = None
-    for n in n_list:
-        basis = corners.plan_basis(polygon, n, sigma_mode,
-                                   n2=int(n2) if n2 is not None else None,
-                                   corner_weights=weights)
-        try:
-            sol = corners.solve_dirichlet(polygon, data, basis,
-                                          oversample=int(p.get("oversample", 4)))
-        except RuntimeError as exc:  # a numerical breakdown fails the run, no CSV
-            return _report(p, {
-                "N": n_list,
-                "boundary_err": errs,
-                "failed_at_N": n,
-                "error": str(exc),
-                "pass": False,
-            }, f"laplace: solver failed at N={n}: {exc}")
-        err = corners.boundary_error(sol, polygon, data,
-                                     fine_factor=int(p.get("fine_factor", 4)))
-        errs.append(err)
-        lines.append(f"{n},{basis.n_columns},{_fmt(sol.residual_norm)},{_fmt(err)}")
-    _write(p.get("csv"), "\n".join(lines) + "\n")
-    if p.get("export") and sol is not None:
-        _write(p["export"], corners.export_solution(sol))
-    monotone = all(errs[i + 1] <= 10.0 * errs[i] for i in range(len(errs) - 1))
-    return _report(p, {
-        "N": n_list,
-        "boundary_err": errs,
-        "final_err": errs[-1],
-        "monotone_within_10x": monotone,
-        "pass": bool(monotone and errs[-1] <= final_req),
-    }, f"laplace: final err {errs[-1]:.3e} (required <= {final_req:.1e}), "
-       f"monotone={monotone}")
+    oversample, fine_factor = int(p.get("oversample", 4)), int(p.get("fine_factor", 4))
+    corners.check_oversample(oversample)
+    corners.check_fine_factor(fine_factor)
+    bases = [corners.plan_basis(polygon, n, sigma_mode, n2=int(n2) if n2 is not None else None,
+                                corner_weights=weights) for n in n_list]
+
+    def compute():
+        lines = ["N,columns,residual_rms,boundary_sup_err"]
+        errs = []
+        for n, basis in zip(n_list, bases):
+            try:
+                sol = corners.solve_dirichlet(polygon, data, basis, oversample=oversample)
+                err = corners.boundary_error(sol, polygon, data, fine_factor=fine_factor)
+            except Exception as exc:  # a breakdown at this N fails the run, no CSV
+                return _report(p, {"N": n_list, "boundary_err": errs, "failed_at_N": n,
+                                   "error": str(exc), "pass": False},
+                               f"laplace: solver failed at N={n}: {exc}")
+            errs.append(err)
+            lines.append(f"{n},{basis.n_columns},{_fmt(sol.residual_norm)},{_fmt(err)}")
+        _write(p.get("csv"), "\n".join(lines) + "\n")
+        if p.get("export"):
+            _write(p["export"], corners.export_solution(sol))
+        monotone = all(errs[i + 1] <= 10.0 * errs[i] for i in range(len(errs) - 1))
+        return _report(p, {
+            "N": n_list,
+            "boundary_err": errs,
+            "final_err": errs[-1],
+            "monotone_within_10x": monotone,
+            "pass": bool(monotone and errs[-1] <= final_req),
+        }, f"laplace: final err {errs[-1]:.3e} (required <= {final_req:.1e}), "
+           f"monotone={monotone}")
+    return compute
 
 
-def _cmd_decomp(p: dict) -> int:
+def _cmd_decomp(p: dict):
     k = int(p.get("k", 0))
     alpha = float(p["alpha"])
     w = float(p.get("W", 1.0))
-    p0_err, p1_err = corners.singular_coefficient_check(k, alpha, w)
-    cot = math.pi / math.tan(alpha * math.pi)
-    return _report(p, {
-        "k": k,
-        "alpha": alpha,
-        "W": w,
-        "P0": [-cot, -math.pi],
-        "P0_discrepancy": p0_err,
-        "P1_discrepancy": p1_err,
-        "pass": bool(max(p0_err, p1_err) <= 1e-6),
-    }, f"decomp: discrepancy P0={p0_err:.3e} P1={p1_err:.3e}")
+    corners.SlitIntegralSpec(k=k, alpha=alpha, W=w)  # singular_coefficient_check's spec
+
+    def compute():
+        p0_err, p1_err = corners.singular_coefficient_check(k, alpha, w)
+        cot = math.pi / math.tan(alpha * math.pi)
+        return _report(p, {"k": k, "alpha": alpha, "W": w, "P0": [-cot, -math.pi],
+                           "P0_discrepancy": p0_err, "P1_discrepancy": p1_err,
+                           "pass": bool(max(p0_err, p1_err) <= 1e-6)},
+                       f"decomp: discrepancy P0={p0_err:.3e} P1={p1_err:.3e}")
+    return compute
 
 
+# each runner, and what its compute step reports when it raises
 _RUNNERS = {
-    "approx": _cmd_approx,
-    "sweep": _cmd_sweep,
-    "quaderr": _cmd_quaderr,
-    "nearorigin": _cmd_nearorigin,
-    "laplace": _cmd_laplace,
-    "decomp": _cmd_decomp,
+    "approx": (_cmd_approx, "approximation"),
+    "sweep": (_cmd_sweep, "approximation"),
+    "quaderr": (_cmd_quaderr, "reference quadrature"),
+    "nearorigin": (_cmd_nearorigin, "reference quadrature"),
+    "laplace": (_cmd_laplace, "solver"),
+    "decomp": (_cmd_decomp, "reference quadrature"),
 }
 
 
 def run(config: ExperimentConfig) -> int:
-    """Execute one experiment; returns the process exit code."""
+    """Execute one experiment; returns the process exit code: 2 if its
+    validation raises, else its compute step's code, and 1 with the JSON
+    summary (and no CSV) if that raises."""
+    p = config.parameters
+    runner, work = _RUNNERS[config.command]
     try:
-        return _RUNNERS[config.command](config.parameters)
-    except QuadratureNonConvergence as exc:  # a failed check: exit 1, no CSV
-        return _report(config.parameters, {"error": str(exc), "pass": False},
-                       f"{config.command}: reference quadrature failed: {exc}")
-    except (ValueError, KeyError, OSError) as exc:
+        for key in ("csv", "json", "out", "export"):  # written only after the work
+            if p.get(key) and not Path(p[key]).parent.is_dir():
+                raise ValueError(f"--{key}: {Path(p[key]).parent} is not a directory")
+        compute = runner(p)
+    except Exception as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
+    try:
+        return compute()
+    except Exception as exc:
+        return _report(p, {"error": str(exc), "pass": False},
+                       f"{config.command}: {work} failed: {exc}")
 
 
 # ------------------------------------------------------------ arg parsing

@@ -19,8 +19,7 @@ import numpy as np
 
 from .geometry import Polygon, interior_angles, resolve_corner_exponents
 from .approx import _fmt, _fmt_coeff, _sigma_opt
-from .kernels import (QuadratureNonConvergence, adaptive_gauss_legendre, damped_lstsq,
-                      horner, tapered)
+from .kernels import adaptive_gauss_legendre, check_double_range, damped_lstsq, horner, tapered
 
 __all__ = [
     "CornerBasis",
@@ -29,6 +28,8 @@ __all__ = [
     "plan_basis",
     "solve_dirichlet",
     "boundary_error",
+    "check_oversample",
+    "check_fine_factor",
     "cauchy_slit_integral",
     "cauchy_slit_integral_log",
     "singular_coefficient_check",
@@ -81,6 +82,12 @@ def _corner_rays(polygon: Polygon):
     return betas, dirs
 
 
+# the most poles of a basis, set by the memory of the least-squares design:
+# [A b] has 2 columns per pole and, at the default oversample 4, about 8
+# rows per pole, so 2^11 poles make a [A b] of about 512 MiB
+_MAX_POLES = 2**11
+
+
 def plan_basis(polygon: Polygon, N: int, sigma_mode="global_opt",
                n2: int | None = None, corner_weights=None) -> CornerBasis:
     """Lay out clustered poles for every corner.
@@ -114,6 +121,9 @@ def plan_basis(polygon: Polygon, N: int, sigma_mode="global_opt",
     if not all(w >= 0.0 for w in weights):  # max(4, .) below would hide a negative one
         raise ValueError(f"corner_weights must be >= 0, got {weights}")
     counts = [max(4, int(round(N / m * w))) for w in weights]
+    if sum(counts) > _MAX_POLES:
+        raise ValueError(f"N={N} and corner_weights={weights} ask for {sum(counts)} poles, "
+                         f"above the {_MAX_POLES} that bound the design matrix's memory")
     edge_len = [e.length() for e in polygon.edges]
     poles = []
     for k in range(m):
@@ -256,6 +266,18 @@ def _weighted_system(zs, w, basis: CornerBasis, rhs) -> np.ndarray:
     return Ab
 
 
+def check_oversample(oversample: int) -> None:
+    """The collocation oversampling of solve_dirichlet must be >= 1."""
+    if oversample < 1:
+        raise ValueError(f"oversample must be >= 1, got {oversample}")
+
+
+def check_fine_factor(fine_factor: int) -> None:
+    """The sampling factor of boundary_error must be >= 4."""
+    if fine_factor < 4:
+        raise ValueError(f"fine_factor must be >= 4, got {fine_factor}")
+
+
 def solve_dirichlet(polygon: Polygon, boundary_data, basis: CornerBasis,
                     oversample: int = 4) -> HarmonicSolution:
     """Weighted least-squares fit of Dirichlet data over clustered boundary
@@ -263,8 +285,7 @@ def solve_dirichlet(polygon: Polygon, boundary_data, basis: CornerBasis,
     numerical breakdown: a pole that rounds onto a collocation point makes
     the design non-finite, and data that is not finite there makes the
     right-hand side non-finite."""
-    if oversample < 1:
-        raise ValueError(f"oversample must be >= 1, got {oversample}")
+    check_oversample(oversample)
     data = builtin_boundary_data(boundary_data) if isinstance(boundary_data, str) else boundary_data
     zs, w = _collocation(polygon, basis, oversample)
     if zs.size < 3 * basis.n_columns:
@@ -295,8 +316,7 @@ def boundary_error(sol: HarmonicSolution, polygon: Polygon, boundary_data,
     L at N = 80, 635 of the 955 samples are collocation points.  By the
     maximum principle the sup bounds the interior error of the harmonic
     mismatch (rationale, not asserted here)."""
-    if fine_factor < 4:
-        raise ValueError("fine_factor must be >= 4")
+    check_fine_factor(fine_factor)
     data = builtin_boundary_data(boundary_data) if isinstance(boundary_data, str) else boundary_data
     sup = 0.0
     for _, _, zs in _edge_samples(polygon, sol.basis, fine_factor, 16 * fine_factor):
@@ -364,6 +384,11 @@ class SlitIntegralSpec:
             raise ValueError("W must be positive and finite")
         if abs((self.k + self.alpha) - round(self.k + self.alpha)) < 1e-12:
             raise ValueError("k + alpha must be non-integer")
+        # the integrand's scale W^(k+alpha+1): its tolerance 1e-13*W^(k+alpha+1)
+        # must not underflow, nor its peak 4*W^(k+alpha+1)*(1 + |log W|) overflow
+        log_scale = (self.k + self.alpha + 1.0) * math.log(self.W)
+        check_double_range(dict(W=self.W, k=self.k, alpha=self.alpha), log_scale + math.log(1e-13),
+                           log_scale + math.log1p(abs(math.log(self.W))), peak=True)
 
 
 def _slit_integral(spec: SlitIntegralSpec, z, log_weighted: bool):
@@ -380,9 +405,6 @@ def _slit_integral(spec: SlitIntegralSpec, z, log_weighted: bool):
     flat = zs.ravel()
     s = spec.k + spec.alpha
     W = spec.W
-    # peak 4*W^(s+1) (times 1 + |log W| if log-weighted) < max double: log(max/4) = 708.39
-    if (s + 1) * math.log(W) + log_weighted * math.log1p(abs(math.log(W))) >= 708.39:
-        raise QuadratureNonConvergence(f"the slit integrand overflows at W = {W:.6g}")
     dist = np.abs(flat - np.clip(flat.real, 0.0, W))
     live = flat != 0
     if np.any(live & (dist < 1e-10 * W)):

@@ -33,6 +33,7 @@ __all__ = [
     "QuadratureNonConvergence",
     "KernelConfig",
     "QuadratureResult",
+    "check_double_range",
     "power_values",
     "log_weight_constant",
     "adaptive_gauss_legendre",
@@ -70,12 +71,43 @@ class QuadratureNonConvergence(RuntimeError):
         self.est_error = est_error
 
 
+# The one double-range rule, in natural logs of magnitudes.  A magnitude
+# is in range from 2.3e-300, a normal double with 1e8 to spare (a scan
+# eight decades below it stays normal), up to e^600, which leaves e^108
+# for the factors a pole, node or weight is then multiplied by.  An
+# integrand's peak, which only the 4 of the slit's graded substitution
+# multiplies, may reach log(max double / 4) = 708.39.
+_LOG_TINY = math.log(2.3e-300)
+_LOG_HUGE = 600.0
+_LOG_PEAK = 708.39
+
+
+def check_double_range(params: dict, low: float, high: float, peak: bool = False) -> None:
+    """Raise ValueError naming the ``params`` (name: value) unless e^low and
+    e^high lie in the double range: e^low >= 2.3e-300 and e^high <= e^600,
+    or for an integrand's ``peak`` e^high <= max double / 4.  A NaN fails.
+    Configs pass the extreme exponents their arithmetic forms, so a
+    parameter that leaves binary64 is rejected before any array is built."""
+    if not (_LOG_TINY <= low and high <= (_LOG_PEAK if peak else _LOG_HUGE)):
+        named = ", ".join(f"{name}={value:.6g}" for name, value in params.items())
+        raise ValueError(f"{named} leave the double-precision range "
+                         f"(magnitudes from e^{low:.6g} to e^{high:.6g})")
+
+
+# the most trapezoid points, set by the memory of pole_sum's block: 512
+# points by n_quad poles in two float64 temporaries (the differences and
+# the squared distances) is 8 KiB per pole, so 2^17 poles take 1 GiB (the
+# near-origin envelope checks reach 105,263 points)
+_MAX_N_QUAD = 2**17
+
+
 @dataclass(frozen=True)
 class KernelConfig:
     """Parameters of the truncated integral and its trapezoid rule.
 
     h is the quadrature step (h = sigma^2 * alpha^2 when derived from a
-    clustering parameter sigma), n_quad the number of trapezoid points.
+    clustering parameter sigma), n_quad the number of trapezoid points, at
+    most _MAX_N_QUAD.
     """
 
     alpha: float
@@ -90,14 +122,57 @@ class KernelConfig:
             raise ValueError("C must be positive and finite")
         if not 0.0 < self.h < math.inf:
             raise ValueError("h must be positive and finite")
-        if self.n_quad < 1:
-            raise ValueError("n_quad must be >= 1")
+        if not 1 <= self.n_quad <= _MAX_N_QUAD:
+            raise ValueError(f"n_quad must lie in [1, {_MAX_N_QUAD}], got {self.n_quad}")
         t_min = (1.0 - self.alpha) * (2.0 * math.log(2.0) - math.log(self.C))
         if self.T < t_min:
             raise ValueError(
                 f"truncation T={self.T:.6g} below validity threshold {t_min:.6g}; "
                 "increase n_quad or h"
             )
+        la, lc = math.log(self.alpha), math.log(self.C)
+        s_1, s_n = (math.sqrt(j * self.h) - self.T for j in (1, self.n_quad))
+        check_double_range(
+            dict(alpha=self.alpha, C=self.C, h=self.h, n_quad=self.n_quad, T=self.T),
+            # the innermost pole C*e^(s_1/alpha), h and the log weights' alpha^2
+            min(lc + s_1 / self.alpha, math.log(self.h), 2.0 * la),
+            # the outermost pole and the largest weight C^alpha*e^s_n*sqrt(h)
+            max(lc + s_n / self.alpha, self.alpha * lc + s_n + 0.5 * math.log(self.h)))
+
+    @classmethod
+    def from_truncation(cls, alpha: float, T: float, h: float | None = None, *,
+                        sigma: float | None = None, C: float = 1.0) -> "KernelConfig":
+        """The config of truncation T: the fewest points n_quad (at least 2)
+        with sqrt(n_quad*h)/(kappa+1) >= T, at the step h or at
+        h = sigma^2*alpha^2 for a clustering parameter ``sigma``.  alpha,
+        the step and T are checked before they divide or round, and the
+        count against _MAX_N_QUAD before it is rounded to an integer."""
+        if not 0.0 < alpha < 1.0:
+            raise ValueError("alpha must lie in (0, 1)")
+        if sigma is not None:
+            if not 0.0 < sigma < math.inf:
+                raise ValueError(f"sigma must be positive and finite, got {sigma}")
+            # in logs first: sigma^2, alpha^2 and h must all be doubles
+            ls, la = math.log(sigma), math.log(alpha)
+            check_double_range(dict(sigma=sigma, alpha=alpha), min(2.0 * (ls + la), 2.0 * la),
+                               max(2.0 * (ls + la), 2.0 * ls))
+            h = sigma**2 * alpha**2
+        if not 0.0 < h < math.inf:
+            raise ValueError("h must be positive and finite")
+        if not math.isfinite(T):
+            raise ValueError(f"T must be finite, got {T}")
+        if not T > 0.0:  # n_quad squares T: -5 would run as 5
+            raise ValueError(f"T must be positive, got {T}")
+        t1 = T * (1.0 / (1.0 - alpha))
+        try:
+            n = t1**2 / h
+        except OverflowError:
+            n = math.inf
+        if n > _MAX_N_QUAD:
+            step = f"h={h:.6g}" if sigma is None else f"sigma={sigma:.6g}"
+            raise ValueError(f"T={T:.6g} at {step} needs {n:.4g} trapezoid points, "
+                             f"above the {_MAX_N_QUAD} that bound pole_sum's memory")
+        return cls(alpha=alpha, C=C, h=h, n_quad=max(2, math.ceil(n)))
 
     @property
     def kappa(self) -> float:

@@ -195,8 +195,11 @@ def test_criterion_08_envelope_inequality():
         t_want = ctx0.c0 * (1.0 + rng.uniform(0.05, 2.0))
         kappa = alpha / (1 - alpha)
         n_quad = math.ceil((t_want * (kappa + 1)) ** 2 / h)
-        ctx = BoundContext.from_quadrature(
-            KernelConfig(alpha=alpha, h=h, n_quad=n_quad), beta)
+        # a KernelConfig's T, from its parameters: at some of these T the
+        # trapezoid's poles, out to e^(T/(1-alpha)), leave the double range,
+        # so KernelConfig would reject them, while the envelope still holds
+        T = math.sqrt(n_quad * h) / (kappa + 1.0)
+        ctx = BoundContext.from_parameters(alpha, beta, h, T, n_quad=n_quad)
         u = rng.uniform(0.001, 0.999)
         x = math.exp(math.log(ctx.x_star) * (1 - u))
         q, lo, hi = quadrature_error_envelope(x, ctx)

@@ -170,8 +170,10 @@ class TestEnvelope:
         t_want = ctx0.c0 * (1.0 + t_factor)
         kappa = alpha / (1 - alpha)
         n_quad = math.ceil((t_want * (kappa + 1)) ** 2 / h)
-        cfg = KernelConfig(alpha=alpha, C=1.0, h=h, n_quad=n_quad)
-        return BoundContext.from_quadrature(cfg, beta)
+        # a KernelConfig's T, from its parameters: at some of these T the
+        # trapezoid's poles leave the double range and KernelConfig rejects them
+        T = math.sqrt(n_quad * h) / (kappa + 1.0)
+        return BoundContext.from_parameters(alpha, beta, h, T, n_quad=n_quad)
 
     def test_bounds_hold_at_sample_point(self):
         ctx = self._context(0.5, 1.0, 1.0, 0.5)
@@ -250,11 +252,13 @@ class TestLatticeOffset:
             assert _constants(ctx0) == _full_scan_constants(alpha, beta, h, 1.0)
             t_want = ctx0.c0 * (1.0 + rng.uniform(0.05, 2.0))
             kappa = alpha / (1 - alpha)
-            cfg = KernelConfig(alpha=alpha, h=h,
-                               n_quad=math.ceil((t_want * (kappa + 1)) ** 2 / h))
-            ctx = BoundContext.from_quadrature(cfg, beta)
-            assert _constants(ctx) == _full_scan_constants(alpha, beta, h, cfg.T,
-                                                           n_quad=cfg.n_quad)
+            # a KernelConfig's T and n_quad, from its parameters: at some of
+            # these T its poles leave the double range and KernelConfig
+            # rejects them
+            n_quad = math.ceil((t_want * (kappa + 1)) ** 2 / h)
+            T = math.sqrt(n_quad * h) / (kappa + 1.0)
+            ctx = BoundContext.from_parameters(alpha, beta, h, T, n_quad=n_quad)
+            assert _constants(ctx) == _full_scan_constants(alpha, beta, h, T, n_quad=n_quad)
             rng.uniform(0.001, 0.999)  # criterion 8's sample point
 
     @pytest.mark.parametrize("alpha,h,offset", [

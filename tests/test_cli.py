@@ -1,18 +1,28 @@
 import cmath
+import contextlib
+import io
 import json
 import math
+import os
+import re
+import tempfile
+import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
-from lightningpoly import analysis, corners
+from lightningpoly import analysis, cli, corners
 from lightningpoly.analysis import BoundContext, arc_grid
 from lightningpoly.approx import ApproxConfig, deserialize, optimal_sigma
 from lightningpoly.cli import ExperimentConfig, main, run
 from lightningpoly.kernels import (
     KernelConfig,
+    PoleCollisionError,
     QuadratureNonConvergence,
     truncated_integral,
     truncated_integral_log,
@@ -103,13 +113,13 @@ class TestArgumentHandling:
     @pytest.mark.parametrize("argv, reason", [
         # n_quad = ceil((T*kappa1)^2/h) squares the sign away: -5 ran as 5
         (["nearorigin", "--alpha", "0.5", "--beta", "1", "--T=-5,10"],
-         "--T must be positive, got [-5.0, 10.0]"),
+         "T must be positive, got -5.0"),
         (["nearorigin", "--alpha", "0.5", "--beta", "1", "--T", "0"],
-         "--T must be positive, got [0.0]"),
+         "T must be positive, got 0.0"),
         (["quaderr", "--alpha", "0.5", "--beta", "1", "--T=-4,6,8,10"],
-         "--T must be positive, got [-4.0, 6.0, 8.0, 10.0]"),
+         "T must be positive, got -4.0"),
         (["quaderr", "--alpha", "0.5", "--beta", "1", "--T", "0,6,8,10"],
-         "--T must be positive, got [0.0, 6.0, 8.0, 10.0]"),
+         "T must be positive, got 0.0"),
     ])
     def test_non_positive_truncation_exits_2(self, argv, reason, tmp_path, capsys):
         csv = tmp_path / "out.csv"
@@ -164,9 +174,9 @@ class TestArgumentHandling:
     @pytest.mark.parametrize("argv, reason", [
         (["quaderr", "--alpha", "1", "--beta", "1", "--sigma", "3"], "alpha must lie in (0, 1)"),
         (["nearorigin", "--alpha", "1", "--beta", "1"], "alpha must lie in (0, 1)"),
-        # sigma^2 underflows to h = 0
+        # sigma^2 would underflow to h = 0
         (["quaderr", "--alpha", "0.5", "--beta", "1", "--sigma", "1e-200"],
-         "h must be positive"),
+         "sigma=1e-200, alpha=0.5 leave the double-precision range"),
         (["nearorigin", "--alpha", "0.5", "--beta", "1", "--h", "0"], "h must be positive"),
     ])
     def test_trapezoid_config_checked_before_dividing(self, argv, reason, capsys):
@@ -263,6 +273,16 @@ class TestArgumentHandling:
         assert f"invalid configuration: oversample must be >= 1, got {oversample}" in err
         assert not csv.exists()
 
+    @pytest.mark.parametrize("flag", ["--csv", "--json", "--out"])
+    def test_output_in_a_missing_directory_exits_2(self, flag, tmp_path, capsys):
+        # outputs are written after the work: a path that cannot take them is
+        # rejected before it
+        path = tmp_path / "missing" / "o.txt"
+        assert main(["approx", "--alpha", "0.5", "--beta", "1", "--N1", "9",
+                     flag, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"invalid configuration: {flag}: {path.parent} is not a directory\n"
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text("frob = 1\n")
@@ -291,14 +311,41 @@ class TestArgumentHandling:
         assert err.endswith("'abc'\n")
         assert not csv.exists()
 
-    def test_truncation_past_the_scan_range_exits_2(self, tmp_path, capsys):
-        # x_star = C*exp((c0 - T)/alpha) underflows to 0 at T = 400
+    @pytest.mark.parametrize("flags, reason", [
+        # the outermost pole e^(T/(1 - alpha)) = e^800 leaves the range
+        pytest.param(["--T", "5,10,400"],
+                     "alpha=0.5, C=1, h=9.8696, n_quad=64846, T=400.001 ", id="pole"),
+        # the near-origin split radius x_star = C*exp((c0 - T)/alpha) overflows
+        pytest.param(["--h", "1000", "--T", "5"], "T=22.3607, alpha=0.5, C=1, h=1000 ",
+                     id="split-radius"),
+    ])
+    def test_truncation_past_the_double_range_exits_2(self, flags, reason, tmp_path, capsys):
         csv = tmp_path / "n.csv"
-        assert main(["nearorigin", "--alpha", "0.5", "--beta", "1", "--T", "5,10,400",
-                     "--csv", str(csv)]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["nearorigin", "--alpha", "0.5", "--beta", "1", *flags,
+                         "--csv", str(csv)])
+        assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("invalid configuration: --T: T = 400.001 is above 300, ")
-        assert "Geometric" not in err
+        assert err.startswith(f"invalid configuration: {reason}")
+        assert "leave the double-precision range" in err and "--T:" not in err
+        assert not csv.exists()
+
+    @pytest.mark.parametrize("argv, reason", [
+        # 5.5-6.2 TiB of node indices once
+        (["quaderr", "--alpha", "0.5", "--beta", "1", "--sigma", "opt*1e-5"],
+         "T=4 at sigma=6.28319e-05 needs 6.485e+10 trapezoid points, above the 131072"),
+        # each ran for more than 30 s once
+        (["nearorigin", "--alpha", "0.5", "--beta", "1", "--h", "1e-300"],
+         "T=5 at h=1e-300 needs 1e+302 trapezoid points"),
+        (["nearorigin", "--alpha", "5e-27", "--beta", "1"], "T=5 at h=9.8696e-26 needs "),
+    ])
+    def test_trapezoid_work_past_the_cap_exits_2(self, argv, reason, tmp_path, capsys):
+        csv = tmp_path / "w.csv"
+        t0 = time.perf_counter()
+        assert main(argv + ["--csv", str(csv)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr().err.startswith(f"invalid configuration: {reason}")
         assert not csv.exists()
 
 
@@ -313,18 +360,24 @@ class TestDecomp:
         assert payload["P0_discrepancy"] <= 1e-6
         assert payload["pass"] is True
 
-    @pytest.mark.parametrize("k, W", [("2", "1e100"), ("0", "1e300"), ("1", "1e300")])
-    def test_quadrature_breakdown_writes_the_json_summary(self, k, W, tmp_path, capfd):
-        # the integrand's peak 4*W^(k+alpha+1) overflows: a failed check,
-        # reported without a RuntimeWarning or a traceback
-        out = tmp_path / "d.json"
+    @pytest.mark.parametrize("k, W", [("2", "1e100"), ("0", "1e300"), ("1", "1e300"),
+                                      ("0", "1e-300")])
+    def test_slit_scale_outside_the_double_range_exits_2(self, k, W, tmp_path, capfd):
+        # the integrand's peak 4*W^(k+alpha+1) overflows, or at W = 1e-300 its
+        # tolerance 1e-13*W^(k+alpha+1) underflows (a false discrepancy once):
+        # an invalid configuration, before any quadrature and without a
+        # RuntimeWarning or a traceback
+        csv, out = tmp_path / "d.csv", tmp_path / "d.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            code = main(["decomp", "--k", k, "--alpha", "0.5", "--W", W, "--json", str(out)])
-        assert code == 1
-        msg = f"the slit integrand overflows at W = {float(W):.6g}"
-        assert capfd.readouterr() == ("", f"decomp: reference quadrature failed: {msg}\n")
-        assert json.loads(out.read_text()) == {"error": msg, "pass": False}
+            code = main(["decomp", "--k", k, "--alpha", "0.5", "--W", W, "--csv", str(csv),
+                         "--json", str(out)])
+        assert code == 2
+        out_text, err = capfd.readouterr()
+        assert out_text == ""
+        assert err.startswith(f"invalid configuration: W={float(W):.6g}, k={k}, "
+                              "alpha=0.5 leave the double-precision range")
+        assert not csv.exists() and not out.exists()
 
 
 class TestSweep:
@@ -349,6 +402,22 @@ class TestSweep:
             "rate_tol": 0.2,
         })
         assert run(cfg) == 0
+
+    def test_pole_collision_during_the_sweep_exits_1(self, monkeypatch, tmp_path, capsys):
+        # a numerical event in the compute phase is a failed run, not an
+        # invalid configuration, although PoleCollisionError is a ValueError
+        def colliding(*args, **kwargs):
+            raise PoleCollisionError("more than 1% of grid points collide with poles")
+
+        monkeypatch.setattr(analysis, "checked_sup_error", colliding)
+        csv, j = tmp_path / "p.csv", tmp_path / "p.json"
+        code = main(["sweep", "--alpha", "0.5", "--beta", "1", "--N1", "9,16,25,36",
+                     "--csv", str(csv), "--json", str(j)])
+        assert code == 1
+        msg = "more than 1% of grid points collide with poles"
+        assert capsys.readouterr().err == f"sweep: approximation failed: {msg}\n"
+        assert json.loads(j.read_text()) == {"error": msg, "pass": False}
+        assert not csv.exists()
 
 
 class TestApprox:
@@ -415,6 +484,13 @@ class TestQuaderr:
         preds = [c["predicted"] for c in payload["curves"]]
         assert preds == [1.0, pytest.approx(0.5)]
 
+    def test_unknown_target_exits_2(self, capsys):
+        # any other name once ran as the power target
+        argv = ["quaderr", "--alpha", "0.5", "--beta", "1", "--target", "prefactor_power"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == ("invalid configuration: --target must be power or "
+                                           "power_log, got 'prefactor_power'\n")
+
 
     @pytest.mark.parametrize("beta", ["0", "1", "1.5"])
     @pytest.mark.parametrize("arc_points", ["0", "-1"])
@@ -436,9 +512,7 @@ class TestQuaderr:
         curves = json.loads(j.read_text())["curves"]
         grid = arc_grid(1.0, n=7).tolist()
         for curve in curves:
-            h = curve["sigma"] ** 2 * 0.25
-            cfgs = [KernelConfig(alpha=0.5, h=h, n_quad=max(2, math.ceil((2 * t) ** 2 / h)))
-                    for t in (4, 6, 8)]
+            cfgs = [KernelConfig.from_truncation(0.5, t, sigma=curve["sigma"]) for t in (4, 6, 8)]
             want = sum(truncated_integral_log(z, cfg).evaluations for cfg in cfgs for z in grid)
             assert curve["quadrature_evaluations"] == want
         assert csv.read_text().splitlines()[0] == "sigma,T,sup_err"
@@ -447,15 +521,18 @@ class TestQuaderr:
 @pytest.mark.parametrize("argv", [
     ["quaderr", "--alpha", "0.5", "--beta", "1", "--T", "4,6,8"],
     ["nearorigin", "--alpha", "0.5", "--beta", "1", "--T", "5,10"],
+    ["decomp", "--k", "0", "--alpha", "0.5"],
 ])
 def test_reference_breakdown_writes_the_json_summary(argv, monkeypatch, tmp_path, capsys):
-    # quaderr's and nearorigin's reference integrals fail as decomp's do:
-    # the error in the JSON summary, one stderr line, exit 1, no CSV
+    # quaderr's and nearorigin's reference integrals and decomp's slit
+    # integrals fail alike: the error in the JSON summary, one stderr line,
+    # exit 1, no CSV
     def broken(*args, **kwargs):
         raise QuadratureNonConvergence("reference did not converge")
 
     monkeypatch.setattr(analysis, "truncated_integral", broken)
     monkeypatch.setattr(analysis, "truncated_integral_log", broken)
+    monkeypatch.setattr(corners, "cauchy_slit_integral", broken)
     csv, out = tmp_path / "r.csv", tmp_path / "r.json"
     assert main(argv + ["--csv", str(csv), "--json", str(out)]) == 1
     err = capsys.readouterr().err
@@ -482,7 +559,7 @@ class TestNearOrigin:
         rows = json.loads(j.read_text())["rows"]
         h = 2.0 * (2.0 - beta) * math.pi**2 * alpha
         for row, t in zip(rows, (5, 10)):
-            cfg = KernelConfig(alpha=alpha, h=h, n_quad=max(2, math.ceil((t / 0.75) ** 2 / h)))
+            cfg = KernelConfig.from_truncation(alpha, t, h)
             xm = min(BoundContext.from_quadrature(cfg, beta).x_star, 1.0)
             # the scan: 14 radii, 5 angles, both half-planes off the real axis
             zs = [x * cmath.exp(1j * sign * th * math.pi / 2)
@@ -611,3 +688,151 @@ class TestLaplace:
         assert code == 2
         err = capsys.readouterr().err
         assert "invalid configuration" in err and reason in err
+
+
+# ------------------------------------------------------- CLI contract fuzzer
+# Random argv for every subcommand, run in process through main: every run
+# exits 0, 1 or 2 without a traceback or a RuntimeWarning; an exit 2 writes
+# no output and its message names a parameter; an exit 1 writes its JSON.
+# Values mix in-range draws with 0, -1, NaN, infinities, 1e+-300 and
+# log-uniform magnitudes; the cells stay small.
+
+_EXTREMES = st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e300", "1e-300"])
+_MAGNITUDES = st.floats(-300.0, 300.0).map(lambda e: repr(10.0**e))
+
+
+def _listed(strategy, lo, hi):
+    return st.lists(strategy, min_size=lo, max_size=hi, unique=True).map(",".join)
+
+
+def _options(num, count, targets):
+    """(flag, values, required) per subcommand, where num(lo, hi) and
+    count(lo, hi) draw one float and one integer."""
+    sigma = st.one_of(num(1.0, 10.0), st.just("opt"),
+                      st.tuples(st.sampled_from(["opt*", "opt/"]), num(0.5, 2.0)).map("".join))
+    target = st.sampled_from(targets)
+    alpha, beta, C = num(0.05, 0.95), num(0.0, 1.95), num(0.2, 5.0)
+    return {
+        "approx": [("--alpha", alpha, True), ("--beta", beta, True), ("--sigma", sigma, False),
+                   ("--N1", count(1, 25), True), ("--N2", count(0, 30), False),
+                   ("--C", C, False), ("--target", target, False)],
+        "sweep": [("--alpha", alpha, True), ("--beta", beta, True), ("--sigma", sigma, False),
+                  ("--N1", _listed(count(1, 16), 4, 4), True), ("--target", target, False),
+                  ("--n2-mode", st.one_of(st.sampled_from(["auto", "proportional"]),
+                                          count(0, 12)), False),
+                  ("--C", C, False), ("--rate-tol", num(0.05, 1.0), False),
+                  ("--r2-min", num(0.0, 1.0), False)],
+        "quaderr": [("--alpha", alpha, True), ("--beta", beta, True),
+                    ("--sigma", _listed(sigma, 1, 2), False),
+                    ("--T", _listed(num(2.0, 10.0), 3, 3), False), ("--target", target, False),
+                    ("--C", C, False), ("--arc-points", count(1, 4), False)],
+        "nearorigin": [("--alpha", alpha, True), ("--beta", beta, True),
+                       ("--h", st.one_of(st.just("opt"), num(0.5, 20.0)), False),
+                       ("--T", _listed(num(2.0, 10.0), 1, 1), False), ("--C", C, False)],
+        "laplace": [("--polygon", st.sampled_from(["builtin:concave-quad", "builtin:curvy-l"]),
+                     True),
+                    ("--data", st.sampled_from(["re2", "rez", "const1"]), False),
+                    ("--sigma", st.one_of(st.sampled_from(["opt", "per-corner"]),
+                                          num(1.0, 8.0)), False),
+                    ("--N", _listed(count(16, 40), 1, 2), False), ("--n2", count(0, 12), False),
+                    ("--weights", _listed(num(0.5, 1.5), 4, 5), False),
+                    ("--oversample", count(1, 6), False), ("--fine-factor", count(3, 6), False),
+                    ("--final-err", num(1e-8, 1.0), False)],
+        "decomp": [("--k", count(0, 3), False), ("--alpha", alpha, True),
+                   ("--W", num(0.1, 10.0), False)],
+    }
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+# half the runs draw every value in range; the other half mix in extremes
+_TAME = _options(_floats, _ints, ["power", "power_log"])
+_WILD = _options(lambda lo, hi: st.one_of(_floats(lo, hi), _EXTREMES, _MAGNITUDES),
+                 lambda lo, hi: st.one_of(_ints(lo, hi), st.sampled_from(["0", "-1"])),
+                 ["power", "power_log", "prefactor_power", "cube"])
+
+
+@st.composite
+def _argv(draw, command):
+    argv = [command]
+    for flag, values, required in draw(st.sampled_from([_TAME, _WILD]))[command]:
+        if required or draw(st.booleans()):
+            argv.append(f"{flag}={draw(values)}")
+    return argv
+
+
+# the keys --N1 and --N2 are stored under, and the tail degree n2 of every
+# cell that sweep's --n2-mode sets when it is an integer
+_ALIASES = {"N1": "n1", "N2": "n2", "n2-mode": "n2"}
+
+
+def _names(command):
+    """Each option of a subcommand by its flag's name, by its key and by
+    the parameter it sets."""
+    names = set()
+    for flag, _, _ in _TAME[command]:
+        name = flag[2:]
+        names |= {name, name.replace("-", "_"), _ALIASES.get(name, name)}
+    return names
+
+
+def _names_one(message, names):
+    # a name counts as a word; "_" separates, so corner_weights names weights
+    return any(re.search(rf"(?<![A-Za-z0-9])(--)?{re.escape(n)}(?![A-Za-z0-9])", message)
+               for n in names)
+
+
+@given(argv=st.one_of([_argv(c) for c in _TAME]), expect=st.none())
+# each once ended in a traceback or a RuntimeWarning
+@example(argv=["quaderr", "--alpha=0.5", "--beta=1", "--sigma=1e300"], expect=2)
+@example(argv=["nearorigin", "--alpha=0.5", "--beta=1", "--h=1e300"], expect=2)
+@example(argv=["approx", "--alpha=1e-300", "--beta=1", "--N1=9", "--target=power_log"],
+         expect=2)
+@example(argv=["approx", "--alpha=0.5", "--beta=1", "--N1=9", "--C=1e300"], expect=2)
+@example(argv=["quaderr", "--alpha=0.5", "--beta=1", "--T=4,6,400"], expect=2)
+@example(argv=["decomp", "--k=0", "--alpha=0.5", "--W=1e-300"], expect=2)
+@seed(20261020)
+@settings(max_examples=40, deadline=2000, database=None)
+def test_cli_contract(argv, expect):
+    with tempfile.TemporaryDirectory() as tmp:
+        csv, out = Path(tmp) / "r.csv", Path(tmp) / "r.json"
+        stderr = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main(argv + ["--csv", str(csv), "--json", str(out)])
+        err = stderr.getvalue()
+        assert code in (0, 1, 2) and code == (expect or code), (argv, err)
+        assert "Traceback" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
+        if code == 2:
+            assert err.startswith("invalid configuration: ") and err.count("\n") == 1
+            assert _names_one(err, _names(argv[0])), (argv, err)
+            assert not csv.exists() and not out.exists()
+        else:
+            assert json.loads(out.read_text())["pass"] is (code == 0)
+
+
+@given(value=st.one_of(st.integers(-10**6, 10**6).map(str), st.text(max_size=6)))
+@seed(20261020)
+@settings(max_examples=40, deadline=None, database=None)
+def test_thread_count_is_parsed_before_any_work(value):
+    # parsed only: a pool is never started with a drawn count
+    with mock.patch.dict(os.environ, {"LIGHTNING_THREADS": value}):
+        try:
+            threads = cli._threads()
+        except ValueError as exc:
+            assert str(exc).startswith("LIGHTNING_THREADS must be an integer: ")
+            with mock.patch.object(analysis, "run_sweep", side_effect=AssertionError), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                assert main(["sweep", "--alpha", "0.5", "--beta", "1",
+                             "--N1", "9,16,25,36"]) == 2
+            assert err.getvalue().startswith("invalid configuration: LIGHTNING_THREADS")
+        else:
+            assert threads == int(value)

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -318,6 +319,11 @@ class TestSolveDirichlet:
         with pytest.raises(ValueError, match="oversample"):
             solve_dirichlet(self.poly, "re2", basis, oversample=1)
 
+    @pytest.mark.parametrize("N, weights", [(10**6, None), (40, [1.0, 1.0, 1e300, 1.0])])
+    def test_pole_budget_past_the_cap_rejected(self, N, weights):
+        with pytest.raises(ValueError, match="poles, above the 2048 that bound"):
+            plan_basis(self.poly, N, "global_opt", corner_weights=weights)
+
     @pytest.mark.parametrize("oversample", [0, -1])
     def test_oversample_below_one_rejected(self, oversample):
         basis = plan_basis(self.poly, 40, "global_opt")
@@ -468,6 +474,14 @@ class TestSlitIntegrals:
         spec = SlitIntegralSpec(k=0, alpha=0.5, W=1.0)
         with pytest.raises(ValueError, match="too close"):
             cauchy_slit_integral_log(spec, np.array([0.2 + 0.1j, 0.5 + 1e-12j, 0.0]))
+
+    @pytest.mark.parametrize("k, W", [(2, 1e100), (0, 1e300), (0, 1e-300), (3, 1e-70)])
+    def test_scale_outside_the_double_range_rejected(self, k, W):
+        # the peak 4*W^(k+alpha+1)*(1 + |log W|) overflows, or the tolerance
+        # 1e-13*W^(k+alpha+1) underflows
+        with pytest.raises(ValueError, match=re.escape(f"W={W:.6g}, k={k}, alpha=0.5 "
+                                                       "leave the double-precision range")):
+            SlitIntegralSpec(k=k, alpha=0.5, W=W)
 
     def test_integer_exponent_rejected(self):
         with pytest.raises(ValueError, match="non-integer"):

@@ -18,6 +18,7 @@ from lightningpoly.kernels import (
     _DAMP_BLOCK,
     _back_substitute,
     adaptive_gauss_legendre,
+    check_double_range,
     damped_lstsq,
     horner,
     identity_residual,
@@ -232,6 +233,63 @@ class TestTruncatedIntegral:
             KernelConfig(alpha=1.2, C=1.0, h=1.0, n_quad=4)
         with pytest.raises(ValueError, match="truncation"):
             KernelConfig(alpha=0.5, C=1e-4, h=1.0, n_quad=1)
+
+
+class TestDoubleRange:
+    def test_rule_bounds(self):
+        check_double_range({"p": 1.0}, math.log(2.3e-300), 600.0)
+        check_double_range({"p": 1.0}, 0.0, 708.39, peak=True)
+        for low, high, peak in [(math.log(2.2e-300), 0.0, False), (0.0, 600.001, False),
+                                (0.0, 708.4, True), (math.nan, 0.0, False),
+                                (0.0, math.nan, True)]:
+            with pytest.raises(ValueError, match="^p=2, q=3 leave the double-precision range"):
+                check_double_range({"p": 2.0, "q": 3}, low, high, peak)
+
+    @pytest.mark.parametrize("kw, reason", [
+        # the outermost pole e^(T/(1 - alpha)) = e^800
+        (dict(alpha=0.5, h=math.pi**2, n_quad=64846), "n_quad=64846, T=400.001 leave"),
+        # the innermost pole e^((sqrt(h) - T)/alpha) = e^-794
+        (dict(alpha=0.25, h=2.4674, n_quad=28821), "double-precision range"),
+        # the outermost pole times C = 1e300
+        (dict(alpha=0.5, C=1e300, h=math.pi**2, n_quad=11), "C=1e\\+300"),
+        (dict(alpha=0.5, h=math.pi**2, n_quad=2**17 + 1), "n_quad must lie in \\[1, 131072\\]"),
+    ])
+    def test_config_leaving_the_range_or_the_work_cap_is_rejected(self, kw, reason):
+        with pytest.raises(ValueError, match=reason):
+            KernelConfig(**kw)
+
+    @given(alpha=st.floats(0.05, 0.95), h=st.floats(0.05, 20.0), T=st.floats(1.4, 20.0))
+    @settings(max_examples=30, deadline=None)
+    def test_from_truncation_is_the_count_rule(self, alpha, h, T):
+        try:
+            cfg = KernelConfig.from_truncation(alpha, T, h)
+        except ValueError as exc:  # the work cap, or the range of the config
+            assert "trapezoid points" in str(exc) or "double-precision" in str(exc)
+            return
+        assert cfg.n_quad == max(2, math.ceil((T * (1.0 / (1.0 - alpha))) ** 2 / h))
+        assert cfg.T >= T * (1.0 - 1e-12) and cfg.h == h
+
+    def test_from_truncation_by_sigma_is_its_step(self):
+        sigma, alpha = 3.7, 0.4
+        assert KernelConfig.from_truncation(alpha, 9.0, sigma=sigma) == \
+            KernelConfig.from_truncation(alpha, 9.0, sigma**2 * alpha**2)
+
+    @pytest.mark.parametrize("args, kw, reason", [
+        ((0.5, 4.0), dict(sigma=1e300), "sigma=1e\\+300, alpha=0.5 leave"),
+        ((0.5, 4.0), dict(sigma=1e-200), "sigma=1e-200, alpha=0.5 leave"),
+        # sigma^2*alpha^2 is a double, alpha^2 is not
+        ((1e-162, 4.0), dict(sigma=6.3e81), "sigma=6.3e\\+81, alpha=1e-162 leave"),
+        ((0.5, 4.0), dict(sigma=6.28e-5),
+         "T=4 at sigma=6.28e-05 needs 6.4\\d+e\\+10 trapezoid points"),
+        ((0.5, 5.0, 1e-300), {}, "T=5 at h=1e-300 needs 1e\\+302 trapezoid points"),
+        ((0.5, 1e200, 1.0), {}, "T=1e\\+200 at h=1 needs inf trapezoid points"),
+        ((0.5, -5.0, 1.0), {}, "T must be positive, got -5.0"),
+        ((0.5, math.nan, 1.0), {}, "T must be finite, got nan"),
+        ((0.5, 4.0, 0.0), {}, "h must be positive and finite"),
+    ])
+    def test_from_truncation_rejects_before_forming_the_count(self, args, kw, reason):
+        with pytest.raises(ValueError, match=reason):
+            KernelConfig.from_truncation(*args, **kw)
 
 
 def _one_point_agl(f, a, b, tol, max_panels=32768):
