@@ -175,8 +175,11 @@ def residues_power_log(cfg: ApproxConfig) -> np.ndarray:
 
 
 # the near/far split of _remainder_values: far poles within
-# _NEAR_RADIUS*max(1, max|z|) are summed directly, the rest as _MOMENTS moments
+# _NEAR_RADIUS*max(1, max|z|) are summed directly, in blocks of points of at
+# most _BLOCK_ENTRIES (points x poles) entries (16 MiB per complex matrix),
+# the rest as _MOMENTS moments
 _NEAR_RADIUS = 16.0
+_BLOCK_ENTRIES = 2**20
 _MOMENTS = 15
 
 
@@ -185,7 +188,10 @@ def _remainder_values(cfg: ApproxConfig, zs: np.ndarray) -> np.ndarray:
     the near-pole constant sum), in the cancellation-free form where each
     far term w_j*z/(z - p_j) is ~ |p_j|^(alpha-1)*z.
 
-    Far poles closer than 16*max(1, max|z|) are summed directly.  The rest
+    Far poles closer than 16*max(1, max|z|) are summed directly, as one
+    matrix product per block of points; a block holds at most 2^20 (points
+    x poles) entries, so at alpha near 1 and a small sigma, where nearly
+    all of up to 2^17 far poles are close, memory stays bounded.  The rest
     have |z/p| <= 1/16, so z/(z - p) = -sum_k (z/p)^k and their part is the
     polynomial -z*sum_k m_k z^(k-1) in the moments m_k = sum_j w_j p_j^-k,
     k = 1..15.  Cut after 15 terms, the series is off by under 1e-18 of
@@ -209,7 +215,12 @@ def _remainder_values(cfg: ApproxConfig, zs: np.ndarray) -> np.ndarray:
         fw = pref * np.sqrt(cfg.h / j_far)
     weights = fw * far_mag
     close = np.abs(far) < _NEAR_RADIUS * np.max(np.abs(zs), initial=1.0)
-    direct = zs[:, None] / (zs[:, None] - far[close]) @ weights[close]
+    far_c, w_c = far[close], weights[close]
+    rows = max(1, _BLOCK_ENTRIES // max(far_c.size, 1))
+    direct = np.empty(zs.size, complex)
+    for start in range(0, zs.size, rows):
+        z = zs[start:start + rows, None]
+        direct[start:start + rows] = z / (z - far_c) @ w_c
     inv = 1.0 / far[~close]
     moments = (weights[~close] * inv) @ np.vander(inv, _MOMENTS, increasing=True)
     return direct - zs * horner(moments, zs) + c_near
@@ -228,27 +239,35 @@ def _ladder_degrees(n1: int) -> list[int]:
 
 def _fit_points(cfg: ApproxConfig, fine: bool) -> np.ndarray:
     """Deterministic samples of the unit sector's boundary
-    (geometry.sector_boundary; the upper half for a plain target): a few
-    radii per pole scale near the apex and Chebyshev radii toward |z| = 1,
-    which keep the polynomial fit well posed at high degree.
+    (geometry.sector_boundary; the upper half for a plain target), sized by
+    the tail's degree: edge radii log-spaced from half the innermost pole's
+    magnitude to 1 (33, or 65 for the validation set), Chebyshev radii
+    toward both ends of [0, 1] (4*size, or 6*size), which keep the
+    polynomial fit well posed at high degree, and 2*size (4*size) arc
+    points.
 
-    The Chebyshev and arc counts grow with max(n2, ceil(6*sqrt(n1))), the
-    larger of the config's degree and the ladder's top rung, not with n2
-    alone.  So every rung of a sweep cell's ladder shares one fit set and
-    one validation set (tail_fits builds them once), and a fresh fit_tail
-    from the rung a sweep chose sees those same sets: a sweep record equals
-    a fresh build from its config."""
-    mags = np.abs(clustered_poles(cfg))
-    mults = (0.6, 0.9, 1.1, 1.4) if fine else (0.75, 1.0, 1.25)
-    radii = np.outer(mags, mults).ravel()
-    lo = max(mags.min() * 0.5, 1e-17)
+    No radius sits at a pole's magnitude.  The tail fits the far-pole
+    remainder (or the g-corrected one, _tail_values), which is analytic
+    near the closed sector: its nearest singularity is the innermost far
+    pole, at -C*exp(sigma*(sqrt(n1 + 1) - sqrt(n1))), beyond -C.  By
+    Runge's theorem its best polynomial converges at a rate set by that
+    distance, not by the near poles' scales.  Radii at those scales, down to
+    about 1e-13, would give Vandermonde rows equal to [1, 0, ..., 0] to
+    rounding, which tell the fit nothing.
+
+    The Chebyshev and arc counts grow with size = max(n2, ceil(6*sqrt(n1)))
+    + 1, the larger of the config's degree and the ladder's top rung, not
+    with n2 alone.  So every rung of a sweep cell's ladder shares one fit
+    set and one validation set (tail_fits builds them once), and a fresh
+    fit_tail from the rung a sweep chose sees those same sets: a sweep
+    record equals a fresh build from its config."""
+    lo = max(np.abs(clustered_poles(cfg)).min() * 0.5, 1e-17)
     size = max(cfg.n2, _ladder_degrees(cfg.n1)[-1]) + 1
     n_cheb = (6 if fine else 4) * size
     # np.geomspace(lo, 1.0, n) by its own formula, without its overhead
     geo = 10.0 ** np.linspace(np.log10(lo), 0.0, 65 if fine else 33)
     geo[0], geo[-1] = lo, 1.0
-    radii = np.concatenate([radii, geo, chebyshev_radii(max(n_cheb, 48))])
-    radii = np.unique(np.clip(radii, lo, 1.0))
+    radii = np.unique(np.clip(np.concatenate([geo, chebyshev_radii(max(n_cheb, 48))]), lo, 1.0))
     n_arc = max((4 if fine else 2) * size, 64)
     return sector_boundary(cfg.beta, radii, n_arc, upper_half=cfg.g is None)
 

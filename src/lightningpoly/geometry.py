@@ -218,8 +218,9 @@ def resolve_corner_exponents(polygon: Polygon):
 def ray_fan(beta: float, radii, n_rays: int) -> np.ndarray:
     """The points radii x rays of the unit sector, radius-major: ``n_rays``
     rays evenly spaced over |arg z| <= beta*pi/2, or the axis alone at
-    beta = 0.  The one definition of the sector's fan, shared by its
-    tail-fit points, rate and arc grids and near-origin scan."""
+    beta = 0.  The one definition of the sector's fan, shared by its arc
+    grids and near-origin scan; sector_boundary takes the same angles and
+    evaluates only the ones it keeps."""
     half = beta * math.pi / 2
     thetas = np.linspace(-half, half, n_rays) if beta > 0 else np.array([0.0])
     return (np.asarray(radii, float)[:, None] * np.exp(1j * thetas)).ravel()
@@ -259,14 +260,30 @@ def sector_boundary(beta: float, radii, n_arc: int, upper_half: bool,
     halves.  A point within rounding of the axis is put on it first: the
     middle angle of an odd arc is 0 only up to a few ulps of beta*pi/2, and
     at beta = 1.1 it rounds below the axis, so without the snap the half
-    would lose z = 1, which can hold the sup."""
-    pts = ray_fan(beta, radii, 2)
-    even = [np.repeat(np.arange(np.size(radii)) % 2 == 0, 2 if beta > 0 else 1)]
+    would lose z = 1, which can hold the sup.
+
+    The half is built directly, as the upper edge ray, the arc from its
+    middle angle up and the apex, with the points and order the whole
+    boundary would give.  The lower ray and the rest of the arc are built
+    too only where one of their points can round onto the axis: a
+    half-opening within 1e-13*n_arc of 0 or 1e-13 of pi (both rays on the
+    axis), or a radius below 1e-280, where the lower ray's Im z may
+    underflow to a zero the half keeps (r = 0 gives a point on each ray)."""
+    radii = np.asarray(radii, float)
+    even = np.arange(radii.size) % 2 == 0
     if beta > 0:
-        pts = np.concatenate([pts, ray_fan(beta, [1.0], n_arc)])
-        even.append(np.arange(n_arc) % 2 == 0)
-    pts = np.concatenate([pts, [0.0]])
-    even = np.concatenate(even + [[True]])
+        half = beta * math.pi / 2
+        first_arc, edges = 0, np.array([-half, half])  # ray_fan(beta, radii, 2)'s angles
+        if upper_half and 1e-13 * max(n_arc, 1) < half < math.pi - 1e-13 \
+                and radii.min(initial=1.0) >= 1e-280:
+            first_arc, edges = n_arc // 2, edges[1:]
+        thetas = np.linspace(-half, half, n_arc)[first_arc:]
+        pts = np.concatenate([(radii[:, None] * np.exp(1j * edges)).ravel(),
+                              np.exp(1j * thetas), [0.0]])
+        even = np.concatenate([np.repeat(even, edges.size),
+                               np.arange(first_arc, n_arc) % 2 == 0, [True]])
+    else:
+        pts, even = np.append(ray_fan(beta, radii, 1), 0.0), np.append(even, True)
     if upper_half:
         pts = np.where(np.abs(pts.imag) <= 1e-15 * np.abs(pts.real), pts.real + 0j, pts)
         keep = pts.imag >= 0

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,11 +240,9 @@ class TestFitTail:
         # at n1 = 1 the smallest radius is lo = C/2, so C sweeps lo over
         # [1e-17, 0.5]; the fit set must be the one np.geomspace built
         def old_fit_points(cfg):
-            mags = np.abs(clustered_poles(cfg))
-            radii = np.outer(mags, (0.6, 0.9, 1.1, 1.4) if fine else (0.75, 1.0, 1.25))
-            lo = max(mags.min() * 0.5, 1e-17)
+            lo = max(np.abs(clustered_poles(cfg)).min() * 0.5, 1e-17)
             size = max(cfg.n2, approx._ladder_degrees(cfg.n1)[-1]) + 1
-            radii = np.concatenate([radii.ravel(), np.geomspace(lo, 1.0, 65 if fine else 33),
+            radii = np.concatenate([np.geomspace(lo, 1.0, 65 if fine else 33),
                                     approx.chebyshev_radii(max((6 if fine else 4) * size, 48))])
             radii = np.unique(np.clip(radii, lo, 1.0))
             n_arc = max((4 if fine else 2) * size, 64)
@@ -257,6 +256,23 @@ class TestFitTail:
         for lo in los:
             cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=2.0, n1=1, n2=0, C=2.0 * lo)
             assert approx._fit_points(cfg, fine).tobytes() == old_fit_points(cfg).tobytes()
+
+    @pytest.mark.parametrize("target", ["power", "prefactor_power"])
+    def test_fit_set_sizes_do_not_depend_on_n1(self, target):
+        # at n2 = 60 > 6*sqrt(81) the sets are sized by n2 alone: 33 (65)
+        # log-spaced and 4*61 (6*61) Chebyshev radii per edge ray, 2*61
+        # (4*61) arc points and the apex, whatever the pole count; each
+        # innermost pole here lies below every Chebyshev radius, so none merge
+        g = (lambda z: 1.0 + z) if target.startswith("prefactor") else None
+        for n1 in (9, 16, 25, 36, 49, 64, 81):
+            cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=optimal_sigma(0.5, 1.0), n1=n1,
+                               n2=60, target=target, g=g)
+            for fine, n_geo, n_cheb, n_arc in ((False, 33, 4 * 61, 2 * 61),
+                                               (True, 65, 6 * 61, 4 * 61)):
+                assert abs(clustered_poles(cfg)[0]) / 2 < approx.chebyshev_radii(n_cheb)[0]
+                n_radii = n_geo + n_cheb
+                want = (n_radii + n_arc // 2 + 1) if g is None else (2 * n_radii + n_arc + 1)
+                assert approx._fit_points(cfg, fine).size == want
 
     def test_rank_deficient_raises(self):
         from lightningpoly.approx import _poly_lstsq
@@ -361,6 +377,32 @@ class TestRemainderValues:
         ref = _remainder_one_shot(cfg, zs)
         got = approx._remainder_values(cfg, zs)
         assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+    def test_close_poles_summed_in_bounded_blocks(self):
+        # at alpha = 0.99 and sigma = 0.01 nearly all of 90,000 far poles are
+        # close: one (points x poles) matrix of the fit and validation
+        # points would peak at about 640 MiB
+        cfg = ApproxConfig(alpha=0.99, beta=1.0, sigma=0.01, n1=9)
+        zs = np.concatenate([approx._fit_points(cfg, fine) for fine in (False, True)])
+        tracemalloc.start()
+        try:
+            got = approx._remainder_values(cfg, zs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, peak / 2**20
+        assert np.all(np.isfinite(got))
+
+    def test_one_block_on_a_benchmark_cell_keeps_the_unblocked_bytes(self, monkeypatch):
+        # the benchmark's largest close-pole matrix: alpha = 0.8, beta = 1.5,
+        # sigma_opt/2, n1 = 81, on the fit and validation points joined
+        cfg = ApproxConfig(alpha=0.8, beta=1.5, sigma=optimal_sigma(0.8, 1.5) / 2, n1=81)
+        zs = np.concatenate([approx._fit_points(cfg, fine) for fine in (False, True)])
+        got = approx._remainder_values(cfg, zs)
+        monkeypatch.setattr(approx, "_BLOCK_ENTRIES", 2**62)  # one block, whatever the size
+        assert got.tobytes() == approx._remainder_values(cfg, zs).tobytes()
+        monkeypatch.setattr(approx, "_BLOCK_ENTRIES", 1000)  # many blocks, a few rows each
+        np.testing.assert_allclose(approx._remainder_values(cfg, zs), got, rtol=1e-14, atol=0)
 
     def test_no_far_poles_gives_near_constant(self):
         cfg = ApproxConfig(alpha=0.1, beta=1.0, sigma=20.0, n1=3, n2=0)

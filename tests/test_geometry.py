@@ -13,6 +13,7 @@ from lightningpoly.geometry import (
     polygon_from_file,
     ray_fan,
     resolve_corner_exponents,
+    sector_boundary,
 )
 
 
@@ -121,6 +122,40 @@ class TestRayFan:
         half = beta * math.pi / 2
         np.testing.assert_allclose(np.angle(pts), [np.linspace(-half, half, 5)] * 2,
                                    rtol=0, atol=1e-15)
+
+
+def _whole_then_cut(beta, radii, n_arc, upper_half, split):
+    """sector_boundary as both edge rays, the whole arc and the apex, snapped
+    onto the axis and cut to Im z >= 0 afterwards."""
+    pts = ray_fan(beta, radii, 2)
+    even = [np.repeat(np.arange(np.size(radii)) % 2 == 0, 2 if beta > 0 else 1)]
+    if beta > 0:
+        pts = np.concatenate([pts, ray_fan(beta, [1.0], n_arc)])
+        even.append(np.arange(n_arc) % 2 == 0)
+    pts = np.concatenate([pts, [0.0]])
+    even = np.concatenate(even + [[True]])
+    if upper_half:
+        pts = np.where(np.abs(pts.imag) <= 1e-15 * np.abs(pts.real), pts.real + 0j, pts)
+        keep = pts.imag >= 0
+        pts, even = pts[keep], even[keep]
+    return (pts[even], pts[~even]) if split else pts
+
+
+class TestSectorBoundary:
+    # 1.1: the odd arc's middle angle rounds below the axis; 1e-16: both
+    # rays and the whole arc round onto it.  The radii hold 0 and ones
+    # whose product with sin underflows, as rate_grid's deepest do
+    @pytest.mark.parametrize("beta", [0.0, 1e-16, 0.5, 1.0, 1.1, 1.5, 1.99])
+    @pytest.mark.parametrize("n_arc", [1, 2, 64, 97, 129, 200])
+    @pytest.mark.parametrize("split", [False, True])
+    def test_bytes_equal_the_whole_boundary_cut(self, beta, n_arc, split):
+        for radii in (np.linspace(0.05, 1.0, 20), 0.5 ** np.arange(1100.0),
+                      [0.0, 1e-320, 1e-300, 0.5], []):
+            for upper_half in (False, True):
+                got = sector_boundary(beta, radii, n_arc, upper_half, split)
+                ref = _whole_then_cut(beta, radii, n_arc, upper_half, split)
+                for g, r in zip(*((got, ref) if split else ((got,), (ref,)))):
+                    assert g.dtype == complex and g.tobytes() == r.tobytes()
 
 
 class TestPolygonFile:
