@@ -53,6 +53,7 @@ __all__ = [
     "fit_rate",
     "quadrature_error_envelope",
     "quadrature_error_curve",
+    "QUADRATURE_TARGETS",
     "near_origin_check",
     "run_sweep",
     "sweep_configs",
@@ -140,6 +141,8 @@ def predicted_log_rate(sigma: float, alpha: float, beta: float, target: str):
     with eta = sigma_opt/sigma; the log target carries a sqrt(N) prefactor
     on the subcritical branch.
     """
+    if target not in TARGETS:
+        raise ValueError(f"unknown target {target!r}")
     s_opt = optimal_sigma(alpha, beta)
     if sigma <= s_opt:
         rate = sigma * alpha
@@ -369,11 +372,17 @@ class EvaluatedPair(tuple):
         return pair
 
 
+# the targets whose trapezoid error quadrature_error_curve measures
+QUADRATURE_TARGETS = ("power", "power_log")
+
+
 def quadrature_error_curve(cfg_list: Sequence[KernelConfig], target: str,
                            grid: np.ndarray):
     """Rows (T, sup |I - trapezoid|) over the grid points, ordered by T, as
     EvaluatedPairs; each config integrates the whole grid in one batched
-    reference call."""
+    reference call.  ``target`` is one of QUADRATURE_TARGETS."""
+    if target not in QUADRATURE_TARGETS:
+        raise ValueError(f"unknown quadrature target {target!r}")
     log = target == "power_log"
     reference = truncated_integral_log if log else truncated_integral
     trapezoid = trapezoid_rational_log if log else trapezoid_rational

@@ -4,9 +4,9 @@ decompositions, emitting deterministic CSV tables plus JSON summaries.
 
 Exit codes: 0 all embedded assertions passed, 1 an assertion failed or the
 run broke down (the failing metric or the error is reported), 2 invalid
-configuration.  The code comes from the phase: each runner first validates,
-parsing every option and building every config (any exception there exits
-2), then returns its compute step, in which any exception is a failed run.
+configuration.  The code comes from the phase: a run first validates, parsing
+every option by its entry in _OPTIONS and building every config (any exception
+there exits 2), then computes, where any exception is a failed run.
 """
 
 from __future__ import annotations
@@ -20,18 +20,17 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import analysis, corners
-from .approx import (ApproxConfig, _fmt, build_approximation, optimal_sigma, optimal_step,
-                     serialize)
+from .approx import (TARGETS, ApproxConfig, _fmt, build_approximation, optimal_sigma,
+                     optimal_step, serialize)
 from .geometry import polygon_from_file
 from .kernels import KernelConfig
 
 __all__ = ["ExperimentConfig", "run", "main"]
-
-COMMANDS = ("approx", "sweep", "quaderr", "nearorigin", "laplace", "decomp")
 
 
 @dataclass
@@ -40,7 +39,7 @@ class ExperimentConfig:
     parameters: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
+        if self.command not in _RUNNERS:
             raise ValueError(f"unknown command {self.command!r}")
 
 
@@ -48,7 +47,7 @@ def _parse_sigma(token: str, alpha: float, beta: float) -> float:
     t = str(token).strip().lower()
 
     def num(s: str) -> float:
-        return math.sqrt(2.0) if s == "sqrt2" else float(s)
+        return math.sqrt(2.0) if s == "sqrt2" else _real(s, "--sigma")
 
     if t == "opt":
         sigma = optimal_sigma(alpha, beta)
@@ -59,7 +58,7 @@ def _parse_sigma(token: str, alpha: float, beta: float) -> float:
             raise ValueError(f"--sigma divides opt by zero, got {token!r}")
         sigma = optimal_sigma(alpha, beta) / num(t[4:])
     else:
-        sigma = float(t)
+        sigma = _real(t, "--sigma")
     if not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {token!r}")
     if sigma <= 0.0:  # only h = sigma^2*alpha^2 is used: -3 would run as 3
@@ -67,27 +66,151 @@ def _parse_sigma(token: str, alpha: float, beta: float) -> float:
     return sigma
 
 
-def _finite(token, option: str) -> float:
-    """``token`` as a float; NaN or infinity is an error naming the option."""
-    value = float(token)
-    if not math.isfinite(value):
-        raise ValueError(f"{option} must be finite, got {token!r}")
-    return value
+# ------------------------------------------------------------ option table
+# Each parser takes the value given (text from a flag or a config file, or
+# any value given to run) and the option's flag; an error names the flag.
+
+def _parser(what: str, kind=None, words=()):
+    """A word of ``words`` (a dict; any case) gives its value, else the text
+    cast by ``kind`` (None: the words only); else "{flag} must be {what}".
+    A value given to run is parsed as its text, as a flag's would be: 1.5 is
+    no integer, and True is no number."""
+    def parse(token, flag: str):
+        text = str(token).strip().lower()
+        try:
+            return words[text] if text in words else kind(text)
+        except (TypeError, ValueError):  # calling a kind of None raises TypeError
+            raise ValueError(f"{flag} must be {what}, got {token!r}") from None
+    return parse
 
 
-def _parse_list(token, cast, option: str, what: str, repeats: bool = False) -> list:
-    """Comma list (or a list given to ``run``) of cast values; an empty list,
-    or unless ``repeats`` a value given twice, is an error naming the
-    option.  A repeated sample would count twice in a rate or slope fit."""
-    if isinstance(token, (list, tuple)):
-        values = [cast(v) for v in token]
-    else:
-        values = [cast(v) for v in str(token).split(",") if v.strip()]
-    if not values:
-        raise ValueError(f"{option} lists no {what}")
-    if not repeats and len(set(values)) < len(values):
-        raise ValueError(f"{option} repeats a value, got {values}")
-    return values
+def _words(*names):  # one of names, in any case
+    return _parser(f"{', '.join(names[:-1])} or {names[-1]}", words=dict(zip(names, names)))
+
+
+_real, _integer = _parser("a number", float), _parser("an integer", int)
+_boolean = _parser("true or false", words={"true": True, "false": False})
+
+
+def _given(token, flag: str):  # for a runner to parse with other options
+    return token
+
+
+def _checked(parse, ok, rule: str):
+    """``parse``, then "{flag} {rule}" unless ``ok`` holds for the value."""
+    def checked(token, flag: str):
+        value = parse(token, flag)
+        if not ok(value):
+            raise ValueError(f"{flag} {rule}, got {value!r}")
+        return value
+    return checked
+
+
+_finite = _checked(_real, math.isfinite, "must be finite")
+
+
+def _output(token, flag: str):
+    """A path written after the work: its directory must exist before."""
+    if token and not Path(token).parent.is_dir():
+        raise ValueError(f"{flag}: {Path(token).parent} is not a directory")
+    return token
+
+
+def _list(cast, what: str, repeats: bool = False):
+    """A comma list (or a list given to run) of ``cast`` values, not empty and,
+    unless ``repeats``, with no value twice: it would count twice in a fit."""
+    def parse(token, flag: str) -> list:
+        items = token if isinstance(token, (list, tuple)) else str(token).split(",")
+        values = [cast(v, flag) for v in items if str(v).strip()]
+        if not values:
+            raise ValueError(f"{flag} lists no {what}")
+        if not repeats and len(set(values)) < len(values):
+            raise ValueError(f"{flag} repeats a value, got {values}")
+        return values
+    return parse
+
+
+class _Option(NamedTuple):
+    key: str        # the run() and --config key
+    flag: str
+    default: object  # parsed like a given value; None: unset, _REQUIRED: must be given
+    parse: Callable  # (value, flag) -> value
+    help: str
+
+
+_REQUIRED = object()
+
+
+def _option(flag, default, parse, help="", key=None) -> _Option:
+    return _Option(key or flag[2:].replace("-", "_"), flag, default, parse, help)
+
+
+_ALPHA, _BETA = _option("--alpha", _REQUIRED, _real), _option("--beta", _REQUIRED, _real)
+_SIGMA = _option("--sigma", "opt", _given)
+_C = _option("--C", 1.0, _real)
+_TARGET = _option("--target", "power", _words(*TARGETS))
+_CSV = _option("--csv", None, _output, "CSV output path")
+_JSON = _option("--json", None, _output, "JSON summary path (stdout if omitted)")
+
+# every option of every subcommand: its flag, its default and its parser
+_OPTIONS = {
+    "approx": (
+        _ALPHA, _BETA, _SIGMA, _option("--N1", _REQUIRED, _integer, key="n1"),
+        _option("--N2", None, _integer, key="n2"), _C, _TARGET,
+        _option("--out", None, _output, "serialized approximant path"), _CSV, _JSON),
+    "sweep": (
+        _ALPHA, _BETA, _SIGMA,
+        _option("--N1", _REQUIRED, _list(_integer, "pole counts"), "comma list", key="n1"),
+        _TARGET,
+        _option("--n2-mode", "auto", _parser("auto, proportional or an integer", int,
+                                             {"auto": "auto", "proportional": "proportional"})),
+        _C, _option("--rate-tol", 0.15, _finite), _option("--r2-min", 0.9, _finite),
+        _option("--timings", False, _boolean, "write real runtimes (breaks byte-reproducibility)"),
+        _CSV, _JSON),
+    "quaderr": (
+        _ALPHA, _BETA,
+        _option("--sigma", "opt", _given, "comma list; opt, opt*X, opt/X"),
+        _option("--T", "4,6,8,10,12,14,16", _list(_real, "truncations"), "comma list"),
+        _option("--target", "power", _words(*analysis.QUADRATURE_TARGETS)),
+        _C, _option("--arc-points", 31, _checked(_integer, lambda n: n >= 1, "must be >= 1")),
+        _CSV, _JSON),
+    "nearorigin": (
+        _ALPHA, _BETA, _option("--h", "opt", _parser("opt or a number", float, {"opt": "opt"})),
+        _option("--T", "5,10,15", _list(_real, "truncations"), "comma list"),
+        _C, _CSV, _JSON),
+    "laplace": (
+        _option("--polygon", _REQUIRED, _given, "path, builtin:concave-quad, or builtin:curvy-l"),
+        _option("--data", "re2", _given),
+        _option("--sigma", "opt", _parser("opt, per-corner or a number", float, {
+            "opt": "global_opt", "per-corner": "per_corner", "per_corner": "per_corner"}),
+                "opt, per-corner, or number"),
+        _option("--N", "40,80,160", _list(_integer, "pole budgets"), "comma list"),
+        _option("--n2", None, _integer),
+        # per-corner weights may repeat
+        _option("--weights", None, _list(_finite, "corner weights", repeats=True),
+                "per-corner multipliers"),
+        _option("--oversample", 4, _integer), _option("--fine-factor", 4, _integer),
+        _option("--final-err", 1e-6, _finite),
+        _option("--export", None, _output, "write final solution coefficients"), _CSV, _JSON),
+    "decomp": (
+        _option("--k", 0, _integer), _ALPHA, _option("--W", 1.0, _real), _CSV, _JSON),
+}
+
+
+def _resolve(command: str, given: dict) -> dict:
+    """Every option of ``command``, parsed once: the given value, else its
+    default.  A key that no option owns, or a required option not given, fails."""
+    options = _OPTIONS[command]
+    unknown = sorted(set(given) - {o.key for o in options})
+    if unknown:
+        raise ValueError(f"{command} has no option {', '.join(map(repr, unknown))}")
+    p = {}
+    for o in options:
+        value = o.default if given.get(o.key) is None else given[o.key]
+        if value is _REQUIRED:
+            raise ValueError(f"{o.flag} is required")
+        p[o.key] = None if value is None else o.parse(value, o.flag)
+    return p
 
 
 def _write(path, text: str):
@@ -96,10 +219,8 @@ def _write(path, text: str):
 
 
 def _report(p: dict, payload: dict, failure: str) -> int:
-    """The exit-code contract of every runner: write the JSON summary to
-    ``--json`` (stdout if omitted) and return 0 if ``payload["pass"]``;
-    otherwise also print ``failure`` (when not empty) to stderr and
-    return 1."""
+    """The exit-code contract of every runner: write the JSON summary to ``--json``
+    (stdout if omitted); return 0 if it passed, else print ``failure`` (if any) and 1."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if p.get("json"):
         Path(p["json"]).write_text(text)
@@ -123,17 +244,15 @@ def _threads() -> int:
 # ---------------------------------------------------------------- commands
 
 def _cmd_approx(p: dict):
-    alpha, beta = float(p["alpha"]), float(p["beta"])
-    sigma = _parse_sigma(p.get("sigma", "opt"), alpha, beta)
-    n2 = p.get("n2")
-    cfg = ApproxConfig(alpha=alpha, beta=beta, sigma=sigma, n1=int(p["n1"]),
-                       n2=int(n2) if n2 is not None else None, C=float(p.get("C", 1.0)),
-                       target=p.get("target", "power"))
+    alpha, beta = p["alpha"], p["beta"]
+    sigma = _parse_sigma(p["sigma"], alpha, beta)
+    cfg = ApproxConfig(alpha=alpha, beta=beta, sigma=sigma, n1=p["n1"], n2=p["n2"], C=p["C"],
+                       target=p["target"])
 
     def compute():
         approx = build_approximation(cfg)
         err = analysis.checked_sup_error(approx, analysis.make_target(cfg.target, alpha), cfg)
-        _write(p.get("out"), serialize(approx))
+        _write(p["out"], serialize(approx))
         rate, _ = analysis.predicted_log_rate(sigma, alpha, beta, cfg.target)
         return _report(p, {"sup_err": err, "n1": cfg.n1, "n2": cfg.n2, "sigma": sigma,
                            "predicted_rate": rate, "pass": bool(np.isfinite(err))},
@@ -142,30 +261,23 @@ def _cmd_approx(p: dict):
 
 
 def _cmd_sweep(p: dict):
-    alpha, beta = float(p["alpha"]), float(p["beta"])
-    sigma = _parse_sigma(p.get("sigma", "opt"), alpha, beta)
-    n1_list = _parse_list(p["n1"], int, "--N1", "pole counts")
+    alpha, beta = p["alpha"], p["beta"]
+    sigma = _parse_sigma(p["sigma"], alpha, beta)
+    n1_list = p["n1"]
     if len(n1_list) < 4:
         raise ValueError(f"--N1 lists {len(n1_list)} pole counts; the rate fit needs >= 4")
-    n2_mode = p.get("n2_mode", "auto")
-    if n2_mode not in ("auto", "proportional"):
-        n2_mode = int(n2_mode)
-    target = p.get("target", "power")
-    rate_tol = _finite(p.get("rate_tol", 0.15), "--rate-tol")
-    r2_min = _finite(p.get("r2_min", 0.9), "--r2-min")
-    C = float(p.get("C", 1.0))
+    cells = {"C": p["C"], "target": p["target"], "n2_mode": p["n2_mode"]}
     # every cell's config is checked here; run_sweep builds them again
-    analysis.sweep_configs(alpha, beta, sigma, n1_list, C=C, target=target, n2_mode=n2_mode)
+    analysis.sweep_configs(alpha, beta, sigma, n1_list, **cells)
     threads = _threads()
 
     def compute():
         map_fn = ThreadPoolExecutor(threads).map if threads > 1 else map
-        records = analysis.run_sweep(alpha, beta, sigma, n1_list, C=C, target=target,
-                                     n2_mode=n2_mode, map_fn=map_fn)
-        if not p.get("timings", False):
+        records = analysis.run_sweep(alpha, beta, sigma, n1_list, **cells, map_fn=map_fn)
+        if not p["timings"]:
             records = [dataclasses.replace(r, runtime_ms=0.0) for r in records]
-        _write(p.get("csv"), analysis.records_to_csv(records))
-        predicted, _ = analysis.predicted_log_rate(sigma, alpha, beta, target)
+        _write(p["csv"], analysis.records_to_csv(records))
+        predicted, _ = analysis.predicted_log_rate(sigma, alpha, beta, p["target"])
         try:
             fitted, r2 = analysis.fit_rate(records)
         except ValueError as exc:  # too few errors inside the band: a failed check
@@ -173,37 +285,29 @@ def _cmd_sweep(p: dict):
             failure = f"sweep: {exc}"
         else:
             failure = f"sweep: fitted_rate {fitted:.4f} vs predicted {predicted:.4f} (r2={r2:.4f})"
-        ok = fitted is not None and abs(fitted - predicted) <= rate_tol * predicted \
-            and r2 >= r2_min
+        ok = fitted is not None and abs(fitted - predicted) <= p["rate_tol"] * predicted \
+            and r2 >= p["r2_min"]
         return _report(p, {"fitted_rate": fitted, "predicted_rate": predicted, "r2": r2,
                            "pass": bool(ok)}, failure)
     return compute
 
 
 def _cmd_quaderr(p: dict):
-    alpha, beta = float(p["alpha"]), float(p["beta"])
-    t_list = _parse_list(p.get("T", "4,6,8,10,12,14,16"), float, "--T", "truncations")
-    if len(t_list) < 3:
-        raise ValueError(f"--T lists {len(t_list)} truncations; the slope fit needs >= 3")
-    target = p.get("target", "power")
-    if target not in ("power", "power_log"):
-        raise ValueError(f"--target must be power or power_log, got {target!r}")
-    n_arc = int(p.get("arc_points", 31))
-    if n_arc < 1:
-        raise ValueError(f"--arc-points must be >= 1, got {n_arc}")
+    alpha, beta = p["alpha"], p["beta"]
+    if len(p["T"]) < 3:
+        raise ValueError(f"--T lists {len(p['T'])} truncations; the slope fit needs >= 3")
     s_opt = optimal_sigma(alpha, beta)
-    grid = analysis.arc_grid(beta, n=n_arc)
-    sigmas = _parse_list(p.get("sigma", "opt"), lambda t: _parse_sigma(t, alpha, beta),
-                         "--sigma", "clustering parameters")
-    C = float(p.get("C", 1.0))
-    curves = [(sigma, [KernelConfig.from_truncation(alpha, t, sigma=sigma, C=C)
-                       for t in t_list]) for sigma in sigmas]
+    grid = analysis.arc_grid(beta, n=p["arc_points"])
+    sigmas = _list(lambda t, _: _parse_sigma(t, alpha, beta),
+                   "clustering parameters")(p["sigma"], "--sigma")
+    curves = [(sigma, [KernelConfig.from_truncation(alpha, t, sigma=sigma, C=p["C"])
+                       for t in p["T"]]) for sigma in sigmas]
 
     def compute():
         lines = ["sigma,T,sup_err"]
         results = []
         for sigma, cfgs in curves:
-            rows = analysis.quadrature_error_curve(cfgs, target, grid)
+            rows = analysis.quadrature_error_curve(cfgs, p["target"], grid)
             for t, e in rows:
                 lines.append(f"{_fmt(sigma)},{_fmt(t)},{_fmt(e)}")
             predicted = min(1.0, (s_opt / sigma)**2)
@@ -212,14 +316,10 @@ def _cmd_quaderr(p: dict):
             except ValueError as exc:  # too few errors inside the band: a failed check
                 print(f"quaderr: sigma {_fmt(sigma)}: {exc}", file=sys.stderr)
                 slope = None
-            results.append({
-                "sigma": sigma,
-                "slope": slope,
-                "predicted": predicted,
-                "pass": slope is not None and abs(slope - predicted) <= 0.2 * predicted,
-                "quadrature_evaluations": sum(r.evaluations for r in rows),
-            })
-        _write(p.get("csv"), "\n".join(lines) + "\n")
+            results.append({"sigma": sigma, "slope": slope, "predicted": predicted,
+                            "pass": slope is not None and abs(slope - predicted) <= 0.2 * predicted,
+                            "quadrature_evaluations": sum(r.evaluations for r in rows)})
+        _write(p["csv"], "\n".join(lines) + "\n")
         # a curve with too few points in the band has printed its own line
         bad = [r for r in results if r["slope"] is not None and not r["pass"]]
         return _report(p, {"curves": results, "pass": all(r["pass"] for r in results)},
@@ -228,12 +328,9 @@ def _cmd_quaderr(p: dict):
 
 
 def _cmd_nearorigin(p: dict):
-    alpha, beta = float(p["alpha"]), float(p["beta"])
-    h_tok = str(p.get("h", "opt")).strip().lower()
-    h = optimal_step(alpha, beta) if h_tok == "opt" else float(h_tok)
-    t_list = _parse_list(p.get("T", "5,10,15"), float, "--T", "truncations")
-    cfgs = [KernelConfig.from_truncation(alpha, t, h, C=float(p.get("C", 1.0)))
-            for t in t_list]
+    alpha, beta = p["alpha"], p["beta"]
+    h = optimal_step(alpha, beta) if p["h"] == "opt" else p["h"]
+    cfgs = [KernelConfig.from_truncation(alpha, t, h, C=p["C"]) for t in p["T"]]
     for cfg in cfgs:  # the scan's double range, and beta
         analysis.BoundContext.from_quadrature(cfg, beta)
 
@@ -245,7 +342,7 @@ def _cmd_nearorigin(p: dict):
             rp, rl = check
             ratios.append((cfg.T, rp, rl, check.evaluations))
             lines.append(f"{_fmt(cfg.T)},{_fmt(rp)},{_fmt(rl)}")
-        _write(p.get("csv"), "\n".join(lines) + "\n")
+        _write(p["csv"], "\n".join(lines) + "\n")
         spread_p = max(r[1] for r in ratios) / max(min(r[1] for r in ratios), 1e-300)
         spread_l = max(r[2] for r in ratios) / max(min(r[2] for r in ratios), 1e-300)
         return _report(p, {
@@ -258,31 +355,17 @@ def _cmd_nearorigin(p: dict):
     return compute
 
 
-def _resolve_polygon(token: str):
-    builtin = {"builtin:concave-quad": corners.concave_quadrilateral,
-               "builtin:curvy-l": corners.curvy_l_domain}.get(token)
-    return builtin() if builtin else polygon_from_file(token)
-
-
 def _cmd_laplace(p: dict):
-    polygon = _resolve_polygon(str(p["polygon"]))
+    builtin = {"builtin:concave-quad": corners.concave_quadrilateral,
+               "builtin:curvy-l": corners.curvy_l_domain}.get(p["polygon"])
+    polygon = builtin() if builtin else polygon_from_file(str(p["polygon"]))
     # resolved once: a file: table is parsed here, not once per solve and check
-    data = corners.builtin_boundary_data(str(p.get("data", "re2")))
-    sig_tok = str(p.get("sigma", "opt")).strip().lower()
-    sigma_mode = {"opt": "global_opt", "per-corner": "per_corner",
-                  "per_corner": "per_corner"}.get(sig_tok) or float(sig_tok)
-    n_list = _parse_list(p.get("N", "40,80,160"), int, "--N", "pole budgets")
-    n2 = p.get("n2")
-    # per-corner weights may repeat
-    weights = (_parse_list(p["weights"], lambda t: _finite(t, "--weights"), "--weights",
-                           "corner weights", repeats=True)
-               if p.get("weights") else None)
-    final_req = _finite(p.get("final_err", 1e-6), "--final-err")
-    oversample, fine_factor = int(p.get("oversample", 4)), int(p.get("fine_factor", 4))
+    data = corners.builtin_boundary_data(str(p["data"]))
+    n_list, oversample, fine_factor = p["N"], p["oversample"], p["fine_factor"]
     corners.check_oversample(oversample)
     corners.check_fine_factor(fine_factor)
-    bases = [corners.plan_basis(polygon, n, sigma_mode, n2=int(n2) if n2 is not None else None,
-                                corner_weights=weights) for n in n_list]
+    bases = [corners.plan_basis(polygon, n, p["sigma"], n2=p["n2"], corner_weights=p["weights"])
+             for n in n_list]
 
     def compute():
         lines = ["N,columns,residual_rms,boundary_sup_err"]
@@ -297,25 +380,20 @@ def _cmd_laplace(p: dict):
                                f"laplace: solver failed at N={n}: {exc}")
             errs.append(err)
             lines.append(f"{n},{basis.n_columns},{_fmt(sol.residual_norm)},{_fmt(err)}")
-        _write(p.get("csv"), "\n".join(lines) + "\n")
-        if p.get("export"):
+        _write(p["csv"], "\n".join(lines) + "\n")
+        if p["export"]:
             _write(p["export"], corners.export_solution(sol))
         monotone = all(errs[i + 1] <= 10.0 * errs[i] for i in range(len(errs) - 1))
-        return _report(p, {
-            "N": n_list,
-            "boundary_err": errs,
-            "final_err": errs[-1],
-            "monotone_within_10x": monotone,
-            "pass": bool(monotone and errs[-1] <= final_req),
-        }, f"laplace: final err {errs[-1]:.3e} (required <= {final_req:.1e}), "
-           f"monotone={monotone}")
+        return _report(p, {"N": n_list, "boundary_err": errs, "final_err": errs[-1],
+                           "monotone_within_10x": monotone,
+                           "pass": bool(monotone and errs[-1] <= p["final_err"])},
+                       f"laplace: final err {errs[-1]:.3e} (required <= {p['final_err']:.1e}), "
+                       f"monotone={monotone}")
     return compute
 
 
 def _cmd_decomp(p: dict):
-    k = int(p.get("k", 0))
-    alpha = float(p["alpha"])
-    w = float(p.get("W", 1.0))
+    k, alpha, w = p["k"], p["alpha"], p["W"]
     corners.SlitIntegralSpec(k=k, alpha=alpha, W=w)  # singular_coefficient_check's spec
 
     def compute():
@@ -328,27 +406,23 @@ def _cmd_decomp(p: dict):
     return compute
 
 
-# each runner, and what its compute step reports when it raises
+# each runner, what its compute step reports when it raises, and its --help
 _RUNNERS = {
-    "approx": (_cmd_approx, "approximation"),
-    "sweep": (_cmd_sweep, "approximation"),
-    "quaderr": (_cmd_quaderr, "reference quadrature"),
-    "nearorigin": (_cmd_nearorigin, "reference quadrature"),
-    "laplace": (_cmd_laplace, "solver"),
-    "decomp": (_cmd_decomp, "reference quadrature"),
+    "approx": (_cmd_approx, "approximation", "build one approximant"),
+    "sweep": (_cmd_sweep, "approximation", "convergence-rate sweep over N1"),
+    "quaderr": (_cmd_quaderr, "reference quadrature", "trapezoid-vs-integral error curves"),
+    "nearorigin": (_cmd_nearorigin, "reference quadrature", "near-origin uniformity ratios"),
+    "laplace": (_cmd_laplace, "solver", "lightning Laplace solve"),
+    "decomp": (_cmd_decomp, "reference quadrature", "slit-integral singular coefficients"),
 }
 
 
 def run(config: ExperimentConfig) -> int:
-    """Execute one experiment; returns the process exit code: 2 if its
-    validation raises, else its compute step's code, and 1 with the JSON
-    summary (and no CSV) if that raises."""
-    p = config.parameters
-    runner, work = _RUNNERS[config.command]
+    """Execute one experiment; returns the exit code: 2 if _resolve or its validation
+    raises, else its compute step's code, and 1 with the JSON summary (no CSV) if that raises."""
+    runner, work, _ = _RUNNERS[config.command]
     try:
-        for key in ("csv", "json", "out", "export"):  # written only after the work
-            if p.get(key) and not Path(p[key]).parent.is_dir():
-                raise ValueError(f"--{key}: {Path(p[key]).parent} is not a directory")
+        p = _resolve(config.command, config.parameters)
         compute = runner(p)
     except Exception as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
@@ -363,125 +437,48 @@ def run(config: ExperimentConfig) -> int:
 # ------------------------------------------------------------ arg parsing
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The subcommands and flags of _OPTIONS; no flag has an argparse default,
+    and none is required here: _resolve checks that, after any --config file."""
     ap = argparse.ArgumentParser(
         prog="lightningpoly",
         description="Clustered-pole rational approximation experiments",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for command, (_, _, text) in _RUNNERS.items():
+        sp = sub.add_parser(command, help=text)
+        for o in _OPTIONS[command]:
+            shown = ("(required)" if o.default is _REQUIRED else
+                     "" if o.default is None else f"(default: {o.default})")
+            kwargs = {"action": "store_true", "default": None} if o.parse is _boolean else {}
+            sp.add_argument(o.flag, dest=o.key,
+                            help=" ".join(filter(None, (o.help, shown))) or None, **kwargs)
         sp.add_argument("--config", help="file of 'key = value' overrides")
-        sp.add_argument("--csv", help="CSV output path")
-        sp.add_argument("--json", help="JSON summary path (stdout if omitted)")
-
-    sp = sub.add_parser("approx", help="build one approximant")
-    sp.add_argument("--alpha", required=True)
-    sp.add_argument("--beta", required=True)
-    sp.add_argument("--sigma")
-    sp.add_argument("--N1", dest="n1", required=True)
-    sp.add_argument("--N2", dest="n2")
-    sp.add_argument("--C")
-    sp.add_argument("--target")
-    sp.add_argument("--out", help="serialized approximant path")
-    common(sp)
-
-    sp = sub.add_parser("sweep", help="convergence-rate sweep over N1")
-    sp.add_argument("--alpha", required=True)
-    sp.add_argument("--beta", required=True)
-    sp.add_argument("--sigma")
-    sp.add_argument("--N1", dest="n1", required=True, help="comma list")
-    sp.add_argument("--target")
-    sp.add_argument("--n2-mode", dest="n2_mode")
-    sp.add_argument("--C")
-    sp.add_argument("--rate-tol", dest="rate_tol")
-    sp.add_argument("--r2-min", dest="r2_min")
-    sp.add_argument("--timings", action="store_true", default=None,
-                    help="write real runtimes (breaks byte-reproducibility)")
-    common(sp)
-
-    sp = sub.add_parser("quaderr", help="trapezoid-vs-integral error curves")
-    sp.add_argument("--alpha", required=True)
-    sp.add_argument("--beta", required=True)
-    sp.add_argument("--sigma", help="comma list; opt, opt*X, opt/X")
-    sp.add_argument("--T", help="comma list")
-    sp.add_argument("--target")
-    sp.add_argument("--C")
-    sp.add_argument("--arc-points", dest="arc_points")
-    common(sp)
-
-    sp = sub.add_parser("nearorigin", help="near-origin uniformity ratios")
-    sp.add_argument("--alpha", required=True)
-    sp.add_argument("--beta", required=True)
-    sp.add_argument("--h")
-    sp.add_argument("--T")
-    sp.add_argument("--C")
-    common(sp)
-
-    sp = sub.add_parser("laplace", help="lightning Laplace solve")
-    sp.add_argument("--polygon", required=True,
-                    help="path, builtin:concave-quad, or builtin:curvy-l")
-    sp.add_argument("--data")
-    sp.add_argument("--sigma", help="opt, per-corner, or number")
-    sp.add_argument("--N", help="comma list")
-    sp.add_argument("--n2")
-    sp.add_argument("--weights", help="per-corner multipliers")
-    sp.add_argument("--oversample")
-    sp.add_argument("--fine-factor", dest="fine_factor")
-    sp.add_argument("--final-err", dest="final_err")
-    sp.add_argument("--export", help="write final solution coefficients")
-    common(sp)
-
-    sp = sub.add_parser("decomp", help="slit-integral singular coefficients")
-    sp.add_argument("--k")
-    sp.add_argument("--alpha", required=True)
-    sp.add_argument("--W")
-    common(sp)
-
     return ap
 
 
-def _coerce(text: str):
-    t = text.strip()
-    for cast in (int, float):
-        try:
-            return cast(t)
-        except ValueError:
-            pass
-    if t.lower() in ("true", "false"):
-        return t.lower() == "true"
-    return t
-
-
-def _read_config_file(path, keys) -> dict:
-    """The 'key = value' lines of a config file; each key must be one of
-    ``keys``."""
+def _read_config_file(path) -> dict:
+    """The 'key = value' lines of a config file, each value as its text; a
+    key is an option's run() key, or the same with '-' for '_'."""
     out = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        if key not in keys:
-            raise ValueError(f"unknown config key {key!r}")
-        out[key] = _coerce(value)
+        if line:
+            key, _, value = line.partition("=")
+            out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 
 def main(argv=None) -> int:
     args = vars(_build_parser().parse_args(argv))
-    # no option has a parser default (the runners hold them), so the flags
-    # given are the non-None values; each wins over the config file, even
-    # when it repeats the default
+    command, config = args.pop("command"), args.pop("config")
+    # a flag given wins over the config file, even when it repeats the default
     params = {k: v for k, v in args.items() if v is not None}
-    if args["config"]:
+    if config:
         try:
-            params = {**_read_config_file(args["config"], args), **params}
+            params = {**_read_config_file(config), **params}
         except (OSError, ValueError) as exc:
             print(f"invalid configuration: {exc}", file=sys.stderr)
             return 2
-    command = params.pop("command")
-    params.pop("config", None)
     return run(ExperimentConfig(command=command, parameters=params))
 
 

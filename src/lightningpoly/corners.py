@@ -198,19 +198,39 @@ def _harmonic_values(basis: CornerBasis, coeffs: np.ndarray, zs: np.ndarray) -> 
     return out
 
 
-def _edge_samples(polygon: Polygon, basis: CornerBasis, factor: int, n_fill: int):
-    """Per edge, yield (length, arclengths, points): ``factor`` times the
-    corner's pole count of tapered distances from each end (half the edge
-    length at most), plus ``n_fill`` uniformly spaced interior samples."""
+def _tapered_ends(polygon: Polygon, basis: CornerBasis, factor: int):
+    """Per edge, yield (edge, length, ends): for the corner at each end,
+    (corner, arclengths) of ``factor`` times its pole count of tapered
+    distances from that end (half the edge length at most)."""
     m = len(polygon.vertices)
     for e_idx, e in enumerate(polygon.edges):
         length = e.length()
-        ss = [np.linspace(0.0, length, n_fill + 2)[1:-1]]
+        ends = []
         for corner, from_end in ((e_idx, False), ((e_idx + 1) % m, True)):
             d = tapered(factor * basis.counts[corner], basis.sigmas[corner], 0.5 * length)
-            ss.append(length - d if from_end else d)
-        s = np.unique(np.concatenate(ss))
+            ends.append((corner, length - d if from_end else d))
+        yield e, length, ends
+
+
+def _edge_samples(polygon: Polygon, basis: CornerBasis, factor: int, n_fill: int):
+    """Per edge, yield (length, arclengths, points): the tapered samples of
+    both ends (_tapered_ends), plus ``n_fill`` uniformly spaced interior
+    samples; samples that round onto one another are merged."""
+    for e, length, ends in _tapered_ends(polygon, basis, factor):
+        fill = np.linspace(0.0, length, n_fill + 2)[1:-1]
+        s = np.unique(np.concatenate([fill] + [d for _, d in ends]))
         yield length, s, e.point_at_arclength(s)
+
+
+def _merged_samples(polygon: Polygon, basis: CornerBasis, factor: int) -> str:
+    """The corners whose tapered samples round onto one another, which
+    _edge_samples merges, as "N at corner k (sigma s)" items."""
+    merged = [0] * len(basis.counts)
+    for _, _, ends in _tapered_ends(polygon, basis, factor):
+        for corner, d in ends:
+            merged[corner] += d.size - np.unique(d).size
+    return ", ".join(f"{n} at corner {k} (sigma {basis.sigmas[k]:g})"
+                     for k, n in enumerate(merged) if n)
 
 
 def _collocation(polygon: Polygon, basis: CornerBasis, oversample: int):
@@ -289,8 +309,10 @@ def solve_dirichlet(polygon: Polygon, boundary_data, basis: CornerBasis,
     data = builtin_boundary_data(boundary_data) if isinstance(boundary_data, str) else boundary_data
     zs, w = _collocation(polygon, basis, oversample)
     if zs.size < 3 * basis.n_columns:
-        raise ValueError("collocation count below 3x coefficient count; "
-                         "raise oversample")
+        merged = _merged_samples(polygon, basis, oversample)
+        raise ValueError("collocation count below 3x coefficient count; " + (
+            f"tapered samples round onto one another and merge: {merged}" if merged
+            else "raise oversample"))
     rhs = np.asarray([data(complex(z)) for z in zs.tolist()], float)
     try:
         coeffs = damped_lstsq(_weighted_system(zs, w, basis, rhs))

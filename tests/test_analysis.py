@@ -115,6 +115,11 @@ class TestPredictedLogRate:
         _, pref = predicted_log_rate(4 * math.pi, 0.5, 1.0, "power_log")
         assert pref == 0.0
 
+    def test_unknown_target_raises(self):
+        # "cube" once got the power target's rate (1.5, 0.0)
+        with pytest.raises(ValueError, match="unknown target 'cube'"):
+            predicted_log_rate(3.0, 0.5, 1.0, "cube")
+
     @given(st.floats(0.05, 0.95), st.floats(0.0, 1.95))
     @settings(max_examples=50, deadline=None)
     def test_branch_continuity_at_optimum(self, alpha, beta):
@@ -304,6 +309,15 @@ class TestQuadratureCurves:
         rows = quadrature_error_curve(cfgs, "power_log", grid)
         ratios = [e / (t * math.exp(-t)) for t, e in rows]
         assert max(ratios) / min(ratios) < 10.0
+
+
+    @pytest.mark.parametrize("target", ["cube", "prefactor_power_log"])
+    def test_unknown_target_raises(self, target):
+        # any target but power_log once ran as power
+        cfgs = [KernelConfig.from_truncation(0.5, t, sigma=optimal_sigma(0.5, 1.0))
+                for t in (4, 6)]
+        with pytest.raises(ValueError, match=f"unknown quadrature target '{target}'"):
+            quadrature_error_curve(cfgs, target, arc_grid(1.0, n=3))
 
 
 class TestNearOrigin:

@@ -349,6 +349,113 @@ class TestArgumentHandling:
         assert not csv.exists()
 
 
+    @pytest.mark.parametrize("argv, reason", [
+        (["approx", "--alpha", "abc", "--beta", "1", "--N1", "9"],
+         "--alpha must be a number, got 'abc'"),
+        (["approx", "--alpha", "0.5", "--beta", "1", "--N1", "9.5"],
+         "--N1 must be an integer, got '9.5'"),
+        (["decomp", "--alpha", "0.5", "--k", "1.5"], "--k must be an integer, got '1.5'"),
+        (["laplace", "--polygon", "builtin:concave-quad", "--oversample", "4.0"],
+         "--oversample must be an integer, got '4.0'"),
+        (["quaderr", "--alpha", "0.5", "--beta", "1", "--arc-points", "x"],
+         "--arc-points must be an integer, got 'x'"),
+        (["sweep", "--alpha", "0.5", "--beta", "1", "--N1", "9,16,25,36", "--n2-mode", "abc"],
+         "--n2-mode must be auto, proportional or an integer, got 'abc'"),
+        (["laplace", "--polygon", "builtin:concave-quad", "--sigma", "abc"],
+         "--sigma must be opt, per-corner or a number, got 'abc'"),
+        (["nearorigin", "--alpha", "0.5", "--beta", "1", "--h", "abc"],
+         "--h must be opt or a number, got 'abc'"),
+        # ApproxConfig once said only "unknown target 'cube'"
+        *[([command, "--alpha", "0.5", "--beta", "1", "--N1", n1, "--target", "cube"],
+           "--target must be power, power_log, prefactor_power or prefactor_power_log, "
+           "got 'cube'") for command, n1 in [("approx", "9"), ("sweep", "9,16,25,36")]],
+    ])
+    def test_unparsable_value_names_its_flag(self, argv, reason, tmp_path, capsys):
+        # each once printed only the cast's message, e.g. "could not convert
+        # string to float: 'abc'"
+        csv = tmp_path / "p.csv"
+        assert main(argv + ["--csv", str(csv)]) == 2
+        assert capsys.readouterr().err == f"invalid configuration: {reason}\n"
+        assert not csv.exists()
+
+    @pytest.mark.parametrize("command, parameters, reason", [
+        # k = 1.5 once ran at k = 1, and n1 = 9.5 at 9
+        ("decomp", {"alpha": 0.5, "k": 1.5}, "--k must be an integer, got 1.5"),
+        ("approx", {"alpha": 0.5, "beta": 1.0, "n1": 9.5}, "--N1 must be an integer, got 9.5"),
+        ("decomp", {"alpha": True}, "--alpha must be a number, got True"),
+        ("sweep", {"alpha": 0.5, "beta": 1.0, "n1": [9, 16, 25, 36], "timings": 1},
+         "--timings must be true or false, got 1"),
+    ])
+    def test_run_parses_a_value_as_its_flag_would(self, command, parameters, reason, tmp_path,
+                                                 capsys):
+        out = tmp_path / "r.json"
+        assert run(ExperimentConfig(command, {**parameters, "json": str(out)})) == 2
+        assert capsys.readouterr().err == f"invalid configuration: {reason}\n"
+        assert not out.exists()
+
+    def test_required_option_from_a_config_file(self, tmp_path):
+        cfgfile, csv, flagged = tmp_path / "s.cfg", tmp_path / "s.csv", tmp_path / "f.csv"
+        cfgfile.write_text("n1 = 9,16,25,36\n")
+        argv = ["sweep", "--alpha", "0.5", "--beta", "1", "--json", str(tmp_path / "s.json")]
+        assert main(argv + ["--config", str(cfgfile), "--csv", str(csv)]) == 0
+        assert main(argv + ["--N1", "9,16,25,36", "--csv", str(flagged)]) == 0
+        assert csv.read_bytes() == flagged.read_bytes()
+
+    def test_missing_required_option_exits_2(self, capsys):
+        assert main(["sweep", "--alpha", "0.5", "--beta", "1"]) == 2
+        assert capsys.readouterr().err == "invalid configuration: --N1 is required\n"
+
+    def test_target_in_any_case(self, tmp_path):
+        # one rule for --target: quaderr's took any case already
+        outs = [tmp_path / "lower.json", tmp_path / "upper.json"]
+        for target, out in zip(["power_log", "Power_Log"], outs):
+            assert main(["approx", "--alpha", "0.5", "--beta", "1", "--N1", "9",
+                         "--target", target, "--json", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("value", ["no", "off", "1"])
+    def test_config_file_boolean_other_than_true_or_false_exits_2(self, value, tmp_path,
+                                                                    capsys):
+        # "timings = no" once wrote real runtimes: "no" is a truthy string
+        cfgfile, csv = tmp_path / "exp.cfg", tmp_path / "s.csv"
+        cfgfile.write_text(f"timings = {value}\n")
+        assert main(["sweep", "--alpha", "0.5", "--beta", "1", "--N1", "9,16,25,36",
+                     "--config", str(cfgfile), "--csv", str(csv)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"invalid configuration: --timings must be true or false, got '{value}'\n"
+        assert not csv.exists()
+
+    def test_config_file_false_suppresses_runtimes(self, tmp_path):
+        cfgfile, csv = tmp_path / "exp.cfg", tmp_path / "s.csv"
+        cfgfile.write_text("timings = False\n")
+        assert main(["sweep", "--alpha", "0.5", "--beta", "1", "--N1", "9,16,25,36",
+                     "--config", str(cfgfile), "--csv", str(csv),
+                     "--json", str(tmp_path / "s.json")]) == 0
+        rows = csv.read_text().splitlines()[1:]
+        assert rows and all(float(row.split(",")[-1]) == 0.0 for row in rows)
+
+    @pytest.mark.parametrize("command, parameters, key", [
+        # "w" once ran at W = 1; "rate-tol" once left the default tolerance
+        ("decomp", {"alpha": 0.5, "w": 3.0}, "'w'"),
+        ("sweep", {"alpha": 0.5, "beta": 1.0, "n1": "9,16,25,36", "rate-tol": 1e-4},
+         "'rate-tol'"),
+    ])
+    def test_run_rejects_a_key_no_option_owns(self, command, parameters, key, tmp_path,
+                                              capsys):
+        out = tmp_path / "r.json"
+        assert run(ExperimentConfig(command, {**parameters, "json": str(out)})) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: ") and err.count("\n") == 1
+        assert key in err
+        assert not out.exists()
+
+    def test_help_shows_the_defaults(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--help"])
+        assert exc.value.code == 0
+        assert "(default: 0.15)" in capsys.readouterr().out
+
+
 class TestDecomp:
     def test_quarter_reports_p0(self, tmp_path):
         out = tmp_path / "d.json"
@@ -633,6 +740,17 @@ class TestLaplace:
         assert summary["N"] == [160, 400] and len(summary["boundary_err"]) == 1
         assert not csv_path.exists()
 
+    def test_merged_collocation_samples_are_reported(self, tmp_path, capsys):
+        # at sigma 300 the tapered samples round onto their corner and merge;
+        # the message once blamed oversampling
+        json_path = tmp_path / "m.json"
+        assert main(["laplace", "--polygon", "builtin:concave-quad", "--N", "40",
+                     "--sigma", "300", "--json", str(json_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("laplace: solver failed at N=40: collocation count below 3x")
+        assert "50 at corner 0 (sigma 300)" in err and "raise oversample" not in err
+        assert json.loads(json_path.read_text())["failed_at_N"] == 40
+
     def test_bad_curve_line_exits_2(self, tmp_path, capsys):
         poly_path = tmp_path / "square.poly"
         poly_path.write_text("0 0\n1 0\n1 1\n0 1\ncurve 7 bulge=0.1\n")
@@ -786,6 +904,16 @@ def _names_one(message, names):
     # a name counts as a word; "_" separates, so corner_weights names weights
     return any(re.search(rf"(?<![A-Za-z0-9])(--)?{re.escape(n)}(?![A-Za-z0-9])", message)
                for n in names)
+
+
+@pytest.mark.parametrize("command", sorted(cli._OPTIONS))
+def test_fuzzer_draws_every_option(command):
+    # all but the options that only shape what is written, so that a new
+    # option cannot escape test_cli_contract
+    written = {"--csv", "--json", "--out", "--export", "--timings"}
+    options = {o.flag for o in cli._OPTIONS[command]} - written
+    for table in (_TAME, _WILD):
+        assert {flag for flag, _, _ in table[command]} == options
 
 
 @given(argv=st.one_of([_argv(c) for c in _TAME]), expect=st.none())
