@@ -19,7 +19,8 @@ import numpy as np
 
 from .geometry import Polygon, interior_angles, resolve_corner_exponents
 from .approx import _fmt, _fmt_coeff, _sigma_opt
-from .kernels import adaptive_gauss_legendre, check_double_range, damped_lstsq, horner, tapered
+from .kernels import (adaptive_gauss_legendre, check_double_range, damped_lstsq, horner,
+                      power_values, tapered)
 
 __all__ = [
     "CornerBasis",
@@ -419,9 +420,16 @@ def _slit_integral(spec: SlitIntegralSpec, z, log_weighted: bool):
     At a point it returns a complex; at an array of points, an array from
     one batched quadrature.
 
-    Near the slit the integrable singularity is subtracted and integrated in
-    closed form, which keeps the quadrature uniformly easy; z = 0 is the
-    removable limit.
+    Within 0.05*W of the slit the density's analytic continuation D(z)
+    (z^s or z^s*log z, principal branch, s = k + alpha) is subtracted and
+    its integral D(z)*[log(W - z) - log(-z)] added in closed form.  The
+    split is exact for any constant, since it subtracts and adds back the
+    same multiple of the Cauchy kernel; D(z) is the constant that makes the
+    integrand the divided difference (D(zeta) - D(z))/(zeta - z), analytic
+    around z, so the quadrature sees no pole however close z is to the
+    slit.  -z is formed as 0 - z, so its imaginary part has the signed
+    zero of W - z's and, at a real z past W, both logs take the same side
+    of their cut.  z = 0 is the removable limit.
     """
     zs = np.asarray(z, complex)
     flat = zs.ravel()
@@ -432,12 +440,11 @@ def _slit_integral(spec: SlitIntegralSpec, z, log_weighted: bool):
     if np.any(live & (dist < 1e-10 * W)):
         raise ValueError("too close to slit")
     scale = W**s * W * (1.0 + abs(math.log(W)) if log_weighted else 1.0)
-    # within 0.05*W of the slit, subtract the density's value g at the
-    # nearest slit point and add its integral in closed form
+    # within 0.05*W of the slit, subtract the density's continuation g = D(z)
+    # and add its integral in closed form
     near = live & (dist < 0.05 * W)
-    xc = np.clip(flat.real[near], 1e-3 * W, W)
-    g = np.zeros(flat.size)
-    g[near] = xc**s * np.log(xc) if log_weighted else xc**s
+    g = np.zeros(flat.size, complex)
+    g[near] = power_values(flat[near], s, log_weighted)
     tol = np.full(flat.size, 1e-13 * scale)
     far = live & ~near
     tol[far] /= dist[far]
@@ -458,7 +465,7 @@ def _slit_integral(spec: SlitIntegralSpec, z, log_weighted: bool):
 
     value = adaptive_gauss_legendre(f, 0.0, np.where(live, 1.0, 0.0), tol)[0]
     zn = flat[near]
-    value[near] += g[near] * (np.log(W - zn) - np.log(-zn))
+    value[near] += g[near] * (np.log(W - zn) - np.log(0.0 - zn))
     value[~live] = W**s * (math.log(W) * s - 1.0) / s**2 if log_weighted else W**s / s
     return complex(value[0]) if zs.ndim == 0 else value.reshape(zs.shape)
 

@@ -3,20 +3,25 @@ reference integrals, and their trapezoidal discretizations.
 
 The reference path substitutes y = C^alpha * e^t, after which the integrand
 is smooth and decays exponentially in both directions; it is then integrated
-with adaptive composite 15-point Gauss-Legendre panels.  The quadrature is
-batched: one call integrates a whole grid of points, each with its own
-interval, tolerance, panels and budget, in one shared loop of numpy passes,
-so a point gets the panels and evaluation count it would get alone.  The
-discrete path evaluates the finite trapezoid sums whose nodes are exactly
-the clustered poles of the rational scheme, each as z times ``pole_sum``,
-the library's one partial-fraction sum sum_j w_j/(z - p_j).  Every pole
-lies on the real axis, so ``pole_sum`` works in real arithmetic on
-x - p_j and y^2 and tests collisions only on the few points near the
+with adaptive composite 15-point Gauss-Legendre panels.  Its poles, where
+C*e^{t/alpha} = -z, lie alpha*(pi - |arg z|) off the real t axis, close to
+the interval near the sector's edges; the two nearest are subtracted from
+the integrand and their principal parts integrated in closed form
+(``_pole_subtracted``).  That is exact, since the same terms are subtracted
+and added back, and it leaves the panels only a smooth remainder to refine.
+The quadrature is batched: one call integrates a whole grid of points, each
+with its own interval, tolerance, panels and budget, in one shared loop of
+numpy passes, so a point gets the panels and evaluation count it would get
+alone.  The discrete path evaluates the finite trapezoid sums whose nodes
+are exactly the clustered poles of the rational scheme, each as z times
+``pole_sum``, the library's one partial-fraction sum sum_j w_j/(z - p_j).
+Every pole lies on the real axis, so ``pole_sum`` works in real arithmetic
+on x - p_j and y^2 and tests collisions only on the few points near the
 axis, where one can occur; a call at scales where the squared distances
 could leave binary64 keeps the complex quotient.  ``horner`` is the one
 polynomial evaluation and ``damped_lstsq`` the least-squares solver, both
-shared by the tail fit and the Laplace solver.  All
-arithmetic is binary64; the practical accuracy floor is ~1e-13 relative.
+shared by the tail fit and the Laplace solver.  All arithmetic is binary64;
+the practical accuracy floor is ~1e-13 relative.
 """
 
 from __future__ import annotations
@@ -363,17 +368,67 @@ def _tail_cutoff(alpha: float, C: float, z: complex, tol: float,
     return max(t_inf, t_min, 2.0)
 
 
-def _integrand(alpha: float, C: float, z: np.ndarray, log_weighted: bool):
-    """Integrand f(t, k) of the power representation at the point z[k], or
-    of the log one with its chi term normalized so the target is
+def _weight(alpha: float, C: float, log_weighted: bool):
+    """The factor w(t) of the core in the power integrand, a constant, or in
+    the log one, w_t*t + w_0 with its chi term normalized so the target is
     z^alpha*log z for every C."""
-    core = _power_core(alpha, C, z)
     if not log_weighted:
         factor = math.sin(alpha * math.pi) / (alpha * math.pi)
-        return lambda t, k: factor * core(t, k)
+        return lambda t: factor
     w_t = math.sin(alpha * math.pi) / (alpha**2 * math.pi)
     w_0 = log_weight_constant(alpha, C) / C**alpha
-    return lambda t, k: (w_t * t + w_0) * core(t, k)
+    return lambda t: w_t * t + w_0
+
+
+def _integrand(alpha: float, C: float, z: np.ndarray, log_weighted: bool):
+    """Integrand f(t, k) = w(t)*core(t, k) of the power or the log
+    representation at the point z[k]."""
+    core = _power_core(alpha, C, z)
+    weight = _weight(alpha, C, log_weighted)
+    return lambda t, k: weight(t) * core(t, k)
+
+
+def _pole_subtracted(alpha: float, C: float, z: np.ndarray, a, b, tol, log_weighted: bool):
+    """adaptive_gauss_legendre of _integrand over [a_k, b_k] at each point
+    z_k, with the integrand's two poles nearest the real t axis subtracted
+    and integrated in closed form: the same four results, and a
+    QuadratureNonConvergence's partial sums include the closed form too.
+
+    The core's simple poles, where C*e^{t/alpha} = -z, are
+    t = alpha*(log(|z|/C) + i*theta) for theta = arg(-z) + 2*pi*m, with
+    residues -alpha*|z|^alpha*e^{i*alpha*theta}; the two nearest the axis
+    have theta_0 = arg(-z) and theta_1 = theta_0 - 2*pi*sign(theta_0).  The
+    integrand's residue rho_k is the core's times w(t_k), and rho_k/(t -
+    t_k) integrates over [a, b] to rho_k*[log(b - t_k) - log(a - t_k)],
+    since Im t_k != 0 keeps the segment off the cut.  The sum of remainder
+    and closed form is the integral unchanged; the quadrature refines only
+    the remainder, which is free of the poles that otherwise narrow the
+    integrand's strip of analyticity to |Im t| < alpha*(pi - |arg z|)."""
+    a, b, tol = np.broadcast_arrays(a, b, tol)
+    live = a != b  # z = 0 and the empty intervals: no pole, no term
+    log_abs = np.log(np.abs(z[live]))
+    theta = np.angle(-z[live])
+    theta = np.stack([theta, theta - 2.0 * math.pi * np.sign(theta)])
+    poles = np.full((2, z.size), 1j)
+    poles[:, live] = alpha * (log_abs - math.log(C) + 1j * theta)
+    rho = np.zeros((2, z.size), complex)
+    rho[:, live] = -alpha * np.exp(alpha * (log_abs + 1j * theta))
+    rho *= _weight(alpha, C, log_weighted)(poles)
+    closed = np.sum(rho * (np.log(b - poles) - np.log(a - poles)), axis=0)
+    f = _integrand(alpha, C, z, log_weighted)
+
+    def remainder(t, k):
+        out = f(t, k)
+        for p, r in zip(poles, rho):
+            out -= r[k] / (t - p[k])
+        return out
+
+    try:
+        value, est, evals, per_point = adaptive_gauss_legendre(remainder, a, b, tol)
+    except QuadratureNonConvergence as exc:
+        exc.partial = exc.partial + closed
+        raise
+    return value + closed, est, evals, per_point
 
 
 def power_values(z, alpha: float, log_weighted: bool = False) -> np.ndarray:
@@ -396,9 +451,7 @@ def _identity_residual(z, alpha: float, tol: float, log_weighted: bool):
     kappa = alpha / (1.0 - alpha)
     t_inf = np.array([_tail_cutoff(alpha, 1.0, w, tol, log_weighted) for w in flat.tolist()])
     t_inf[flat == 0] = 0.0  # the empty interval integrates to exactly 0 = 0^alpha
-    value = adaptive_gauss_legendre(
-        _integrand(alpha, 1.0, flat, log_weighted), -t_inf, kappa * t_inf, tol / 2
-    )[0]
+    value = _pole_subtracted(alpha, 1.0, flat, -t_inf, kappa * t_inf, tol / 2, log_weighted)[0]
     out = np.abs(value - power_values(flat, alpha, log_weighted))
     return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
@@ -429,10 +482,9 @@ def _truncated(z, cfg: KernelConfig, log_weighted: bool) -> QuadratureResult:
     if log_weighted:
         tol *= 1.0 + cfg.T
     live = flat != 0  # z = 0 gets the empty interval, which gives exactly 0
-    value, est, _, evals = adaptive_gauss_legendre(
-        _integrand(cfg.alpha, cfg.C, flat, log_weighted),
-        np.where(live, -cfg.T, 0.0), np.where(live, cfg.kappa * cfg.T, 0.0), tol
-    )
+    value, est, _, evals = _pole_subtracted(
+        cfg.alpha, cfg.C, flat, np.where(live, -cfg.T, 0.0),
+        np.where(live, cfg.kappa * cfg.T, 0.0), tol, log_weighted)
     if zs.ndim == 0:
         return QuadratureResult(complex(value[0]), float(est[0]), int(evals[0]))
     return QuadratureResult(value.reshape(zs.shape), est.reshape(zs.shape),

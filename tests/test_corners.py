@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from lightningpoly import corners
 from lightningpoly.corners import (
     SlitIntegralSpec,
     _collocation,
@@ -23,6 +24,7 @@ from lightningpoly.corners import (
     solve_dirichlet,
 )
 from lightningpoly.geometry import Polygon, interior_angles
+from lightningpoly.kernels import adaptive_gauss_legendre
 
 
 def _interior_points(polygon, n, seed=0, margin=0.05):
@@ -437,7 +439,62 @@ class TestCauchyTypeIntegrals:
         assert slope < -0.5
 
 
+def _clipped_slit_reference(spec, zs, log):
+    """The slit integral with the density's value at the nearest slit point,
+    clipped to [1e-3*W, W], subtracted within 0.05*W of the slit: values,
+    per-point tolerances and total evaluations."""
+    s, W = spec.k + spec.alpha, spec.W
+    dist = np.abs(zs - np.clip(zs.real, 0.0, W))
+    near = dist < 0.05 * W
+    xc = np.clip(zs.real, 1e-3 * W, W)
+    g = np.where(near, xc**s * np.log(xc) if log else xc**s, 0.0)
+    scale = W**s * W * (1.0 + abs(math.log(W)) if log else 1.0)
+    tol = np.where(near, 1e-13 * scale, 1e-13 * scale / dist)
+
+    def f(u, k):
+        zeta = W * u**4
+        density = zeta**s * np.log(zeta) if log else zeta**s
+        return 4.0 * W * u**3 * (density - g[k]) / (zeta - zs[k])
+
+    value, _, evals, _ = adaptive_gauss_legendre(f, 0.0, 1.0, tol)
+    value[near] += g[near] * (np.log(W - zs[near]) - np.log(0.0 - zs[near]))
+    return value, tol, evals
+
+
 class TestSlitIntegrals:
+    @pytest.mark.parametrize("W", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_continuation_subtraction_agrees_with_the_clipped_reference(self, k, W,
+                                                                       monkeypatch):
+        # 1e-9*W to 0.05*W above and below the slit at zeta = 0, W/2 and W
+        d = np.geomspace(1e-9, 0.05, 6) * W
+        zs = np.concatenate([x + 1j * sign * d for x in (0.0, W / 2, W) for sign in (1, -1)])
+        evaluations = []
+
+        def counted(*args):
+            out = adaptive_gauss_legendre(*args)
+            evaluations.append(out[2])
+            return out
+
+        monkeypatch.setattr(corners, "adaptive_gauss_legendre", counted)
+        reference = 0
+        for alpha in (0.3, 0.75):
+            spec = SlitIntegralSpec(k=k, alpha=alpha, W=W)
+            for log, fn in ((False, cauchy_slit_integral), (True, cauchy_slit_integral_log)):
+                value, tol, evals = _clipped_slit_reference(spec, zs, log)
+                got = fn(spec, zs)
+                assert np.all(np.abs(got - value) <= tol), np.abs(got - value) / tol
+                reference += evals
+        assert sum(evaluations) < reference
+
+    @pytest.mark.parametrize("z", [1.01, complex(1.01, -0.0)])
+    def test_real_point_past_the_slit(self, z):
+        # int_0^1 sqrt(x)/(x - a) dx = 2 + sqrt(a)*log((sqrt(a) - 1)/(sqrt(a) + 1));
+        # both logs of the closed-form term stay on one side of their cut
+        spec = SlitIntegralSpec(k=0, alpha=0.5, W=1.0)
+        r = math.sqrt(z.real)
+        assert abs(cauchy_slit_integral(spec, z) - (2 + r * math.log((r - 1) / (r + 1)))) <= 1e-13
+
     def test_removable_limit_at_zero(self):
         spec = SlitIntegralSpec(k=0, alpha=0.5, W=1.0)
         assert cauchy_slit_integral(spec, 0.0) == pytest.approx(2.0, rel=1e-14)

@@ -401,6 +401,42 @@ class TestBatchedReferences:
             assert (n, v, e) == (alone.evaluations, alone.value, alone.est_error)
 
 
+class TestPoleSubtraction:
+    """The reference integrals subtract the integrand's two poles nearest
+    the real t axis and add their integrals in closed form; the
+    unsubtracted integrand under the same quadrature is the reference."""
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("log", [False, True])
+    def test_agrees_with_the_unsubtracted_integrand(self, alpha, log):
+        # arg z within 1e-3 of the edges of the beta = 1.9 sector: the
+        # nearest pole lies alpha*(0.05*pi +- 1e-3) off the real axis
+        edge = 1.9 * math.pi / 2
+        angles = np.array([edge - 1e-3, edge, edge + 1e-3])
+        zs = (np.geomspace(1e-10, 3.0, 6)[:, None]
+              * np.exp(1j * np.concatenate([angles, -angles]))).ravel()
+        fn = truncated_integral_log if log else truncated_integral
+        subtracted = reference = 0
+        for C in (0.3, 1.0, 2.5):
+            cfg = KernelConfig.from_truncation(alpha, 8.0, 2.0, C=C)
+            got = fn(zs, cfg)
+            tol = 1e-14 * max(1.0, C**alpha) * np.maximum(1.0, np.abs(zs))
+            if log:
+                tol *= 1.0 + cfg.T
+            value, _, evals, _ = adaptive_gauss_legendre(
+                kernels._integrand(alpha, C, zs, log), -cfg.T, cfg.kappa * cfg.T, tol)
+            assert np.all(np.abs(got.value - value) <= tol), (C, np.abs(got.value - value) / tol)
+            subtracted += int(got.evaluations.sum())
+            reference += evals
+        assert subtracted < reference
+
+    def test_identity_residual_near_the_cut(self):
+        # arg z = pi - 0.05: the nearest pole lies 0.025 off the real t axis
+        zs = np.geomspace(1e-6, 3.0, 5) * np.exp(1j * (math.pi - 0.05))
+        assert np.all(identity_residual(zs, 0.5, 1e-10) <= 1e-10)
+        assert np.all(identity_residual_log(zs, 0.5, 1e-10) <= 1e-10)
+
+
 def _trapezoid_oracle(z, alpha, C, h, n_quad):
     """Literal term-by-term translation of the trapezoid sum."""
     kappa = alpha / (1 - alpha)
