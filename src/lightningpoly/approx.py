@@ -240,13 +240,18 @@ def _ladder_degrees(n1: int) -> list[int]:
 def _fit_points(cfg: ApproxConfig, fine: bool) -> np.ndarray:
     """Deterministic samples of the unit sector's boundary
     (geometry.sector_boundary; the upper half for a plain target), sized by
-    the tail's degree: edge radii log-spaced from half the innermost pole's
-    magnitude to 1 (33, or 65 for the validation set), Chebyshev radii
-    toward both ends of [0, 1] (4*size, or 6*size), which keep the
-    polynomial fit well posed at high degree, and 2*size (4*size) arc
-    points.
+    the tail's degree: on each edge ray 2*size Chebyshev radii of [0, 1]
+    (4*size for the validation set; at least 48), clustered toward both
+    ends, which keep the polynomial fit well posed at high degree, and the
+    radius 1, the set's one z = 1 at beta = 0, where there is no arc; and
+    as many arc points (at least 64).  Two samples per unknown on each ray
+    and on the arc keep the least-squares fit well determined, and the
+    validation set, twice as fine, bounds the misfit between them: on a set
+    eight times as fine it stays within 1.5x of validation_sup, or at the
+    float floor.
 
-    No radius sits at a pole's magnitude.  The tail fits the far-pole
+    No radius lies below half the innermost pole's magnitude (smaller
+    Chebyshev radii are clipped to it).  The tail fits the far-pole
     remainder (or the g-corrected one, _tail_values), which is analytic
     near the closed sector: its nearest singularity is the innermost far
     pole, at -C*exp(sigma*(sqrt(n1 + 1) - sqrt(n1))), beyond -C.  By
@@ -255,21 +260,17 @@ def _fit_points(cfg: ApproxConfig, fine: bool) -> np.ndarray:
     about 1e-13, would give Vandermonde rows equal to [1, 0, ..., 0] to
     rounding, which tell the fit nothing.
 
-    The Chebyshev and arc counts grow with size = max(n2, ceil(6*sqrt(n1)))
-    + 1, the larger of the config's degree and the ladder's top rung, not
-    with n2 alone.  So every rung of a sweep cell's ladder shares one fit
-    set and one validation set (tail_fits builds them once), and a fresh
-    fit_tail from the rung a sweep chose sees those same sets: a sweep
-    record equals a fresh build from its config."""
+    The counts grow with size = max(n2, ceil(6*sqrt(n1))) + 1, the larger
+    of the config's degree and the ladder's top rung, not with n2 alone.
+    So every rung of a sweep cell's ladder shares one fit set and one
+    validation set (tail_fits builds them once), and a fresh fit_tail from
+    the rung a sweep chose sees those same sets: a sweep record equals a
+    fresh build from its config."""
     lo = max(np.abs(clustered_poles(cfg)).min() * 0.5, 1e-17)
     size = max(cfg.n2, _ladder_degrees(cfg.n1)[-1]) + 1
-    n_cheb = (6 if fine else 4) * size
-    # np.geomspace(lo, 1.0, n) by its own formula, without its overhead
-    geo = 10.0 ** np.linspace(np.log10(lo), 0.0, 65 if fine else 33)
-    geo[0], geo[-1] = lo, 1.0
-    radii = np.unique(np.clip(np.concatenate([geo, chebyshev_radii(max(n_cheb, 48))]), lo, 1.0))
-    n_arc = max((4 if fine else 2) * size, 64)
-    return sector_boundary(cfg.beta, radii, n_arc, upper_half=cfg.g is None)
+    n = (4 if fine else 2) * size
+    radii = np.unique(np.clip(np.append(chebyshev_radii(max(n, 48)), 1.0), lo, 1.0))
+    return sector_boundary(cfg.beta, radii, max(n, 64), upper_half=cfg.g is None)
 
 
 def _poly_lstsq(zs, values, degree, real=False):

@@ -407,11 +407,14 @@ class SlitIntegralSpec:
             raise ValueError("W must be positive and finite")
         if abs((self.k + self.alpha) - round(self.k + self.alpha)) < 1e-12:
             raise ValueError("k + alpha must be non-integer")
-        # the integrand's scale W^(k+alpha+1): its tolerance 1e-13*W^(k+alpha+1)
-        # must not underflow, nor its peak 4*W^(k+alpha+1)*(1 + |log W|) overflow
-        log_scale = (self.k + self.alpha + 1.0) * math.log(self.W)
-        check_double_range(dict(W=self.W, k=self.k, alpha=self.alpha), log_scale + math.log(1e-13),
-                           log_scale + math.log1p(abs(math.log(self.W))), peak=True)
+        # the points scale with W and the integral with W^(k+alpha): W, the
+        # tolerance 1e-13*W^(k+alpha) and the value W^(k+alpha)*(1 + |log W|)
+        # must stay in range
+        log_w = math.log(self.W)
+        log_scale = (self.k + self.alpha) * log_w
+        check_double_range(dict(W=self.W, k=self.k, alpha=self.alpha),
+                           min(log_w, log_scale + math.log(1e-13)),
+                           max(log_w, log_scale + math.log1p(abs(log_w))))
 
 
 def _slit_integral(spec: SlitIntegralSpec, z, log_weighted: bool):
@@ -430,6 +433,11 @@ def _slit_integral(spec: SlitIntegralSpec, z, log_weighted: bool):
     slit.  -z is formed as 0 - z, so its imaginary part has the signed
     zero of W - z's and, at a real z past W, both logs take the same side
     of their cut.  z = 0 is the removable limit.
+
+    The tolerances follow the integral's scale, so they are relative at
+    any W: 1e-13*W^s (times 1 + |log W| for the log density) within
+    0.05*W of the slit, where the integral is of order W^s, and that times
+    W/dist beyond, where it is of order W^(s+1)/dist.
     """
     zs = np.asarray(z, complex)
     flat = zs.ravel()
@@ -439,7 +447,7 @@ def _slit_integral(spec: SlitIntegralSpec, z, log_weighted: bool):
     live = flat != 0
     if np.any(live & (dist < 1e-10 * W)):
         raise ValueError("too close to slit")
-    scale = W**s * W * (1.0 + abs(math.log(W)) if log_weighted else 1.0)
+    scale = W**s * (1.0 + abs(math.log(W)) if log_weighted else 1.0)
     # within 0.05*W of the slit, subtract the density's continuation g = D(z)
     # and add its integral in closed form
     near = live & (dist < 0.05 * W)
@@ -447,7 +455,7 @@ def _slit_integral(spec: SlitIntegralSpec, z, log_weighted: bool):
     g[near] = power_values(flat[near], s, log_weighted)
     tol = np.full(flat.size, 1e-13 * scale)
     far = live & ~near
-    tol[far] /= dist[far]
+    tol[far] /= dist[far] / W
 
     def density(zeta):
         if not log_weighted:
@@ -459,9 +467,10 @@ def _slit_integral(spec: SlitIntegralSpec, z, log_weighted: bool):
         return out
 
     def f(u, k):
-        # zeta = W*u^4 grading smooths the zeta^alpha endpoint
-        zeta = W * u**4
-        return 4.0 * W * u**3 * (density(zeta) - g[k]) / (zeta - flat[k])
+        # zeta = W*u^4 grading smooths the zeta^alpha endpoint; the kernel
+        # is taken in zeta/W, so no product reaches W^(s+1)
+        t = u**4
+        return 4.0 * u**3 * (density(W * t) - g[k]) / (t - flat[k] / W)
 
     value = adaptive_gauss_legendre(f, 0.0, np.where(live, 1.0, 0.0), tol)[0]
     zn = flat[near]
@@ -504,12 +513,14 @@ def singular_coefficient_check(k: int, alpha: float, W: float):
     spec = SlitIntegralSpec(k=k, alpha=alpha, W=W)
     s = k + alpha
     x = W / 2
-    eps = np.array([1e-3, 1e-4, 1e-5]) * W
+    rel = np.array([1e-3, 1e-4, 1e-5])
+    eps = rel * W
 
     def richardson(vals):
-        # Neville elimination of the O(eps) and O(eps^2) terms at eps -> 0
+        # Neville elimination of the O(eps) and O(eps^2) terms at eps -> 0,
+        # in eps/W, so no product reaches W^(s+1)
         v = list(vals)
-        e = list(eps)
+        e = list(rel)
         for level in range(1, len(v)):
             for i in range(len(v) - level):
                 v[i] = (e[i] * v[i + 1] - e[i + level] * v[i]) / (e[i] - e[i + level])

@@ -79,21 +79,18 @@ class QuadratureNonConvergence(RuntimeError):
 # The one double-range rule, in natural logs of magnitudes.  A magnitude
 # is in range from 2.3e-300, a normal double with 1e8 to spare (a scan
 # eight decades below it stays normal), up to e^600, which leaves e^108
-# for the factors a pole, node or weight is then multiplied by.  An
-# integrand's peak, which only the 4 of the slit's graded substitution
-# multiplies, may reach log(max double / 4) = 708.39.
+# for the factors a pole, node or weight is then multiplied by.
 _LOG_TINY = math.log(2.3e-300)
 _LOG_HUGE = 600.0
-_LOG_PEAK = 708.39
 
 
-def check_double_range(params: dict, low: float, high: float, peak: bool = False) -> None:
+def check_double_range(params: dict, low: float, high: float) -> None:
     """Raise ValueError naming the ``params`` (name: value) unless e^low and
-    e^high lie in the double range: e^low >= 2.3e-300 and e^high <= e^600,
-    or for an integrand's ``peak`` e^high <= max double / 4.  A NaN fails.
+    e^high lie in the double range: e^low >= 2.3e-300 and e^high <= e^600.
+    A NaN fails.
     Configs pass the extreme exponents their arithmetic forms, so a
     parameter that leaves binary64 is rejected before any array is built."""
-    if not (_LOG_TINY <= low and high <= (_LOG_PEAK if peak else _LOG_HUGE)):
+    if not (_LOG_TINY <= low and high <= _LOG_HUGE):
         named = ", ".join(f"{name}={value:.6g}" for name, value in params.items())
         raise ValueError(f"{named} leave the double-precision range "
                          f"(magnitudes from e^{low:.6g} to e^{high:.6g})")

@@ -236,41 +236,64 @@ class TestFitTail:
             assert Ab.shape == old.shape and Ab.tobytes("F") == old.tobytes("F")
 
     @pytest.mark.parametrize("fine", [False, True])
-    def test_fit_points_keep_the_geomspace_radii(self, fine):
-        # at n1 = 1 the smallest radius is lo = C/2, so C sweeps lo over
-        # [1e-17, 0.5]; the fit set must be the one np.geomspace built
-        def old_fit_points(cfg):
-            lo = max(np.abs(clustered_poles(cfg)).min() * 0.5, 1e-17)
-            size = max(cfg.n2, approx._ladder_degrees(cfg.n1)[-1]) + 1
-            radii = np.concatenate([np.geomspace(lo, 1.0, 65 if fine else 33),
-                                    approx.chebyshev_radii(max((6 if fine else 4) * size, 48))])
-            radii = np.unique(np.clip(radii, lo, 1.0))
-            n_arc = max((4 if fine else 2) * size, 64)
-            return approx.sector_boundary(cfg.beta, radii, n_arc, upper_half=True)
-
-        # the first two extra values are ones at which math.log10 and np.log10
-        # can round differently, which would move the interior radii
+    def test_fit_radii_are_clipped_chebyshev_radii(self, fine, monkeypatch):
+        # every radius is a Chebyshev radius of [0, 1] (2*size of them, or
+        # 4*size for the validation set, at least 48) clipped below at lo,
+        # half the innermost pole's magnitude, or 1; as many arc points, at
+        # least 64.  At n1 = 1, lo = C/2, so C sweeps lo over [1e-17, 0.5]
+        seen = []
+        monkeypatch.setattr(approx, "sector_boundary",
+                            lambda beta, radii, n_arc, upper_half: seen.append((radii, n_arc)))
         rng = np.random.default_rng(17)
-        los = np.concatenate([[1e-17, 0.5, 0.25, 0.3279477022281109, 0.3872552423147882],
-                              10.0 ** rng.uniform(-17, math.log10(0.5), 400)])
-        for lo in los:
-            cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=2.0, n1=1, n2=0, C=2.0 * lo)
-            assert approx._fit_points(cfg, fine).tobytes() == old_fit_points(cfg).tobytes()
+        cases = [(1, 0, 2.0 * lo) for lo in 10.0 ** rng.uniform(-17, math.log10(0.5), 100)]
+        cases += [(n1, n2, 1.0) for n1, n2 in ((9, 0), (36, 12), (81, 60), (400, 130))]
+        for n1, n2, C in cases:
+            cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=2.0, n1=n1, n2=n2, C=C)
+            approx._fit_points(cfg, fine)
+            radii, n_arc = seen.pop()
+            lo = max(np.abs(clustered_poles(cfg)).min() / 2, 1e-17)
+            n = (4 if fine else 2) * (max(n2, math.ceil(6 * math.sqrt(n1))) + 1)
+            cheb = approx.chebyshev_radii(max(n, 48))
+            clipped = [lo] if np.any(cheb < lo) else []
+            assert n_arc == max(n, 64)
+            assert np.all(np.diff(radii) > 0)
+            assert radii.tolist() == sorted([*clipped, *cheb[cheb > lo].tolist(), 1.0])
+
+    def test_chosen_rung_holds_its_misfit_on_a_dense_boundary(self):
+        # the fit sets hold two samples per unknown on each ray and the arc;
+        # between them the chosen rung's misfit must stay within 1.5x of its
+        # validation_sup, or at the float floor: checked on 16*size Chebyshev
+        # radii, 400 log-spaced radii and 16*size arc points
+        gs = (cmath.exp, lambda z: 1.0 / (z + 1.5), lambda z: 1.0 / (z - 1.2))
+        rng = np.random.default_rng(30)
+        for _ in range(100):
+            alpha, beta = rng.uniform(0.15, 0.85), rng.uniform(0.0, 1.9)
+            sigma = optimal_sigma(alpha, beta) * 2.0 ** rng.uniform(-1.0, 1.0)
+            n1, target = int(rng.integers(4, 65)), approx.TARGETS[rng.integers(4)]
+            g = gs[rng.integers(3)] if target.startswith("prefactor") else None
+            cfg, tail = approx.ladder_tail(ApproxConfig(alpha=alpha, beta=beta, sigma=sigma,
+                                                        n1=n1, target=target, g=g))
+            size = max(cfg.n2, math.ceil(6 * math.sqrt(n1))) + 1
+            lo = max(np.abs(clustered_poles(cfg)).min() / 2, 1e-17)
+            radii = np.unique(np.concatenate([approx.chebyshev_radii(16 * size),
+                                              np.geomspace(lo, 1.0, 400), [1.0]]))
+            zs = approx.sector_boundary(beta, radii, 16 * size, upper_half=g is None)
+            miss = np.max(np.abs(horner(tail.coeffs, zs) - approx._tail_values(cfg, zs)))
+            assert miss <= max(1.5 * tail.validation_sup, 1e-13), (cfg, miss, tail)
 
     @pytest.mark.parametrize("target", ["power", "prefactor_power"])
     def test_fit_set_sizes_do_not_depend_on_n1(self, target):
-        # at n2 = 60 > 6*sqrt(81) the sets are sized by n2 alone: 33 (65)
-        # log-spaced and 4*61 (6*61) Chebyshev radii per edge ray, 2*61
-        # (4*61) arc points and the apex, whatever the pole count; each
-        # innermost pole here lies below every Chebyshev radius, so none merge
+        # at n2 = 60 > 6*sqrt(81) the sets are sized by n2 alone: 2*61
+        # (4*61) Chebyshev radii and the radius 1 per edge ray, 2*61 (4*61)
+        # arc points and the apex, whatever the pole count; each innermost
+        # pole here lies below every Chebyshev radius, so none merge
         g = (lambda z: 1.0 + z) if target.startswith("prefactor") else None
         for n1 in (9, 16, 25, 36, 49, 64, 81):
             cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=optimal_sigma(0.5, 1.0), n1=n1,
                                n2=60, target=target, g=g)
-            for fine, n_geo, n_cheb, n_arc in ((False, 33, 4 * 61, 2 * 61),
-                                               (True, 65, 6 * 61, 4 * 61)):
+            for fine, n_cheb, n_arc in ((False, 2 * 61, 2 * 61), (True, 4 * 61, 4 * 61)):
                 assert abs(clustered_poles(cfg)[0]) / 2 < approx.chebyshev_radii(n_cheb)[0]
-                n_radii = n_geo + n_cheb
+                n_radii = n_cheb + 1
                 want = (n_radii + n_arc // 2 + 1) if g is None else (2 * n_radii + n_arc + 1)
                 assert approx._fit_points(cfg, fine).size == want
 

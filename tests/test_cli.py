@@ -467,11 +467,11 @@ class TestDecomp:
         assert payload["P0_discrepancy"] <= 1e-6
         assert payload["pass"] is True
 
-    @pytest.mark.parametrize("k, W", [("2", "1e100"), ("0", "1e300"), ("1", "1e300"),
+    @pytest.mark.parametrize("k, W", [("2", "1e110"), ("0", "1e300"), ("1", "1e300"),
                                       ("0", "1e-300")])
     def test_slit_scale_outside_the_double_range_exits_2(self, k, W, tmp_path, capfd):
-        # the integrand's peak 4*W^(k+alpha+1) overflows, or at W = 1e-300 its
-        # tolerance 1e-13*W^(k+alpha+1) underflows (a false discrepancy once):
+        # the integral's scale W^(k+alpha) overflows at k = 2, W = 1e110, and
+        # W itself leaves the range at 1e300 and 1e-300 (a false discrepancy once):
         # an invalid configuration, before any quadrature and without a
         # RuntimeWarning or a traceback
         csv, out = tmp_path / "d.csv", tmp_path / "d.json"

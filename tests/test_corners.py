@@ -495,6 +495,27 @@ class TestSlitIntegrals:
         r = math.sqrt(z.real)
         assert abs(cauchy_slit_integral(spec, z) - (2 + r * math.log((r - 1) / (r + 1)))) <= 1e-13
 
+    @pytest.mark.parametrize("W", [1e-60, 1e-5, 1e6, 1e60])
+    def test_scaling_identity(self, W):
+        # zeta = W*t gives int_0^W zeta^s/(zeta - z) dzeta = W^s*I_1(z/W), and
+        # for the log density W^s*(I_1^log(z/W) + log W*I_1(z/W)), where I_1
+        # is the integral over [0, 1]; points near the slit and far from it,
+        # so each tolerance must be relative at any W
+        t = np.array([0.5 + 1e-5j, 0.3 - 0.01j, 1e-3 + 2e-4j, 0.98 - 0.03j,
+                      -0.5 + 0.2j, 2.0 + 1.0j, 0.4 - 0.3j, 5.0])
+        log_w = math.log(W)
+        for k, alpha in ((0, 0.5), (2, 0.75)):
+            unit, spec = SlitIntegralSpec(k, alpha), SlitIntegralSpec(k, alpha, W)
+            zs = W * t
+            base = cauchy_slit_integral(unit, zs / W)
+            base_log = cauchy_slit_integral_log(unit, zs / W)
+            got = cauchy_slit_integral(spec, zs) / W**(k + alpha)
+            got_log = cauchy_slit_integral_log(spec, zs) / W**(k + alpha)
+            assert np.all(np.abs(got - base) <= 1e-11), np.abs(got - base)
+            want_log = base_log + log_w * base
+            assert np.all(np.abs(got_log - want_log) <= 1e-11 * (1.0 + abs(log_w))), \
+                np.abs(got_log - want_log)
+
     def test_removable_limit_at_zero(self):
         spec = SlitIntegralSpec(k=0, alpha=0.5, W=1.0)
         assert cauchy_slit_integral(spec, 0.0) == pytest.approx(2.0, rel=1e-14)
@@ -532,10 +553,10 @@ class TestSlitIntegrals:
         with pytest.raises(ValueError, match="too close"):
             cauchy_slit_integral_log(spec, np.array([0.2 + 0.1j, 0.5 + 1e-12j, 0.0]))
 
-    @pytest.mark.parametrize("k, W", [(2, 1e100), (0, 1e300), (0, 1e-300), (3, 1e-70)])
+    @pytest.mark.parametrize("k, W", [(2, 1e110), (0, 1e300), (0, 1e-300), (3, 1e-90)])
     def test_scale_outside_the_double_range_rejected(self, k, W):
-        # the peak 4*W^(k+alpha+1)*(1 + |log W|) overflows, or the tolerance
-        # 1e-13*W^(k+alpha+1) underflows
+        # the value W^(k+alpha)*(1 + |log W|) or W itself overflows, or the
+        # tolerance 1e-13*W^(k+alpha) or W underflows
         with pytest.raises(ValueError, match=re.escape(f"W={W:.6g}, k={k}, alpha=0.5 "
                                                        "leave the double-precision range")):
             SlitIntegralSpec(k=k, alpha=0.5, W=W)

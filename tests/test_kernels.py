@@ -238,12 +238,10 @@ class TestTruncatedIntegral:
 class TestDoubleRange:
     def test_rule_bounds(self):
         check_double_range({"p": 1.0}, math.log(2.3e-300), 600.0)
-        check_double_range({"p": 1.0}, 0.0, 708.39, peak=True)
-        for low, high, peak in [(math.log(2.2e-300), 0.0, False), (0.0, 600.001, False),
-                                (0.0, 708.4, True), (math.nan, 0.0, False),
-                                (0.0, math.nan, True)]:
+        for low, high in [(math.log(2.2e-300), 0.0), (0.0, 600.001), (math.nan, 0.0),
+                          (0.0, math.nan)]:
             with pytest.raises(ValueError, match="^p=2, q=3 leave the double-precision range"):
-                check_double_range({"p": 2.0, "q": 3}, low, high, peak)
+                check_double_range({"p": 2.0, "q": 3}, low, high)
 
     @pytest.mark.parametrize("kw, reason", [
         # the outermost pole e^(T/(1 - alpha)) = e^800
