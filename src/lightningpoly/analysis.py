@@ -53,7 +53,6 @@ __all__ = [
     "fit_rate",
     "quadrature_error_envelope",
     "quadrature_error_curve",
-    "QUADRATURE_TARGETS",
     "near_origin_check",
     "run_sweep",
     "sweep_configs",
@@ -88,20 +87,15 @@ class ConvergenceRecord:
 
 
 def make_target(kind: str, alpha: float, g: Callable | None = None):
-    """Vectorized target function for a named approximation target:
-    z^alpha or z^alpha*log z (0 at z = 0), times g(z) for a prefactor
-    target."""
+    """Vectorized target function for a target kind of TARGETS: z^alpha or
+    z^alpha*log z (0 at z = 0), times g(z) when g is given."""
     if kind not in TARGETS:
         raise ValueError(f"unknown target {kind!r}")
-    prefactor = kind.startswith("prefactor")
-    if prefactor and g is None:
-        raise ValueError("prefactor targets need g")
-    log_like = kind.endswith("power_log")
 
     def target(zs):
         zs = np.asarray(zs, complex)
-        out = power_values(zs, alpha, log_like)
-        return _g_values(g, zs) * out if prefactor else out
+        out = power_values(zs, alpha, kind == "power_log")
+        return out if g is None else _g_values(g, zs) * out
 
     return target
 
@@ -134,8 +128,7 @@ def sup_error(approx: RationalApprox, target, _unused, zs: np.ndarray) -> float:
 
 
 def predicted_log_rate(sigma: float, alpha: float, beta: float, target: str):
-    """(rate, prefactor_power): error is predicted to decay like
-    N^prefactor_power * exp(-rate*sqrt(N)).
+    """(rate, p): error is predicted to decay like N^p * exp(-rate*sqrt(N)).
 
     rate = sigma*alpha for sigma <= sigma_opt, else pi*eta*sqrt(2*(2-beta)*alpha)
     with eta = sigma_opt/sigma; the log target carries a sqrt(N) prefactor
@@ -146,7 +139,7 @@ def predicted_log_rate(sigma: float, alpha: float, beta: float, target: str):
     s_opt = optimal_sigma(alpha, beta)
     if sigma <= s_opt:
         rate = sigma * alpha
-        pref = 0.5 if target.endswith("power_log") else 0.0
+        pref = 0.5 if target == "power_log" else 0.0
     else:
         eta = s_opt / sigma
         rate = math.pi * eta * math.sqrt(2.0 * (2.0 - beta) * alpha)
@@ -200,8 +193,9 @@ def rate_grid(cfg: ApproxConfig, refine: int = 0, split: bool = False):
                            upper_half=cfg.g is None, split=split)
 
 
-def checked_sup_error(approx: RationalApprox, target, cfg: ApproxConfig) -> float:
-    """Sup error over the refine=1 grid, checked against its even half.
+def checked_sup_error(approx: RationalApprox, cfg: ApproxConfig) -> float:
+    """Sup error against cfg's target (make_target) over the refine=1 grid,
+    checked against its even half.
 
     The grid is evaluated once, as two sup_error calls: ``coarse`` is the
     sup over the even half (every other radius and arc point, and the
@@ -209,6 +203,7 @@ def checked_sup_error(approx: RationalApprox, target, cfg: ApproxConfig) -> floa
     NaN in either part kept.  So ``fine`` is the sup over the whole grid
     and ``fine >= coarse``.  It is accepted when the half is within 5% of
     it; otherwise the refine=2 grid is evaluated and its sup returned."""
+    target = make_target(cfg.target, cfg.alpha, cfg.g)
     half, rest = rate_grid(cfg, refine=1, split=True)
     coarse = sup_error(approx, target, None, half)
     fine = float(np.maximum(coarse, sup_error(approx, target, None, rest)))
@@ -221,35 +216,33 @@ def checked_sup_error(approx: RationalApprox, target, cfg: ApproxConfig) -> floa
 
 
 def sweep_configs(alpha: float, beta: float, sigma: float, n1_list: Iterable[int],
-                  C: float = 1.0, target: str = "power", g: Callable | None = None,
-                  n2_mode="auto") -> list[ApproxConfig]:
-    """The config each run_sweep cell starts from, one per n1: n2 is
-    ApproxConfig's proportional default for "auto" (the ladder then sets
-    its own) and for "proportional", else int(n2_mode)."""
-    n2 = None if n2_mode in ("auto", "proportional") else int(n2_mode)
-    return [ApproxConfig(alpha=alpha, beta=beta, sigma=sigma, n1=n1, n2=n2, C=C,
-                         target=target, g=g) for n1 in n1_list]
+                  C: float = 1.0, target: str = "power",
+                  g: Callable | None = None) -> list[ApproxConfig]:
+    """The config each run_sweep cell starts from, one per n1, with
+    ApproxConfig's default n2; the cell's ladder (ladder_tail) sets its own."""
+    return [ApproxConfig(alpha=alpha, beta=beta, sigma=sigma, n1=n1, C=C, target=target, g=g)
+            for n1 in n1_list]
 
 
 def run_sweep(alpha: float, beta: float, sigma: float, n1_list: Iterable[int],
               C: float = 1.0, target: str = "power", g: Callable | None = None,
-              n2_mode="auto", map_fn=map) -> list[ConvergenceRecord]:
+              map_fn=map) -> list[ConvergenceRecord]:
     """Build approximations across n1_list and record sup errors.
 
-    n2_mode: "auto" (default, O(sqrt(n1)) tail for clean rate fits),
-    "proportional" (ceil(1.3*n1), the efficient experiment default), or an
-    int fixing n2.  ``map_fn`` may be an executor map for concurrent cells;
-    records come back sorted by n1 regardless.  Every cell's config
-    (sweep_configs) is built before the first cell runs.  A cell whose sup
-    error is not finite raises RuntimeError, as a non-finite tail value does.
+    Each cell's tail degree is the rung ladder_tail picks, an O(sqrt(n1))
+    tail that keeps the rate fits clean.  ``map_fn`` may be an executor map
+    for concurrent cells; records come back sorted by n1 regardless.  Every
+    cell's config (sweep_configs) is built before the first cell runs.  A
+    cell whose sup error is not finite raises RuntimeError, as a non-finite
+    tail value does.
     """
     rate, pref = predicted_log_rate(sigma, alpha, beta, target)
 
     def cell(cfg: ApproxConfig) -> ConvergenceRecord:
         t0 = time.perf_counter()
-        cfg, tail = ladder_tail(cfg) if n2_mode == "auto" else (cfg, None)
+        cfg, tail = ladder_tail(cfg)
         approx = build_approximation(cfg, tail=tail)
-        err = checked_sup_error(approx, make_target(target, alpha, g), cfg)
+        err = checked_sup_error(approx, cfg)
         if not math.isfinite(err):
             raise RuntimeError(f"sup error {err} at n1={cfg.n1} is not finite")
         n = cfg.n1 + cfg.n2
@@ -259,7 +252,7 @@ def run_sweep(alpha: float, beta: float, sigma: float, n1_list: Iterable[int],
                                  predicted_log_err=pred, sigma=sigma, runtime_ms=ms)
 
     records = list(map_fn(cell, sweep_configs(alpha, beta, sigma, n1_list, C=C,
-                                              target=target, g=g, n2_mode=n2_mode)))
+                                              target=target, g=g)))
     records.sort(key=lambda r: (r.sigma, r.n1))
     return records
 
@@ -372,16 +365,12 @@ class EvaluatedPair(tuple):
         return pair
 
 
-# the targets whose trapezoid error quadrature_error_curve measures
-QUADRATURE_TARGETS = ("power", "power_log")
-
-
 def quadrature_error_curve(cfg_list: Sequence[KernelConfig], target: str,
                            grid: np.ndarray):
     """Rows (T, sup |I - trapezoid|) over the grid points, ordered by T, as
     EvaluatedPairs; each config integrates the whole grid in one batched
-    reference call.  ``target`` is one of QUADRATURE_TARGETS."""
-    if target not in QUADRATURE_TARGETS:
+    reference call.  ``target`` is a target kind of TARGETS."""
+    if target not in TARGETS:
         raise ValueError(f"unknown quadrature target {target!r}")
     log = target == "power_log"
     reference = truncated_integral_log if log else truncated_integral

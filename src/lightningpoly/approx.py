@@ -36,7 +36,8 @@ __all__ = [
     "deserialize",
 ]
 
-TARGETS = ("power", "power_log", "prefactor_power", "prefactor_power_log")
+# the target kinds z^alpha and z^alpha*log z; a config's g multiplies either
+TARGETS = ("power", "power_log")
 # the largest tail degree, set by the memory of the fit matrix (a fit at
 # n2 = 1170 peaked at 500 MB); the damped solve converges at any degree
 _MAX_N2 = 1000
@@ -70,6 +71,10 @@ def optimal_step(alpha: float, beta: float) -> float:
 @dataclass(frozen=True)
 class ApproxConfig:
     """All knobs of one approximation build.
+
+    The target is z^alpha ("power") or z^alpha*log z ("power_log"), times
+    g(z) when g is given (a prefactor target; g is called on one complex
+    point at a time).
 
     n2 defaults to ceil(1.3*n1), the experimentally efficient tail degree,
     at most _MAX_N2; rate sweeps use smaller tails (see ladder_tail).
@@ -109,9 +114,6 @@ class ApproxConfig:
                              "the fit matrix's memory")
         if self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}")
-        if self.target.startswith("prefactor") != (self.g is not None):
-            raise ValueError(f"target {self.target!r}: prefactor targets require g; "
-                             "plain targets forbid it")
         la, ls, lc = math.log(self.alpha), math.log(self.sigma), math.log(self.C)
         check_double_range(
             dict(alpha=self.alpha, sigma=self.sigma, C=self.C, n1=self.n1),
@@ -146,7 +148,7 @@ class ApproxConfig:
 
     @property
     def log_like(self) -> bool:
-        return self.target.endswith("power_log")
+        return self.target == "power_log"
 
 
 def clustered_poles(cfg: ApproxConfig) -> np.ndarray:

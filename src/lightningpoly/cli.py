@@ -107,6 +107,8 @@ def _checked(parse, ok, rule: str):
 
 
 _finite = _checked(_real, math.isfinite, "must be finite")
+# a tolerance of 0 or below fails every run
+_tolerance = _checked(_finite, lambda x: x > 0.0, "must be > 0")
 
 
 def _output(token, flag: str):
@@ -161,18 +163,17 @@ _OPTIONS = {
     "sweep": (
         _ALPHA, _BETA, _SIGMA,
         _option("--N1", _REQUIRED, _list(_integer, "pole counts"), "comma list", key="n1"),
-        _TARGET,
-        _option("--n2-mode", "auto", _parser("auto, proportional or an integer", int,
-                                             {"auto": "auto", "proportional": "proportional"})),
-        _C, _option("--rate-tol", 0.15, _finite), _option("--r2-min", 0.9, _finite),
+        _TARGET, _C, _option("--rate-tol", 0.15, _tolerance),
+        # no fit has r^2 above 1
+        _option("--r2-min", 0.9, _checked(_finite, lambda x: x <= 1.0, "must be <= 1")),
         _option("--timings", False, _boolean, "write real runtimes (breaks byte-reproducibility)"),
         _CSV, _JSON),
     "quaderr": (
         _ALPHA, _BETA,
         _option("--sigma", "opt", _given, "comma list; opt, opt*X, opt/X"),
         _option("--T", "4,6,8,10,12,14,16", _list(_real, "truncations"), "comma list"),
-        _option("--target", "power", _words(*analysis.QUADRATURE_TARGETS)),
-        _C, _option("--arc-points", 31, _checked(_integer, lambda n: n >= 1, "must be >= 1")),
+        _TARGET, _C,
+        _option("--arc-points", 31, _checked(_integer, lambda n: n >= 1, "must be >= 1")),
         _CSV, _JSON),
     "nearorigin": (
         _ALPHA, _BETA, _option("--h", "opt", _parser("opt or a number", float, {"opt": "opt"})),
@@ -190,7 +191,7 @@ _OPTIONS = {
         _option("--weights", None, _list(_finite, "corner weights", repeats=True),
                 "per-corner multipliers"),
         _option("--oversample", 4, _integer), _option("--fine-factor", 4, _integer),
-        _option("--final-err", 1e-6, _finite),
+        _option("--final-err", 1e-6, _tolerance),
         _option("--export", None, _output, "write final solution coefficients"), _CSV, _JSON),
     "decomp": (
         _option("--k", 0, _integer), _ALPHA, _option("--W", 1.0, _real), _CSV, _JSON),
@@ -251,7 +252,7 @@ def _cmd_approx(p: dict):
 
     def compute():
         approx = build_approximation(cfg)
-        err = analysis.checked_sup_error(approx, analysis.make_target(cfg.target, alpha), cfg)
+        err = analysis.checked_sup_error(approx, cfg)
         _write(p["out"], serialize(approx))
         rate, _ = analysis.predicted_log_rate(sigma, alpha, beta, cfg.target)
         return _report(p, {"sup_err": err, "n1": cfg.n1, "n2": cfg.n2, "sigma": sigma,
@@ -266,7 +267,7 @@ def _cmd_sweep(p: dict):
     n1_list = p["n1"]
     if len(n1_list) < 4:
         raise ValueError(f"--N1 lists {len(n1_list)} pole counts; the rate fit needs >= 4")
-    cells = {"C": p["C"], "target": p["target"], "n2_mode": p["n2_mode"]}
+    cells = {"C": p["C"], "target": p["target"]}
     # every cell's config is checked here; run_sweep builds them again
     analysis.sweep_configs(alpha, beta, sigma, n1_list, **cells)
     threads = _threads()

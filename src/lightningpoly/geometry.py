@@ -296,43 +296,43 @@ def polygon_from_file(path) -> Polygon:
 
     Format: one vertex per line as ``re im`` with optional ``beta=<v>`` /
     ``alpha=<v>`` tokens; a line ``curve <edge_index> bulge=<s>`` declares a
-    curved edge (edge k joins vertex k to k+1).  '#' starts a comment.
+    curved edge (edge k joins vertex k to k+1).  '#' starts a comment.  A
+    malformed line raises a ValueError that names the file and the line.
     """
     vertices, betas, alphas = [], [], []
-    curve_decls = {}
-    for raw in Path(path).read_text().splitlines():
+    curve_bulges, curve_lines = {}, {}  # by edge index
+    for number, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tok = line.split()
-        if len(tok) < 2:
-            raise ValueError(f"polygon line {line!r} needs at least two fields")
-        if tok[0] == "curve":
-            idx, bulge = int(tok[1]), 0.0
+        kind = "curve" if tok[0] == "curve" else "vertex"
+        try:
+            if len(tok) < 2:
+                raise ValueError(f"{line!r} needs at least two fields")
+            attrs = {}
             for t in tok[2:]:
-                key, val = t.split("=", 1)
-                if key != "bulge":
-                    raise ValueError(f"unknown curve attribute {key!r}")
-                bulge = float(val)
-            curve_decls[idx] = bulge
-            continue
-        re_s, im_s = tok[0], tok[1]
-        beta = alpha = None
-        for t in tok[2:]:
-            key, val = t.split("=", 1)
-            if key == "beta":
-                beta = float(val)
-            elif key == "alpha":
-                alpha = val if val == "auto" else float(val)
-            else:
-                raise ValueError(f"unknown vertex attribute {key!r}")
-        vertices.append(complex(float(re_s), float(im_s)))
-        betas.append(beta)
-        alphas.append("auto" if alpha is None else alpha)
+                key, eq, val = t.partition("=")
+                if key not in (("bulge",) if kind == "curve" else ("beta", "alpha")):
+                    raise ValueError(f"unknown {kind} attribute {key!r}")
+                if not eq:
+                    raise ValueError(f"attribute {t!r} is not key=value")
+                attrs[key] = val
+            if kind == "curve":
+                idx = int(tok[1])
+                curve_bulges[idx], curve_lines[idx] = float(attrs.get("bulge", 0.0)), number
+                continue
+            vertices.append(complex(float(tok[0]), float(tok[1])))
+            betas.append(float(attrs["beta"]) if "beta" in attrs else None)
+            alpha = attrs.get("alpha", "auto")
+            alphas.append(alpha if alpha == "auto" else float(alpha))
+        except ValueError as exc:
+            raise ValueError(f"polygon {path}, line {number}: {exc}") from None
     m = len(vertices)
-    for idx in curve_decls:
+    for idx, number in curve_lines.items():
         if not 0 <= idx < m:
-            raise ValueError(f"curve {idx} names no edge of a {m}-edge polygon")
-    bulges = [curve_decls.get(k, 0.0) for k in range(m)]
+            raise ValueError(f"polygon {path}, line {number}: "
+                             f"curve {idx} names no edge of a {m}-edge polygon")
+    bulges = [curve_bulges.get(k, 0.0) for k in range(m)]
     return Polygon.from_vertices(vertices, bulges=bulges, betas=betas, alphas=alphas)
 

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import hashlib
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -82,7 +83,7 @@ class TestSupError:
     def test_sector_rate_spec_point(self):
         cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=optimal_sigma(0.5, 1.0), n1=36)
         approx = build_approximation(cfg)
-        err = checked_sup_error(approx, make_target("power", 0.5), cfg)
+        err = checked_sup_error(approx, cfg)
         predicted = math.exp(-6 * math.pi)
         assert predicted / 100 <= err <= predicted * 100
 
@@ -93,6 +94,15 @@ class TestSupError:
         e_s = sup_error(self.approx, target, None, sector)
         e_v = sup_error(self.approx, target, None, vgrid)
         assert e_v <= e_s + 1e-18
+
+
+class TestMakeTarget:
+    @pytest.mark.parametrize("kind", ["power", "power_log"])
+    def test_g_multiplies_each_kind(self, kind):
+        # make_target("power", alpha, g) once dropped g without a word
+        zs = ray_fan(1.5, [1e-3, 0.3, 1.0], 7)
+        want = np.exp(zs) * zs**0.5 * (np.log(zs) if kind == "power_log" else 1.0)
+        np.testing.assert_allclose(make_target(kind, 0.5, cmath.exp)(zs), want, rtol=1e-14)
 
 
 class TestPredictedLogRate:
@@ -353,18 +363,10 @@ class TestSweepAndCsv:
         assert len(lines) == 3
         assert text.endswith("\n") and "\r" not in text
 
-    def test_sweep_proportional_mode(self):
-        records = run_sweep(0.5, 1.0, optimal_sigma(0.5, 1.0), [9], n2_mode="proportional")
-        assert records[0].n2 == math.ceil(1.3 * 9)
-
-    def test_sweep_fixed_mode(self):
-        records = run_sweep(0.5, 1.0, optimal_sigma(0.5, 1.0), [9], n2_mode=7)
-        assert records[0].n2 == 7
-
     @pytest.mark.parametrize("alpha, beta, sigma_factor, n1, target, g", [
         (0.8, 1.5, 1.0, 16, "power", None),
         (0.8, 1.5, 1.0, 16, "power_log", None),
-        (0.8, 1.5, 1.0, 16, "prefactor_power", cmath.exp),
+        (0.8, 1.5, 1.0, 16, "power", cmath.exp),
         # the ladder stops below its top rung: n2 = 28 of 42, and 12 of 36
         (0.8, 1.5, 0.5, 49, "power", None),
         (0.25, 0.5, 1.0, 36, "power_log", None),
@@ -385,25 +387,47 @@ class TestSweepAndCsv:
             assert (tail_n2.fit_rms, tail_n2.validation_sup) == \
                 (tail.fit_rms, tail.validation_sup)
         approx = build_approximation(cfg)
-        err = checked_sup_error(approx, make_target(target, alpha, g), cfg)
+        err = checked_sup_error(approx, cfg)
         assert (rec.n1, rec.n2, rec.sup_err) == (cfg.n1, cfg.n2, err)
 
+    # sha256 of serialize(build_approximation(...)) at n1 = 16 and of the
+    # zero-runtime records_to_csv(run_sweep(...)) over n1 = 9, 16, 25, at
+    # alpha = 0.5, beta = 1, sigma_opt and g = exp: the bytes these builds
+    # gave when a prefactor target had names of its own (prefactor_power,
+    # prefactor_power_log); recorded with numpy 2.4 and its OpenBLAS 0.3.31
+    # on x86-64, whose rounding the bytes depend on
+    _PREFACTOR_PINS = {
+        "power": ("3ddfbc4033d53566893ef67e40a171145cac072a3d44ebfa4f13db9937c36840",
+                  "240fa936f997a2f01ca42fa0f2862081da778890a62b4a32f7e6945148c64a7e"),
+        "power_log": ("d36568a7ef415821dd0221d569d2efae0dfb30dd5fded1a065512953533668c5",
+                      "bfa66f9c24b8453765cd5ea12c237735811c87a03dcd42140fd4843f17277a32"),
+    }
+
+    @pytest.mark.parametrize("target", ["power", "power_log"])
+    def test_prefactor_bytes_are_pinned(self, target):
+        sigma = optimal_sigma(0.5, 1.0)
+        cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=sigma, n1=16, target=target, g=cmath.exp)
+        records = run_sweep(0.5, 1.0, sigma, [9, 16, 25], target=target, g=cmath.exp)
+        csv = records_to_csv([dataclasses.replace(r, runtime_ms=0.0) for r in records])
+        digests = tuple(hashlib.sha256(text.encode()).hexdigest()
+                        for text in (serialize(build_approximation(cfg)), csv))
+        assert digests == self._PREFACTOR_PINS[target]
+
     _LADDER_CASES = [
-        (0.8, 1.5, "power", 1.0, 16, 4),
-        (0.8, 1.5, "power_log", 1.0, 9, 4),
-        (0.8, 1.5, "power_log", 0.5, 16, 3),
-        (0.25, 0.5, "power_log", 1.0, 36, 1),
-        (0.25, 1.5, "power", 2.0, 49, 3),
+        (0.8, 1.5, "power", None, 1.0, 16, 4),
+        (0.8, 1.5, "power_log", None, 1.0, 9, 4),
+        (0.8, 1.5, "power_log", None, 0.5, 16, 3),
+        (0.25, 0.5, "power_log", None, 1.0, 36, 1),
+        (0.25, 1.5, "power", None, 2.0, 49, 3),
         # the ladder ranks the g-corrected tail, which passes a rung below
         # the plain remainder's 4
-        (0.8, 1.5, "prefactor_power", 1.0, 16, 3),
+        (0.8, 1.5, "power", cmath.exp, 1.0, 16, 3),
     ]
 
-    @pytest.mark.parametrize("alpha, beta, target, sigma_factor, n1, rungs", _LADDER_CASES)
-    def test_ladder_climbs_the_expected_rungs(self, monkeypatch, alpha, beta, target,
+    @pytest.mark.parametrize("alpha, beta, target, g, sigma_factor, n1, rungs", _LADDER_CASES)
+    def test_ladder_climbs_the_expected_rungs(self, monkeypatch, alpha, beta, target, g,
                                               sigma_factor, n1, rungs):
         sigma = sigma_factor * optimal_sigma(alpha, beta)
-        g = cmath.exp if target.startswith("prefactor") else None
         consumed = []
         fits = approx_module.tail_fits
 
@@ -418,8 +442,8 @@ class TestSweepAndCsv:
         assert len(consumed) == rungs
         assert tail.coeffs.size == cfg.n2 + 1
 
-    @pytest.mark.parametrize("alpha, beta, target, sigma_factor, n1, rungs", _LADDER_CASES)
-    def test_one_fit_set_and_remainder_per_sweep_cell(self, monkeypatch, alpha, beta, target,
+    @pytest.mark.parametrize("alpha, beta, target, g, sigma_factor, n1, rungs", _LADDER_CASES)
+    def test_one_fit_set_and_remainder_per_sweep_cell(self, monkeypatch, alpha, beta, target, g,
                                                       sigma_factor, n1, rungs):
         # whatever number of rungs a cell climbs, and for every target, it
         # builds the fit and validation sets once each, evaluates the
@@ -434,7 +458,6 @@ class TestSweepAndCsv:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(approx_module, name, counted)
-        g = cmath.exp if target.startswith("prefactor") else None
         run_sweep(alpha, beta, sigma_factor * optimal_sigma(alpha, beta), [n1],
                   target=target, g=g)
         assert calls == {"_fit_points": 2, "_remainder_values": 1, "_poly_lstsq": rungs}
@@ -446,7 +469,7 @@ class TestSweepAndCsv:
         # the cell (and the cells after it) to a StopIteration that map
         # takes for the end of its input
         cfg = ApproxConfig(alpha=0.8, beta=1.5, sigma=optimal_sigma(0.8, 1.5), n1=16,
-                           target="prefactor_power", g=cmath.exp)
+                           g=cmath.exp)
         fit = set(_fit_points(cfg, fine=False).tolist())
         bad = next(z for z in _fit_points(cfg, fine=True).tolist()
                    if z.imag > 0 and z not in fit)
@@ -455,8 +478,7 @@ class TestSweepAndCsv:
             return complex("nan") if z == bad else cmath.exp(z)
 
         def sweep(map_fn):
-            return run_sweep(0.8, 1.5, cfg.sigma, [9, 16, 25], target="prefactor_power",
-                             g=g, map_fn=map_fn)
+            return run_sweep(0.8, 1.5, cfg.sigma, [9, 16, 25], g=g, map_fn=map_fn)
 
         with pytest.raises(RuntimeError, match="tail values are not finite"):
             if threads:
@@ -470,7 +492,7 @@ class TestSweepAndCsv:
         # holds, so the tail fit succeeds; the sweep used to record the cell
         # as the row "6.2831853071795862,9,9,18,nan,..."
         cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=optimal_sigma(0.5, 1.0), n1=9,
-                           target="prefactor_power", g=cmath.exp)
+                           g=cmath.exp)
         fits = {z for fine in (False, True) for z in _fit_points(cfg, fine).tolist()}
         bad = next(z for z in rate_grid(cfg, 1).tolist() if z not in fits)
 
@@ -478,7 +500,7 @@ class TestSweepAndCsv:
             return complex("nan") if z == bad else cmath.exp(z)
 
         with pytest.raises(RuntimeError, match="sup error nan at n1=9 is not finite"):
-            run_sweep(0.5, 1.0, cfg.sigma, [9], target="prefactor_power", g=g)
+            run_sweep(0.5, 1.0, cfg.sigma, [9], g=g)
 
     def test_rate_grid_reaches_below_innermost_pole(self):
         cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=optimal_sigma(0.5, 1.0), n1=25)
@@ -543,9 +565,9 @@ def _in_unit_sector(beta, zs, tol=1e-12):
 
 
 def _prefactor_twin(cfg):
-    """cfg with a prefactor target, whose grids and fit points keep both
+    """cfg times the prefactor g = exp, whose grids and fit points keep both
     halves of the boundary."""
-    return dataclasses.replace(cfg, target="prefactor_" + cfg.target, g=cmath.exp)
+    return dataclasses.replace(cfg, g=cmath.exp)
 
 
 def _full_boundary_complex_tail(cfg):
@@ -589,7 +611,7 @@ class TestBoundaryGrid:
     def test_interior_rays_never_exceed_the_boundary(self, alpha, beta):
         # maximum modulus: the error is analytic inside the sector, so no
         # point of the interior-ray fan exceeds the boundary grid's sup
-        targets = (("power", None), ("power_log", None), ("prefactor_power", cmath.exp))
+        targets = (("power", None), ("power_log", None), ("power", cmath.exp))
         for cfg in _grid_configs(alpha, beta, targets):
             f = make_target(cfg.target, alpha, cfg.g)
             approx = build_approximation(cfg)
@@ -644,7 +666,7 @@ class TestNestedDriftCheck:
 
     def _setup(self, alpha, beta, g):
         cfg = ApproxConfig(alpha=alpha, beta=beta, sigma=optimal_sigma(alpha, beta), n1=16,
-                           target="prefactor_power" if g else "power", g=g)
+                           g=g)
         return cfg, build_approximation(cfg)
 
     @pytest.mark.parametrize("alpha, beta, g", _NESTED_CONFIGS)
@@ -663,25 +685,28 @@ class TestNestedDriftCheck:
         f = make_target(cfg.target, alpha, g)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            err = checked_sup_error(approx, f, cfg)
+            err = checked_sup_error(approx, cfg)
         assert err == sup_error(approx, f, None, rate_grid(cfg, 1))
 
-    def test_drift_in_the_rest_refines_again(self):
+    def test_drift_in_the_rest_refines_again(self, monkeypatch):
         cfg, approx = self._setup(0.5, 1.0, None)
         _, rest = rate_grid(cfg, 1, split=True)
         z0 = rest[rest.size // 2]
         finer_grid = rate_grid(cfg, 2)
         assert z0 not in finer_grid
         target = _spiked(approx, z0, 0.25)
+        monkeypatch.setattr(analysis, "make_target", lambda *args: target)
         with pytest.warns(UserWarning, match="still drifting after two refinements"):
-            err = checked_sup_error(approx, target, cfg)
+            err = checked_sup_error(approx, cfg)
         assert err == sup_error(approx, target, None, finer_grid) == 0.0
 
-    def test_nan_in_the_rest_is_kept(self):
+    def test_nan_in_the_rest_is_kept(self, monkeypatch):
         # Python's max(x, nan) is x: the rest's NaN must not be dropped
         cfg, approx = self._setup(0.5, 1.0, None)
         _, rest = rate_grid(cfg, 1, split=True)
-        assert math.isnan(checked_sup_error(approx, _spiked(approx, rest[3], math.nan), cfg))
+        monkeypatch.setattr(analysis, "make_target",
+                            lambda *args: _spiked(approx, rest[3], math.nan))
+        assert math.isnan(checked_sup_error(approx, cfg))
 
 
 class TestDiagnosticsAndSkips:

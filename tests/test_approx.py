@@ -67,8 +67,8 @@ class TestApproxConfig:
         ({"n2": -1}, "n2 must be"),
         ({"n2": 1001}, "tail degree capped at 1000"),
         ({"target": "cube"}, "unknown target"),
-        ({"target": "prefactor_power"}, "prefactor targets require g"),
-        ({"g": cmath.exp}, "prefactor targets require g"),
+        # g multiplies a target kind; it is not a kind of its own
+        ({"target": "prefactor_power", "g": cmath.exp}, "unknown target"),
         ({"sigma": 1000.0}, "double-precision range"),
     ])
     def test_validation(self, change, reason):
@@ -184,13 +184,14 @@ class TestFitTail:
         assert tail.validation_sup <= 1e-10
         assert tail.validation_sup <= 50 * max(tail.fit_rms, 1e-16)
 
-    @pytest.mark.parametrize("target,beta", [("power", 1.5), ("power_log", 0.5),
-                                             ("prefactor_power", 1.0)])
-    def test_joined_evaluation_keeps_each_sets_misfit(self, target, beta):
+    @pytest.mark.parametrize("target,beta,prefactor", [("power", 1.5, False),
+                                                       ("power_log", 0.5, False),
+                                                       ("power", 1.0, True)])
+    def test_joined_evaluation_keeps_each_sets_misfit(self, target, beta, prefactor):
         # each rung's tail is evaluated once on the fit and validation sets
         # joined; Horner is elementwise, so both misfits keep their bytes,
         # and the RMS is np.average's, weighted on the upper half only
-        g = (lambda z: 1.0 + z) if target.startswith("prefactor") else None
+        g = (lambda z: 1.0 + z) if prefactor else None
         cfg = ApproxConfig(alpha=0.8, beta=beta, sigma=optimal_sigma(0.8, beta),
                            n1=49, target=target, g=g)
         zs = approx._fit_points(cfg, fine=False)
@@ -214,12 +215,14 @@ class TestFitTail:
             Vy = np.concatenate([Vy.real * w[:, None], Vy[~axis].imag])
         return Vy
 
-    @pytest.mark.parametrize("target,beta", [("power", 1.5), ("power_log", 0.5),
-                                             ("prefactor_power", 1.0)])
-    def test_poly_system_is_column_major_and_unchanged(self, target, beta, monkeypatch):
+    @pytest.mark.parametrize("target,beta,prefactor", [("power", 1.5, False),
+                                                       ("power_log", 0.5, False),
+                                                       ("power", 1.0, True)])
+    def test_poly_system_is_column_major_and_unchanged(self, target, beta, prefactor,
+                                                       monkeypatch):
         # every set holds points on the axis (the apex, and z = 1 for the
         # upper half); the prefactor target fits the complex [V y]
-        g = (lambda z: 1.0 + z) if target.startswith("prefactor") else None
+        g = (lambda z: 1.0 + z) if prefactor else None
         cfg = ApproxConfig(alpha=0.8, beta=beta, sigma=optimal_sigma(0.8, beta), n1=25,
                            target=target, g=g)
         zs = approx._fit_points(cfg, fine=False)
@@ -269,8 +272,10 @@ class TestFitTail:
         for _ in range(100):
             alpha, beta = rng.uniform(0.15, 0.85), rng.uniform(0.0, 1.9)
             sigma = optimal_sigma(alpha, beta) * 2.0 ** rng.uniform(-1.0, 1.0)
-            n1, target = int(rng.integers(4, 65)), approx.TARGETS[rng.integers(4)]
-            g = gs[rng.integers(3)] if target.startswith("prefactor") else None
+            # kinds 0 and 1 are the plain targets, 2 and 3 the same times a g
+            n1, kind = int(rng.integers(4, 65)), int(rng.integers(4))
+            target = approx.TARGETS[kind % 2]
+            g = gs[rng.integers(3)] if kind >= 2 else None
             cfg, tail = approx.ladder_tail(ApproxConfig(alpha=alpha, beta=beta, sigma=sigma,
                                                         n1=n1, target=target, g=g))
             size = max(cfg.n2, math.ceil(6 * math.sqrt(n1))) + 1
@@ -281,16 +286,16 @@ class TestFitTail:
             miss = np.max(np.abs(horner(tail.coeffs, zs) - approx._tail_values(cfg, zs)))
             assert miss <= max(1.5 * tail.validation_sup, 1e-13), (cfg, miss, tail)
 
-    @pytest.mark.parametrize("target", ["power", "prefactor_power"])
-    def test_fit_set_sizes_do_not_depend_on_n1(self, target):
+    @pytest.mark.parametrize("prefactor", [False, True])
+    def test_fit_set_sizes_do_not_depend_on_n1(self, prefactor):
         # at n2 = 60 > 6*sqrt(81) the sets are sized by n2 alone: 2*61
         # (4*61) Chebyshev radii and the radius 1 per edge ray, 2*61 (4*61)
         # arc points and the apex, whatever the pole count; each innermost
         # pole here lies below every Chebyshev radius, so none merge
-        g = (lambda z: 1.0 + z) if target.startswith("prefactor") else None
+        g = (lambda z: 1.0 + z) if prefactor else None
         for n1 in (9, 16, 25, 36, 49, 64, 81):
             cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=optimal_sigma(0.5, 1.0), n1=n1,
-                               n2=60, target=target, g=g)
+                               n2=60, g=g)
             for fine, n_cheb, n_arc in ((False, 2 * 61, 2 * 61), (True, 4 * 61, 4 * 61)):
                 assert abs(clustered_poles(cfg)[0]) / 2 < approx.chebyshev_radii(n_cheb)[0]
                 n_radii = n_cheb + 1
@@ -465,8 +470,7 @@ class TestBuildAndEval:
 
     def test_prefactor_one_reduces_to_power(self):
         base = ApproxConfig(alpha=0.4, beta=1.0, sigma=5.0, n1=10)
-        pre = ApproxConfig(alpha=0.4, beta=1.0, sigma=5.0, n1=10,
-                           target="prefactor_power", g=lambda z: 1.0)
+        pre = ApproxConfig(alpha=0.4, beta=1.0, sigma=5.0, n1=10, g=lambda z: 1.0)
         a1 = build_approximation(base)
         a2 = build_approximation(pre)
         np.testing.assert_array_equal(a1.poles, a2.poles)
@@ -479,7 +483,7 @@ class TestBuildAndEval:
         beta = 1.0
         cfgp = ApproxConfig(alpha=0.5, beta=beta, sigma=optimal_sigma(0.5, beta), n1=16)
         cfgg = ApproxConfig(alpha=0.5, beta=beta, sigma=optimal_sigma(0.5, beta), n1=16,
-                            target="prefactor_power", g=cmath.exp)
+                            g=cmath.exp)
         ap = build_approximation(cfgp)
         ag = build_approximation(cfgg)
         th = np.linspace(-math.pi / 2, math.pi / 2, 31)
@@ -502,7 +506,7 @@ class TestBuildAndEval:
             assert slope < 0
 
     @pytest.mark.parametrize("target, g", [
-        ("power", None), ("power_log", None), ("prefactor_power", cmath.exp),
+        ("power", None), ("power_log", None), ("power", cmath.exp),
     ])
     def test_given_tail_gives_the_same_approximant(self, target, g):
         cfg = ApproxConfig(alpha=0.8, beta=1.5, sigma=optimal_sigma(0.8, 1.5), n1=16,

@@ -255,7 +255,6 @@ class TestArgumentHandling:
     @pytest.mark.parametrize("argv", [
         ["laplace", "--polygon", "builtin:concave-quad", "--N", "40", "--n2", "-1"],
         ["approx", "--alpha", "0.5", "--beta", "1", "--N1", "9", "--N2", "-1"],
-        ["sweep", "--alpha", "0.5", "--beta", "1", "--N1", "9,16,25,36", "--n2-mode", "-1"],
     ])
     def test_negative_n2_exits_2(self, argv, capsys):
         code = main(argv)
@@ -359,16 +358,23 @@ class TestArgumentHandling:
          "--oversample must be an integer, got '4.0'"),
         (["quaderr", "--alpha", "0.5", "--beta", "1", "--arc-points", "x"],
          "--arc-points must be an integer, got 'x'"),
-        (["sweep", "--alpha", "0.5", "--beta", "1", "--N1", "9,16,25,36", "--n2-mode", "abc"],
-         "--n2-mode must be auto, proportional or an integer, got 'abc'"),
         (["laplace", "--polygon", "builtin:concave-quad", "--sigma", "abc"],
          "--sigma must be opt, per-corner or a number, got 'abc'"),
         (["nearorigin", "--alpha", "0.5", "--beta", "1", "--h", "abc"],
          "--h must be opt or a number, got 'abc'"),
-        # ApproxConfig once said only "unknown target 'cube'"
-        *[([command, "--alpha", "0.5", "--beta", "1", "--N1", n1, "--target", "cube"],
-           "--target must be power, power_log, prefactor_power or prefactor_power_log, "
-           "got 'cube'") for command, n1 in [("approx", "9"), ("sweep", "9,16,25,36")]],
+        # ApproxConfig once said only "unknown target 'cube'"; a prefactor
+        # target once was a name of its own, which no flag could give a g
+        *[([command, "--alpha", "0.5", "--beta", "1", "--N1", n1, "--target", target],
+           f"--target must be power or power_log, got {target!r}")
+          for command, n1 in [("approx", "9"), ("sweep", "9,16,25,36")]
+          for target in ["cube", "prefactor_power"]],
+        # tolerances no run can meet: each once computed every cell, then exited 1
+        *[(["sweep", "--alpha", "0.5", "--beta", "1", "--N1", "9,16,25,36", flag, value],
+           f"{flag} must be {rule}, got {float(value)!r}")
+          for flag, value, rule in [("--rate-tol", "-1", "> 0"), ("--rate-tol", "0", "> 0"),
+                                    ("--r2-min", "2", "<= 1")]],
+        (["laplace", "--polygon", "builtin:concave-quad", "--final-err", "-1"],
+         "--final-err must be > 0, got -1.0"),
     ])
     def test_unparsable_value_names_its_flag(self, argv, reason, tmp_path, capsys):
         # each once printed only the cast's message, e.g. "could not convert
@@ -756,7 +762,16 @@ class TestLaplace:
         poly_path.write_text("0 0\n1 0\n1 1\n0 1\ncurve 7 bulge=0.1\n")
         assert main(["laplace", "--polygon", str(poly_path)]) == 2
         err = capsys.readouterr().err
-        assert "invalid configuration: curve 7 names no edge" in err
+        assert err == (f"invalid configuration: polygon {poly_path}, line 5: "
+                       "curve 7 names no edge of a 4-edge polygon\n")
+
+    def test_malformed_polygon_line_exits_2(self, tmp_path, capsys):
+        poly_path, csv = tmp_path / "square.poly", tmp_path / "s.csv"
+        poly_path.write_text("0 0\n1 0\n1 1 beta\n0 1\n")
+        assert main(["laplace", "--polygon", str(poly_path), "--csv", str(csv)]) == 2
+        assert capsys.readouterr().err == (f"invalid configuration: polygon {poly_path}, "
+                                           "line 3: attribute 'beta' is not key=value\n")
+        assert not csv.exists()
 
     @pytest.mark.parametrize("table, reason", [
         pytest.param("", "no 're im value' lines", id="empty"),
@@ -836,8 +851,6 @@ def _options(num, count, targets):
                    ("--C", C, False), ("--target", target, False)],
         "sweep": [("--alpha", alpha, True), ("--beta", beta, True), ("--sigma", sigma, False),
                   ("--N1", _listed(count(1, 16), 4, 4), True), ("--target", target, False),
-                  ("--n2-mode", st.one_of(st.sampled_from(["auto", "proportional"]),
-                                          count(0, 12)), False),
                   ("--C", C, False), ("--rate-tol", num(0.05, 1.0), False),
                   ("--r2-min", num(0.0, 1.0), False)],
         "quaderr": [("--alpha", alpha, True), ("--beta", beta, True),
@@ -885,9 +898,8 @@ def _argv(draw, command):
     return argv
 
 
-# the keys --N1 and --N2 are stored under, and the tail degree n2 of every
-# cell that sweep's --n2-mode sets when it is an integer
-_ALIASES = {"N1": "n1", "N2": "n2", "n2-mode": "n2"}
+# the keys --N1 and --N2 are stored under
+_ALIASES = {"N1": "n1", "N2": "n2"}
 
 
 def _names(command):

@@ -201,14 +201,30 @@ class TestPolygonFile:
         ("curve 7 bulge=0.1", "curve 7 names no edge of a 4-edge polygon"),
         ("curve -1 bulge=0.1", "curve -1 names no edge of a 4-edge polygon"),
         ("curve 1 bulg=0.2", "unknown curve attribute 'bulg'"),
-        ("curve", "polygon line 'curve' needs at least two fields"),
-        ("0.5", "polygon line '0.5' needs at least two fields"),
+        ("curve", "'curve' needs at least two fields"),
+        ("0.5", "'0.5' needs at least two fields"),
     ])
     def test_malformed_line_rejected(self, tmp_path, line, reason):
         path = tmp_path / "bad.poly"
         path.write_text(f"0 0\n1 0\n1 1\n0 1\n{line}\n")
         with pytest.raises(ValueError, match=reason):
             polygon_from_file(path)
+
+    @pytest.mark.parametrize("line, reason", [
+        ("curve x bulge=0.1", "invalid literal for int() with base 10: 'x'"),
+        ("0 0.5 beta=abc", "could not convert string to float: 'abc'"),
+        ("0 0.5 beta", "attribute 'beta' is not key=value"),
+        ("a b", "could not convert string to float: 'a'"),
+        ("0.5", "'0.5' needs at least two fields"),
+    ])
+    def test_malformed_line_names_the_file_and_the_line(self, tmp_path, line, reason):
+        # each once gave only Python's text, e.g. "not enough values to
+        # unpack (expected 2, got 1)"; the blank line and the comment count
+        path = tmp_path / "bad.poly"
+        path.write_text(f"0 0\n1 0\n\n# the upper edge\n1 1\n{line}\n0 1\n")
+        with pytest.raises(ValueError) as info:
+            polygon_from_file(path)
+        assert str(info.value) == f"polygon {path}, line 6: {reason}"
 
 
 class TestEdgesAndContainment:
