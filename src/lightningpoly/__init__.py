@@ -15,7 +15,6 @@ from .kernels import (
     QuadratureNonConvergence,
     QuadratureResult,
     identity_residual,
-    identity_residual_log,
     log_weight_constant,
     trapezoid_rational,
     trapezoid_rational_log,
@@ -31,8 +30,7 @@ from .approx import (
     deserialize,
     fit_tail,
     optimal_sigma,
-    residues_power,
-    residues_power_log,
+    residues,
     serialize,
 )
 

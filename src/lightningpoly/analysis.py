@@ -21,12 +21,12 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .approx import (
-    TARGETS,
     ApproxConfig,
     RationalApprox,
     _fmt,
     _g_values,
     build_approximation,
+    check_target,
     clustered_poles,
     ladder_tail,
     optimal_sigma,
@@ -36,6 +36,7 @@ from .kernels import (
     KernelConfig,
     PoleCollisionError,
     check_double_range,
+    check_parameters,
     pole_collisions,
     power_values,
     trapezoid_rational,
@@ -89,8 +90,7 @@ class ConvergenceRecord:
 def make_target(kind: str, alpha: float, g: Callable | None = None):
     """Vectorized target function for a target kind of TARGETS: z^alpha or
     z^alpha*log z (0 at z = 0), times g(z) when g is given."""
-    if kind not in TARGETS:
-        raise ValueError(f"unknown target {kind!r}")
+    check_target(kind)
 
     def target(zs):
         zs = np.asarray(zs, complex)
@@ -134,8 +134,8 @@ def predicted_log_rate(sigma: float, alpha: float, beta: float, target: str):
     with eta = sigma_opt/sigma; the log target carries a sqrt(N) prefactor
     on the subcritical branch.
     """
-    if target not in TARGETS:
-        raise ValueError(f"unknown target {target!r}")
+    check_target(target)
+    check_parameters(sigma=sigma)
     s_opt = optimal_sigma(alpha, beta)
     if sigma <= s_opt:
         rate = sigma * alpha
@@ -296,6 +296,7 @@ class BoundContext:
     def from_parameters(cls, alpha: float, beta: float, h: float, T: float,
                         C: float = 1.0, n_quad: int = 10_000) -> "BoundContext":
         s_opt = optimal_sigma(alpha, beta)  # checks alpha and beta first
+        check_parameters(h=h, C=C)
         sigma = math.sqrt(h) / alpha
         rhs = max(
             h,
@@ -370,8 +371,7 @@ def quadrature_error_curve(cfg_list: Sequence[KernelConfig], target: str,
     """Rows (T, sup |I - trapezoid|) over the grid points, ordered by T, as
     EvaluatedPairs; each config integrates the whole grid in one batched
     reference call.  ``target`` is a target kind of TARGETS."""
-    if target not in TARGETS:
-        raise ValueError(f"unknown quadrature target {target!r}")
+    check_target(target)
     log = target == "power_log"
     reference = truncated_integral_log if log else truncated_integral
     trapezoid = trapezoid_rational_log if log else trapezoid_rational

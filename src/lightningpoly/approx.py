@@ -16,18 +16,18 @@ from typing import Callable
 import numpy as np
 
 from .geometry import chebyshev_radii, sector_boundary
-from .kernels import (_MAX_N_QUAD, _real_poles, check_double_range, damped_lstsq, horner,
-                      log_weights, pole_sum, quadrature_nodes, tapered)
+from .kernels import (_MAX_N_QUAD, _real_poles, check_double_range, check_parameters,
+                      damped_lstsq, horner, log_weights, pole_sum, quadrature_nodes, tapered)
 
 __all__ = [
+    "check_target",
     "ApproxConfig",
     "RationalApprox",
     "TailFit",
     "optimal_sigma",
     "optimal_step",
     "clustered_poles",
-    "residues_power",
-    "residues_power_log",
+    "residues",
     "fit_tail",
     "tail_fits",
     "ladder_tail",
@@ -38,9 +38,16 @@ __all__ = [
 
 # the target kinds z^alpha and z^alpha*log z; a config's g multiplies either
 TARGETS = ("power", "power_log")
-# the largest tail degree, set by the memory of the fit matrix (a fit at
-# n2 = 1170 peaked at 500 MB); the damped solve converges at any degree
+# the largest tail degree, set by the fit matrix's memory, which grows as n2^2:
+# alpha = 0.5, beta = 1, sigma = opt, n1 = 100 builds at a peak RSS of 80 MB at
+# n2 = 500 and 218 MB at n2 = 1000 (0.7 s); the damped solve converges at any degree
 _MAX_N2 = 1000
+
+
+def check_target(kind) -> None:
+    """The one check of a target kind against TARGETS."""
+    if kind not in TARGETS:
+        raise ValueError(f"unknown target {kind!r}")
 
 
 def _sigma_opt(alpha: float, beta: float) -> float:
@@ -53,10 +60,7 @@ def _sigma_opt(alpha: float, beta: float) -> float:
 def optimal_sigma(alpha: float, beta: float) -> float:
     """Clustering parameter sqrt(2*(2-beta))*pi/sqrt(alpha), the fastest
     choice on a sector of half-opening beta*pi/2."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    if not 0.0 <= beta < 2.0:
-        raise ValueError("beta must lie in [0, 2)")
+    check_parameters(alpha=alpha, beta=beta)
     return _sigma_opt(alpha, beta)
 
 
@@ -95,25 +99,15 @@ class ApproxConfig:
     g: Callable | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if not 0.0 <= self.beta < 2.0:
-            raise ValueError("beta must lie in [0, 2)")
-        if not 0.0 < self.sigma < math.inf:
-            raise ValueError("sigma must be positive and finite")
-        if not 0.0 < self.C < math.inf:
-            raise ValueError("C must be positive and finite")
-        if self.n1 < 1:
-            raise ValueError("n1 must be >= 1")
+        check_parameters(alpha=self.alpha, beta=self.beta, sigma=self.sigma, C=self.C,
+                         n1=self.n1)
         if self.n2 is None:
             object.__setattr__(self, "n2", min(math.ceil(1.3 * self.n1), _MAX_N2))
-        if self.n2 < 0:
-            raise ValueError("n2 must be >= 0")
+        check_parameters(n2=self.n2)
         if self.n2 > _MAX_N2:
             raise ValueError(f"n2={self.n2}: tail degree capped at {_MAX_N2} to bound "
                              "the fit matrix's memory")
-        if self.target not in TARGETS:
-            raise ValueError(f"unknown target {self.target!r}")
+        check_target(self.target)
         la, ls, lc = math.log(self.alpha), math.log(self.sigma), math.log(self.C)
         check_double_range(
             dict(alpha=self.alpha, sigma=self.sigma, C=self.C, n1=self.n1),
@@ -157,23 +151,19 @@ def clustered_poles(cfg: ApproxConfig) -> np.ndarray:
     return -tapered(cfg.n1, cfg.sigma, cfg.C)
 
 
-def residues_power(cfg: ApproxConfig) -> np.ndarray:
-    """Residues sqrt(h)*p_j*|p_j|^alpha*sin(alpha*pi)/(2*sqrt(j)*alpha*pi);
-    all real and negative."""
+def residues(cfg: ApproxConfig) -> np.ndarray:
+    """Residues of cfg's target kind, before any prefactor g; all real.  For
+    z^alpha, sqrt(h)*p_j*|p_j|^alpha*sin(alpha*pi)/(2*sqrt(j)*alpha*pi), all
+    negative; for z^alpha*log z, the plain h-weighted part plus the
+    sqrt(h/j)-weighted correction carrying chi and T."""
     a = cfg.alpha
     p = clustered_poles(cfg)
     j = np.arange(1, cfg.n1 + 1)
+    if cfg.log_like:
+        w1, w2 = log_weights(a, cfg.C, cfg.h, cfg.T)
+        return (w1 + w2 * np.sqrt(cfg.h / j)) * p * np.abs(p)**a
     return math.sqrt(cfg.h) * p * np.abs(p)**a * math.sin(a * math.pi) \
         / (2.0 * np.sqrt(j) * a * math.pi)
-
-
-def residues_power_log(cfg: ApproxConfig) -> np.ndarray:
-    """Residues of the log-target scheme: the plain h-weighted part plus the
-    sqrt(h/j)-weighted correction carrying chi and T."""
-    p = clustered_poles(cfg)
-    j = np.arange(1, cfg.n1 + 1)
-    w1, w2 = log_weights(cfg.alpha, cfg.C, cfg.h, cfg.T)
-    return (w1 + w2 * np.sqrt(cfg.h / j)) * p * np.abs(p)**cfg.alpha
 
 
 # the near/far split of _remainder_values: far poles within
@@ -322,9 +312,9 @@ def _g_values(g, zs) -> np.ndarray:
 
 
 def _residues(cfg: ApproxConfig):
-    """(base, residues): residues_power or residues_power_log, and the
+    """(base, residues): the kind's residues (residues), and the
     approximant's, which are the base ones times g(p_j) for a prefactor target."""
-    base = residues_power_log(cfg) if cfg.log_like else residues_power(cfg)
+    base = residues(cfg)
     return base, (base if cfg.g is None else _g_values(cfg.g, clustered_poles(cfg)) * base)
 
 

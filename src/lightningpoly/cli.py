@@ -28,7 +28,7 @@ from . import analysis, corners
 from .approx import (TARGETS, ApproxConfig, _fmt, build_approximation, optimal_sigma,
                      optimal_step, serialize)
 from .geometry import polygon_from_file
-from .kernels import KernelConfig
+from .kernels import KernelConfig, check_parameters
 
 __all__ = ["ExperimentConfig", "run", "main"]
 
@@ -59,11 +59,7 @@ def _parse_sigma(token: str, alpha: float, beta: float) -> float:
         sigma = optimal_sigma(alpha, beta) / num(t[4:])
     else:
         sigma = _real(t, "--sigma")
-    if not math.isfinite(sigma):
-        raise ValueError(f"sigma must be finite, got {token!r}")
-    if sigma <= 0.0:  # only h = sigma^2*alpha^2 is used: -3 would run as 3
-        raise ValueError(f"sigma must be positive, got {token!r}")
-    return sigma
+    return sigma  # checked by the config it builds
 
 
 # ------------------------------------------------------------ option table
@@ -363,8 +359,7 @@ def _cmd_laplace(p: dict):
     # resolved once: a file: table is parsed here, not once per solve and check
     data = corners.builtin_boundary_data(str(p["data"]))
     n_list, oversample, fine_factor = p["N"], p["oversample"], p["fine_factor"]
-    corners.check_oversample(oversample)
-    corners.check_fine_factor(fine_factor)
+    check_parameters(oversample=oversample, fine_factor=fine_factor)
     bases = [corners.plan_basis(polygon, n, p["sigma"], n2=p["n2"], corner_weights=p["weights"])
              for n in n_list]
 
@@ -393,16 +388,26 @@ def _cmd_laplace(p: dict):
     return compute
 
 
+_DECOMP_TOL = 1e-6  # the largest discrepancy decomp passes
+
+
 def _cmd_decomp(p: dict):
     k, alpha, w = p["k"], p["alpha"], p["W"]
-    corners.SlitIntegralSpec(k=k, alpha=alpha, W=w)  # singular_coefficient_check's spec
+    # the bound checks singular_coefficient_check's spec, and it grows with k
+    bound = max(corners.discrepancy_bound(k, alpha, w))
+    if bound > _DECOMP_TOL:
+        top = next(j for j in range(k)
+                   if max(corners.discrepancy_bound(j + 1, alpha, w)) > _DECOMP_TOL)
+        raise ValueError(f"k={k} is beyond the check at alpha={alpha:g}, W={w:g}, which "
+                         f"resolves k <= {top}: its discrepancy bound is {bound:.3g}, above "
+                         f"{_DECOMP_TOL:g} (corners.discrepancy_bound)")
 
     def compute():
         p0_err, p1_err = corners.singular_coefficient_check(k, alpha, w)
         cot = math.pi / math.tan(alpha * math.pi)
         return _report(p, {"k": k, "alpha": alpha, "W": w, "P0": [-cot, -math.pi],
                            "P0_discrepancy": p0_err, "P1_discrepancy": p1_err,
-                           "pass": bool(max(p0_err, p1_err) <= 1e-6)},
+                           "pass": bool(max(p0_err, p1_err) <= _DECOMP_TOL)},
                        f"decomp: discrepancy P0={p0_err:.3e} P1={p1_err:.3e}")
     return compute
 

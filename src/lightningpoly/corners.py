@@ -19,8 +19,8 @@ import numpy as np
 
 from .geometry import Polygon, interior_angles, resolve_corner_exponents
 from .approx import _fmt, _fmt_coeff, _sigma_opt
-from .kernels import (adaptive_gauss_legendre, check_double_range, damped_lstsq, horner,
-                      power_values, tapered)
+from .kernels import (adaptive_gauss_legendre, check_double_range, check_parameters,
+                      damped_lstsq, horner, power_values, tapered)
 
 __all__ = [
     "CornerBasis",
@@ -29,11 +29,10 @@ __all__ = [
     "plan_basis",
     "solve_dirichlet",
     "boundary_error",
-    "check_oversample",
-    "check_fine_factor",
     "cauchy_slit_integral",
     "cauchy_slit_integral_log",
     "singular_coefficient_check",
+    "discrepancy_bound",
     "builtin_boundary_data",
     "concave_quadrilateral",
     "curvy_l_domain",
@@ -113,8 +112,7 @@ def plan_basis(polygon: Polygon, N: int, sigma_mode="global_opt",
         sigmas = [_sigma_opt(a, b) for a, b in zip(alphas, betas)]
     else:
         sigma = float(sigma_mode)
-        if not 0.0 < sigma < math.inf:
-            raise ValueError("sigma must be positive and finite")
+        check_parameters(sigma=sigma)
         sigmas = [sigma] * m
     weights = list(corner_weights) if corner_weights is not None else [1.0] * m
     if len(weights) != m:
@@ -145,8 +143,7 @@ def plan_basis(polygon: Polygon, N: int, sigma_mode="global_opt",
     scale = max(abs(v - center) for v in polygon.vertices)
     if n2 is None:
         n2 = max(8, math.ceil(3.0 * math.sqrt(N)))
-    if n2 < 0:
-        raise ValueError("n2 must be >= 0")
+    check_parameters(n2=n2)
     return CornerBasis(
         sigmas=tuple(sigmas),
         poles=tuple(poles),
@@ -287,18 +284,6 @@ def _weighted_system(zs, w, basis: CornerBasis, rhs) -> np.ndarray:
     return Ab
 
 
-def check_oversample(oversample: int) -> None:
-    """The collocation oversampling of solve_dirichlet must be >= 1."""
-    if oversample < 1:
-        raise ValueError(f"oversample must be >= 1, got {oversample}")
-
-
-def check_fine_factor(fine_factor: int) -> None:
-    """The sampling factor of boundary_error must be >= 4."""
-    if fine_factor < 4:
-        raise ValueError(f"fine_factor must be >= 4, got {fine_factor}")
-
-
 def solve_dirichlet(polygon: Polygon, boundary_data, basis: CornerBasis,
                     oversample: int = 4) -> HarmonicSolution:
     """Weighted least-squares fit of Dirichlet data over clustered boundary
@@ -306,7 +291,7 @@ def solve_dirichlet(polygon: Polygon, boundary_data, basis: CornerBasis,
     numerical breakdown: a pole that rounds onto a collocation point makes
     the design non-finite, and data that is not finite there makes the
     right-hand side non-finite."""
-    check_oversample(oversample)
+    check_parameters(oversample=oversample)
     data = builtin_boundary_data(boundary_data) if isinstance(boundary_data, str) else boundary_data
     zs, w = _collocation(polygon, basis, oversample)
     if zs.size < 3 * basis.n_columns:
@@ -339,7 +324,7 @@ def boundary_error(sol: HarmonicSolution, polygon: Polygon, boundary_data,
     L at N = 80, 635 of the 955 samples are collocation points.  By the
     maximum principle the sup bounds the interior error of the harmonic
     mismatch (rationale, not asserted here)."""
-    check_fine_factor(fine_factor)
+    check_parameters(fine_factor=fine_factor)
     data = builtin_boundary_data(boundary_data) if isinstance(boundary_data, str) else boundary_data
     sup = 0.0
     for _, _, zs in _edge_samples(polygon, sol.basis, fine_factor, 16 * fine_factor):
@@ -390,6 +375,10 @@ def _tabulated_data(path):
 
 # ------------------------------------------------------- slit integrals
 
+_SLIT_TOL = 1e-13  # the slit integrals' tolerance, relative to their scale W^(k+alpha)
+_OFFSETS = np.array([1e-3, 1e-4, 1e-5])  # eps/W of singular_coefficient_check's x +- i*eps
+
+
 @dataclass(frozen=True)
 class SlitIntegralSpec:
     """Integral of zeta^(k+alpha)/(zeta - z) over the slit [0, W]."""
@@ -399,21 +388,16 @@ class SlitIntegralSpec:
     W: float = 1.0
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("k must be >= 0")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if not 0.0 < self.W < math.inf:
-            raise ValueError("W must be positive and finite")
+        check_parameters(k=self.k, alpha=self.alpha, W=self.W)
         if abs((self.k + self.alpha) - round(self.k + self.alpha)) < 1e-12:
             raise ValueError("k + alpha must be non-integer")
         # the points scale with W and the integral with W^(k+alpha): W, the
-        # tolerance 1e-13*W^(k+alpha) and the value W^(k+alpha)*(1 + |log W|)
+        # tolerance _SLIT_TOL*W^(k+alpha) and the value W^(k+alpha)*(1 + |log W|)
         # must stay in range
         log_w = math.log(self.W)
         log_scale = (self.k + self.alpha) * log_w
         check_double_range(dict(W=self.W, k=self.k, alpha=self.alpha),
-                           min(log_w, log_scale + math.log(1e-13)),
+                           min(log_w, log_scale + math.log(_SLIT_TOL)),
                            max(log_w, log_scale + math.log1p(abs(log_w))))
 
 
@@ -435,7 +419,7 @@ def _slit_integral(spec: SlitIntegralSpec, z, log_weighted: bool):
     of their cut.  z = 0 is the removable limit.
 
     The tolerances follow the integral's scale, so they are relative at
-    any W: 1e-13*W^s (times 1 + |log W| for the log density) within
+    any W: _SLIT_TOL*W^s (times 1 + |log W| for the log density) within
     0.05*W of the slit, where the integral is of order W^s, and that times
     W/dist beyond, where it is of order W^(s+1)/dist.
     """
@@ -453,7 +437,7 @@ def _slit_integral(spec: SlitIntegralSpec, z, log_weighted: bool):
     near = live & (dist < 0.05 * W)
     g = np.zeros(flat.size, complex)
     g[near] = power_values(flat[near], s, log_weighted)
-    tol = np.full(flat.size, 1e-13 * scale)
+    tol = np.full(flat.size, _SLIT_TOL * scale)
     far = live & ~near
     tol[far] /= dist[far] / W
 
@@ -513,14 +497,12 @@ def singular_coefficient_check(k: int, alpha: float, W: float):
     spec = SlitIntegralSpec(k=k, alpha=alpha, W=W)
     s = k + alpha
     x = W / 2
-    rel = np.array([1e-3, 1e-4, 1e-5])
-    eps = rel * W
+    eps = _OFFSETS * W
 
     def richardson(vals):
         # Neville elimination of the O(eps) and O(eps^2) terms at eps -> 0,
         # in eps/W, so no product reaches W^(s+1)
-        v = list(vals)
-        e = list(rel)
+        v, e = list(vals), _OFFSETS
         for level in range(1, len(v)):
             for i in range(len(v) - level):
                 v[i] = (e[i] * v[i + 1] - e[i + level] * v[i]) / (e[i] - e[i + level])
@@ -543,6 +525,40 @@ def singular_coefficient_check(k: int, alpha: float, W: float):
     scale_log = scale_pow * (1.0 + abs(log_x))
     return (abs(jump_pow - pred_pow) / scale_pow,
             abs(jump_log - pred_log) / scale_log)
+
+
+def discrepancy_bound(k: int, alpha: float, W: float) -> tuple:
+    """Bounds on the parts of singular_coefficient_check's (P0, P1) discrepancies
+    that grow with k, in closed form, without quadrature; the predicted jump's own
+    error near an integer s = k + alpha is not bounded.  At x = W/2 the power
+    density's integral is F(x +- i*eps) = H(x +- i*eps) +- i*pi*(x +- i*eps)^s,
+    where H(z) = W^s*(-pi*cot(pi*s)*u^s + sum_m u^m/(s - m)), u = z/W, is analytic
+    at x; the log density's H is W^s times log W times that bracket plus its
+    s-derivative.  The i*pi terms are even in eps, so Neville's extrapolation
+    through the offsets e_i = eps_i/W leaves e_0*e_1*e_2*W^3*|H'''(x)|/3 of the
+    jump (the next term is under 1e-3 of it), and each integral's tolerance,
+    _SLIT_TOL*W^s (times 1 + |log W|), reaches the jump at most 2*sum|L_i| times,
+    L_i the extrapolation's weights.  Against the check's scales, 2*pi*x^s (times
+    1 + |log x|), both terms grow as 2^s."""
+    SlitIntegralSpec(k=k, alpha=alpha, W=W)  # checks k, alpha and W
+    s, e = k + alpha, _OFFSETS.tolist()
+    try:
+        grow = 2.0**s
+    except OverflowError:
+        return math.inf, math.inf
+    m = np.arange(3, math.ceil(s) + 60)  # the series' terms in H''', to rounding
+    # W^(3-s)*H'''(x) of the density zeta^t at t = s + i*1e-30: its imaginary
+    # part is 1e-30 times the s-derivative, to rounding (a complex step)
+    t = complex(s, 1e-30)
+    h3 = -math.pi / cmath.tan(math.pi * (t - k)) * t * (t - 1) * (t - 2) * 0.5**(t - 3) \
+        + complex(np.sum(m * (m - 1.0) * (m - 2.0) * 0.5**(m - 3) / (t - m)))
+    rem = math.prod(e) * grow / 3.0
+    tol = 2.0 * _SLIT_TOL * grow * sum(
+        abs(math.prod(e[j] / (e[j] - e[i]) for j in range(3) if j != i)) for i in range(3))
+    log_w = math.log(W)
+    return ((rem * abs(h3.real) + tol) / (2.0 * math.pi),
+            (rem * abs(log_w * h3.real + h3.imag * 1e30) + tol * (1.0 + abs(log_w)))
+            / (2.0 * math.pi * (1.0 + abs(math.log(W / 2)))))
 
 
 # --------------------------------------------------------- example domains

@@ -2,26 +2,17 @@
 reference integrals, and their trapezoidal discretizations.
 
 The reference path substitutes y = C^alpha * e^t, after which the integrand
-is smooth and decays exponentially in both directions; it is then integrated
-with adaptive composite 15-point Gauss-Legendre panels.  Its poles, where
-C*e^{t/alpha} = -z, lie alpha*(pi - |arg z|) off the real t axis, close to
-the interval near the sector's edges; the two nearest are subtracted from
-the integrand and their principal parts integrated in closed form
-(``_pole_subtracted``).  That is exact, since the same terms are subtracted
-and added back, and it leaves the panels only a smooth remainder to refine.
-The quadrature is batched: one call integrates a whole grid of points, each
-with its own interval, tolerance, panels and budget, in one shared loop of
-numpy passes, so a point gets the panels and evaluation count it would get
-alone.  The discrete path evaluates the finite trapezoid sums whose nodes
-are exactly the clustered poles of the rational scheme, each as z times
-``pole_sum``, the library's one partial-fraction sum sum_j w_j/(z - p_j).
-Every pole lies on the real axis, so ``pole_sum`` works in real arithmetic
-on x - p_j and y^2 and tests collisions only on the few points near the
-axis, where one can occur; a call at scales where the squared distances
-could leave binary64 keeps the complex quotient.  ``horner`` is the one
-polynomial evaluation and ``damped_lstsq`` the least-squares solver, both
-shared by the tail fit and the Laplace solver.  All arithmetic is binary64;
-the practical accuracy floor is ~1e-13 relative.
+is smooth and decays exponentially in both directions, subtracts its two
+poles nearest the real t axis in closed form (``_pole_subtracted``), and
+integrates the rest with batched adaptive 15-point Gauss-Legendre panels
+(``adaptive_gauss_legendre``).  The discrete path evaluates the finite
+trapezoid sums whose nodes are exactly the clustered poles of the rational
+scheme, each as z times ``pole_sum``, the library's one partial-fraction
+sum.  The shared helpers live here too: the parameter rules
+(``check_parameters``) and the double range (``check_double_range``),
+``horner``, the one polynomial evaluation, and ``damped_lstsq``, the one
+least-squares solver.  All arithmetic is binary64; the practical accuracy
+floor is ~1e-13 relative.
 """
 
 from __future__ import annotations
@@ -39,11 +30,11 @@ __all__ = [
     "KernelConfig",
     "QuadratureResult",
     "check_double_range",
+    "check_parameters",
     "power_values",
     "log_weight_constant",
     "adaptive_gauss_legendre",
     "identity_residual",
-    "identity_residual_log",
     "truncated_integral",
     "truncated_integral_log",
     "trapezoid_rational",
@@ -96,6 +87,26 @@ def check_double_range(params: dict, low: float, high: float) -> None:
                          f"(magnitudes from e^{low:.6g} to e^{high:.6g})")
 
 
+# The scalar rules of the parameters by name, one definition each
+_RULES = {
+    "alpha": ("must lie in (0, 1)", lambda v: 0.0 < v < 1.0),
+    "beta": ("must lie in [0, 2)", lambda v: 0.0 <= v < 2.0),
+    **dict.fromkeys(("sigma", "C", "h", "W"),
+                    ("must be positive and finite", lambda v: 0.0 < v < math.inf)),
+    **{name: (f"must be >= {low}", lambda v, low=low: v >= low) for name, low in
+       (("n1", 1), ("n2", 0), ("k", 0), ("oversample", 1), ("fine_factor", 4))},
+}
+
+
+def check_parameters(**values) -> None:
+    """Raise ValueError, "{name} {rule}, got {value}", for the first value
+    that breaks the rule of its name in _RULES; a NaN breaks every rule."""
+    for name, value in values.items():
+        rule, holds = _RULES[name]
+        if not holds(value):
+            raise ValueError(f"{name} {rule}, got {value}")
+
+
 # the most trapezoid points, set by the memory of pole_sum's block: 512
 # points by n_quad poles in two float64 temporaries (the differences and
 # the squared distances) is 8 KiB per pole, so 2^17 poles take 1 GiB (the
@@ -118,12 +129,7 @@ class KernelConfig:
     n_quad: int = 64
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if not 0.0 < self.C < math.inf:
-            raise ValueError("C must be positive and finite")
-        if not 0.0 < self.h < math.inf:
-            raise ValueError("h must be positive and finite")
+        check_parameters(alpha=self.alpha, C=self.C, h=self.h)
         if not 1 <= self.n_quad <= _MAX_N_QUAD:
             raise ValueError(f"n_quad must lie in [1, {_MAX_N_QUAD}], got {self.n_quad}")
         t_min = (1.0 - self.alpha) * (2.0 * math.log(2.0) - math.log(self.C))
@@ -149,18 +155,15 @@ class KernelConfig:
         h = sigma^2*alpha^2 for a clustering parameter ``sigma``.  alpha,
         the step and T are checked before they divide or round, and the
         count against _MAX_N_QUAD before it is rounded to an integer."""
-        if not 0.0 < alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
+        check_parameters(alpha=alpha)
         if sigma is not None:
-            if not 0.0 < sigma < math.inf:
-                raise ValueError(f"sigma must be positive and finite, got {sigma}")
+            check_parameters(sigma=sigma)
             # in logs first: sigma^2, alpha^2 and h must all be doubles
             ls, la = math.log(sigma), math.log(alpha)
             check_double_range(dict(sigma=sigma, alpha=alpha), min(2.0 * (ls + la), 2.0 * la),
                                max(2.0 * (ls + la), 2.0 * ls))
             h = sigma**2 * alpha**2
-        if not 0.0 < h < math.inf:
-            raise ValueError("h must be positive and finite")
+        check_parameters(h=h)
         if not math.isfinite(T):
             raise ValueError(f"T must be finite, got {T}")
         if not T > 0.0:  # n_quad squares T: -5 would run as 5
@@ -204,10 +207,7 @@ class QuadratureResult:
 def log_weight_constant(alpha: float, C: float) -> float:
     """Constant collecting the C- and alpha-dependence of the log-kernel
     correction: C^a*sin(a*pi)*log(C)/(a*pi) + C^a*cos(a*pi)/a."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    if C <= 0.0:
-        raise ValueError("C must be positive")
+    check_parameters(alpha=alpha, C=C)
     Ca = C**alpha
     return Ca * math.sin(alpha * math.pi) * math.log(C) / (alpha * math.pi) \
         + Ca * math.cos(alpha * math.pi) / alpha
@@ -439,7 +439,15 @@ def power_values(z, alpha: float, log_weighted: bool = False) -> np.ndarray:
     return out
 
 
-def _identity_residual(z, alpha: float, tol: float, log_weighted: bool):
+def identity_residual(z, alpha: float, tol: float, log_weighted: bool = False):
+    """|adaptive integral of the power representation - z^alpha|, or with
+    ``log_weighted`` of the log one - z^alpha*log z, at a point (returns a
+    float) or an array of points (returns an array).  The representation
+    sin(a*pi)/(a*pi) * int_0^inf z/(y^{1/a}+z) dy, or its log twin, is taken
+    after the exponential substitution (C = 1) on each point's truncation
+    interval, wide enough that both tails are below tol/10, in one batched
+    quadrature."""
+    check_parameters(alpha=alpha)
     if not 1e-14 < tol < 1e-4:
         raise ValueError("tol must lie in (1e-14, 1e-4)")
     zs = np.asarray(z, complex)
@@ -451,24 +459,6 @@ def _identity_residual(z, alpha: float, tol: float, log_weighted: bool):
     value = _pole_subtracted(alpha, 1.0, flat, -t_inf, kappa * t_inf, tol / 2, log_weighted)[0]
     out = np.abs(value - power_values(flat, alpha, log_weighted))
     return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
-
-
-def identity_residual(z, alpha: float, tol: float):
-    """|adaptive integral of the power representation - z^alpha| at a point
-    (returns a float) or an array of points (returns an array).
-
-    The representation sin(a*pi)/(a*pi) * int_0^inf z/(y^{1/a}+z) dy is
-    evaluated after the exponential substitution (C = 1), each point on its
-    own truncation interval, wide enough that both tails are below tol/10;
-    all points share one batched quadrature.
-    """
-    return _identity_residual(z, alpha, tol, log_weighted=False)
-
-
-def identity_residual_log(z, alpha: float, tol: float):
-    """|adaptive integral of the log representation - z^alpha*log z| (C=1),
-    at a point or an array of points like identity_residual."""
-    return _identity_residual(z, alpha, tol, log_weighted=True)
 
 
 def _truncated(z, cfg: KernelConfig, log_weighted: bool) -> QuadratureResult:

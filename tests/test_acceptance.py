@@ -39,7 +39,6 @@ from lightningpoly.geometry import ray_fan
 from lightningpoly.kernels import (
     KernelConfig,
     identity_residual,
-    identity_residual_log,
     quadrature_nodes,
     trapezoid_rational,
     truncated_integral,
@@ -75,7 +74,7 @@ def test_criterion_01_integral_identities():
             # each grid takes one batched call per representation
             worst_pow = max(worst_pow, float(np.max(identity_residual(grid, alpha, 1e-12))))
             worst_log = max(worst_log,
-                            float(np.max(identity_residual_log(grid, alpha, 1e-12))))
+                            float(np.max(identity_residual(grid, alpha, 1e-12, log_weighted=True))))
     elapsed = time.perf_counter() - t0
     ok = worst_pow <= 1e-10 and worst_log <= 1e-9 and elapsed < 20.0
     _report(1, "integral representations", ok,

@@ -326,7 +326,7 @@ class TestQuadratureCurves:
         # any target but power_log once ran as power
         cfgs = [KernelConfig.from_truncation(0.5, t, sigma=optimal_sigma(0.5, 1.0))
                 for t in (4, 6)]
-        with pytest.raises(ValueError, match=f"unknown quadrature target '{target}'"):
+        with pytest.raises(ValueError, match=f"unknown target '{target}'"):
             quadrature_error_curve(cfgs, target, arc_grid(1.0, n=3))
 
 

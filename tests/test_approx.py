@@ -16,8 +16,7 @@ from lightningpoly.approx import (
     deserialize,
     fit_tail,
     optimal_sigma,
-    residues_power,
-    residues_power_log,
+    residues,
     serialize,
 )
 from lightningpoly.kernels import (
@@ -120,25 +119,25 @@ class TestPoles:
 class TestResidues:
     def test_all_negative(self):
         cfg = ApproxConfig(alpha=0.37, beta=0.9, sigma=5.0, n1=9, n2=0)
-        r = residues_power(cfg)
+        r = residues(cfg)
         assert np.all(r.real < 0) and np.all(r.imag == 0)
 
     def test_hand_value_last_index(self):
         # alpha=1/2, sigma=2 so h=1, C=1, n1=4: a_4 = -1/(2*pi)
         cfg = ApproxConfig(alpha=0.5, beta=0.0, sigma=2.0, n1=4, n2=0)
-        r = residues_power(cfg)
+        r = residues(cfg)
         assert r[-1] == pytest.approx(-1.0 / (2 * math.pi), rel=1e-14)
 
     def test_scaling_in_c(self):
         cfg1 = ApproxConfig(alpha=0.5, beta=0.5, sigma=3.0, n1=6, n2=0)
         cfg2 = ApproxConfig(alpha=0.5, beta=0.5, sigma=3.0, n1=6, n2=0, C=2.0)
-        np.testing.assert_allclose(residues_power(cfg2),
-                                   2.0 ** 1.5 * residues_power(cfg1), rtol=1e-13)
+        np.testing.assert_allclose(residues(cfg2),
+                                   2.0 ** 1.5 * residues(cfg1), rtol=1e-13)
 
     def test_log_residues_two_term_oracle(self):
         cfg = ApproxConfig(alpha=0.5, beta=0.0, sigma=2.0, n1=2, n2=0,
                            target="power_log")
-        got = residues_power_log(cfg)
+        got = residues(cfg)
         a, h, T, C = 0.5, 1.0, 2.0 * 0.5 * math.sqrt(2), 1.0
         chi = log_weight_constant(a, C)
         for idx, j in enumerate((1, 2)):
@@ -363,7 +362,7 @@ class TestRemainderValues:
         kcfg = KernelConfig(alpha=alpha, C=C, h=cfg.h, n_quad=cfg.n_quad)
         assert abs(kcfg.T - cfg.T) < 1e-12
         zs = _sector_points(1.5, 140)
-        res = residues_power_log(cfg) if cfg.log_like else residues_power(cfg)
+        res = residues(cfg)
         got = _one_shot_pole_sum(zs, clustered_poles(cfg), res) \
             + approx._remainder_values(cfg, zs)
         trap = trapezoid_rational_log if cfg.log_like else trapezoid_rational
@@ -593,7 +592,7 @@ def _pole_sum_case(target):
     ones of a prefactor build."""
     cfg = ApproxConfig(alpha=0.5, beta=1.0, sigma=optimal_sigma(0.5, 1.0), n1=36,
                        target=target)
-    res = residues_power_log(cfg) if cfg.log_like else residues_power(cfg)
+    res = residues(cfg)
     poles = clustered_poles(cfg)
     return poles, (res, (1.0 + 0.5j - 0.1 * poles) * res)
 

@@ -200,13 +200,13 @@ class TestArgumentHandling:
 
     @pytest.mark.parametrize("argv, reason", [
         (["approx", "--alpha", "0.5", "--beta", "1", "--N1", "9", "--sigma", "nan"],
-         "sigma must be finite"),
+         "sigma must be positive and finite, got nan"),
         (["approx", "--alpha", "0.5", "--beta", "1", "--N1", "9", "--C", "nan"],
          "C must be positive and finite"),
         (["approx", "--alpha", "0.5", "--beta", "1", "--N1", "9", "--C", "inf"],
          "C must be positive and finite"),
         (["sweep", "--alpha", "0.5", "--beta", "1", "--N1", "9,16,25,36", "--sigma", "nan"],
-         "sigma must be finite"),
+         "sigma must be positive and finite, got nan"),
         (["sweep", "--alpha", "0.5", "--beta", "1", "--N1", "9,16,25,36", "--C", "nan"],
          "C must be positive and finite"),
         (["sweep", "--alpha", "0.5", "--beta", "1", "--N1", "9,16,25,36", "--C", "inf"],
@@ -214,7 +214,7 @@ class TestArgumentHandling:
         (["quaderr", "--alpha", "0.5", "--beta", "1", "--C", "nan"],
          "C must be positive and finite"),
         (["quaderr", "--alpha", "0.5", "--beta", "1", "--sigma", "nan"],
-         "sigma must be finite"),
+         "sigma must be positive and finite, got nan"),
         (["quaderr", "--alpha", "0.5", "--beta", "1", "--T", "nan,4,6"], "T must be finite"),
         (["nearorigin", "--alpha", "0.5", "--beta", "1", "--C", "nan"],
          "C must be positive and finite"),
@@ -236,11 +236,11 @@ class TestArgumentHandling:
          "--weights must be finite"),
         # only h = sigma^2*alpha^2 is used, so -3 would silently run as 3
         (["quaderr", "--alpha", "0.5", "--beta", "1", "--sigma=-3"],
-         "sigma must be positive, got '-3'"),
+         "sigma must be positive and finite, got -3.0"),
         (["quaderr", "--alpha", "0.5", "--beta", "1", "--sigma", "0"],
-         "sigma must be positive, got '0'"),
+         "sigma must be positive and finite, got 0.0"),
         (["approx", "--alpha", "0.5", "--beta", "1", "--N1", "9", "--sigma", "opt*-1"],
-         "sigma must be positive, got 'opt*-1'"),
+         "sigma must be positive and finite, got -6.283185307179586"),
         # plan_basis would clamp a negative weight to 4 poles, as it does 0
         (["laplace", "--polygon", "builtin:concave-quad", "--weights=-5,1,1,1"],
          "corner_weights must be >= 0"),
@@ -472,6 +472,27 @@ class TestDecomp:
         assert payload["P0"] == pytest.approx([-math.pi, -math.pi])
         assert payload["P0_discrepancy"] <= 1e-6
         assert payload["pass"] is True
+
+    @pytest.mark.parametrize("alpha", ["0.25", "0.5", "0.6666666666666666", "0.9"])
+    @pytest.mark.parametrize("k", range(18, 27))
+    def test_high_k_meets_the_gate_or_exits_2_with_its_bound(self, k, alpha, tmp_path, capsys):
+        # the jump the check measures at W/2 is 2^-(k+alpha) of the integrals, so
+        # its Richardson remainder outgrows the 1e-6 gate past k = 20: such a k
+        # exits 2 before any quadrature, naming the last k the check resolves
+        out = tmp_path / "d.json"
+        code = main(["decomp", "--k", str(k), "--alpha", alpha, "--json", str(out)])
+        err = capsys.readouterr().err
+        if alpha == "0.5":  # once failed its check (exit 1) from k = 21 on
+            assert code == (0 if k <= 20 else 2)
+        if code == 0:
+            payload = json.loads(out.read_text())
+            assert max(payload["P0_discrepancy"], payload["P1_discrepancy"]) <= 1e-6
+            return
+        assert code == 2 and not out.exists()
+        bound = max(corners.discrepancy_bound(k, float(alpha), 1.0))
+        assert err == (f"invalid configuration: k={k} is beyond the check at alpha="
+                       f"{float(alpha):g}, W=1, which resolves k <= 20: its discrepancy bound "
+                       f"is {bound:.3g}, above 1e-06 (corners.discrepancy_bound)\n")
 
     @pytest.mark.parametrize("k, W", [("2", "1e110"), ("0", "1e300"), ("1", "1e300"),
                                       ("0", "1e-300")])

@@ -583,3 +583,17 @@ class TestSlitIntegrals:
     def test_jump_check_nonunit_window(self):
         p0_err, p1_err = singular_coefficient_check(1, 0.5, 2.0)
         assert p0_err <= 1e-6 and p1_err <= 1e-6
+
+    @pytest.mark.parametrize("W", [1.0, 2.0, 1e-5, 1e6])
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 2.0 / 3.0, 0.9])
+    def test_discrepancy_bound_holds_and_is_tight(self, alpha, W):
+        # the bound is the Richardson remainder and the integrals' tolerance in
+        # closed form: above each measured discrepancy, and the P0 one (the
+        # larger) within 1.2x of it, or it would reject k that the check resolves
+        for k in (0, 2, 10, *range(18, 27)):
+            p0, p1 = singular_coefficient_check(k, alpha, W)
+            b0, b1 = corners.discrepancy_bound(k, alpha, W)
+            assert p0 <= b0 <= 1.2 * p0 and p1 <= b1, (k, p0, b0, p1, b1)
+
+    def test_discrepancy_bound_past_the_double_range_is_infinite(self):
+        assert corners.discrepancy_bound(2000, 0.5, 1.0) == (math.inf, math.inf)

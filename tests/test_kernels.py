@@ -22,7 +22,6 @@ from lightningpoly.kernels import (
     damped_lstsq,
     horner,
     identity_residual,
-    identity_residual_log,
     log_weight_constant,
     power_values,
     quadrature_nodes,
@@ -139,7 +138,7 @@ class TestIdentityResidual:
         assert identity_residual(z, 0.7, 1e-12) <= 1e-10
 
     def test_log_variant(self):
-        assert identity_residual_log(0.5 + 0.2j, 0.4, 1e-12) <= 1e-10
+        assert identity_residual(0.5 + 0.2j, 0.4, 1e-12, log_weighted=True) <= 1e-10
 
     def test_tol_range(self):
         with pytest.raises(ValueError):
@@ -153,16 +152,16 @@ class TestIdentityResidual:
 
     def test_array_matches_points(self):
         zs = np.array([0.0, 1.0, 0.3 * cmath.exp(0.6j), 2.0 - 1.5j, 1e-9j])
-        for fn in (identity_residual, identity_residual_log):
-            got = fn(zs, 0.6, 1e-12)
+        for log in (False, True):
+            got = identity_residual(zs, 0.6, 1e-12, log)
             assert got.shape == zs.shape and got[0] == 0.0
-            alone = np.array([fn(z, 0.6, 1e-12) for z in zs.tolist()])
+            alone = np.array([identity_residual(z, 0.6, 1e-12, log) for z in zs.tolist()])
             assert np.all(np.abs(got - alone) <= 1e-15)
             assert np.all(got <= 1e-10)
 
     def test_branch_cut_point_in_array(self):
         with pytest.raises(BranchCutError):
-            identity_residual_log(np.array([0.5, -0.25, 1j]), 0.5, 1e-10)
+            identity_residual(np.array([0.5, -0.25, 1j]), 0.5, 1e-10, log_weighted=True)
 
 
 class TestTruncatedIntegral:
@@ -432,7 +431,7 @@ class TestPoleSubtraction:
         # arg z = pi - 0.05: the nearest pole lies 0.025 off the real t axis
         zs = np.geomspace(1e-6, 3.0, 5) * np.exp(1j * (math.pi - 0.05))
         assert np.all(identity_residual(zs, 0.5, 1e-10) <= 1e-10)
-        assert np.all(identity_residual_log(zs, 0.5, 1e-10) <= 1e-10)
+        assert np.all(identity_residual(zs, 0.5, 1e-10, log_weighted=True) <= 1e-10)
 
 
 def _trapezoid_oracle(z, alpha, C, h, n_quad):
@@ -528,7 +527,7 @@ class TestRepresentationIdentities:
     def test_log_identity_sample(self):
         grid = _sector_points(1.0, n_ray=5, n_arc=2, ratio=0.3)
         for z in grid.tolist():
-            assert identity_residual_log(z, 0.5, 1e-12) <= 1e-9
+            assert identity_residual(z, 0.5, 1e-12, log_weighted=True) <= 1e-9
 
 
 class TestHorner:
