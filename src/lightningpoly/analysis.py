@@ -202,14 +202,16 @@ def checked_sup_error(approx: RationalApprox, cfg: ApproxConfig) -> float:
     apex), and ``fine`` the larger of that and the sup over the rest, a
     NaN in either part kept.  So ``fine`` is the sup over the whole grid
     and ``fine >= coarse``.  It is accepted when the half is within 5% of
-    it; otherwise the refine=2 grid is evaluated and its sup returned."""
+    it; otherwise the refine=2 grid is evaluated and its sup returned.  Both
+    drifts are against max(fine, RATE_FIT_FLOOR): below it, sups are noise."""
     target = make_target(cfg.target, cfg.alpha, cfg.g)
     half, rest = rate_grid(cfg, refine=1, split=True)
     coarse = sup_error(approx, target, None, half)
     fine = float(np.maximum(coarse, sup_error(approx, target, None, rest)))
-    if fine - coarse > 0.05 * max(fine, 1e-300):
+    scale = max(fine, RATE_FIT_FLOOR)
+    if fine - coarse > 0.05 * scale:
         finer = sup_error(approx, target, None, rate_grid(cfg, refine=2))
-        if abs(finer - fine) > 0.05 * max(finer, 1e-300):
+        if abs(finer - fine) > 0.05 * scale:
             warnings.warn("sup-norm estimate still drifting after two refinements")
         return finer
     return fine
@@ -225,16 +227,15 @@ def sweep_configs(alpha: float, beta: float, sigma: float, n1_list: Iterable[int
 
 
 def run_sweep(alpha: float, beta: float, sigma: float, n1_list: Iterable[int],
-              C: float = 1.0, target: str = "power", g: Callable | None = None,
-              map_fn=map) -> list[ConvergenceRecord]:
+              C: float = 1.0, target: str = "power",
+              g: Callable | None = None) -> list[ConvergenceRecord]:
     """Build approximations across n1_list and record sup errors.
 
     Each cell's tail degree is the rung ladder_tail picks, an O(sqrt(n1))
-    tail that keeps the rate fits clean.  ``map_fn`` may be an executor map
-    for concurrent cells; records come back sorted by n1 regardless.  Every
-    cell's config (sweep_configs) is built before the first cell runs.  A
-    cell whose sup error is not finite raises RuntimeError, as a non-finite
-    tail value does.
+    tail that keeps the rate fits clean.  The cells run in one thread, in
+    turn, and the records come back sorted by n1.  Every cell's config
+    (sweep_configs) is built before the first cell runs.  A cell whose sup
+    error is not finite raises RuntimeError, as a non-finite tail value does.
     """
     rate, pref = predicted_log_rate(sigma, alpha, beta, target)
 
@@ -251,10 +252,8 @@ def run_sweep(alpha: float, beta: float, sigma: float, n1_list: Iterable[int],
         return ConvergenceRecord(n1=cfg.n1, n2=cfg.n2, sup_err=err,
                                  predicted_log_err=pred, sigma=sigma, runtime_ms=ms)
 
-    records = list(map_fn(cell, sweep_configs(alpha, beta, sigma, n1_list, C=C,
-                                              target=target, g=g)))
-    records.sort(key=lambda r: (r.sigma, r.n1))
-    return records
+    cfgs = sweep_configs(alpha, beta, sigma, n1_list, C=C, target=target, g=g)
+    return sorted(map(cell, cfgs), key=lambda r: r.n1)
 
 
 def records_to_csv(records: Sequence[ConvergenceRecord]) -> str:

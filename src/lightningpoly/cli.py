@@ -15,9 +15,7 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -230,14 +228,6 @@ def _report(p: dict, payload: dict, failure: str) -> int:
     return 1
 
 
-def _threads() -> int:
-    """The sweep's worker count, LIGHTNING_THREADS (1 if unset)."""
-    try:
-        return int(os.environ.get("LIGHTNING_THREADS", "1"))
-    except ValueError as exc:
-        raise ValueError(f"LIGHTNING_THREADS must be an integer: {exc}") from None
-
-
 # ---------------------------------------------------------------- commands
 
 def _cmd_approx(p: dict):
@@ -266,11 +256,9 @@ def _cmd_sweep(p: dict):
     cells = {"C": p["C"], "target": p["target"]}
     # every cell's config is checked here; run_sweep builds them again
     analysis.sweep_configs(alpha, beta, sigma, n1_list, **cells)
-    threads = _threads()
 
     def compute():
-        map_fn = ThreadPoolExecutor(threads).map if threads > 1 else map
-        records = analysis.run_sweep(alpha, beta, sigma, n1_list, **cells, map_fn=map_fn)
+        records = analysis.run_sweep(alpha, beta, sigma, n1_list, **cells)
         if not p["timings"]:
             records = [dataclasses.replace(r, runtime_ms=0.0) for r in records]
         _write(p["csv"], analysis.records_to_csv(records))
@@ -393,19 +381,21 @@ _DECOMP_TOL = 1e-6  # the largest discrepancy decomp passes
 
 def _cmd_decomp(p: dict):
     k, alpha, w = p["k"], p["alpha"], p["W"]
-    # the bound checks singular_coefficient_check's spec, and it grows with k
+    # validates the spec; grows with k, and near an integer is above the gate at any k
     bound = max(corners.discrepancy_bound(k, alpha, w))
     if bound > _DECOMP_TOL:
-        top = next(j for j in range(k)
-                   if max(corners.discrepancy_bound(j + 1, alpha, w)) > _DECOMP_TOL)
-        raise ValueError(f"k={k} is beyond the check at alpha={alpha:g}, W={w:g}, which "
-                         f"resolves k <= {top}: its discrepancy bound is {bound:.3g}, above "
+        top = next(j for j in range(k + 1)
+                   if max(corners.discrepancy_bound(j, alpha, w)) > _DECOMP_TOL) - 1
+        where = (f"k={k} is beyond the check at alpha={alpha:g}, W={w:g}, which resolves "
+                 f"k <= {top}" if top >= 0 else
+                 f"alpha={alpha!r} is too near an integer for the check at k={k}, W={w:g}")
+        raise ValueError(f"{where}: its discrepancy bound is {bound:.3g}, above "
                          f"{_DECOMP_TOL:g} (corners.discrepancy_bound)")
+    p0 = corners._p0_constant(alpha)
 
     def compute():
         p0_err, p1_err = corners.singular_coefficient_check(k, alpha, w)
-        cot = math.pi / math.tan(alpha * math.pi)
-        return _report(p, {"k": k, "alpha": alpha, "W": w, "P0": [-cot, -math.pi],
+        return _report(p, {"k": k, "alpha": alpha, "W": w, "P0": [p0.real, p0.imag],
                            "P0_discrepancy": p0_err, "P1_discrepancy": p1_err,
                            "pass": bool(max(p0_err, p1_err) <= _DECOMP_TOL)},
                        f"decomp: discrepancy P0={p0_err:.3e} P1={p1_err:.3e}")

@@ -175,22 +175,27 @@ class HarmonicSolution:
     __call__ = eval
 
 
+def _folded(basis: CornerBasis, coeffs: np.ndarray):
+    """(residues of each corner, tail tau_0..tau_degree) from the real coefficients
+    in _weighted_system's column order: each Re, Im pair (a, b) is a - i*b, as
+    Re((a - i*b) f) = a Re f + b Im f, its Im part -b with signed zeros kept."""
+    n = sum(basis.counts)
+    folded = np.delete(coeffs, 2 * n).view(complex).conj()  # tau_0 has no Im column
+    return (np.split(folded[:n], np.cumsum(basis.counts)[:-1]),
+            np.concatenate([coeffs[2 * n:2 * n + 1], folded[n:]]))
+
+
 def _harmonic_values(basis: CornerBasis, coeffs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """u at the flat array zs without a design matrix: Re of the partial
     fractions sum_j r_j/(z - p_j), one corner at a time, plus the polynomial
-    sum_k tau_k w^k by Horner's rule, w = (z - center)/scale.  The complex
-    residues and tail coefficients fold each Re, Im column pair (a, b) into
-    a - i*b, as export_solution lists them: Re((a - i*b) f) = a Re f + b Im f.
-    einsum sums each point's row on its own, without BLAS, so an array
-    evaluation is bit for bit its point evaluations (as in
-    kernels._panel_values)."""
+    sum_k tau_k w^k by Horner's rule, w = (z - center)/scale, with the
+    complex coefficients of _folded.  einsum sums each point's row on its
+    own, without BLAS, so an array evaluation is bit for bit its point
+    evaluations (as in kernels._panel_values)."""
+    residues, taus = _folded(basis, coeffs)
     out = np.zeros(zs.size)
-    i = 0
-    for pk in basis.poles:
-        res = coeffs[i:i + 2 * pk.size:2] - 1j * coeffs[i + 1:i + 2 * pk.size:2]
+    for pk, res in zip(basis.poles, residues):
         out += np.einsum("ij,j->i", 1.0 / (zs[:, None] - pk), res).real
-        i += 2 * pk.size
-    taus = np.concatenate([coeffs[i:i + 1], coeffs[i + 1::2] - 1j * coeffs[i + 2::2]])
     w = (zs - basis.center) / basis.scale
     out += horner(taus, w).real
     return out
@@ -475,14 +480,15 @@ def cauchy_slit_integral_log(spec: SlitIntegralSpec, z):
     return _slit_integral(spec, z, log_weighted=True)
 
 
+def _branch_angle(alpha: float) -> float:
+    """pi*(alpha - round(alpha)), the difference exact by Sterbenz's lemma:
+    cot(pi*alpha) taken at it sees no rounding of pi*alpha near an integer."""
+    return math.pi * (alpha - round(alpha))
+
+
 def _p0_constant(alpha: float) -> complex:
-    return complex(-math.pi / math.tan(alpha * math.pi), -math.pi)
-
-
-def _p1_polynomial(alpha: float, log_z: complex) -> complex:
-    cot = math.pi / math.tan(alpha * math.pi)
-    csc2 = (math.pi / math.sin(alpha * math.pi)) ** 2
-    return -(cot + 1j * math.pi) * log_z + csc2
+    theta = _branch_angle(alpha)  # -pi*cot(pi*alpha) - i*pi
+    return complex(-math.pi * math.cos(theta) / math.sin(theta), -math.pi)
 
 
 def singular_coefficient_check(k: int, alpha: float, W: float):
@@ -493,7 +499,10 @@ def singular_coefficient_check(k: int, alpha: float, W: float):
     the jump predicted by z^(k+alpha)*P0 (resp. P1) under the branch with
     arg z in (-2*pi, 0), the convention that keeps the remainder
     single-valued.  Returns discrepancies relative to the singular scale.
-    """
+    The predictions x^s*P0*(phase - 1) and x^s*(phase*P1(L - 2*pi*i) - P1(L)),
+    L = log x, P1(L) = P0*L + pi^2*csc^2(pi*alpha), phase = e^(-2*pi*i*s), take
+    phase - 1 = -2i*sin(theta)*e^(-i*theta), theta = _branch_angle(alpha), and
+    P1(L - 2*pi*i) - P1(L) = -2*pi*i*P0: no difference of csc^2-sized numbers."""
     spec = SlitIntegralSpec(k=k, alpha=alpha, W=W)
     s = k + alpha
     x = W / 2
@@ -514,13 +523,11 @@ def singular_coefficient_check(k: int, alpha: float, W: float):
     jump_pow = richardson(above - below)
     above, below = np.split(cauchy_slit_integral_log(spec, zs), 2)
     jump_log = richardson(above - below)
-    phase = cmath.exp(-2j * math.pi * s)
-    pred_pow = x**s * _p0_constant(alpha) * (phase - 1.0)
-    log_x = math.log(x)
-    pred_log = x**s * (
-        phase * _p1_polynomial(alpha, log_x - 2j * math.pi)
-        - _p1_polynomial(alpha, log_x)
-    )
+    theta = _branch_angle(alpha)
+    sn, p0, log_x = math.sin(theta), _p0_constant(alpha), math.log(x)
+    phase_m1, csc = -2.0 * sn * complex(sn, math.cos(theta)), math.pi / sn
+    pred_pow = x**s * p0 * phase_m1
+    pred_log = x**s * (phase_m1 * (p0 * (log_x - 2j * math.pi) + csc * csc) - 2j * math.pi * p0)
     scale_pow = 2 * math.pi * x**s
     scale_log = scale_pow * (1.0 + abs(log_x))
     return (abs(jump_pow - pred_pow) / scale_pow,
@@ -529,36 +536,44 @@ def singular_coefficient_check(k: int, alpha: float, W: float):
 
 def discrepancy_bound(k: int, alpha: float, W: float) -> tuple:
     """Bounds on the parts of singular_coefficient_check's (P0, P1) discrepancies
-    that grow with k, in closed form, without quadrature; the predicted jump's own
-    error near an integer s = k + alpha is not bounded.  At x = W/2 the power
-    density's integral is F(x +- i*eps) = H(x +- i*eps) +- i*pi*(x +- i*eps)^s,
-    where H(z) = W^s*(-pi*cot(pi*s)*u^s + sum_m u^m/(s - m)), u = z/W, is analytic
-    at x; the log density's H is W^s times log W times that bracket plus its
-    s-derivative.  The i*pi terms are even in eps, so Neville's extrapolation
-    through the offsets e_i = eps_i/W leaves e_0*e_1*e_2*W^3*|H'''(x)|/3 of the
-    jump (the next term is under 1e-3 of it), and each integral's tolerance,
-    _SLIT_TOL*W^s (times 1 + |log W|), reaches the jump at most 2*sum|L_i| times,
-    L_i the extrapolation's weights.  Against the check's scales, 2*pi*x^s (times
-    1 + |log x|), both terms grow as 2^s."""
+    that grow with k or near an integer s = k + alpha, in closed form, without
+    quadrature.  At x = W/2 the power density's integral is F(x +- i*eps) =
+    H(x +- i*eps) +- i*pi*(x +- i*eps)^s, where H(z) = W^s*(-pi*cot(pi*s)*u^s +
+    sum_m u^m/(s - m)), u = z/W, is analytic at x; the log density's H is W^s times
+    log W times that bracket plus its s-derivative.  The i*pi terms are even in eps,
+    so Neville's extrapolation through the offsets e_i = eps_i/W leaves
+    e_0*e_1*e_2*W^3*|H'''(x)|/3 of the jump (the next term is under 1e-3 of it), and
+    each integral's tolerance, _SLIT_TOL*W^s (times 1 + |log W|), reaches the jump at
+    most 2*sum|L_i| times, L_i the extrapolation's weights.  Against the check's
+    scales, 2*pi*x^s (times 1 + |log x|), both terms grow as 2^s.  H''' is taken at
+    t = n + d (n = k + round(alpha), d = alpha - round(alpha)), where its cot and
+    1/(t - n) terms cancel without the rounding of k + alpha.  The P1 bound adds
+    the predicted log jump's rounding: of its parts -2*pi*c and 2*pi*c, c =
+    pi*cos(theta)/sin(theta) (the phase's -2*sin*cos times pi^2/sin^2, and
+    -2*pi*i*P0's), one function of the computed sine and cosine, formed in 7 and 3
+    roundings, at most gamma_10*2*pi*|c| is left, gamma_n = n*u/(1 - n*u) and
+    u = 2^-53; at W = 1 it is above 1e-6 within 6.6e-10 of an integer s."""
     SlitIntegralSpec(k=k, alpha=alpha, W=W)  # checks k, alpha and W
     s, e = k + alpha, _OFFSETS.tolist()
     try:
         grow = 2.0**s
     except OverflowError:
         return math.inf, math.inf
-    m = np.arange(3, math.ceil(s) + 60)  # the series' terms in H''', to rounding
+    n, d = k + round(alpha), complex(alpha - round(alpha), 1e-30)  # t = s + i*1e-30 is n + d
+    m = np.arange(3, k + 61)  # the series' terms in H''', to rounding
     # W^(3-s)*H'''(x) of the density zeta^t at t = s + i*1e-30: its imaginary
     # part is 1e-30 times the s-derivative, to rounding (a complex step)
-    t = complex(s, 1e-30)
-    h3 = -math.pi / cmath.tan(math.pi * (t - k)) * t * (t - 1) * (t - 2) * 0.5**(t - 3) \
-        + complex(np.sum(m * (m - 1.0) * (m - 2.0) * 0.5**(m - 3) / (t - m)))
+    h3 = -math.pi / cmath.tan(math.pi * d) * math.prod(n - i + d for i in range(3)) \
+        * 0.5**(n - 3 + d) + complex(np.sum(m * (m - 1.0) * (m - 2.0) * 0.5**(m - 3)
+                                            / ((n - m) + d)))
     rem = math.prod(e) * grow / 3.0
     tol = 2.0 * _SLIT_TOL * grow * sum(
         abs(math.prod(e[j] / (e[j] - e[i]) for j in range(3) if j != i)) for i in range(3))
-    log_w = math.log(W)
+    rounding = 2.0 * math.pi * 10 * 2.0**-53 / (1 - 10 * 2.0**-53) * abs(_p0_constant(alpha).real)
+    log_w, log_x = math.log(W), math.log(W / 2)
     return ((rem * abs(h3.real) + tol) / (2.0 * math.pi),
-            (rem * abs(log_w * h3.real + h3.imag * 1e30) + tol * (1.0 + abs(log_w)))
-            / (2.0 * math.pi * (1.0 + abs(math.log(W / 2)))))
+            (rem * abs(log_w * h3.real + h3.imag * 1e30) + tol * (1.0 + abs(log_w)) + rounding)
+            / (2.0 * math.pi * (1.0 + abs(log_x))))
 
 
 # --------------------------------------------------------- example domains
@@ -580,20 +595,15 @@ def curvy_l_domain() -> Polygon:
 
 def export_solution(sol: HarmonicSolution) -> str:
     """Coefficient listing in the rational-approximation text format with
-    'corner k' group headers; complex residues are the folded real
-    coefficients (c_re - i*c_im) of each pole pair."""
+    'corner k' group headers; the residues and tail are _folded's."""
+    residues, taus = _folded(sol.basis, sol.coeffs)
     lines = []
-    i = 0
-    c = sol.coeffs.tolist()
-    for k, pk in enumerate(sol.basis.poles):
+    for k, (pk, res) in enumerate(zip(sol.basis.poles, residues)):
         lines.append(f"corner {k}")
         lines += [f"pole {_fmt(p.real)} {_fmt(p.imag)}" for p in pk.tolist()]
-        lines += [f"residue {_fmt(c[i + 2 * j])} {_fmt(-c[i + 2 * j + 1])}"
-                  for j in range(pk.size)]
-        i += 2 * pk.size
-    taus = [complex(c[i])] + [complex(re, -im) for re, im in zip(c[i + 1::2], c[i + 2::2])]
+        lines += [f"residue {_fmt(r.real)} {_fmt(r.imag)}" for r in res.tolist()]
     center = sol.basis.center
     lines.append(f"center {_fmt(center.real)} {_fmt(center.imag)}")
-    lines.append("tail " + " ".join(_fmt_coeff(t) for t in taus))
+    lines.append("tail " + " ".join(_fmt_coeff(t) for t in taus.tolist()))
     lines.append(f"scale {_fmt(sol.basis.scale)}")
     return "\n".join(lines) + "\n"

@@ -462,8 +462,7 @@ class TestSweepAndCsv:
                   target=target, g=g)
         assert calls == {"_fit_points": 2, "_remainder_values": 1, "_poly_lstsq": rungs}
 
-    @pytest.mark.parametrize("threads", [False, True])
-    def test_non_finite_tail_values_raise_from_every_map(self, threads):
+    def test_non_finite_tail_values_raise(self):
         # g is NaN at one validation point of the n1 = 16 cell only, so the
         # misfit of every rung would be NaN: the sweep must raise, not lose
         # the cell (and the cells after it) to a StopIteration that map
@@ -477,15 +476,16 @@ class TestSweepAndCsv:
         def g(z):
             return complex("nan") if z == bad else cmath.exp(z)
 
-        def sweep(map_fn):
-            return run_sweep(0.8, 1.5, cfg.sigma, [9, 16, 25], g=g, map_fn=map_fn)
-
-        with pytest.raises(RuntimeError, match="tail values are not finite"):
-            if threads:
-                with ThreadPoolExecutor(2) as pool:
-                    sweep(pool.map)
-            else:
-                sweep(map)
+        with pytest.raises(RuntimeError, match="tail values are not finite") as seq:
+            run_sweep(0.8, 1.5, cfg.sigma, [9, 16, 25], g=g)
+        # single-cell sweeps on concurrent workers: only the n1 = 16 cell
+        # raises, with the sequential sweep's error
+        with ThreadPoolExecutor(2) as pool:
+            futures = [pool.submit(run_sweep, 0.8, 1.5, cfg.sigma, [n1], g=g)
+                       for n1 in (9, 16, 25)]
+        errors = [f.exception() for f in futures]
+        assert errors[0] is None and errors[2] is None
+        assert type(errors[1]) is RuntimeError and str(errors[1]) == str(seq.value)
 
     def test_non_finite_sup_error_raises(self):
         # g is NaN at one refine=1 sup-norm point that neither fit set
@@ -700,6 +700,29 @@ class TestNestedDriftCheck:
             err = checked_sup_error(approx, cfg)
         assert err == sup_error(approx, target, None, finer_grid) == 0.0
 
+    @pytest.mark.parametrize("sups, refined", [
+        # the half, whole and refine=2 sups of the alpha = 0.5, beta = 1,
+        # sigma = opt cell at n1 = 196: rounding noise, below RATE_FIT_FLOOR
+        ((3.51e-16, 3.72e-16, 4.00e-16), False),
+        ((1e-6, 1.1e-6, 1.1e-6), True),
+    ])
+    def test_drift_is_measured_against_the_rate_fit_floor(self, monkeypatch, sups, refined):
+        cfg, approx = self._setup(0.5, 1.0, None)
+        calls = iter(sups)
+        monkeypatch.setattr(analysis, "sup_error", lambda *args: next(calls))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = checked_sup_error(approx, cfg)
+        assert err == sups[2 if refined else 1]
+        assert list(calls) == ([] if refined else [sups[2]])
+
+    def test_sweep_cell_at_the_float_floor_does_not_warn(self):
+        # it once evaluated the refine=2 grid and warned "still drifting"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec, = run_sweep(0.5, 1.0, optimal_sigma(0.5, 1.0), [196])
+        assert rec.sup_err < analysis.RATE_FIT_FLOOR
+
     def test_nan_in_the_rest_is_kept(self, monkeypatch):
         # Python's max(x, nan) is x: the rest's NaN must not be dropped
         cfg, approx = self._setup(0.5, 1.0, None)
@@ -749,15 +772,20 @@ class TestDiagnosticsAndSkips:
                     else:
                         assert np.isfinite(abs(fn()))
 
-    def test_threaded_sweep_matches_sequential(self):
-        from concurrent.futures import ThreadPoolExecutor
-        sigma = optimal_sigma(0.5, 1.0)
-        seq = run_sweep(0.5, 1.0, sigma, [9, 16, 25])
+    @pytest.mark.parametrize("target, g", [("power", None), ("power_log", cmath.exp)])
+    def test_concurrent_single_cell_sweeps_match_sequential(self, target, g):
+        # the library is immutable: callers may run cells on their own
+        # workers, and each record equals the sequential sweep's
+        sigma, n1s = optimal_sigma(0.5, 1.0), [9, 16, 25]
+
+        def untimed(records):
+            return [dataclasses.replace(r, runtime_ms=0.0) for r in records]
+
+        seq = untimed(run_sweep(0.5, 1.0, sigma, n1s, target=target, g=g))
         with ThreadPoolExecutor(max_workers=3) as pool:
-            par = run_sweep(0.5, 1.0, sigma, [9, 16, 25],
-                            map_fn=lambda f, xs: list(pool.map(f, xs)))
-        assert [r.sup_err for r in par] == [r.sup_err for r in seq]
-        assert [r.n2 for r in par] == [r.n2 for r in seq]
+            cells = list(pool.map(lambda n1: run_sweep(0.5, 1.0, sigma, [n1],
+                                                       target=target, g=g), n1s))
+        assert [untimed(c) for c in cells] == [[r] for r in seq]
 
     def test_degree_cap_enforced(self):
         ApproxConfig(alpha=0.5, beta=0.0, sigma=4.0, n1=4, n2=1000)

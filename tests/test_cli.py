@@ -3,13 +3,11 @@ import contextlib
 import io
 import json
 import math
-import os
 import re
 import tempfile
 import time
 import warnings
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -300,16 +298,6 @@ class TestArgumentHandling:
         assert err == f"invalid configuration: --sigma divides opt by zero, got {sigma!r}\n"
         assert not csv.exists()
 
-    def test_non_integer_thread_count_exits_2(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setenv("LIGHTNING_THREADS", "abc")
-        csv = tmp_path / "t.csv"
-        assert main(["sweep", "--alpha", "0.5", "--beta", "1", "--N1", "9,16,25,36",
-                     "--csv", str(csv)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("invalid configuration: LIGHTNING_THREADS must be an integer: ")
-        assert err.endswith("'abc'\n")
-        assert not csv.exists()
-
     @pytest.mark.parametrize("flags, reason", [
         # the outermost pole e^(T/(1 - alpha)) = e^800 leaves the range
         pytest.param(["--T", "5,10,400"],
@@ -493,6 +481,27 @@ class TestDecomp:
         assert err == (f"invalid configuration: k={k} is beyond the check at alpha="
                        f"{float(alpha):g}, W=1, which resolves k <= 20: its discrepancy bound "
                        f"is {bound:.3g}, above 1e-06 (corners.discrepancy_bound)\n")
+
+    @pytest.mark.parametrize("alpha", ["2e-12", "1e-9", "1e-6", "0.999999", "0.999999999"])
+    @pytest.mark.parametrize("k", range(4))
+    def test_near_integer_meets_the_gate_or_exits_2_with_its_bound(self, k, alpha, tmp_path,
+                                                                  capsys):
+        # the predicted jump's rounding grows as 1/|alpha - round(alpha)|: within
+        # 6.6e-10 of an integer its bound is above the gate at every k, and the
+        # run exits 2 before any quadrature
+        out = tmp_path / "d.json"
+        code = main(["decomp", "--k", str(k), "--alpha", alpha, "--json", str(out)])
+        err = capsys.readouterr().err
+        assert code == (2 if alpha == "2e-12" else 0), err
+        if code == 0:
+            payload = json.loads(out.read_text())
+            assert max(payload["P0_discrepancy"], payload["P1_discrepancy"]) <= 1e-6
+            return
+        assert not out.exists()
+        bound = max(corners.discrepancy_bound(k, float(alpha), 1.0))
+        assert err == (f"invalid configuration: alpha={float(alpha)!r} is too near an integer "
+                       f"for the check at k={k}, W=1: its discrepancy bound is {bound:.3g}, "
+                       "above 1e-06 (corners.discrepancy_bound)\n")
 
     @pytest.mark.parametrize("k, W", [("2", "1e110"), ("0", "1e300"), ("1", "1e300"),
                                       ("0", "1e-300")])
@@ -978,22 +987,3 @@ def test_cli_contract(argv, expect):
             assert not csv.exists() and not out.exists()
         else:
             assert json.loads(out.read_text())["pass"] is (code == 0)
-
-
-@given(value=st.one_of(st.integers(-10**6, 10**6).map(str), st.text(max_size=6)))
-@seed(20261020)
-@settings(max_examples=40, deadline=None, database=None)
-def test_thread_count_is_parsed_before_any_work(value):
-    # parsed only: a pool is never started with a drawn count
-    with mock.patch.dict(os.environ, {"LIGHTNING_THREADS": value}):
-        try:
-            threads = cli._threads()
-        except ValueError as exc:
-            assert str(exc).startswith("LIGHTNING_THREADS must be an integer: ")
-            with mock.patch.object(analysis, "run_sweep", side_effect=AssertionError), \
-                    contextlib.redirect_stderr(io.StringIO()) as err:
-                assert main(["sweep", "--alpha", "0.5", "--beta", "1",
-                             "--N1", "9,16,25,36"]) == 2
-            assert err.getvalue().startswith("invalid configuration: LIGHTNING_THREADS")
-        else:
-            assert threads == int(value)

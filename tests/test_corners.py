@@ -9,8 +9,10 @@ import pytest
 
 from lightningpoly import corners
 from lightningpoly.corners import (
+    HarmonicSolution,
     SlitIntegralSpec,
     _collocation,
+    _folded,
     _weighted_system,
     boundary_error,
     builtin_boundary_data,
@@ -235,6 +237,25 @@ class TestLayout:
         assert out.shape == (2, 3) and out.dtype == float
         assert out[1, 2] == sol.eval(zs[1, 2])
         assert sol.eval(np.array(z)) == u
+
+    def test_export_lists_the_fold_eval_uses(self):
+        # eval and export fold the real coefficients once, in _folded: each
+        # exported residue is a - i*b of its Re, Im pair, and a zero b exports
+        # as -0, the negated coefficient
+        poly = concave_quadrilateral()
+        basis = plan_basis(poly, 40, "global_opt")
+        sol = solve_dirichlet(poly, "re2", basis)
+        residues, taus = _folded(basis, sol.coeffs)
+        n = sum(basis.counts)
+        assert np.concatenate(residues).tolist() == [
+            complex(a, -b) for a, b in zip(sol.coeffs[:2 * n:2], sol.coeffs[1:2 * n:2])]
+        assert taus.tolist() == [sol.coeffs[2 * n]] + [
+            complex(a, -b) for a, b in zip(sol.coeffs[2 * n + 1::2], sol.coeffs[2 * n + 2::2])]
+        lines = export_solution(sol).splitlines()
+        listed = [complex(*map(float, ln.split()[1:])) for ln in lines if ln.startswith("residue ")]
+        assert listed == np.concatenate(residues).tolist()
+        zero = export_solution(HarmonicSolution(basis, np.zeros(basis.n_columns), 0.0))
+        assert {ln for ln in zero.splitlines() if ln.startswith("residue ")} == {"residue 0 -0"}
 
     @pytest.mark.parametrize("N", [40, 80, 240])
     @pytest.mark.parametrize("domain", [concave_quadrilateral, curvy_l_domain])
@@ -594,6 +615,17 @@ class TestSlitIntegrals:
             p0, p1 = singular_coefficient_check(k, alpha, W)
             b0, b1 = corners.discrepancy_bound(k, alpha, W)
             assert p0 <= b0 <= 1.2 * p0 and p1 <= b1, (k, p0, b0, p1, b1)
+
+    @pytest.mark.parametrize("alpha", [2e-12, 1e-9, 1e-6, 1 - 1e-6, 1 - 1e-9, 1 - 2e-12])
+    @pytest.mark.parametrize("k", range(4))
+    def test_discrepancy_bound_holds_near_an_integer(self, k, alpha):
+        # near an integer k + alpha the predicted log jump rounds by about
+        # u/|alpha - round(alpha)|, which the P1 bound covers (P1 was 23 at
+        # k = 1, alpha = 1 - 1e-9 when phase - 1 was a subtraction)
+        p0, p1 = singular_coefficient_check(k, alpha, 1.0)
+        b0, b1 = corners.discrepancy_bound(k, alpha, 1.0)
+        assert p0 <= b0 and p1 <= b1, (p0, b0, p1, b1)
+        assert (b1 > 1e-6) == (min(alpha, 1 - alpha) < 1e-11)
 
     def test_discrepancy_bound_past_the_double_range_is_infinite(self):
         assert corners.discrepancy_bound(2000, 0.5, 1.0) == (math.inf, math.inf)
