@@ -276,8 +276,9 @@ def _poly_lstsq(zs, values, degree, real=False):
     the complex one over the whole set, so it has the same minimiser.  The
     Im rows of points on the axis are zero and are left out.
 
-    ``[V y]`` is written once, column-major, the layout damped_lstsq's QR
-    copies fastest."""
+    ``[V y]`` is written once, column-major: damped_lstsq factors one
+    column-major copy of it in place, which a column-major ``[V y]`` fills
+    without a transpose."""
     zs, y = np.asarray(zs, complex), np.asarray(values, complex)
     m, n = zs.size, degree + 1
     if m < n:

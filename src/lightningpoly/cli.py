@@ -350,6 +350,8 @@ def _cmd_laplace(p: dict):
     check_parameters(oversample=oversample, fine_factor=fine_factor)
     bases = [corners.plan_basis(polygon, n, p["sigma"], n2=p["n2"], corner_weights=p["weights"])
              for n in n_list]
+    for basis in bases:  # an oversized system exits 2 here, before any solve
+        corners.check_system_size(basis, oversample)
 
     def compute():
         lines = ["N,columns,residual_rms,boundary_sup_err"]

@@ -28,6 +28,7 @@ __all__ = [
     "SlitIntegralSpec",
     "plan_basis",
     "solve_dirichlet",
+    "check_system_size",
     "boundary_error",
     "cauchy_slit_integral",
     "cauchy_slit_integral_log",
@@ -263,7 +264,8 @@ def _weighted_system(zs, w, basis: CornerBasis, rhs) -> np.ndarray:
 
     The reciprocals are taken one corner and one block of points at a time:
     whole-corner temporaries (1.7 MB at N = 240) left freed heap that the
-    QR's full-size copies could not reuse, which raised the peak RSS."""
+    QR's full-size copy of ``[A b]`` could not reuse, which raised the peak
+    RSS."""
     Ab = np.empty((zs.size, basis.n_columns + 1), order="F")
     cols = Ab.T
     row = 0
@@ -289,14 +291,40 @@ def _weighted_system(zs, w, basis: CornerBasis, rhs) -> np.ndarray:
     return Ab
 
 
+# the most bytes of a weighted [A b], the largest that _MAX_POLES admits at
+# the default oversample 4, so that no run with oversample <= 4 is refused:
+# 4 poles a corner at least give at most _MAX_POLES/4 corners, so
+# check_system_size's row bound is at most 12*_MAX_POLES there, and the 3x
+# collocation rule leaves at most a third of the rows as columns
+# (24,576 x 8,193 entries, 1.5 GiB)
+_MAX_SYSTEM_BYTES = 8 * (12 * _MAX_POLES) * (4 * _MAX_POLES + 1)
+
+
+def check_system_size(basis: CornerBasis, oversample: int) -> None:
+    """Raise ``ValueError`` if the weighted ``[A b]`` of a solve at this
+    ``oversample`` could pass ``_MAX_SYSTEM_BYTES``.  Its rows are at most
+    what _collocation draws before merging: per edge, ``oversample`` times
+    its two corners' pole counts plus 4 (the uniform fill), which sums to
+    oversample*(2*poles + 4*corners)."""
+    check_parameters(oversample=oversample)
+    rows = oversample * (2 * sum(basis.counts) + 4 * len(basis.counts))
+    size = 8 * rows * (basis.n_columns + 1)
+    if size > _MAX_SYSTEM_BYTES:
+        raise ValueError(f"oversample={oversample} asks for a least-squares system of up to "
+                         f"{rows} x {basis.n_columns + 1} entries ({size / 2**30:.3g} GiB) for "
+                         f"{sum(basis.counts)} poles, above the "
+                         f"{_MAX_SYSTEM_BYTES / 2**30:.3g} GiB that bound its memory")
+
+
 def solve_dirichlet(polygon: Polygon, boundary_data, basis: CornerBasis,
                     oversample: int = 4) -> HarmonicSolution:
     """Weighted least-squares fit of Dirichlet data over clustered boundary
     collocation by kernels.damped_lstsq.  Raises ``RuntimeError`` on a
     numerical breakdown: a pole that rounds onto a collocation point makes
     the design non-finite, and data that is not finite there makes the
-    right-hand side non-finite."""
-    check_parameters(oversample=oversample)
+    right-hand side non-finite.  A system past ``check_system_size``'s
+    bound raises ``ValueError`` before any sample is drawn."""
+    check_system_size(basis, oversample)
     data = builtin_boundary_data(boundary_data) if isinstance(boundary_data, str) else boundary_data
     zs, w = _collocation(polygon, basis, oversample)
     if zs.size < 3 * basis.n_columns:

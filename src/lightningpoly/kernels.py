@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 __all__ = [
     "BranchCutError",
@@ -698,6 +699,37 @@ def _back_substitute(R: np.ndarray, c: np.ndarray) -> np.ndarray:
     return x
 
 
+# geqrf by dtype: lapack_lite's factorizations, the ones np.linalg.qr runs
+_GEQRF = {np.dtype(np.float64): lapack_lite.dgeqrf, np.dtype(np.complex128): lapack_lite.zgeqrf}
+
+
+def _qr_r(a: np.ndarray) -> np.ndarray:
+    """R of the Householder QR of ``a`` (m x n), which it overwrites:
+    LAPACK's ``geqrf`` through ``numpy.linalg.lapack_lite``, the routine
+    ``np.linalg.qr`` calls after copying its input twice, here on the
+    caller's own array.  Returns the triangle of the top min(m, n) rows,
+    the bytes of ``np.linalg.qr(a, mode="r")``.
+
+    ``a`` must be a writeable, column-major float64 or complex128 array
+    (LAPACK's layout); anything else raises ``ValueError`` before LAPACK
+    sees it, since lapack_lite checks the dtype and C-contiguity of what
+    it is given (the transpose here) but not the sizes.  An empty ``a``
+    needs no LAPACK call.  lapack_lite holds the GIL through the call."""
+    geqrf = _GEQRF.get(a.dtype) if isinstance(a, np.ndarray) else None
+    if geqrf is None or a.ndim != 2 or not (a.flags.f_contiguous and a.flags.writeable):
+        raise ValueError("_qr_r factors a writeable column-major float64 or complex128 "
+                         f"matrix, got {type(a).__name__} {getattr(a, 'dtype', '')} "
+                         f"{getattr(a, 'shape', '')}")
+    m, n = a.shape
+    k = min(m, n)
+    if k:
+        tau, work = np.empty(k, a.dtype), np.empty(1, a.dtype)
+        geqrf(m, n, a.T, max(m, 1), tau, work, -1, 0)  # the workspace query
+        work = np.empty(max(1, n, int(work[0].real)), a.dtype)
+        geqrf(m, n, a.T, max(m, 1), tau, work, work.size, 0)
+    return np.triu(a[:k])
+
+
 # columns of A per block of damped_lstsq's damping step
 _DAMP_BLOCK = 192
 
@@ -708,11 +740,11 @@ def damped_lstsq(Ab: np.ndarray) -> np.ndarray:
     ``Ab`` is read, never written.
 
     An R-only QR reduces the unscaled ``[A b]`` to an (n+1)-row triangle
-    ``[R c]``; the tall matrix is then released, so a caller that passes a
-    temporary does not hold it through the rest.  A's columns are scaled
-    to unit norm on the triangle: Householder QR commutes with column
-    scaling, |R e_j| = |A e_j|, and the R of A D is the R of A times D to
-    columnwise rounding (Higham, Accuracy and Stability of Numerical
+    ``[R c]``; the tall matrix is then released, and a caller's temporary
+    ``[A b]`` as soon as it is copied, before the QR.  A's columns are
+    scaled to unit norm on the triangle: Householder QR commutes with
+    column scaling, |R e_j| = |A e_j|, and the R of A D is the R of A times
+    D to columnwise rounding (Higham, Accuracy and Stability of Numerical
     Algorithms, ch. 19), so the scaling costs n x n work and no m x n
     temporary.  The damping step then reduces ``[R c; lam*I 0]``, which
     gives the x of ``min |A x - b|^2 + lam^2 |x|^2`` for the scaled A, as
@@ -738,18 +770,19 @@ def damped_lstsq(Ab: np.ndarray) -> np.ndarray:
     fit of the benchmark's sweeps, the step is the one dense QR of the
     whole stack.
 
-    ``np.linalg.qr`` copies its input twice on the way to LAPACK, which
-    works on column-major arrays: a column-major ``[A b]`` makes both
-    copies contiguous, while a row-major one still works but makes them
-    transposing, strided copies.  The damping stacks are built column-major
-    for the same reason.
+    Both QRs factor in place (``_qr_r``): the first on one private
+    column-major copy of ``[A b]``, in float64 or complex128 (an integer or
+    float32 ``[A b]`` solves as its float64 cast), where ``np.linalg.qr``
+    made two; each damping stack, built column-major for it, with no copy.
+    LAPACK's ``geqrf`` through ``numpy.linalg.lapack_lite`` holds the GIL,
+    so solves on Python threads do not overlap in the QR; BLAS threads
+    still do.
     """
     m, n = Ab.shape[0], Ab.shape[1] - 1
-    try:
-        R = np.linalg.qr(Ab, mode="r")
-    except np.linalg.LinAlgError:
-        raise RuntimeError("design matrix is not finite") from None
-    del Ab  # the caller's temporary dies here, before the damping step
+    work = np.array(Ab, np.result_type(Ab.dtype, np.float64), order="F")
+    del Ab  # a caller's temporary dies here, before the QR
+    R = _qr_r(work)
+    del work  # and the tall array before the damping step
     norms = np.linalg.norm(R[:, :n], axis=0)
     if not np.all(np.isfinite(norms)):
         raise RuntimeError("design matrix is not finite")
@@ -769,7 +802,7 @@ def damped_lstsq(Ab: np.ndarray) -> np.ndarray:
         stack[:own.shape[0]] = own
         stack[own.shape[0]:top] = fill
         np.fill_diagonal(stack[top:], lam)
-        Rb = np.linalg.qr(stack, mode="r")
+        Rb = _qr_r(stack)
         T[lo:hi, lo:] = Rb[:hi - lo]
         fill = Rb[hi - lo:, hi - lo:]
     return _back_substitute(T[:, :n], T[:, n]) / norms

@@ -270,6 +270,21 @@ class TestArgumentHandling:
         assert f"invalid configuration: oversample must be >= 1, got {oversample}" in err
         assert not csv.exists()
 
+    def test_oversized_system_exits_2_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        # N = 40 is small and would solve; N = 2000 at oversample 64 asks for
+        # an 8 GiB [A b], and the run stops in validation, before the first
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(cli.corners, "solve_dirichlet", no_solve)
+        csv, out = tmp_path / "o.csv", tmp_path / "o.json"
+        code = main(["laplace", "--polygon", "builtin:concave-quad", "--N", "40,2000",
+                     "--oversample", "64", "--csv", str(csv), "--json", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: oversample=64 asks for")
+        assert not csv.exists() and not out.exists()
+
     @pytest.mark.parametrize("flag", ["--csv", "--json", "--out"])
     def test_output_in_a_missing_directory_exits_2(self, flag, tmp_path, capsys):
         # outputs are written after the work: a path that cannot take them is
@@ -897,7 +912,10 @@ def _options(num, count, targets):
                                           num(1.0, 8.0)), False),
                     ("--N", _listed(count(16, 40), 1, 2), False), ("--n2", count(0, 12), False),
                     ("--weights", _listed(num(0.5, 1.5), 4, 5), False),
-                    ("--oversample", count(1, 6), False), ("--fine-factor", count(3, 6), False),
+                    # past 10^6 every drawn basis's [A b] is above corners'
+                    # cap; a draw between would run a solve of up to 1.5 GiB
+                    ("--oversample", st.one_of(count(1, 6), count(10**6, 10**9)), False),
+                    ("--fine-factor", count(3, 6), False),
                     ("--final-err", num(1e-8, 1.0), False)],
         "decomp": [("--k", count(0, 3), False), ("--alpha", alpha, True),
                    ("--W", num(0.1, 10.0), False)],
@@ -967,6 +985,8 @@ def test_fuzzer_draws_every_option(command):
 @example(argv=["approx", "--alpha=0.5", "--beta=1", "--N1=9", "--C=1e300"], expect=2)
 @example(argv=["quaderr", "--alpha=0.5", "--beta=1", "--T=4,6,400"], expect=2)
 @example(argv=["decomp", "--k=0", "--alpha=0.5", "--W=1e-300"], expect=2)
+@example(argv=["laplace", "--polygon=builtin:concave-quad", "--N=2000", "--oversample=64"],
+         expect=2)
 @seed(20261020)
 @settings(max_examples=40, deadline=2000, database=None)
 def test_cli_contract(argv, expect):

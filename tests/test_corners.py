@@ -1,8 +1,12 @@
 import cmath
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +15,14 @@ from lightningpoly import corners
 from lightningpoly.corners import (
     HarmonicSolution,
     SlitIntegralSpec,
+    _MAX_POLES,
     _collocation,
     _folded,
     _weighted_system,
     boundary_error,
     builtin_boundary_data,
     cauchy_slit_integral,
+    check_system_size,
     cauchy_slit_integral_log,
     concave_quadrilateral,
     curvy_l_domain,
@@ -214,6 +220,38 @@ class TestLayout:
         want *= w[:, None]
         assert Ab.tobytes() == want.tobytes()
 
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+    def test_lstsq_memory_is_one_copy_of_the_system(self):
+        # geqrf factors one private copy of [A b] in place, where
+        # np.linalg.qr held two: the peak RSS grows by 2.15x Ab.nbytes at
+        # the np.linalg.qr path, 1.50x now.  A fresh process, so the peak
+        # is this build's alone, read as its VmHWM: ru_maxrss would start
+        # from this (larger) process's peak, which exec carries over, and
+        # tracemalloc misses the buffers LAPACK's callers malloc
+        script = "\n".join([
+            "import numpy as np",
+            "from lightningpoly.corners import (_collocation, _weighted_system,",
+            "                                   curvy_l_domain, plan_basis)",
+            "from lightningpoly.kernels import damped_lstsq",
+            "def peak_kb():",
+            "    with open('/proc/self/status') as f:",
+            "        return next(int(ln.split()[1]) for ln in f if ln.startswith('VmHWM:'))",
+            "poly = curvy_l_domain()",
+            "basis = plan_basis(poly, 240, 4.0)",
+            "zs, w = _collocation(poly, basis, 4)",
+            "Ab = _weighted_system(zs, w, basis, zs.real**2)",
+            "assert np.isfinite(Ab.sum())  # every page of Ab is resident",
+            "before = peak_kb()",
+            "damped_lstsq(Ab)",
+            "print((peak_kb() - before) * 1024 / Ab.nbytes)",
+        ])
+        src = str(Path(corners.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert float(out) <= 1.75
+
     @pytest.mark.parametrize("domain", [concave_quadrilateral, curvy_l_domain])
     def test_eval_is_the_design_product(self, domain):
         poly = domain()
@@ -346,6 +384,46 @@ class TestSolveDirichlet:
     def test_pole_budget_past_the_cap_rejected(self, N, weights):
         with pytest.raises(ValueError, match="poles, above the 2048 that bound"):
             plan_basis(self.poly, N, "global_opt", corner_weights=weights)
+
+    @pytest.mark.parametrize("oversample", [1, 3, 4, 7])
+    @pytest.mark.parametrize("N", [20, 40, 160])
+    @pytest.mark.parametrize("domain", [concave_quadrilateral, curvy_l_domain])
+    def test_system_size_bounds_the_samples(self, domain, N, oversample, monkeypatch):
+        # the closed-form rows are at least the samples drawn: a cap one
+        # byte below the drawn [A b] refuses it, and the bound itself passes
+        poly = domain()
+        basis = plan_basis(poly, N, "global_opt")
+        zs, _ = _collocation(poly, basis, oversample)
+        rows = oversample * (2 * sum(basis.counts) + 4 * len(basis.counts))
+        assert zs.size <= rows
+        monkeypatch.setattr(corners, "_MAX_SYSTEM_BYTES", 8 * rows * (basis.n_columns + 1))
+        check_system_size(basis, oversample)
+        monkeypatch.setattr(corners, "_MAX_SYSTEM_BYTES", 8 * zs.size * (basis.n_columns + 1) - 1)
+        with pytest.raises(ValueError, match=f"oversample={oversample} asks for"):
+            check_system_size(basis, oversample)
+
+    def test_system_cap_admits_every_pole_cap_basis_at_oversample_4(self):
+        # the most rows _MAX_POLES allows: 4 poles at each of _MAX_POLES/4
+        # corners (plan_basis's least per corner); with the most columns
+        # the 3x rule leaves them, the system is within the cap at
+        # oversample 4 and past it at 5
+        m = _MAX_POLES // 4
+        n2 = (4 * _MAX_POLES - 2 * _MAX_POLES - 1) // 2
+        basis = corners.CornerBasis(sigmas=(4.0,) * m, poles=(np.zeros(4, complex),) * m,
+                                    degree=n2, center=0j, scale=1.0)
+        assert sum(basis.counts) == _MAX_POLES and basis.n_columns == 4 * _MAX_POLES - 1
+        check_system_size(basis, 4)
+        with pytest.raises(ValueError, match="oversample=5 asks for"):
+            check_system_size(basis, 5)
+
+    def test_oversized_system_rejected_before_sampling(self, monkeypatch):
+        def no_samples(*args):
+            raise AssertionError("samples were drawn")
+
+        monkeypatch.setattr(corners, "_collocation", no_samples)
+        basis = plan_basis(self.poly, 2000, "global_opt")
+        with pytest.raises(ValueError, match=r"oversample=64 asks for .* GiB\) for 2000 poles"):
+            solve_dirichlet(self.poly, "re2", basis, oversample=64)
 
     @pytest.mark.parametrize("oversample", [0, -1])
     def test_oversample_below_one_rejected(self, oversample):

@@ -17,6 +17,7 @@ from lightningpoly.kernels import (
     QuadratureNonConvergence,
     _DAMP_BLOCK,
     _back_substitute,
+    _qr_r,
     adaptive_gauss_legendre,
     check_double_range,
     damped_lstsq,
@@ -580,6 +581,84 @@ class TestHorner:
         assert got.tobytes() == np.polynomial.polynomial.polyval(x, c).tobytes()
 
 
+class TestQrR:
+    """R from geqrf factoring the caller's array in place, the bytes of
+    np.linalg.qr(mode="r"), which copies its input twice."""
+
+    @staticmethod
+    def _matrix(shape, complex_, order, seed=0):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(shape)
+        if complex_:
+            a = a + 1j * rng.standard_normal(shape)
+        return np.array(a, order=order)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("shape", [(40, 12), (12, 12), (7, 19), (30, 1), (1, 30)])
+    def test_bytes_of_np_linalg_qr(self, shape, complex_, order):
+        a = self._matrix(shape, complex_, order)
+        want = np.linalg.qr(a, mode="r")
+        got = _qr_r(np.asfortranarray(a))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("n", [_DAMP_BLOCK + 1, 2 * _DAMP_BLOCK + 17])
+    def test_damping_stacks_keep_their_bytes(self, n, complex_, monkeypatch):
+        # every matrix damped_lstsq factors: [A b], then each block's stack
+        seen = []
+
+        def recording(a):
+            seen.append(a.copy(order="F"))
+            return _qr_r(a)
+
+        monkeypatch.setattr(kernels, "_qr_r", recording)
+        damped_lstsq(self._matrix((3 * n, n + 1), complex_, "F", seed=n))
+        assert len(seen) == 1 + math.ceil(n / _DAMP_BLOCK)
+        for a in seen:
+            for source in (a, np.ascontiguousarray(a)):
+                want = np.linalg.qr(source, mode="r")
+                assert _qr_r(np.asfortranarray(source)).tobytes() == want.tobytes()
+
+    @staticmethod
+    def _no_lapack(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("geqrf was called")
+        monkeypatch.setattr(kernels, "_GEQRF", {
+            np.dtype(np.float64): refuse, np.dtype(np.complex128): refuse})
+
+    @pytest.mark.parametrize("make", [
+        lambda a: np.ascontiguousarray(a),             # row-major
+        lambda a: np.asfortranarray(a, np.float32),    # not float64 or complex128
+        lambda a: np.asfortranarray(a)[:, ::2],        # a strided view
+        lambda a: np.asfortranarray(a)[::2],
+        lambda a: np.asfortranarray(a, ">f8"),         # byte-swapped
+        lambda a: np.asfortranarray(a)[None],          # not 2-D
+        lambda a: np.asfortranarray(a).tolist(),       # not an array
+    ])
+    def test_rejected_before_lapack(self, make, monkeypatch):
+        self._no_lapack(monkeypatch)
+        with pytest.raises(ValueError, match="writeable column-major float64 or complex128"):
+            _qr_r(make(self._matrix((9, 4), False, "F")))
+
+    def test_read_only_rejected(self, monkeypatch):
+        self._no_lapack(monkeypatch)
+        a = self._matrix((9, 4), True, "F")
+        a.flags.writeable = False
+        with pytest.raises(ValueError, match="writeable"):
+            _qr_r(a)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_without_lapack(self, shape, complex_, monkeypatch):
+        a = self._matrix(shape, complex_, "F")
+        want = np.linalg.qr(a, mode="r")
+        self._no_lapack(monkeypatch)
+        got = _qr_r(a)
+        assert got.dtype == want.dtype and got.shape == want.shape
+
+
 class TestDampedLstsq:
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
     def test_back_substitution_matches_a_dense_solve(self, n):
@@ -730,6 +809,17 @@ class TestDampedLstsq:
             Ab[17, col] = bad
             with pytest.raises(RuntimeError, match=f"{what} is not finite"):
                 damped_lstsq(Ab)
+
+    @pytest.mark.parametrize("cast", [
+        lambda Ab: Ab.astype(np.float32),
+        lambda Ab: np.round(4.0 * Ab).astype(np.int64),
+    ])
+    def test_other_dtypes_solve_as_their_float64_cast(self, cast):
+        A, b = self._system(np.random.default_rng(5), 60, 8, False)
+        Ab = cast(np.column_stack([A, b]))
+        x = damped_lstsq(Ab)
+        assert x.dtype == np.float64
+        assert x.tobytes() == damped_lstsq(Ab.astype(np.float64)).tobytes()
 
     @pytest.mark.parametrize("complex_", [False, True])
     @pytest.mark.parametrize("order", ["C", "F"])
